@@ -71,7 +71,7 @@ def cmd_generate(args) -> int:
 
 
 def _load_clouds(args):
-    indir = Path(args.indir)
+    indir = Path(args.indir or ".")
     lidar = cloudio.read_cloud(args.lidar or indir / "lidar.blrf")
     radar = cloudio.read_cloud(args.radar or indir / "radar.blrf")
     return lidar, radar
@@ -114,7 +114,7 @@ def cmd_check(args) -> int:
 
 def cmd_dump_map(args) -> int:
     cfg = _resolve_config(args)
-    if args.lidar or args.indir != ".":
+    if args.lidar or args.indir is not None:
         lidar, radar = _load_clouds(args)
     else:
         _, lidar, radar = generate_clouds(cfg, cfg.seeds.scene)
@@ -160,8 +160,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("dump-map", help="dump an intermediate feature map")
     _add_config_flags(p)
-    p.add_argument("--in", dest="indir", default=".",
-                   help="directory holding lidar.blrf / radar.blrf")
+    p.add_argument("--in", dest="indir", default=None,
+                   help="directory holding lidar.blrf / radar.blrf (default: "
+                        "generate the clouds from the config)")
     p.add_argument("--lidar", default=None)
     p.add_argument("--radar", default=None)
     p.add_argument("--stage", choices=MAP_STAGES, required=True)

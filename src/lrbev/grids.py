@@ -7,6 +7,11 @@ coarse radar-sized grid for the BEV-feature queries.
 
 Cell assignment is floor((p - origin) / cell), lower-inclusive and
 upper-exclusive. Empty cells are exact zeros everywhere.
+
+Points are grouped by one stable argsort of linear cell ids into segments
+(sorted keys plus offsets). Each MLP stage runs as a few batched forwards
+over blocks of whole segments, max-pooled per segment with
+``np.maximum.reduceat`` and scattered into the dense map by fancy indexing.
 """
 from __future__ import annotations
 
@@ -18,7 +23,6 @@ from .errors import ConfigError, ShapeError
 from .nn import FeatureMap, MlpParams, mlp_forward_batch
 
 LIDAR_POINT_FEATURES = 8   # x, y, z, intensity, t, and offsets to the cell center
-RADAR_POINT_FEATURES = {"radar_a": 9, "radar_b": 4}
 
 
 @dataclass(frozen=True)
@@ -81,23 +85,102 @@ class GridSpec:
                    counts=tuple(int(v) for v in d["counts"]))
 
 
+# Most rows one batched MLP forward takes. Blocks hold whole segments, so
+# their boundaries are a function of the segment offsets alone; the cap
+# bounds the size of the batch temporaries.
+BLOCK_ROWS = 4096
+
+
+def _blocks(offsets: np.ndarray):
+    """Consecutive segment ranges (s0, s1) covering every segment, each
+    spanning at most BLOCK_ROWS rows, or one segment that alone is longer."""
+    s0, n = 0, len(offsets) - 1
+    while s0 < n:
+        s1 = int(np.searchsorted(offsets, offsets[s0] + BLOCK_ROWS, side="right")) - 1
+        s1 = max(s1, s0 + 1)
+        yield s0, s1
+        s0 = s1
+
+
+def _segment_max(rows: np.ndarray, offsets: np.ndarray, p: MlpParams) -> np.ndarray:
+    """(S, out) elementwise max of the MLP over each non-empty segment
+    rows[offsets[k]:offsets[k+1]], one batched forward per block."""
+    out = np.empty((len(offsets) - 1, p.out_dim))
+    for s0, s1 in _blocks(offsets):
+        r0 = offsets[s0]
+        y = mlp_forward_batch(rows[r0:offsets[s1]], p)
+        out[s0:s1] = np.maximum.reduceat(y, offsets[s0:s1] - r0, axis=0)
+    return out
+
+
+def _group(cell_ids: np.ndarray, limit: int):
+    """Group points by integer cell id, keeping per cell the first ``limit``
+    points in input order.
+
+    Returns (kept, offsets, ids, truncated): ``kept`` lists the kept
+    positions cell by cell in ascending id, cell k owning
+    kept[offsets[k]:offsets[k+1]]; ``ids`` are the G distinct cell ids and
+    ``truncated`` counts the points beyond the limit.
+    """
+    order = np.argsort(cell_ids, kind="stable")
+    ids, starts, counts = np.unique(cell_ids[order], return_index=True,
+                                    return_counts=True)
+    rank = np.arange(len(order)) - np.repeat(starts, counts)
+    keep = rank < limit
+    offsets = np.zeros(len(ids) + 1, dtype=np.int64)
+    np.cumsum(np.minimum(counts, limit), out=offsets[1:])
+    return order[keep], offsets, ids, int(len(order) - keep.sum())
+
+
+def _content_order(points: np.ndarray, members: np.ndarray,
+                   offsets: np.ndarray) -> np.ndarray:
+    """``members`` reordered inside each segment by record content (fields
+    compared in declared order), so a segment's rows depend on the point
+    multiset alone."""
+    seg = np.repeat(np.arange(len(offsets) - 1), np.diff(offsets))
+    recs = points[members]
+    first = recs[points.dtype.names[0]]
+    order = np.lexsort((first, seg))
+    # Rows tied on (segment, first field) are rare: reorder just those runs
+    # by the whole record. Runs keep their places, since the sort below
+    # keeps (segment, first field) as its leading keys.
+    s, f = seg[order], first[order]
+    tied = np.flatnonzero((s[1:] == s[:-1]) & (f[1:] == f[:-1]))
+    if len(tied):
+        pos = np.union1d(tied, tied + 1)
+        sub = order[pos]
+        keys = [recs[name][sub] for name in reversed(points.dtype.names)]
+        order[pos] = sub[np.lexsort(keys + [seg[sub]])]
+    return members[order]
+
+
 @dataclass
 class VoxelSet:
-    """Occupied voxels of one cloud: member point indices per cell, plus the
-    per-voxel feature vectors once encoded."""
+    """Occupied voxels of one cloud as sorted segments.
+
+    ``occupied`` holds the V voxel keys (ix, iy, iz) in ascending order.
+    Voxel v owns the kept point indices members[offsets[v]:offsets[v+1]],
+    ordered by record content, and row v of ``features`` once encoded
+    (``features`` has zero columns until then).
+    """
 
     spec: GridSpec
     points: np.ndarray                      # the structured cloud voxelized
-    occupied: dict = field(default_factory=dict)   # (ix,iy,iz) -> list[int]
-    features: dict = field(default_factory=dict)   # (ix,iy,iz) -> np.ndarray
+    occupied: np.ndarray = field(default_factory=lambda: np.zeros((0, 3), np.int64))
+    offsets: np.ndarray = field(default_factory=lambda: np.zeros(1, np.int64))
+    members: np.ndarray = field(default_factory=lambda: np.zeros(0, np.int64))
+    features: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
     dropped: int = 0
     truncated: int = 0
 
     @property
     def feature_dim(self) -> int:
-        if not self.features:
-            return 0
-        return len(next(iter(self.features.values())))
+        return self.features.shape[1]
+
+    def voxel_members(self):
+        """(key tuple, member index array) per voxel, in key order."""
+        for v, key in enumerate(self.occupied.tolist()):
+            yield tuple(key), self.members[self.offsets[v]:self.offsets[v + 1]]
 
 
 def voxelize(points: np.ndarray, spec: GridSpec,
@@ -110,26 +193,27 @@ def voxelize(points: np.ndarray, spec: GridSpec,
     if len(points) == 0:
         return vs
     z = points["z"] if "z" in points.dtype.names else np.zeros(len(points))
-    xyz = np.stack([points["x"], points["y"], z], axis=1)
-    idx = spec.cell_index(xyz)
-    ok = spec.in_range(idx)
-    vs.dropped = int(len(points) - ok.sum())
-    for i in np.nonzero(ok)[0]:
-        key = (int(idx[i, 0]), int(idx[i, 1]), int(idx[i, 2]))
-        members = vs.occupied.setdefault(key, [])
-        if len(members) < max_points_per_voxel:
-            members.append(int(i))
-        else:
-            vs.truncated += 1
+    idx = spec.cell_index(np.stack([points["x"], points["y"], z], axis=1))
+    inside = np.flatnonzero(spec.in_range(idx))
+    vs.dropped = int(len(points) - len(inside))
+    ix, iy, iz = idx[inside].T
+    # Linear ids ascend in (ix, iy, iz) key order.
+    lin = (ix * spec.ny + iy) * spec.nz + iz
+    kept, vs.offsets, ids, vs.truncated = _group(lin, max_points_per_voxel)
+    vs.members = _content_order(points, inside[kept], vs.offsets)
+    vs.occupied = np.stack([ids // (spec.ny * spec.nz), ids // spec.nz % spec.ny,
+                            ids % spec.nz], axis=1)
+    vs.features = np.zeros((len(ids), 0))
     return vs
 
 
-def _lidar_point_features(vs: VoxelSet, key: tuple) -> np.ndarray:
-    members = vs.occupied[key]
-    pts = vs.points[members]
-    cx, cy, cz = vs.spec.voxel_center(*key)
+def _lidar_point_features(vs: VoxelSet) -> np.ndarray:
+    pts = vs.points[vs.members]
+    centers = np.asarray(vs.spec.origin) + (vs.occupied + 0.5) * np.asarray(vs.spec.cell)
+    c = np.repeat(centers, np.diff(vs.offsets), axis=0)
     return np.stack([pts["x"], pts["y"], pts["z"], pts["intensity"], pts["t"],
-                     pts["x"] - cx, pts["y"] - cy, pts["z"] - cz], axis=1)
+                     pts["x"] - c[:, 0], pts["y"] - c[:, 1], pts["z"] - c[:, 2]],
+                    axis=1)
 
 
 def voxel_encode(vs: VoxelSet, p: MlpParams) -> VoxelSet:
@@ -141,9 +225,7 @@ def voxel_encode(vs: VoxelSet, p: MlpParams) -> VoxelSet:
     if p.in_dim != LIDAR_POINT_FEATURES:
         raise ShapeError(f"voxel MLP expects {p.in_dim} inputs, "
                          f"points provide {LIDAR_POINT_FEATURES}")
-    for key in sorted(vs.occupied):
-        feats = _lidar_point_features(vs, key)
-        vs.features[key] = mlp_forward_batch(feats, p).max(axis=0)
+    vs.features = _segment_max(_lidar_point_features(vs), vs.offsets, p)
     return vs
 
 
@@ -151,20 +233,23 @@ def zstack_collapse(vs: VoxelSet, p: MlpParams) -> FeatureMap:
     """Concatenate each BEV cell's voxel features bottom-to-top (zeros for
     empty voxels) and project with an MLP; untouched cells stay exact zero."""
     spec = vs.spec
-    fdim = vs.feature_dim
-    if vs.features and p.in_dim != fdim * spec.nz:
+    nvox, fdim = vs.features.shape
+    if nvox and p.in_dim != fdim * spec.nz:
         raise ShapeError(f"z-stack MLP expects {p.in_dim} inputs, "
                          f"stack provides {fdim * spec.nz}")
     out = np.zeros((p.out_dim, spec.ny, spec.nx))
-    cells = sorted({(k[0], k[1]) for k in vs.features})
-    for ix, iy in cells:
-        stack = np.zeros(p.in_dim)
-        for iz in range(spec.nz):
-            feat = vs.features.get((ix, iy, iz))
-            if feat is not None:
-                stack[iz * fdim:(iz + 1) * fdim] = feat
-        col = mlp_forward_batch(stack[None, :], p)[0]
-        out[:, iy, ix] = col
+    # Keys ascend in (ix, iy, iz) order, so each BEV column is one run of voxels.
+    ix, iy, iz = vs.occupied.T
+    _, starts, counts = np.unique(ix * spec.ny + iy, return_index=True,
+                                  return_counts=True)
+    column = np.repeat(np.arange(len(starts)), counts)
+    bounds = np.append(starts, nvox)
+    for c0, c1 in _blocks(np.arange(len(starts) + 1)):
+        v0, v1 = bounds[c0], bounds[c1]
+        stack = np.zeros((c1 - c0, spec.nz, fdim))
+        stack[column[v0:v1] - c0, iz[v0:v1]] = vs.features[v0:v1]
+        cols = mlp_forward_batch(stack.reshape(c1 - c0, -1), p)
+        out[:, iy[starts[c0:c1]], ix[starts[c0:c1]]] = cols.T
     return FeatureMap._wrap(out)
 
 
@@ -175,6 +260,7 @@ class PillarMap:
     map: FeatureMap
     occupied: dict          # (ix,iy) -> list[int] member point indices
     dropped: int
+    truncated: int          # returns beyond max_points_per_pillar
 
 
 def _radar_point_features(points: np.ndarray) -> np.ndarray:
@@ -193,24 +279,23 @@ def pillarize(points: np.ndarray, spec: GridSpec, p: MlpParams,
         raise ShapeError(f"pillar MLP expects {p.in_dim} inputs, "
                          f"records provide {nfeat}")
     out = np.zeros((p.out_dim, spec.ny, spec.nx))
-    occupied: dict = {}
-    dropped = 0
-    if len(points):
-        z = np.zeros(len(points))
-        idx = spec.cell_index(np.stack([points["x"], points["y"], z], axis=1))
-        # z index is always 0: the single pillar layer spans the full range.
-        idx[:, 2] = 0
-        ok = spec.in_range(idx)
-        dropped = int(len(points) - ok.sum())
-        for i in np.nonzero(ok)[0]:
-            key = (int(idx[i, 0]), int(idx[i, 1]))
-            members = occupied.setdefault(key, [])
-            if len(members) < max_points_per_pillar:
-                members.append(int(i))
-        feats = _radar_point_features(points)
-        for (ix, iy), members in sorted(occupied.items()):
-            out[:, iy, ix] = mlp_forward_batch(feats[members], p).max(axis=0)
-    return PillarMap(map=FeatureMap._wrap(out), occupied=occupied, dropped=dropped)
+    if not len(points):
+        return PillarMap(map=FeatureMap._wrap(out), occupied={}, dropped=0, truncated=0)
+    z = np.zeros(len(points))
+    idx = spec.cell_index(np.stack([points["x"], points["y"], z], axis=1))
+    # z index is always 0: the single pillar layer spans the full range.
+    idx[:, 2] = 0
+    inside = np.flatnonzero(spec.in_range(idx))
+    kept, offsets, ids, truncated = _group(idx[inside, 0] * spec.ny + idx[inside, 1],
+                                           max_points_per_pillar)
+    members = inside[kept]
+    ix, iy = ids // spec.ny, ids % spec.ny
+    occupied = {(int(ix[k]), int(iy[k])): members[offsets[k]:offsets[k + 1]].tolist()
+                for k in range(len(ids))}
+    rows = _radar_point_features(points[_content_order(points, members, offsets)])
+    out[:, iy, ix] = _segment_max(rows, offsets, p).T
+    return PillarMap(map=FeatureMap._wrap(out), occupied=occupied,
+                     dropped=int(len(points) - len(inside)), truncated=truncated)
 
 
 def collapse_to_bev_grids(vs: VoxelSet, coarse_cell: float) -> dict:
@@ -230,9 +315,10 @@ def collapse_to_bev_grids(vs: VoxelSet, coarse_cell: float) -> dict:
                 f"of fine {name} cell {spec.cell[axis]}")
         ratios.append(int(round(ratio)))
     rx, ry = ratios
-    out: dict = {}
-    for (ix, iy, _iz), feat in sorted(vs.features.items()):
-        key = (ix // rx, iy // ry)
-        prev = out.get(key)
-        out[key] = feat.copy() if prev is None else np.maximum(prev, feat)
-    return out
+    coarse = (vs.occupied[:, 0] // rx) * spec.ny + vs.occupied[:, 1] // ry
+    order = np.argsort(coarse, kind="stable")
+    ids, starts = np.unique(coarse[order], return_index=True)
+    if not len(ids):
+        return {}
+    feats = np.maximum.reduceat(vs.features[order], starts, axis=0)
+    return {(int(k // spec.ny), int(k % spec.ny)): f for k, f in zip(ids, feats)}

@@ -13,12 +13,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
 from .errors import ShapeError
 from .grids import GridSpec
 from .nn import Conv2dParams, FeatureMap, conv2d_forward, relu, sigmoid
+from .synth import wrap_angle
 
 ENCODER_CHANNELS = 512
 
@@ -154,42 +156,46 @@ def find_peaks(channel: np.ndarray, thresh: float) -> list:
     return list(zip(ys.tolist(), xs.tolist()))
 
 
-def _wrap_angle(a: float) -> float:
-    w = math.fmod(a + math.pi, 2.0 * math.pi)
-    if w <= 0.0:
-        w += 2.0 * math.pi
-    return w - math.pi
-
-
 def decode_detections(h: HeadOutputs, grid: GridSpec, score_thresh: float,
                       max_detections: int) -> list:
     """Decode heatmap peaks into boxes, best score first.
 
     Peak cell center plus the offset map gives the BEV center; sizes come
-    out of the log-scale size map, yaw from atan2(sin, cos).
+    out of the log-scale size map, yaw from atan2(sin, cos). Peaks are
+    ordered by (-score, class_id, y, x), ties keeping class-major, row-major
+    peak order, and only the first ``max_detections`` become boxes.
     """
     if not (0.0 < score_thresh < 1.0):
         raise ValueError(f"score_thresh must be in (0,1), got {score_thresh}")
+    peaks = [find_peaks(h.heatmap[c], score_thresh) for c in range(h.heatmap.shape[0])]
+    cls = np.repeat(np.arange(len(peaks)), [len(p) for p in peaks])
+    if not len(cls) or max_detections < 1:
+        return []
+    iy, ix = np.fromiter(chain.from_iterable(chain.from_iterable(peaks)),
+                         dtype=np.int64, count=2 * len(cls)).reshape(-1, 2).T
+    score = h.heatmap[cls, iy, ix]
+    # Only peaks scoring at least the max_detections-th best can be kept.
+    top = min(max_detections, len(score))
+    cand = np.flatnonzero(score >= np.partition(score, -top)[-top])
+    cls, iy, ix, score = cls[cand], iy[cand], ix[cand], score[cand]
+    x = (grid.origin[0] + (ix + 0.5) * grid.cell[0]) + h.offset[0, iy, ix]
+    y = (grid.origin[1] + (iy + 0.5) * grid.cell[1]) + h.offset[1, iy, ix]
+    keep = np.lexsort((x, y, cls, -score))[:max_detections]
     rows = []
-    for cls in range(h.heatmap.shape[0]):
-        for iy, ix in find_peaks(h.heatmap[cls], score_thresh):
-            score = float(h.heatmap[cls, iy, ix])
-            cx, cy = grid.cell_center_xy(ix, iy)
-            rows.append(DetectionBox(
-                x=cx + float(h.offset[0, iy, ix]),
-                y=cy + float(h.offset[1, iy, ix]),
-                z=float(h.z[0, iy, ix]),
-                length=float(np.exp(h.size[0, iy, ix])),
-                width=float(np.exp(h.size[1, iy, ix])),
-                height=float(np.exp(h.size[2, iy, ix])),
-                yaw=_wrap_angle(math.atan2(float(h.rot[0, iy, ix]),
-                                           float(h.rot[1, iy, ix]))),
-                vx=float(h.vel[0, iy, ix]),
-                vy=float(h.vel[1, iy, ix]),
-                class_id=cls,
-                score=score))
-    rows.sort(key=lambda b: (-b.score, b.class_id, b.y, b.x))
-    return rows[:max_detections]
+    for k in keep.tolist():
+        c, i, j = int(cls[k]), int(iy[k]), int(ix[k])
+        rows.append(DetectionBox(
+            x=float(x[k]), y=float(y[k]),
+            z=float(h.z[0, i, j]),
+            length=float(np.exp(h.size[0, i, j])),
+            width=float(np.exp(h.size[1, i, j])),
+            height=float(np.exp(h.size[2, i, j])),
+            yaw=wrap_angle(math.atan2(float(h.rot[0, i, j]), float(h.rot[1, i, j]))),
+            vx=float(h.vel[0, i, j]),
+            vy=float(h.vel[1, i, j]),
+            class_id=c,
+            score=float(score[k])))
+    return rows
 
 
 @dataclass

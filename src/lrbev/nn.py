@@ -172,9 +172,13 @@ def mlp_forward(x, p: MlpParams) -> Array:
 
 
 def mlp_forward_batch(xs: Array, p: MlpParams) -> Array:
-    """Row-wise forward for an (n, in_dim) batch; bit-identical to the
-    per-row path because every arithmetic op is elementwise or a plain
-    matrix product with the same reduction order."""
+    """Row-wise forward for an (n, in_dim) batch.
+
+    Not bit-identical to per-row ``mlp_forward``: BLAS may block and order a
+    GEMM's reductions differently from a matrix-vector product, and a row's
+    last bits may depend on its position in the batch. What holds is that
+    the result is a pure function of the input array (values and shape), so
+    identical batches give identical bits."""
     a = np.asarray(xs, dtype=np.float64)
     if a.ndim != 2 or a.shape[1] != p.in_dim:
         raise ShapeError(f"MLP batch input has shape {a.shape}, expected (n, {p.in_dim})")
@@ -303,8 +307,10 @@ def _conv2d_raw(data: Array, p: Conv2dParams) -> Array:
                              kx:kx + ow * p.stride:p.stride]
         out = out3.reshape(cout, oh * ow)
     else:
-        # im2col in row chunks -> one fat GEMM per chunk; chunking only
-        # splits independent output columns, results are identical either way.
+        # im2col in row chunks -> one fat GEMM per chunk. Chunking splits
+        # independent output columns, but BLAS may round a chunk's GEMM
+        # differently from a whole-map one; the chunks are a function of the
+        # shapes alone, so identical inputs still give identical bits.
         windows = _conv_windows(padded, kh, kw, p.stride)
         patch = cin * kh * kw
         wmat = p.kernel.reshape(cout, patch)

@@ -20,7 +20,8 @@ import numpy as np
 from .config import desk_config, tiny_config
 from .errors import ConfigError
 from .evalmetrics import eval_detections
-from .grids import GridSpec, pillarize, voxel_encode, voxelize
+from .grids import (GridSpec, collapse_to_bev_grids, pillarize, voxel_encode,
+                    voxelize, zstack_collapse)
 from .heads import (HeadOutputs, compute_loss, decode_detections,
                     outputs_from_targets, render_targets)
 from .l2r import (BevFusionConfig, HeightFusionConfig, ball_query,
@@ -28,7 +29,8 @@ from .l2r import (BevFusionConfig, HeightFusionConfig, ball_query,
                   query_balls_disjoint, segment_query_points)
 from .nn import (Conv2dParams, FeatureMap, MlpParams, conv2d_backward,
                  conv2d_forward, finite_diff_check, max_reduce,
-                 max_reduce_backward, mlp_backward, mlp_forward)
+                 max_reduce_backward, mlp_backward, mlp_forward,
+                 mlp_forward_batch)
 from .pipeline import detections_to_jsonl, generate_clouds, run_pipeline
 from .synth import (DEFAULT_CLASSES, GroundTruthBox, SceneSpec, generate_scene,
                     lidar_sample, radar_sample, wrap_angle)
@@ -281,8 +283,8 @@ def check_index_oracle(seeds: int, fault=None) -> PropertyResult:
         pts["z"][:3] = spec.origin[2]
         vs = voxelize(pts, spec, max_points_per_voxel=10**9)
         member_of = {}
-        for key, members in vs.occupied.items():
-            for i in members:
+        for key, members in vs.voxel_members():
+            for i in members.tolist():
                 member_of[i] = key
         dropped = 0
         for i in range(n):
@@ -319,13 +321,13 @@ def check_grid_permutation(seeds: int, fault=None) -> PropertyResult:
         radar = radar_sample(scene, (1, 3), s)
         mlp = _mlps(rng, (8, 8, 6))
         pmlp = _mlps(rng, (9, 8, 6))
-        base = voxel_encode(voxelize(cloud, grid, 10**9), mlp).features
+        base = voxel_encode(voxelize(cloud, grid, 10**9), mlp)
         base_pillars = pillarize(radar, pillar_grid, pmlp).map
         for _ in range(3):
             sh = rng.permutation(len(cloud))
-            feats = voxel_encode(voxelize(cloud[sh], grid, 10**9), mlp).features
-            if (set(feats) != set(base)
-                    or any(not np.array_equal(feats[k], base[k]) for k in base)):
+            vs = voxel_encode(voxelize(cloud[sh], grid, 10**9), mlp)
+            if not (np.array_equal(vs.occupied, base.occupied)
+                    and np.array_equal(vs.features, base.features)):
                 failures.append(f"seed {s}: voxel features changed under shuffle")
                 break
             shr = rng.permutation(len(radar))
@@ -334,6 +336,155 @@ def check_grid_permutation(seeds: int, fault=None) -> PropertyResult:
                 failures.append(f"seed {s}: pillar map changed under shuffle")
                 break
     return PropertyResult("grids.permutation", not failures, seeds, failures)
+
+
+# --------------------------------------------------------------------------
+# brute-force twins of the grid core: one dict entry and one MLP call per key
+# --------------------------------------------------------------------------
+
+def voxelize_brute(points: np.ndarray, spec: GridSpec,
+                   max_points_per_voxel: int = 32):
+    """Per-point twin of ``voxelize``: ({(ix, iy, iz): [point indices in
+    input order]}, dropped, truncated)."""
+    occupied: dict = {}
+    if len(points) == 0:
+        return occupied, 0, 0
+    z = points["z"] if "z" in points.dtype.names else np.zeros(len(points))
+    idx = spec.cell_index(np.stack([points["x"], points["y"], z], axis=1))
+    ok = spec.in_range(idx)
+    truncated = 0
+    for i in np.nonzero(ok)[0]:
+        key = (int(idx[i, 0]), int(idx[i, 1]), int(idx[i, 2]))
+        members = occupied.setdefault(key, [])
+        if len(members) < max_points_per_voxel:
+            members.append(int(i))
+        else:
+            truncated += 1
+    return occupied, int(len(points) - ok.sum()), truncated
+
+
+def voxel_encode_brute(points: np.ndarray, spec: GridSpec, occupied: dict,
+                       p: MlpParams) -> dict:
+    """Per-voxel twin of ``voxel_encode``: {key: max over members of the
+    point MLP}."""
+    out = {}
+    for key in sorted(occupied):
+        pts = points[occupied[key]]
+        cx, cy, cz = spec.voxel_center(*key)
+        feats = np.stack([pts["x"], pts["y"], pts["z"], pts["intensity"], pts["t"],
+                          pts["x"] - cx, pts["y"] - cy, pts["z"] - cz], axis=1)
+        out[key] = mlp_forward_batch(feats, p).max(axis=0)
+    return out
+
+
+def zstack_collapse_brute(spec: GridSpec, features: dict, p: MlpParams) -> np.ndarray:
+    """Per-column twin of ``zstack_collapse``: the (C, ny, nx) map array."""
+    out = np.zeros((p.out_dim, spec.ny, spec.nx))
+    for ix, iy in sorted({(k[0], k[1]) for k in features}):
+        stack = np.zeros(p.in_dim)
+        for iz in range(spec.nz):
+            feat = features.get((ix, iy, iz))
+            if feat is not None:
+                stack[iz * len(feat):(iz + 1) * len(feat)] = feat
+        out[:, iy, ix] = mlp_forward_batch(stack[None, :], p)[0]
+    return out
+
+
+def collapse_to_bev_grids_brute(spec: GridSpec, features: dict,
+                                coarse_cell: float) -> dict:
+    """Per-voxel twin of ``collapse_to_bev_grids`` for commensurate cells."""
+    rx = int(round(coarse_cell / spec.cell[0]))
+    ry = int(round(coarse_cell / spec.cell[1]))
+    out: dict = {}
+    for (ix, iy, _iz), feat in sorted(features.items()):
+        key = (ix // rx, iy // ry)
+        prev = out.get(key)
+        out[key] = feat.copy() if prev is None else np.maximum(prev, feat)
+    return out
+
+
+# Batched GEMMs may round differently from the per-key calls in the last bits.
+GRID_RTOL = 1e-12
+
+
+def _rel_close(got, want) -> bool:
+    """Same shape and max |got - want| <= GRID_RTOL * max |want|."""
+    got, want = np.asarray(got), np.asarray(want)
+    return (got.shape == want.shape
+            and np.abs(got - want).max(initial=0.0)
+            <= GRID_RTOL * np.abs(want).max(initial=0.0))
+
+
+def _segment_cloud(rng, spec: GridSpec) -> np.ndarray:
+    """Uniform points around the grid plus tight clusters and exact
+    duplicates, so some voxels overflow any small per-voxel cap."""
+    span = np.asarray(spec.cell) * np.asarray(spec.counts)
+    lo = np.asarray(spec.origin)
+    n_uniform, n_clusters = int(rng.integers(0, 200)), int(rng.integers(0, 5))
+    xyz = [rng.uniform(lo - 0.1 * span, lo + 1.1 * span, size=(n_uniform, 3))]
+    for _ in range(n_clusters):
+        center = rng.uniform(lo, lo + span)
+        xyz.append(center + rng.uniform(-1e-3, 1e-3, size=(int(rng.integers(2, 40)), 3)))
+    xyz = np.concatenate(xyz)
+    pts = np.zeros(len(xyz), dtype=[("x", "<f8"), ("y", "<f8"), ("z", "<f8"),
+                                    ("intensity", "<f8"), ("t", "<f8")])
+    pts["x"], pts["y"], pts["z"] = xyz.T
+    pts["intensity"] = rng.uniform(0.0, 1.0, len(pts))
+    pts["t"] = rng.choice([0.0, -0.05], len(pts))
+    if len(pts):
+        dup = rng.integers(0, len(pts), size=int(rng.integers(0, 20)))
+        pts = np.concatenate([pts, pts[dup]])
+    return pts[rng.permutation(len(pts))]
+
+
+def check_segment_oracle(seeds: int, fault=None) -> PropertyResult:
+    """Array grid core against the per-key twins: voxel keys, member sets,
+    drop and truncation counts and coarse keys agree exactly; features and
+    maps agree within GRID_RTOL of their largest magnitude."""
+    failures = []
+    for s in range(seeds):
+        rng = np.random.default_rng([20, s])
+        spec = _random_grid(rng)
+        pts = _segment_cloud(rng, spec)
+        limit = int(rng.integers(1, 6)) if s % 2 == 0 else 10**9
+        fdim = int(rng.integers(1, 7))
+        vmlp = _mlps(rng, (8, int(rng.integers(1, 10)), fdim))
+        zmlp = _mlps(rng, (fdim * spec.nz, int(rng.integers(1, 10)),
+                           int(rng.integers(1, 6))))
+        coarse_cell = spec.cell[0] * int(rng.integers(1, 4))
+
+        vs = voxel_encode(voxelize(pts, spec, limit), vmlp)
+        occupied, dropped, truncated = voxelize_brute(pts, spec, limit)
+        groups = list(vs.voxel_members())
+        if [k for k, _ in groups] != sorted(occupied):
+            failures.append(f"seed {s}: voxel keys differ")
+            continue
+        if any(sorted(m.tolist()) != sorted(occupied[k]) for k, m in groups):
+            failures.append(f"seed {s}: voxel member sets differ")
+            continue
+        if (vs.dropped, vs.truncated) != (dropped, truncated):
+            failures.append(f"seed {s}: dropped/truncated {vs.dropped}/{vs.truncated} "
+                            f"!= {dropped}/{truncated}")
+            continue
+        feats = voxel_encode_brute(pts, spec, occupied, vmlp)
+        want = np.array([feats[k] for k, _ in groups]).reshape(len(groups), fdim)
+        if not _rel_close(vs.features, want):
+            failures.append(f"seed {s}: voxel features differ")
+            continue
+        if not _rel_close(zstack_collapse(vs, zmlp).data,
+                          zstack_collapse_brute(spec, feats, zmlp)):
+            failures.append(f"seed {s}: z-stack maps differ")
+            continue
+        coarse = collapse_to_bev_grids(vs, coarse_cell)
+        coarse_brute = collapse_to_bev_grids_brute(spec, feats, coarse_cell)
+        keys = sorted(coarse_brute)
+        if sorted(coarse) != keys:
+            failures.append(f"seed {s}: coarse keys differ")
+            continue
+        if keys and not _rel_close([coarse[k] for k in keys],
+                                   [coarse_brute[k] for k in keys]):
+            failures.append(f"seed {s}: coarse features differ")
+    return PropertyResult("grids.segment-oracle", not failures, seeds, failures)
 
 
 def check_grid_sparsity(seeds: int, fault=None) -> PropertyResult:
@@ -739,6 +890,7 @@ PROPERTIES = {
     "eval.sanity": check_eval_sanity,
     "grids.index-oracle": check_index_oracle,
     "grids.permutation": check_grid_permutation,
+    "grids.segment-oracle": check_segment_oracle,
     "grids.sparsity": check_grid_sparsity,
     "heads.channel-contract": check_channel_contract,
     "heads.decode-roundtrip": check_decode_roundtrip,

@@ -248,6 +248,7 @@ def run_pipeline(cfg: PipelineConfig, lidar: np.ndarray, radar: np.ndarray,
         "ml_shape": list(m_l.shape),
         "radar_pillars": len(pillars.occupied),
         "dropped_radar_points": pillars.dropped,
+        "truncated_radar_points": pillars.truncated,
         "mr_shape": list(m_r.shape),
         "coarse_lidar_cells": len(lidar_grids),
     }
@@ -310,7 +311,7 @@ def run_pipeline(cfg: PipelineConfig, lidar: np.ndarray, radar: np.ndarray,
 def zstack_collapse_safe(voxels, zstack_mlp, cfg: PipelineConfig):
     """Z-stack collapse that also covers the all-empty cloud (no features,
     thus no feature dim to infer)."""
-    if not voxels.occupied:
+    if len(voxels.occupied) == 0:
         return FeatureMap.zeros(cfg.channels.lidar_channels, cfg.lidar_grid.ny,
                                 cfg.lidar_grid.nx)
     return zstack_collapse(voxels, zstack_mlp)

@@ -70,6 +70,19 @@ def test_dump_map(generated, tmp_path):
     assert m.channels == cfg["channels"]["lidar_channels"]
 
 
+def test_dump_map_in_dot_reads_working_directory(generated, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for name in ("lidar.blrf", "radar.blrf"):
+        (tmp_path / name).write_bytes((generated / name).read_bytes())
+    args = ["dump-map", "--scale", "tiny", "--stage", "m_l"]
+    assert main(args + ["--in", ".", "--out", "dot.blrm"]) == 0
+    assert main(args + ["--in", str(generated), "--out", "gen.blrm"]) == 0
+    assert main(args + ["--out", "fresh.blrm"]) == 0
+    dot = (tmp_path / "dot.blrm").read_bytes()
+    assert dot == (tmp_path / "gen.blrm").read_bytes()
+    assert dot != (tmp_path / "fresh.blrm").read_bytes()
+
+
 def test_check_small_suite_passes(capsys):
     assert main(["check", "--seeds", "3"]) == 0
     out = capsys.readouterr().out

@@ -5,11 +5,14 @@ import math
 import numpy as np
 import pytest
 
+from lrbev import grids
 from lrbev.cloud import make_cloud
 from lrbev.errors import ConfigError, ShapeError
 from lrbev.grids import (GridSpec, collapse_to_bev_grids, pillarize,
                          voxel_encode, voxelize, zstack_collapse)
 from lrbev.nn import MlpParams, max_reduce, mlp_forward
+from lrbev.oracles import (voxel_encode_brute, voxelize_brute,
+                           zstack_collapse_brute)
 
 
 def _spec(cell=0.5, n=8, nz=4):
@@ -33,17 +36,17 @@ def _voxel_mlp(seed=0, out=6):
 class TestVoxelize:
     def test_point_at_origin_lower_inclusive(self):
         vs = voxelize(_lidar([[-2.0, -2.0, -2.0]]), _spec())
-        assert list(vs.occupied) == [(0, 0, 0)]
+        assert vs.occupied.tolist() == [[0, 0, 0]]
 
     def test_point_one_cell_up_upper_exclusive(self):
         vs = voxelize(_lidar([[-1.5, -2.0, -2.0]]), _spec())
-        assert list(vs.occupied) == [(1, 0, 0)]
+        assert vs.occupied.tolist() == [[1, 0, 0]]
 
     def test_out_of_range_dropped_with_count(self):
         pts = [[-2.0, -2.0, -2.0], [100.0, 0.0, 0.0], [0.0, 0.0, 50.0]]
         vs = voxelize(_lidar(pts), _spec())
         assert vs.dropped == 2
-        assert sum(len(m) for m in vs.occupied.values()) == 1
+        assert sum(len(m) for _, m in vs.voxel_members()) == 1
 
     def test_random_points_match_floor_recomputation(self):
         rng = np.random.default_rng(1)
@@ -51,8 +54,8 @@ class TestVoxelize:
         pts = rng.uniform(-3.0, 3.0, size=(10000, 3))
         vs = voxelize(_lidar(pts), spec, max_points_per_voxel=10**9)
         member_of = {}
-        for key, members in vs.occupied.items():
-            for i in members:
+        for key, members in vs.voxel_members():
+            for i in members.tolist():
                 member_of[i] = key
         dropped = 0
         for i, (x, y, z) in enumerate(pts):
@@ -69,7 +72,8 @@ class TestVoxelize:
     def test_truncation_keeps_insertion_order(self):
         pts = [[-2.0 + 0.01 * k, -2.0, -2.0] for k in range(6)]
         vs = voxelize(_lidar(pts), _spec(), max_points_per_voxel=4)
-        assert vs.occupied[(0, 0, 0)] == [0, 1, 2, 3]
+        assert [(k, m.tolist()) for k, m in vs.voxel_members()] == \
+            [((0, 0, 0), [0, 1, 2, 3])]
         assert vs.truncated == 2
 
 
@@ -79,7 +83,7 @@ class TestVoxelEncode:
         cloud = _lidar([[0.1, 0.2, -0.3]], intensity=[0.7], t=[-0.05])
         mlp = _voxel_mlp()
         vs = voxel_encode(voxelize(cloud, spec), mlp)
-        (key, feat), = vs.features.items()
+        (key,), (feat,) = vs.occupied, vs.features
         cx, cy, cz = spec.voxel_center(*key)
         want = mlp_forward([0.1, 0.2, -0.3, 0.7, -0.05,
                             0.1 - cx, 0.2 - cy, -0.3 - cz], mlp)
@@ -90,8 +94,8 @@ class TestVoxelEncode:
         mlp = _voxel_mlp()
         one = voxel_encode(voxelize(_lidar([[0.1, 0.2, -0.3]]), spec), mlp)
         two = voxel_encode(voxelize(_lidar([[0.1, 0.2, -0.3]] * 2), spec), mlp)
-        key = next(iter(one.features))
-        assert np.array_equal(one.features[key], two.features[key])
+        assert np.array_equal(one.occupied, two.occupied)
+        assert np.array_equal(one.features, two.features)
 
     def test_member_permutation_invariant_100_shuffles(self):
         rng = np.random.default_rng(2)
@@ -100,13 +104,24 @@ class TestVoxelEncode:
         pts[:, 2] = rng.uniform(-1.9, 1.9, size=40)
         cloud = _lidar(pts, intensity=rng.uniform(0, 1, 40))
         mlp = _voxel_mlp()
-        base = voxel_encode(voxelize(cloud, spec, 10**9), mlp).features
+        base = voxel_encode(voxelize(cloud, spec, 10**9), mlp)
         for _ in range(100):
             sh = rng.permutation(len(cloud))
-            feats = voxel_encode(voxelize(cloud[sh], spec, 10**9), mlp).features
-            assert set(feats) == set(base)
-            for key in base:
-                assert np.array_equal(feats[key], base[key])
+            vs = voxel_encode(voxelize(cloud[sh], spec, 10**9), mlp)
+            assert np.array_equal(vs.occupied, base.occupied)
+            assert np.array_equal(vs.features, base.features)
+
+    def test_members_ordered_by_record_content(self):
+        # Points in one voxel tie on x (and some on y) but differ elsewhere.
+        rng = np.random.default_rng(17)
+        pts = np.array([[0.1, 0.2, 0.3], [0.1, 0.2, 0.1], [0.1, 0.15, 0.3],
+                        [0.05, 0.2, 0.3], [0.1, 0.2, 0.3], [0.1, 0.15, 0.2]])
+        cloud = _lidar(pts, intensity=[0.5, 0.5, 0.5, 0.5, 0.2, 0.5])
+        want = sorted(cloud.tolist())
+        for _ in range(20):
+            shuffled = cloud[rng.permutation(len(cloud))]
+            vs = voxelize(shuffled, _spec())
+            assert shuffled[vs.members].tolist() == want
 
     def test_dim_mismatch(self):
         bad = MlpParams.init((5, 4), np.random.default_rng(0))
@@ -130,8 +145,8 @@ class TestZstackCollapse:
         vs = voxel_encode(voxelize(cloud, spec), _voxel_mlp())
         mlp = MlpParams.init((6, 8, 5), np.random.default_rng(4))
         out = zstack_collapse(vs, mlp)
-        key = next(iter(vs.features))
-        want = mlp_forward(vs.features[key], mlp)
+        (key,), (feat,) = vs.occupied, vs.features
+        want = mlp_forward(feat, mlp)
         assert np.array_equal(out.data[:, key[1], key[0]], want)
 
     def test_two_z_levels_differ_from_single(self):
@@ -151,6 +166,33 @@ class TestZstackCollapse:
         mlp = MlpParams.init((6 * spec.nz, 8, 5), np.random.default_rng(6))
         out = zstack_collapse(voxel_encode(voxelize(cloud, spec), _voxel_mlp()), mlp)
         assert int((np.abs(out.data) > 0).any(axis=0).sum()) == 1
+
+
+class TestBlocks:
+    def test_blocks_cover_whole_segments(self, monkeypatch):
+        monkeypatch.setattr(grids, "BLOCK_ROWS", 5)
+        offsets = np.array([0, 2, 4, 5, 12, 13, 15, 17])
+        blocks = list(grids._blocks(offsets))
+        assert blocks == [(0, 3), (3, 4), (4, 7)]
+
+    def test_small_blocks_match_per_key_twins(self, monkeypatch):
+        monkeypatch.setattr(grids, "BLOCK_ROWS", 7)
+        rng = np.random.default_rng(16)
+        spec = _spec()
+        pts = rng.uniform(-2.2, 2.2, size=(300, 3))
+        pts[:40] = pts[0] + rng.uniform(-1e-3, 1e-3, size=(40, 3))
+        cloud = _lidar(pts, intensity=rng.uniform(0, 1, 300))
+        vmlp = _voxel_mlp()
+        zmlp = MlpParams.init((6 * spec.nz, 8, 5), rng)
+        vs = voxel_encode(voxelize(cloud, spec, 16), vmlp)
+        occupied, dropped, truncated = voxelize_brute(cloud, spec, 16)
+        assert (vs.dropped, vs.truncated) == (dropped, truncated) and truncated > 0
+        feats = voxel_encode_brute(cloud, spec, occupied, vmlp)
+        want = np.array([feats[k] for k in sorted(feats)])
+        assert np.abs(vs.features - want).max() <= 1e-12 * np.abs(want).max()
+        got = zstack_collapse(vs, zmlp).data
+        want = zstack_collapse_brute(spec, feats, zmlp)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def _radar(xy, variant="a"):
@@ -218,6 +260,12 @@ class TestPillarize:
         with pytest.raises(ConfigError):
             pillarize(_radar([[0.0, 0.0]]), _spec(), mlp)
 
+    def test_truncation_counted(self):
+        mlp = MlpParams.init((9, 8, 6), np.random.default_rng(15))
+        pm = pillarize(_radar([[0.3, -1.2]] * 33), _pillar_spec(), mlp)
+        assert pm.truncated == 1
+        assert [len(m) for m in pm.occupied.values()] == [32]
+
     def test_point_order_invariant(self):
         rng = np.random.default_rng(14)
         mlp = MlpParams.init((9, 8, 6), rng)
@@ -236,16 +284,16 @@ class TestCollapseToBevGrids:
         vs = voxel_encode(voxelize(_lidar([[0.1, 0.2, -0.3]]), spec), _voxel_mlp())
         coarse = collapse_to_bev_grids(vs, coarse_cell=1.0)
         (key, feat), = coarse.items()
-        vkey = next(iter(vs.features))
+        (vkey,), (vfeat,) = vs.occupied, vs.features
         assert key == (vkey[0] // 2, vkey[1] // 2)
-        assert np.array_equal(feat, vs.features[vkey])
+        assert np.array_equal(feat, vfeat)
 
     def test_two_voxels_same_coarse_cell_elementwise_max(self):
         spec = _spec()
         cloud = _lidar([[-1.9, -1.9, -1.5], [-1.2, -1.2, 0.5]])
         vs = voxel_encode(voxelize(cloud, spec), _voxel_mlp())
         coarse = collapse_to_bev_grids(vs, coarse_cell=1.0)
-        want = max_reduce(list(vs.features.values()))
+        want = max_reduce(list(vs.features))
         assert np.array_equal(coarse[(0, 0)], want)
 
     def test_ratio_eight_index_arithmetic(self):
@@ -257,7 +305,7 @@ class TestCollapseToBevGrids:
         pts[:, 2] = rng.uniform(-4.9, 2.9, size=100)
         vs = voxel_encode(voxelize(_lidar(pts), spec), _voxel_mlp())
         coarse = collapse_to_bev_grids(vs, coarse_cell=0.6)
-        expected_keys = {(k[0] // 8, k[1] // 8) for k in vs.features}
+        expected_keys = {(k[0] // 8, k[1] // 8) for k in vs.occupied.tolist()}
         assert set(coarse) == expected_keys
 
     def test_non_commensurate_raises(self):

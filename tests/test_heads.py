@@ -1,18 +1,20 @@
 """R2L fusion, detection heads, decoding, target rendering, joint loss."""
 
+import math
+
 import numpy as np
 import pytest
 
 from lrbev.errors import ShapeError
 from lrbev.grids import GridSpec
-from lrbev.heads import (HeadOutputs, HeadParams, LossWeights, bev_encoder,
-                         compute_loss, decode_detections, detect_forward,
+from lrbev.heads import (DetectionBox, HeadOutputs, HeadParams, LossWeights,
+                         bev_encoder, compute_loss, decode_detections, detect_forward,
                          find_peaks, fuse_bev_maps, outputs_from_targets,
                          render_targets, upsample_nearest)
 from lrbev.nn import Conv2dParams, FeatureMap, finite_diff_check, sigmoid
 from lrbev.oracles import (loss_gradcheck_instance, pack_head_maps,
                            unpack_head_maps)
-from lrbev.synth import GroundTruthBox
+from lrbev.synth import GroundTruthBox, wrap_angle
 
 GRID = GridSpec(origin=(-8.0, -8.0, -5.0), cell=(0.5, 0.5, 8.0), counts=(32, 32, 1))
 
@@ -191,6 +193,30 @@ class TestFindPeaks:
         assert find_peaks(channel, 0.5) == [(0, 0)]
 
 
+def _decode_full_sort(h, grid, score_thresh, max_detections):
+    """Reference decoder: a box for every peak, one full sort, then cut."""
+    rows = []
+    for cls in range(h.heatmap.shape[0]):
+        for iy, ix in find_peaks(h.heatmap[cls], score_thresh):
+            score = float(h.heatmap[cls, iy, ix])
+            cx, cy = grid.cell_center_xy(ix, iy)
+            rows.append(DetectionBox(
+                x=cx + float(h.offset[0, iy, ix]),
+                y=cy + float(h.offset[1, iy, ix]),
+                z=float(h.z[0, iy, ix]),
+                length=float(np.exp(h.size[0, iy, ix])),
+                width=float(np.exp(h.size[1, iy, ix])),
+                height=float(np.exp(h.size[2, iy, ix])),
+                yaw=wrap_angle(math.atan2(float(h.rot[0, iy, ix]),
+                                          float(h.rot[1, iy, ix]))),
+                vx=float(h.vel[0, iy, ix]),
+                vy=float(h.vel[1, iy, ix]),
+                class_id=cls,
+                score=score))
+    rows.sort(key=lambda b: (-b.score, b.class_id, b.y, b.x))
+    return rows[:max_detections]
+
+
 class TestDecode:
     def test_uniform_below_threshold_no_detections(self):
         out = outputs_from_targets(render_targets([], GRID, 2))
@@ -231,6 +257,24 @@ class TestDecode:
         out = outputs_from_targets(render_targets([], GRID, 1))
         with pytest.raises(ValueError):
             decode_detections(out, GRID, 0.0, 10)
+
+    def test_matches_full_sort_reference_on_ties(self):
+        # Quantized scores make tied plateaus and equal scores across peaks;
+        # offsets of whole cells make equal y (and x) across cells.
+        rng = np.random.default_rng(21)
+        h, w = GRID.ny, GRID.nx
+        for _ in range(20):
+            heat = rng.choice([0.2, 0.6, 0.7, 0.9], size=(3, h, w))
+            maps = dict(offset=rng.choice([-0.5, 0.0, 0.5], size=(2, h, w)),
+                        z=rng.normal(size=(1, h, w)), size=rng.normal(size=(3, h, w)),
+                        rot=rng.normal(size=(2, h, w)), vel=rng.normal(size=(2, h, w)))
+            out = HeadOutputs(heatmap=heat, heatmap_logits=np.log(heat / (1 - heat)),
+                              **maps)
+            for limit in (1, 7, 64, 10**6):
+                want = _decode_full_sort(out, GRID, 0.5, limit)
+                got = decode_detections(out, GRID, 0.5, limit)
+                assert repr(got) == repr(want)
+            assert len(_decode_full_sort(out, GRID, 0.5, 10**6)) > 64
 
 
 class TestRenderDecodeRoundTrip:

@@ -8,7 +8,8 @@ from lrbev.oracles import PROPERTIES, oracle_suite
 # every module's declared invariants must be represented
 REQUIRED = [
     "eval.sanity",
-    "grids.index-oracle", "grids.permutation", "grids.sparsity",
+    "grids.index-oracle", "grids.permutation", "grids.segment-oracle",
+    "grids.sparsity",
     "heads.channel-contract", "heads.decode-roundtrip",
     "heads.focal-monotonicity", "heads.grad-loss",
     "l2r.ball-query-oracle", "l2r.bev-query-oracle", "l2r.height-sensitivity",

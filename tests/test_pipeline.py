@@ -39,6 +39,17 @@ def test_fully_empty_clouds():
     assert result.stats["l2r_fusion"]["enhanced_nonzero_cells"] == 0
 
 
+def test_radar_pillar_truncation_counted():
+    cfg = tiny_config()
+    n = 33
+    radar = make_cloud("radar_a", {"x": np.full(n, 0.5), "y": np.full(n, 0.5),
+                                   "rcs": np.arange(n, dtype=float)})
+    result = run_pipeline(cfg, make_cloud("lidar", {}), radar)
+    st = result.stats["grid_encoding"]
+    assert st["radar_pillars"] == 1
+    assert st["truncated_radar_points"] == 1
+
+
 def test_same_inputs_byte_identical_detections(tiny_run):
     cfg, scene, lidar, radar, result = tiny_run
     again = run_pipeline(cfg, lidar, radar)
