@@ -8,6 +8,11 @@ a per-class center heatmap (sigmoid) plus offset, z, size, rotation and
 velocity regressions. Decoding finds 3x3 local maxima; the loss combines a
 penalty-reduced focal term on the heatmap with L1 regression at ground-truth
 centers and reports analytic gradients for the finite-difference checker.
+
+``r2l_forward`` runs that chain in row bands, so the fused map and the
+512-channel map only ever exist one band at a time; ``fuse_bev_maps``,
+``bev_encoder`` and ``detect_forward`` are the whole-map chain it is
+checked against, and build those maps when a caller asks for them.
 """
 from __future__ import annotations
 
@@ -17,9 +22,10 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import EvaluationError, ShapeError
 from .grids import GridSpec
-from .nn import Conv2dParams, FeatureMap, conv2d_forward, relu, sigmoid
+from .nn import (Conv2dParams, FeatureMap, _conv2d_raw, conv2d_forward,
+                 conv2d_padded, relu, sigmoid)
 from .synth import wrap_angle
 
 ENCODER_CHANNELS = 512
@@ -32,16 +38,20 @@ def upsample_nearest(m: FeatureMap, factor_h: int, factor_w: int) -> FeatureMap:
     return FeatureMap._wrap(np.repeat(np.repeat(m.data, factor_h, axis=1), factor_w, axis=2))
 
 
+def _replication(m_l: FeatureMap, enhanced: FeatureMap) -> tuple:
+    """Nearest-neighbour factors taking the radar map to the LiDAR grid."""
+    if m_l.height % enhanced.height or m_l.width % enhanced.width:
+        raise ShapeError(
+            f"radar map {enhanced.height}x{enhanced.width} does not divide "
+            f"LiDAR map {m_l.height}x{m_l.width}")
+    return m_l.height // enhanced.height, m_l.width // enhanced.width
+
+
 def fuse_bev_maps(m_l: FeatureMap, enhanced: FeatureMap) -> FeatureMap:
     """Channel concat [LiDAR | enhanced radar], radar replicated up to the
     LiDAR resolution first when the grids differ."""
     if (m_l.height, m_l.width) != (enhanced.height, enhanced.width):
-        if m_l.height % enhanced.height or m_l.width % enhanced.width:
-            raise ShapeError(
-                f"radar map {enhanced.height}x{enhanced.width} does not divide "
-                f"LiDAR map {m_l.height}x{m_l.width}")
-        enhanced = upsample_nearest(enhanced, m_l.height // enhanced.height,
-                                    m_l.width // enhanced.width)
+        enhanced = upsample_nearest(enhanced, *_replication(m_l, enhanced))
     return FeatureMap._wrap(np.concatenate([m_l.data, enhanced.data], axis=0))
 
 
@@ -109,6 +119,169 @@ def detect_forward(features: FeatureMap, params: HeadParams) -> HeadOutputs:
     maps = {}
     for name in ("offset", "z", "size", "rot", "vel"):
         maps[name] = conv2d_forward(out, getattr(params, name)).data
+    return HeadOutputs(heatmap=sigmoid(logits), heatmap_logits=logits, **maps)
+
+
+# A row band holds at most this many floats of its widest activation (the
+# fused input, or the 512-channel map), ~4 MB of float64, so the band's
+# GEMMs work out of cache. The partition depends on the map shape alone.
+_BAND_FLOATS = 1 << 19
+
+
+def band_rows(channels: int, width: int) -> int:
+    """Rows per band of an activation with this many channels and columns."""
+    return max(1, _BAND_FLOATS // max(1, channels * width))
+
+
+def _bands(height: int, channels: int, width: int):
+    rows = band_rows(channels, width)
+    for y0 in range(0, height, rows):
+        yield y0, min(height, y0 + rows)
+
+
+def _finite(a: np.ndarray) -> np.ndarray:
+    """The check ``FeatureMap`` makes on every conv output."""
+    if not np.isfinite(a).all():
+        raise EvaluationError("feature map contains non-finite values")
+    return a
+
+
+def _window(maps, y0: int, y1: int, pad: int) -> np.ndarray:
+    """Rows ``y0 - pad`` to ``y1 + pad`` of the channel concat of ``maps``
+    (C, H, W arrays, each replicated nearest-neighbour up to the size of the
+    first), zero beyond the map edges and in ``pad`` columns either side."""
+    h, w = maps[0].shape[1:]
+    out = np.zeros((sum(m.shape[0] for m in maps), y1 - y0 + 2 * pad, w + 2 * pad))
+    a, b = max(0, y0 - pad), min(h, y1 + pad)
+    c = 0
+    for m in maps:
+        fh, fw = h // m.shape[1], w // m.shape[2]
+        src = m[:, a:b] if fh == 1 else m[:, np.arange(a, b) // fh]
+        if fw > 1:
+            src = np.repeat(src, fw, axis=2)
+        out[c:c + m.shape[0], a - y0 + pad:b - y0 + pad, pad:pad + w] = src
+        c += m.shape[0]
+    return out
+
+
+def _conv_rows(conv: Conv2dParams, chunks, height: int, width: int):
+    """A stride-1 conv that keeps the map size, applied to a map arriving as
+    consecutive (C, rows, W) chunks; yields ``(y0, y1, output rows)`` as soon
+    as their input rows are in, bias added.
+
+    It is the tap-summing strategy of ``conv2d_padded``: one GEMM of every
+    kernel tap against each chunk, then the shifted tap planes summed in
+    (ky, kx) order. Each input row goes through the GEMM once; the taps of
+    the last ``2 * padding`` rows are carried into the next chunk, and the
+    taps the whole map would take from its zero padding (exact zeros) are
+    skipped."""
+    cout, cin, kh, kw = conv.kernel.shape
+    p = conv.padding
+    kmat = conv.kernel.transpose(0, 2, 3, 1).reshape(cout * kh * kw, cin)
+    taps = np.empty((cout, kh, kw, 0, width))   # taps of input rows t0 onwards
+    t0 = done = 0
+    for rows in chunks:
+        new = kmat @ rows.reshape(cin, -1)
+        taps = np.concatenate([taps, new.reshape(cout, kh, kw, -1, width)], axis=3)
+        top = t0 + taps.shape[3]
+        end = height if top == height else top - p
+        if end <= done:
+            continue
+        out = np.zeros((cout, end - done, width))
+        for ky in range(kh):
+            ya, yb = max(done, p - ky), min(end, height + p - ky)
+            for kx in range(kw):
+                xa, xb = max(0, p - kx), min(width, width + p - kx)
+                out[:, ya - done:yb - done, xa:xb] += taps[
+                    :, ky, kx, ya + ky - p - t0:yb + ky - p - t0,
+                    xa + kx - p:xb + kx - p]
+        out += conv.bias[:, None, None]
+        yield done, end, out
+        done = end
+        keep = max(t0, done - p)
+        taps, t0 = taps[:, :, :, keep - t0:], keep
+
+
+def _check_encoder(blocks: list, shape: tuple) -> None:
+    """The ShapeErrors ``bev_encoder`` raises, from the shapes alone."""
+    if len(blocks) != 3:
+        raise ShapeError(f"encoder needs exactly 3 blocks, got {len(blocks)}")
+    if blocks[-1].kernel.shape[0] != ENCODER_CHANNELS:
+        raise ShapeError(f"encoder must end at {ENCODER_CHANNELS} channels, "
+                         f"last block has {blocks[-1].kernel.shape[0]}")
+    for k, conv in enumerate(blocks):
+        if conv.stride != 1:
+            raise ShapeError(f"encoder block {k}: stride must be 1")
+        cout, cin = conv.kernel.shape[:2]
+        if cin != shape[0]:
+            raise ShapeError(f"conv input has {shape[0]} channels, kernel expects {cin}")
+        oh, ow = conv.out_hw(*shape[1:])
+        if oh < 1 or ow < 1:
+            raise ShapeError(f"degenerate conv output {oh}x{ow} for input "
+                             f"{shape[1]}x{shape[2]}")
+        if (oh, ow) != shape[1:]:
+            raise ShapeError(f"encoder block {k}: spatial dims changed "
+                             f"{shape} -> {(cout, oh, ow)}")
+        shape = (cout, oh, ow)
+
+
+def r2l_forward(m_l: FeatureMap, enhanced: FeatureMap, encoder,
+                head: HeadParams) -> HeadOutputs:
+    """``detect_forward(bev_encoder(fuse_bev_maps(m_l, enhanced), encoder),
+    head)`` evaluated in row bands, so neither the fused map nor the
+    512-channel map is ever built whole.
+
+    The first block reads the fused map band by band, each band cut from
+    ``m_l`` and the replicated radar rows; its 8-channel output and the
+    second block's are kept whole. The last block and its rectifier then
+    run band by band (the band reads a one-row halo of the second block's
+    output) and feed the first trunk conv, which carries its halo taps from
+    band to band. The rest of the head runs on the narrow trunk output.
+    Every conv output is checked for non-finite values before its
+    rectifier, as in the whole-map chain, and the bands depend on the shapes
+    alone.
+
+    Bits: BLAS computes a GEMM column alike wherever it sits, except in
+    the last, partial block of the GEMM's columns (8 wide on OpenBLAS
+    Haswell kernels). The band GEMMs have ``rows x W`` columns, so when W is
+    a multiple of that block and the whole map's first block and trunk conv
+    sum taps too, as at desk and tiny scale, the result matches the
+    whole-map chain bit for bit; ``heads.tiled-oracle`` bounds any
+    difference at 1e-12 of the largest output.
+    """
+    encoder = list(encoder)
+    _replication(m_l, enhanced)
+    h, w = m_l.height, m_l.width
+    _check_encoder(encoder, (m_l.channels + enhanced.channels, h, w))
+    trunk0 = head.trunk[0] if head.trunk else None
+    if (trunk0 is None or trunk0.stride != 1 or trunk0.out_hw(h, w) != (h, w)
+            or trunk0.kernel.shape[1] != ENCODER_CHANNELS):
+        # The bands need a first trunk conv that keeps the map size.
+        return detect_forward(bev_encoder(fuse_bev_maps(m_l, enhanced), encoder), head)
+    enc0, enc1, enc2 = encoder
+
+    fused = (_window((m_l.data, enhanced.data), y0, y1, 0)
+             for y0, y1 in _bands(h, enc0.kernel.shape[1], w))
+    a0 = np.empty((enc0.kernel.shape[0], h, w))
+    for y0, y1, pre in _conv_rows(enc0, fused, h, w):
+        a0[:, y0:y1] = _finite(pre)
+    a1 = relu(_finite(_conv2d_raw(relu(a0), enc1)))
+
+    def rectified():
+        for y0, y1 in _bands(h, ENCODER_CHANNELS, w):
+            pre = _finite(conv2d_padded(_window((a1,), y0, y1, enc2.padding), enc2))
+            yield np.maximum(pre, 0.0, out=pre)
+
+    out = np.empty((trunk0.kernel.shape[0], h, w))
+    for y0, y1, pre in _conv_rows(trunk0, rectified(), h, w):
+        out[:, y0:y1] = _finite(pre)
+
+    feat = relu(out)
+    for conv in head.trunk[1:]:
+        feat = relu(_finite(_conv2d_raw(feat, conv)))
+    logits = _finite(_conv2d_raw(feat, head.heatmap))
+    maps = {name: _finite(_conv2d_raw(feat, getattr(head, name)))
+            for name in ("offset", "z", "size", "rot", "vel")}
     return HeadOutputs(heatmap=sigmoid(logits), heatmap_logits=logits, **maps)
 
 

@@ -110,6 +110,7 @@ class QueryPoint:
 class QueryResult:
     indices: np.ndarray
     distances: np.ndarray
+    capped: bool = False   # more candidates were in range than the cap kept
 
     def __len__(self) -> int:
         return len(self.indices)
@@ -160,7 +161,8 @@ def ball_query(query_xyz, points_xyz: np.ndarray, radius: float,
     inside = np.nonzero(d2 <= radius * radius)[0]
     order = np.lexsort((inside, d2[inside]))[:k]
     chosen = inside[order]
-    return QueryResult(chosen.astype(np.int64), np.sqrt(d2[chosen]))
+    return QueryResult(chosen.astype(np.int64), np.sqrt(d2[chosen]),
+                       capped=len(inside) > k)
 
 
 def ball_query_brute(query_xyz, points_xyz, radius: float, k: int) -> QueryResult:
@@ -176,9 +178,10 @@ def ball_query_brute(query_xyz, points_xyz, radius: float, k: int) -> QueryResul
         if d2 <= r2:
             hits.append((d2, i))
     hits.sort()
+    capped = len(hits) > k
     hits = hits[:k]
     return QueryResult(np.array([i for _, i in hits], dtype=np.int64),
-                       np.array([math.sqrt(d2) for d2, _ in hits]))
+                       np.array([math.sqrt(d2) for d2, _ in hits]), capped=capped)
 
 
 def aggregate_segment(grouped: np.ndarray, psi: MlpParams) -> np.ndarray:
@@ -201,12 +204,14 @@ def _decorate_points(points: np.ndarray, indices: np.ndarray,
 
 
 def height_fuse(cell: tuple, cfg: HeightFusionConfig, points: np.ndarray,
-                radar_grid: GridSpec, points_xyz: np.ndarray | None = None):
+                radar_grid: GridSpec, points_xyz: np.ndarray | None = None,
+                caps: dict | None = None):
     """Height-profile feature for one non-empty radar cell.
 
     Returns (feature, segments_hit): the merge-MLP output over the
     concatenated per-segment aggregates, and how many segments grouped at
-    least one point.
+    least one point. ``caps["height"]``, when given, is increased by the
+    number of segment groups cut at ``max_group``.
     """
     if points_xyz is None:
         points_xyz = np.stack([points["x"], points["y"], points["z"]], axis=1) \
@@ -215,6 +220,8 @@ def height_fuse(cell: tuple, cfg: HeightFusionConfig, points: np.ndarray,
     hit = 0
     for q in segment_query_points(cell, cfg, radar_grid):
         res = ball_query((q.x, q.y, q.z), points_xyz, cfg.ball_radius, cfg.max_group)
+        if caps is not None:
+            caps["height"] += res.capped
         if len(res):
             hit += 1
             grouped = _decorate_points(points, res.indices, q)
@@ -258,9 +265,10 @@ def bev_query(cell: tuple, lidar_grids: dict, cfg: BevFusionConfig) -> QueryResu
             if key in lidar_grids:
                 hits.append((abs(di) + abs(dj), key[0], key[1]))
     hits.sort()
+    capped = len(hits) > cfg.max_group
     hits = hits[:cfg.max_group]
     return QueryResult(np.array([(i, j) for _, i, j in hits], dtype=np.int64).reshape(-1, 2),
-                       np.array([float(d) for d, _, _ in hits]))
+                       np.array([float(d) for d, _, _ in hits]), capped=capped)
 
 
 def bev_query_brute(cell: tuple, lidar_grids: dict, cfg: BevFusionConfig) -> QueryResult:
@@ -272,19 +280,24 @@ def bev_query_brute(cell: tuple, lidar_grids: dict, cfg: BevFusionConfig) -> Que
         if _accept(cfg, di, dj):
             hits.append((abs(di) + abs(dj), i, j))
     hits.sort()
+    capped = len(hits) > cfg.max_group
     hits = hits[:cfg.max_group]
     return QueryResult(np.array([(i, j) for _, i, j in hits], dtype=np.int64).reshape(-1, 2),
-                       np.array([float(d) for d, _, _ in hits]))
+                       np.array([float(d) for d, _, _ in hits]), capped=capped)
 
 
-def bev_fuse(cell: tuple, lidar_grids: dict, cfg: BevFusionConfig):
+def bev_fuse(cell: tuple, lidar_grids: dict, cfg: BevFusionConfig,
+             caps: dict | None = None):
     """Neighborhood feature for one non-empty radar cell.
 
     Each grouped grid feature is extended with its (di, dj) offset before the
     grid MLP; the aggregate is the elementwise max, zero when nothing is in
-    range. Returns (feature, grouped_count).
+    range. Returns (feature, grouped_count). ``caps["bev"]``, when given, is
+    increased by one if the group was cut at ``max_group``.
     """
     res = bev_query(cell, lidar_grids, cfg)
+    if caps is not None:
+        caps["bev"] += res.capped
     if len(res) == 0:
         return np.zeros(cfg.feature_dim), 0
     rows = []
@@ -303,7 +316,8 @@ def compute_cell_features(occupied_cells, cfg_h: HeightFusionConfig,
                           lidar_grids: dict, radar_grid: GridSpec):
     """Run both fusion blocks for every non-empty radar cell.
 
-    Returns (features: {cell: CellFeatures}, stats). Cells are processed in
+    Returns (features: {cell: CellFeatures}, stats); the stats count the
+    ball and BEV groups cut at their ``max_group``. Cells are processed in
     sorted order; each cell is independent, so any schedule would produce
     the same maps.
     """
@@ -312,9 +326,11 @@ def compute_cell_features(occupied_cells, cfg_h: HeightFusionConfig,
     features = {}
     seg_total = seg_hit = 0
     bev_total = bev_hit = 0
+    caps = {"height": 0, "bev": 0}
     for cell in sorted(occupied_cells):
-        hvec, hits = height_fuse(cell, cfg_h, lidar_points, radar_grid, points_xyz=xyz)
-        bvec, grouped = bev_fuse(cell, lidar_grids, cfg_b)
+        hvec, hits = height_fuse(cell, cfg_h, lidar_points, radar_grid,
+                                 points_xyz=xyz, caps=caps)
+        bvec, grouped = bev_fuse(cell, lidar_grids, cfg_b, caps=caps)
         features[cell] = CellFeatures(cell=cell, height_feature=hvec, bev_feature=bvec)
         seg_total += cfg_h.num_segments
         seg_hit += hits
@@ -324,6 +340,8 @@ def compute_cell_features(occupied_cells, cfg_h: HeightFusionConfig,
         "cells": len(features),
         "ball_query_hit_rate": (seg_hit / seg_total) if seg_total else 0.0,
         "bev_query_hit_rate": (bev_hit / bev_total) if bev_total else 0.0,
+        "capped_height_groups": caps["height"],
+        "capped_bev_groups": caps["bev"],
     }
     return features, stats
 

@@ -287,6 +287,19 @@ def _conv2d_raw(data: Array, p: Conv2dParams) -> Array:
     if oh < 1 or ow < 1:
         raise ShapeError(f"degenerate conv output {oh}x{ow} for input {h}x{w}")
     padded = np.pad(data, ((0, 0), (p.padding, p.padding), (p.padding, p.padding)))
+    return conv2d_padded(padded, p)
+
+
+def conv2d_padded(padded: Array, p: Conv2dParams) -> Array:
+    """``p`` applied to an input that already carries its zero padding
+    (``p.padding`` is not applied again); the arithmetic of
+    ``conv2d_forward``, so a row band cut from a padded map with its halo
+    goes through the same strategy as the whole map whenever the shapes
+    select the same one."""
+    cin = padded.shape[0]
+    cout, _, kh, kw = p.kernel.shape
+    oh = (padded.shape[1] - kh) // p.stride + 1
+    ow = (padded.shape[2] - kw) // p.stride + 1
     # Strategy is a pure function of the shapes, so identical inputs always
     # take the same arithmetic path.
     if kh == 1 and kw == 1:

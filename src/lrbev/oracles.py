@@ -22,8 +22,10 @@ from .errors import ConfigError
 from .evalmetrics import eval_detections
 from .grids import (GridSpec, collapse_to_bev_grids, pillarize, voxel_encode,
                     voxelize, zstack_collapse)
-from .heads import (HeadOutputs, compute_loss, decode_detections,
-                    outputs_from_targets, render_targets)
+from .heads import (ENCODER_CHANNELS, HeadOutputs, HeadParams, band_rows,
+                    bev_encoder, compute_loss, decode_detections,
+                    detect_forward, fuse_bev_maps, outputs_from_targets,
+                    r2l_forward, render_targets)
 from .l2r import (BevFusionConfig, HeightFusionConfig, ball_query,
                   ball_query_brute, bev_query, bev_query_brute, height_fuse,
                   query_balls_disjoint, segment_query_points)
@@ -543,7 +545,8 @@ def check_ball_query_oracle(seeds: int, fault=None) -> PropertyResult:
             fast = ball_query(q, pts, radius, k)
             brute = ball_query_brute(q, pts, radius, k)
             if not (np.array_equal(fast.indices, brute.indices)
-                    and np.array_equal(fast.distances, brute.distances)):
+                    and np.array_equal(fast.distances, brute.distances)
+                    and fast.capped == brute.capped):
                 failures.append(f"seed {s}: ball query mismatch")
                 break
     return PropertyResult("l2r.ball-query-oracle", not failures, seeds, failures)
@@ -568,7 +571,8 @@ def check_bev_query_oracle(seeds: int, fault=None) -> PropertyResult:
             fast = bev_query(cell, occupancy, cfg)
             brute = bev_query_brute(cell, occupancy, cfg)
             if not (np.array_equal(fast.indices, brute.indices)
-                    and np.array_equal(fast.distances, brute.distances)):
+                    and np.array_equal(fast.distances, brute.distances)
+                    and fast.capped == brute.capped):
                 failures.append(f"seed {s}: bev query mismatch at {cell}")
                 break
     return PropertyResult("l2r.bev-query-oracle", not failures, seeds, failures)
@@ -698,6 +702,59 @@ def check_channel_contract(seeds: int, fault=None) -> PropertyResult:
             failures.append(f"seed {s}: channel chain {chain} != {want}")
     return PropertyResult("heads.channel-contract", not failures,
                           min(seeds, 3), failures)
+
+
+# (LiDAR channels, encoder hidden widths, trunk widths): the desk and tiny
+# widths, and odd ones whose first trunk conv sums its taps differently
+# from the whole map.
+TILED_PROFILES = ((64, (8, 8), (4, 4)), (16, (2, 2), (2, 2)),
+                  (33, (33, 7), (33, 3)))
+HEAD_FIELDS = ("heatmap", "heatmap_logits", "offset", "z", "size", "rot", "vel")
+
+
+def _tiled_instance(rng, s):
+    """Random maps and weights for ``r2l_forward``: widths from
+    TILED_PROFILES; H of one row, under one band, one band plus a row, or
+    past two bands of the 512-channel stage or of the fused input; W from
+    1 to 64; radar replicated 1, 2 or 4 times per axis."""
+    lidar, hidden, trunk = TILED_PROFILES[s % len(TILED_PROFILES)]
+    w = int(rng.choice([1, 3, 16, 33, 64]))
+    cin = lidar + 96
+    rows = band_rows(ENCODER_CHANNELS, w)
+    h = [1, max(1, rows - 1), rows + 1, 2 * rows + rows // 2 + 1,
+         2 * band_rows(cin, w) + 1][(s // len(TILED_PROFILES)) % 5]
+    fh = int(rng.choice([f for f in (1, 2, 4) if h % f == 0]))
+    fw = int(rng.choice([f for f in (1, 2, 4) if w % f == 0]))
+    m_l = FeatureMap(np.maximum(rng.normal(size=(lidar, h, w)), 0.0))
+    enhanced = FeatureMap(rng.normal(size=(96, h // fh, w // fw))
+                          * (rng.uniform(size=(1, h // fh, w // fw)) < 0.3))
+    widths = [cin, *hidden, ENCODER_CHANNELS]
+    encoder = [Conv2dParams.init(widths[k], widths[k + 1], 3, rng, padding=1)
+               for k in range(3)]
+    blocks, prev = [], ENCODER_CHANNELS
+    for width in trunk:
+        blocks.append(Conv2dParams.init(prev, width, 3, rng, padding=1))
+        prev = width
+    one = lambda out: Conv2dParams.init(prev, out, 1, rng)
+    head = HeadParams(trunk=blocks, heatmap=one(3), offset=one(2), z=one(1),
+                      size=one(3), rot=one(2), vel=one(2))
+    return m_l, enhanced, encoder, head
+
+
+def check_tiled_r2l(seeds: int, fault=None) -> PropertyResult:
+    """Row-banded R2L stage against the whole-map chain it replaces:
+    bit-identical, or within GRID_RTOL of the largest reference output."""
+    failures = []
+    for s in range(seeds):
+        rng = np.random.default_rng([31, s])
+        m_l, enhanced, encoder, head = _tiled_instance(rng, s)
+        ref = detect_forward(bev_encoder(fuse_bev_maps(m_l, enhanced), encoder), head)
+        got = r2l_forward(m_l, enhanced, encoder, head)
+        for name in HEAD_FIELDS:
+            if not _rel_close(getattr(got, name), getattr(ref, name)):
+                failures.append(f"seed {s}: {name} of a {m_l.shape} map differs")
+                break
+    return PropertyResult("heads.tiled-oracle", not failures, seeds, failures)
 
 
 def check_decode_roundtrip(seeds: int, fault=None) -> PropertyResult:
@@ -896,6 +953,7 @@ PROPERTIES = {
     "heads.decode-roundtrip": check_decode_roundtrip,
     "heads.focal-monotonicity": check_focal_monotonicity,
     "heads.grad-loss": check_grad_loss,
+    "heads.tiled-oracle": check_tiled_r2l,
     "l2r.ball-query-oracle": check_ball_query_oracle,
     "l2r.bev-query-oracle": check_bev_query_oracle,
     "l2r.height-sensitivity": check_height_sensitivity,

@@ -9,6 +9,7 @@ probe used for smoke testing.
 from __future__ import annotations
 
 import json
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,8 +19,12 @@ from .config import PipelineConfig
 from .errors import PipelineError
 from .grids import (LIDAR_POINT_FEATURES, collapse_to_bev_grids, pillarize,
                     voxel_encode, voxelize, zstack_collapse)
+# fuse_bev_maps -> bev_encoder -> detect_forward is the whole-map twin of
+# r2l_forward. The first two build the maps PipelineResult.maps computes on
+# request; all three stay names of this module for code that wraps them.
 from .heads import (DetectionBox, HeadParams, LossWeights, bev_encoder,
-                    decode_detections, detect_forward, fuse_bev_maps)
+                    decode_detections, detect_forward, fuse_bev_maps,
+                    r2l_forward)
 from .l2r import (BevFusionConfig, HeightFusionConfig, compute_cell_features,
                   enhance_radar_map, num_height_segments)
 from .nn import Conv2dParams, FeatureMap, MlpParams
@@ -178,11 +183,34 @@ def bev_fusion_config(cfg: PipelineConfig, w: PipelineWeights) -> BevFusionConfi
                            distance_mode=cfg.fusion.distance_mode)
 
 
+class LazyMaps(Mapping):
+    """Stage maps by name. An entry given as a callable is computed from the
+    mapping on its first read and kept, so maps nobody asks for are never
+    built. (Taking the mapping as an argument, rather than closing over it,
+    keeps a result free of reference cycles, so its maps are freed as soon
+    as it is dropped.)"""
+
+    def __init__(self, entries: dict):
+        self._entries = dict(entries)
+
+    def __getitem__(self, name):
+        value = self._entries[name]
+        if callable(value):
+            value = self._entries[name] = value(self)
+        return value
+
+    def __iter__(self):
+        return iter(self._entries)
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+
 @dataclass
 class PipelineResult:
     detections: list
     stats: dict
-    maps: dict
+    maps: LazyMaps
 
 
 def _require(cond: bool, stage: str, message: str) -> None:
@@ -279,13 +307,13 @@ def run_pipeline(cfg: PipelineConfig, lidar: np.ndarray, radar: np.ndarray,
         "enhanced_nonzero_cells": nonzero_cells,
         "ball_query_hit_rate": fstats["ball_query_hit_rate"],
         "bev_query_hit_rate": fstats["bev_query_hit_rate"],
+        "capped_height_groups": fstats["capped_height_groups"],
+        "capped_bev_groups": fstats["capped_bev_groups"],
     }
 
     stage = "r2l-fusion-head"
     try:
-        fused = fuse_bev_maps(m_l, enhanced)
-        encoded = bev_encoder(fused, weights.encoder)
-        outputs = detect_forward(encoded, weights.head)
+        outputs = r2l_forward(m_l, enhanced, weights.encoder, weights.head)
         detections = decode_detections(outputs, cfg.lidar_grid,
                                        cfg.head.score_thresh,
                                        cfg.head.max_detections)
@@ -293,18 +321,25 @@ def run_pipeline(cfg: PipelineConfig, lidar: np.ndarray, radar: np.ndarray,
         raise
     except Exception as e:
         raise PipelineError(f"{stage}: {e}") from e
-    _require(fused.channels == cfg.channels.lidar_channels + 96, stage,
-             f"fused map has {fused.channels} channels, expected "
+    # r2l_forward builds neither map whole; their shapes follow from the
+    # inputs and the encoder weights.
+    fused_shape = [m_l.channels + enhanced.channels, m_l.height, m_l.width]
+    encoded_shape = [weights.encoder[-1].kernel.shape[0], m_l.height, m_l.width]
+    _require(fused_shape[0] == cfg.channels.lidar_channels + 96, stage,
+             f"fused map has {fused_shape[0]} channels, expected "
              f"{cfg.channels.lidar_channels + 96}")
-    _require(encoded.channels == 512, stage,
-             f"encoder output has {encoded.channels} channels, expected 512")
+    _require(encoded_shape[0] == 512, stage,
+             f"encoder output has {encoded_shape[0]} channels, expected 512")
     stats["r2l_fusion_head"] = {
-        "fused_shape": list(fused.shape),
-        "encoded_shape": list(encoded.shape),
+        "fused_shape": fused_shape,
+        "encoded_shape": encoded_shape,
         "detections": len(detections),
     }
-    maps = {"m_l": m_l, "m_r": m_r, "enhanced": enhanced, "fused": fused,
-            "encoded": encoded, "heatmap": FeatureMap(outputs.heatmap)}
+    maps = LazyMaps({
+        "m_l": m_l, "m_r": m_r, "enhanced": enhanced,
+        "fused": lambda maps: fuse_bev_maps(m_l, enhanced),
+        "encoded": lambda maps: bev_encoder(maps["fused"], weights.encoder),
+        "heatmap": FeatureMap(outputs.heatmap)})
     return PipelineResult(detections=detections, stats=stats, maps=maps)
 
 

@@ -1,19 +1,23 @@
 """R2L fusion, detection heads, decoding, target rendering, joint loss."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from lrbev.errors import ShapeError
+from lrbev.config import desk_config
+from lrbev.errors import EvaluationError, ShapeError
 from lrbev.grids import GridSpec
-from lrbev.heads import (DetectionBox, HeadOutputs, HeadParams, LossWeights,
-                         bev_encoder, compute_loss, decode_detections, detect_forward,
-                         find_peaks, fuse_bev_maps, outputs_from_targets,
+from lrbev.heads import (ENCODER_CHANNELS, DetectionBox, HeadOutputs, HeadParams,
+                         LossWeights, band_rows, bev_encoder, compute_loss,
+                         decode_detections, detect_forward, find_peaks,
+                         fuse_bev_maps, outputs_from_targets, r2l_forward,
                          render_targets, upsample_nearest)
 from lrbev.nn import Conv2dParams, FeatureMap, finite_diff_check, sigmoid
-from lrbev.oracles import (loss_gradcheck_instance, pack_head_maps,
+from lrbev.oracles import (HEAD_FIELDS, loss_gradcheck_instance, pack_head_maps,
                            unpack_head_maps)
+from lrbev.pipeline import random_weights
 from lrbev.synth import GroundTruthBox, wrap_angle
 
 GRID = GridSpec(origin=(-8.0, -8.0, -5.0), cell=(0.5, 0.5, 8.0), counts=(32, 32, 1))
@@ -143,6 +147,150 @@ class TestDetectForward:
         assert out.heatmap.shape == (3, 5, 7)
         assert out.offset.shape == (2, 5, 7)
         assert out.size.shape == (3, 5, 7)
+
+
+def _r2l_inputs(rng, h, w, lidar=64, factor=1):
+    m_l = FeatureMap(np.maximum(rng.normal(size=(lidar, h, w)), 0.0))
+    enhanced = FeatureMap(rng.normal(size=(96, h // factor, w // factor)))
+    return m_l, enhanced
+
+
+def _twin_chain(m_l, enhanced, encoder, head):
+    return detect_forward(bev_encoder(fuse_bev_maps(m_l, enhanced), encoder), head)
+
+
+def _assert_matches_twins(got, want):
+    """Bit-identical, or within 1e-12 of the largest reference magnitude."""
+    for name in HEAD_FIELDS:
+        g, r = getattr(got, name), getattr(want, name)
+        assert g.shape == r.shape
+        assert np.abs(g - r).max() <= 1e-12 * np.abs(r).max(), name
+
+
+class TestR2lForward:
+    @pytest.mark.parametrize("h,w", [(1, 16), (16, 1), (1, 1)])
+    def test_single_row_or_column(self, h, w):
+        rng = np.random.default_rng(40)
+        m_l, enhanced = _r2l_inputs(rng, h, w)
+        encoder, head = _encoder(rng), _head_params(rng)
+        _assert_matches_twins(r2l_forward(m_l, enhanced, encoder, head),
+                              _twin_chain(m_l, enhanced, encoder, head))
+
+    @pytest.mark.parametrize("extra", [-3, 1, 2, 5])
+    def test_band_edges(self, extra):
+        """Under one band, one band plus a row, and past two bands, with H
+        not a multiple of the band height."""
+        w = 64
+        rows = band_rows(ENCODER_CHANNELS, w)
+        h = rows + extra if extra < 5 else 2 * rows + extra
+        rng = np.random.default_rng([41, extra + 3])
+        m_l, enhanced = _r2l_inputs(rng, h, w, factor=1)
+        encoder, head = _encoder(rng), _head_params(rng)
+        got = r2l_forward(m_l, enhanced, encoder, head)
+        want = _twin_chain(m_l, enhanced, encoder, head)
+        for name in HEAD_FIELDS:   # W = 64 keeps every GEMM column in a full block
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+    def test_fused_bands_with_replicated_radar(self):
+        w = 32
+        h = 2 * band_rows(160, w) + 3
+        h -= h % 4
+        rng = np.random.default_rng(42)
+        m_l, enhanced = _r2l_inputs(rng, h, w, factor=4)
+        encoder, head = _encoder(rng), _head_params(rng)
+        _assert_matches_twins(r2l_forward(m_l, enhanced, encoder, head),
+                              _twin_chain(m_l, enhanced, encoder, head))
+
+    @pytest.mark.parametrize("trunk", [(), (4,)])
+    def test_trunk_that_cannot_take_bands_runs_whole_map(self, trunk):
+        """No trunk conv, or one that shrinks the map: the heads read the
+        512-channel map directly, so it is built whole, as in the twins."""
+        rng = np.random.default_rng(48)
+        m_l, enhanced = _r2l_inputs(rng, 9, 8)
+        encoder, head = _encoder(rng), _head_params(rng, trunk=trunk)
+        if trunk:
+            t = head.trunk[0]
+            head.trunk[0] = Conv2dParams(t.kernel, t.bias, padding=0)
+        got = r2l_forward(m_l, enhanced, encoder, head)
+        want = _twin_chain(m_l, enhanced, encoder, head)
+        for name in HEAD_FIELDS:
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+    def test_two_calls_identical_bits(self):
+        rng = np.random.default_rng(43)
+        m_l, enhanced = _r2l_inputs(rng, 37, 33, factor=1)
+        encoder, head = _encoder(rng), _head_params(rng)
+        a = r2l_forward(m_l, enhanced, encoder, head)
+        b = r2l_forward(m_l, enhanced, encoder, head)
+        for name in HEAD_FIELDS:
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+
+    @pytest.mark.parametrize("case", ["two-blocks", "final-width", "stride",
+                                      "spatial", "channels"])
+    def test_encoder_shape_errors_match_twin(self, case):
+        rng = np.random.default_rng(44)
+        m_l, enhanced = _r2l_inputs(rng, 6, 6)
+        encoder, head = _encoder(rng), _head_params(rng)
+        if case == "two-blocks":
+            encoder = encoder[:2]
+        elif case == "final-width":
+            encoder[2] = Conv2dParams.init(8, 256, 3, rng, padding=1)
+        elif case == "stride":
+            encoder[1] = Conv2dParams(encoder[1].kernel, encoder[1].bias, stride=2,
+                                      padding=1)
+        elif case == "spatial":
+            encoder[1] = Conv2dParams(encoder[1].kernel, encoder[1].bias, padding=0)
+        else:
+            encoder[0] = Conv2dParams.init(150, 8, 3, rng, padding=1)
+        with pytest.raises(ShapeError) as twin:
+            _twin_chain(m_l, enhanced, encoder, head)
+        with pytest.raises(ShapeError) as banded:
+            r2l_forward(m_l, enhanced, encoder, head)
+        assert str(banded.value) == str(twin.value)
+
+    def test_non_divisible_radar_message_matches_twin(self):
+        rng = np.random.default_rng(45)
+        m_l = FeatureMap(rng.normal(size=(64, 6, 6)))
+        enhanced = FeatureMap(rng.normal(size=(96, 4, 4)))
+        with pytest.raises(ShapeError) as twin:
+            fuse_bev_maps(m_l, enhanced)
+        with pytest.raises(ShapeError) as banded:
+            r2l_forward(m_l, enhanced, _encoder(rng), _head_params(rng))
+        assert str(banded.value) == str(twin.value)
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.parametrize("scale", [1e308, -1e308])
+    def test_overflowing_preactivation_raises(self, scale):
+        """+inf and -inf pre-activations of the 512-channel block are caught
+        before the rectifier (which would turn -inf into 0)."""
+        rng = np.random.default_rng(46)
+        m_l, enhanced = _r2l_inputs(rng, 20, 16)
+        encoder, head = _encoder(rng), _head_params(rng)
+        encoder[2] = Conv2dParams(np.full_like(encoder[2].kernel, scale),
+                                  encoder[2].bias, padding=1)
+        encoder[1] = Conv2dParams(encoder[1].kernel, np.abs(encoder[1].bias) + 1.0,
+                                  padding=1)
+        with pytest.raises(EvaluationError):
+            _twin_chain(m_l, enhanced, encoder, head)
+        with pytest.raises(EvaluationError, match="non-finite"):
+            r2l_forward(m_l, enhanced, encoder, head)
+
+    def test_peak_memory_below_fused_map(self):
+        """Desk-sized inputs: the traced peak stays under the size of the
+        fused map, so neither it nor the 512-channel map is built whole."""
+        cfg = desk_config()
+        weights = random_weights(cfg, cfg.seeds.weights)
+        rng = np.random.default_rng(47)
+        m_l, enhanced = _r2l_inputs(rng, 128, 128, factor=4)
+        fused_bytes = (64 + 96) * 128 * 128 * 8
+        r2l_forward(m_l, enhanced, weights.encoder, weights.head)
+        tracemalloc.start()
+        try:
+            r2l_forward(m_l, enhanced, weights.encoder, weights.head)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < fused_bytes
 
 
 def _find_peaks_brute(channel, thresh):

@@ -111,6 +111,20 @@ class TestBallQuery:
         res = ball_query((0, 0, 0), pts, 1.0, 3)
         assert list(res.indices) == [0, 1, 2]
 
+    @pytest.mark.parametrize("k,capped", [(9, True), (10, False), (11, False)])
+    def test_capped_only_when_candidates_exceed_k(self, k, capped):
+        pts = np.zeros((10, 3))
+        assert ball_query((0, 0, 0), pts, 1.0, k).capped is capped
+        assert ball_query_brute((0, 0, 0), pts, 1.0, k).capped is capped
+
+    def test_height_fuse_counts_capped_segments(self):
+        cfg = _cfg(max_group=2)
+        q1, q2 = segment_query_points((90, 90), cfg, RADAR_GRID)[:2]
+        cloud = _cloud([[q1.x, q1.y, q1.z]] * 3 + [[q2.x, q2.y, q2.z]] * 2)
+        caps = {"height": 0, "bev": 0}
+        height_fuse((90, 90), cfg, cloud, RADAR_GRID, caps=caps)
+        assert caps == {"height": 1, "bev": 0}
+
 
 class TestAggregateSegment:
     def test_empty_group_zero_vector(self):
@@ -253,6 +267,13 @@ class TestBevQuery:
         grids = {(6, 5): None, (5, 6): None, (5, 5): None, (4, 5): None}
         res = bev_query((5, 5), grids, _bev_cfg())
         assert res.indices.tolist() == [[5, 5], [4, 5], [5, 6], [6, 5]]
+
+    def test_capped_flag_matches_brute_force(self):
+        grids = {(6, 5): None, (5, 6): None, (5, 5): None, (4, 5): None}
+        for k, capped in ((3, True), (4, False)):
+            cfg = _bev_cfg(max_group=k)
+            assert bev_query((5, 5), grids, cfg).capped is capped
+            assert bev_query_brute((5, 5), grids, cfg).capped is capped
 
 
 class TestBevFuse:

@@ -138,3 +138,58 @@ class TestProbeWeights:
         assert counts.max() <= cfg.lidar_grid.nz
         assert counts.min() >= 0.0
         assert np.all(counts == np.round(counts))
+
+
+def test_fused_and_encoded_maps_built_only_when_read(tiny_run, monkeypatch):
+    cfg, _, lidar, radar, reference = tiny_run
+    from lrbev import pipeline
+    from lrbev.heads import bev_encoder, fuse_bev_maps
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args):
+            calls.append(fn.__name__)
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(pipeline, "fuse_bev_maps", counted(fuse_bev_maps))
+    monkeypatch.setattr(pipeline, "bev_encoder", counted(bev_encoder))
+    result = run_pipeline(cfg, lidar, radar)
+    assert calls == []
+    assert detections_to_jsonl(result.detections) == \
+        detections_to_jsonl(reference.detections)
+    encoded = result.maps["encoded"]
+    assert calls == ["fuse_bev_maps", "bev_encoder"]
+    assert result.maps["encoded"] is encoded
+    assert calls == ["fuse_bev_maps", "bev_encoder"]
+    st = result.stats["r2l_fusion_head"]
+    assert list(result.maps["fused"].shape) == st["fused_shape"]
+    assert list(encoded.shape) == st["encoded_shape"]
+    weights = random_weights(cfg, cfg.seeds.weights)
+    want = bev_encoder(fuse_bev_maps(result.maps["m_l"], result.maps["enhanced"]),
+                       weights.encoder)
+    assert encoded == want
+
+
+def test_non_finite_r2l_preactivation_names_the_stage(tiny_run):
+    cfg, _, lidar, radar, _ = tiny_run
+    weights = random_weights(cfg, 0)
+    enc = list(weights.encoder)
+    enc[0] = dataclasses.replace(enc[0], kernel=np.full_like(enc[0].kernel, 1e308))
+    bad = dataclasses.replace(weights, encoder=enc)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(PipelineError) as err:
+            run_pipeline(cfg, lidar, radar, weights=bad)
+    assert str(err.value).startswith("r2l-fusion-head: ")
+    assert "non-finite" in str(err.value)
+
+
+def test_group_cap_counters(tiny_run):
+    cfg, _, lidar, radar, result = tiny_run
+    st = result.stats["l2r_fusion"]
+    assert st["capped_height_groups"] >= 0 and st["capped_bev_groups"] >= 0
+    tight = dataclasses.replace(cfg, fusion=dataclasses.replace(
+        cfg.fusion, height_max_group=1, bev_max_group=1))
+    st = run_pipeline(tight, lidar, radar).stats["l2r_fusion"]
+    assert st["capped_height_groups"] > 0
+    assert 0 < st["capped_bev_groups"] <= st["pseudo_features"]
