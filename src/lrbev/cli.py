@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 validation error, 2 property failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -134,7 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("generate", help="synthesize a scene and write cloud files")
     _add_config_flags(p)
     p.add_argument("--out", required=True, help="output directory")
-    p.set_defaults(fn=cmd_generate)
+    p.set_defaults(fn="cmd_generate")
 
     p = subs.add_parser("run", help="run the pipeline on cloud files")
     _add_config_flags(p)
@@ -143,20 +144,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lidar", default=None, help="explicit lidar cloud path")
     p.add_argument("--radar", default=None, help="explicit radar cloud path")
     p.add_argument("--out", required=True, help="output directory")
-    p.set_defaults(fn=cmd_run)
+    p.set_defaults(fn="cmd_run")
 
     p = subs.add_parser("eval", help="score detections against ground truth")
     p.add_argument("--detections", required=True, help="detections.jsonl path")
     p.add_argument("--truth", required=True, help="scene.json path")
     p.add_argument("--out", default=None, help="optional eval.json path")
-    p.set_defaults(fn=cmd_eval)
+    p.set_defaults(fn="cmd_eval")
 
     p = subs.add_parser("check", help="run the oracle/property suite")
     p.add_argument("--seeds", type=int, default=25,
                    help="seeds per property (default 25)")
     p.add_argument("--fault", choices=FAULTS, default=None,
                    help="inject a deliberate defect (negative control)")
-    p.set_defaults(fn=cmd_check)
+    p.set_defaults(fn="cmd_check")
 
     p = subs.add_parser("dump-map", help="dump an intermediate feature map")
     _add_config_flags(p)
@@ -167,14 +168,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--radar", default=None)
     p.add_argument("--stage", choices=MAP_STAGES, required=True)
     p.add_argument("--out", required=True, help="output .blrm path")
-    p.set_defaults(fn=cmd_dump_map)
+    p.set_defaults(fn="cmd_dump_map")
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
-        return args.fn(args)
+        # Looked up by name on each call, so a wrapped or patched handler
+        # takes effect even though the parser is built once.
+        return globals()[args.fn](args)
     except ConfigError as e:
         print(f"validation error: {e}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -9,14 +9,20 @@ velocity regressions. Decoding finds 3x3 local maxima; the loss combines a
 penalty-reduced focal term on the heatmap with L1 regression at ground-truth
 centers and reports analytic gradients for the finite-difference checker.
 
-``r2l_forward`` runs that chain in row bands, so the fused map and the
-512-channel map only ever exist one band at a time; ``fuse_bev_maps``,
-``bev_encoder`` and ``detect_forward`` are the whole-map chain it is
-checked against, and build those maps when a caller asks for them.
+``r2l_forward`` runs that chain in row tiles, cut from the map shape
+alone, on a small pool of worker threads, and within a tile in row bands,
+so the fused map and the 512-channel map only ever exist one band at a
+time; its output bits do not depend on the number of workers.
+``fuse_bev_maps``, ``bev_encoder`` and ``detect_forward`` are the whole-map
+chain it is checked against, and build those maps when a caller asks for
+them.
 """
 from __future__ import annotations
 
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from itertools import chain
 
@@ -24,8 +30,8 @@ import numpy as np
 
 from .errors import EvaluationError, ShapeError
 from .grids import GridSpec
-from .nn import (Conv2dParams, FeatureMap, _conv2d_raw, conv2d_forward,
-                 conv2d_padded, relu, sigmoid)
+from .nn import (BLAS_PINNED, Conv2dParams, FeatureMap, _conv2d_raw,
+                 conv2d_forward, relu, sigmoid)
 from .synth import wrap_angle
 
 ENCODER_CHANNELS = 512
@@ -122,10 +128,15 @@ def detect_forward(features: FeatureMap, params: HeadParams) -> HeadOutputs:
     return HeadOutputs(heatmap=sigmoid(logits), heatmap_logits=logits, **maps)
 
 
-# A row band holds at most this many floats of its widest activation (the
-# fused input, or the 512-channel map), ~4 MB of float64, so the band's
-# GEMMs work out of cache. The partition depends on the map shape alone.
-_BAND_FLOATS = 1 << 19
+# A band holds at most this many floats of its widest activation (the fused
+# input, the 512-channel map or an im2col block), ~2 MB of float64, so its
+# GEMMs work out of cache and two workers' scratch together stays under
+# what one band of twice the size took.
+_BAND_FLOATS = 1 << 18
+
+# Tiles are at least this many rows high. Maps of fewer than twice as many
+# rows are one tile and never use the pool.
+TILE_ROWS = 16
 
 
 def band_rows(channels: int, width: int) -> int:
@@ -133,10 +144,51 @@ def band_rows(channels: int, width: int) -> int:
     return max(1, _BAND_FLOATS // max(1, channels * width))
 
 
-def _bands(height: int, channels: int, width: int):
-    rows = band_rows(channels, width)
-    for y0 in range(0, height, rows):
-        yield y0, min(height, y0 + rows)
+def _spans(start: int, stop: int, rows: int):
+    for y in range(start, stop, rows):
+        yield y, min(stop, y + rows)
+
+
+def tiles(height: int, min_rows: int = TILE_ROWS) -> list:
+    """Row tiles ``(y0, y1)`` of a map this many rows high: as many as fit
+    ``min_rows`` rows each, sized evenly."""
+    n = max(1, height // min_rows)
+    return [(height * k // n, height * (k + 1) // n) for k in range(n)]
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:   # no affinity API on this platform
+        return os.cpu_count() or 1
+
+
+# Worker threads for the tiles: one per usable CPU, or one when BLAS could
+# not be pinned to a thread per call (its own threads would then compete
+# with the workers for the cores).
+WORKERS = _usable_cpus() if BLAS_PINNED else 1
+_POOLS: dict = {}
+
+
+def _each_tile(fn, cut: list, workers: int) -> None:
+    """``fn(y0, y1)`` for every tile of ``cut``, on a pool of ``workers``
+    threads, or inline when there is one tile or one worker; returns when
+    all are done, raising the first failing tile's error."""
+    if workers < 2 or len(cut) < 2:
+        for y0, y1 in cut:
+            fn(y0, y1)
+        return
+    # Keyed by process too: a child forked after the pool started has none
+    # of its threads.
+    key = (os.getpid(), workers)
+    pool = _POOLS.get(key)
+    if pool is None:
+        pool = _POOLS.setdefault(key, ThreadPoolExecutor(
+            workers, thread_name_prefix="lrbev-r2l"))
+    futures = [pool.submit(fn, y0, y1) for y0, y1 in cut]
+    wait(futures)
+    for f in futures:
+        f.result()
 
 
 def _finite(a: np.ndarray) -> np.ndarray:
@@ -146,60 +198,104 @@ def _finite(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _window(maps, y0: int, y1: int, pad: int) -> np.ndarray:
-    """Rows ``y0 - pad`` to ``y1 + pad`` of the channel concat of ``maps``
-    (C, H, W arrays, each replicated nearest-neighbour up to the size of the
-    first), zero beyond the map edges and in ``pad`` columns either side."""
-    h, w = maps[0].shape[1:]
-    out = np.zeros((sum(m.shape[0] for m in maps), y1 - y0 + 2 * pad, w + 2 * pad))
-    a, b = max(0, y0 - pad), min(h, y1 + pad)
-    c = 0
-    for m in maps:
-        fh, fw = h // m.shape[1], w // m.shape[2]
-        src = m[:, a:b] if fh == 1 else m[:, np.arange(a, b) // fh]
-        if fw > 1:
-            src = np.repeat(src, fw, axis=2)
-        out[c:c + m.shape[0], a - y0 + pad:b - y0 + pad, pad:pad + w] = src
-        c += m.shape[0]
+def _sum_taps(conv: Conv2dParams, taps: np.ndarray, t0: int, y0: int, y1: int,
+              height: int) -> np.ndarray:
+    """Output rows ``y0`` to ``y1`` of a stride-1, size-keeping conv, from
+    ``taps`` (Cout, kh, kw, rows, W), the per-tap GEMM results of its input
+    rows from ``t0`` on: the shifted tap planes summed onto zeros in
+    (ky, kx) order, as ``conv2d_forward`` sums them, skipping the taps the
+    whole map takes from its zero padding (exact zeros); bias added."""
+    cout, _, kh, kw = conv.kernel.shape
+    p, width = conv.padding, taps.shape[4]
+    out = np.zeros((cout, y1 - y0, width))
+    for ky in range(kh):
+        ya, yb = max(y0, p - ky), min(y1, height + p - ky)
+        if ya >= yb:
+            continue
+        for kx in range(kw):
+            xa, xb = max(0, p - kx), min(width, width + p - kx)
+            out[:, ya - y0:yb - y0, xa:xb] += taps[
+                :, ky, kx, ya + ky - p - t0:yb + ky - p - t0, xa + kx - p:xb + kx - p]
+    out += conv.bias[:, None, None]
     return out
 
 
-def _conv_rows(conv: Conv2dParams, chunks, height: int, width: int):
-    """A stride-1 conv that keeps the map size, applied to a map arriving as
-    consecutive (C, rows, W) chunks; yields ``(y0, y1, output rows)`` as soon
-    as their input rows are in, bias added.
+def _tap_rows(conv: Conv2dParams, height: int, width: int, y0: int, y1: int,
+              chunks, seams: "_Seams") -> tuple:
+    """The tap-summing strategy of ``conv2d_forward`` for a stride-1 conv
+    that keeps the map size, on input rows ``y0`` to ``y1`` of a tile
+    arriving as consecutive (C, n, W) chunks: one GEMM of every kernel tap
+    against each chunk, then the tap planes summed by ``_sum_taps``.
+    Returns ``(ya, yb, rows)``, the output rows whose inputs all lie in the
+    tile (or in the map's zero padding).
 
-    It is the tap-summing strategy of ``conv2d_padded``: one GEMM of every
-    kernel tap against each chunk, then the shifted tap planes summed in
-    (ky, kx) order. Each input row goes through the GEMM once; the taps of
-    the last ``2 * padding`` rows are carried into the next chunk, and the
-    taps the whole map would take from its zero padding (exact zeros) are
-    skipped."""
+    The ``padding`` output rows either side of a seam between two tiles
+    need taps from both; the tile hands the taps of its ``2 * padding``
+    rows next to each seam to ``seams``, which finishes those rows."""
     cout, cin, kh, kw = conv.kernel.shape
     p = conv.padding
     kmat = conv.kernel.transpose(0, 2, 3, 1).reshape(cout * kh * kw, cin)
-    taps = np.empty((cout, kh, kw, 0, width))   # taps of input rows t0 onwards
-    t0 = done = 0
+    taps = np.empty((cout, kh, kw, y1 - y0, width))
+    flat = taps.reshape(cout * kh * kw, -1)
+    done = 0
     for rows in chunks:
-        new = kmat @ rows.reshape(cin, -1)
-        taps = np.concatenate([taps, new.reshape(cout, kh, kw, -1, width)], axis=3)
-        top = t0 + taps.shape[3]
-        end = height if top == height else top - p
-        if end <= done:
-            continue
-        out = np.zeros((cout, end - done, width))
+        n = rows.shape[1]
+        np.matmul(kmat, rows.reshape(cin, n * width),
+                  out=flat[:, done * width:(done + n) * width])
+        done += n
+    if p and y0 > 0:
+        seams.hand_in(y0, taps[:, :, :, :2 * p].copy(), below=True)
+    if p and y1 < height:
+        seams.hand_in(y1, taps[:, :, :, -2 * p:].copy(), below=False)
+    ya = y0 + p if y0 > 0 else 0
+    yb = y1 - p if y1 < height else height
+    return ya, yb, _sum_taps(conv, taps, y0, ya, yb, height)
+
+
+class _Seams:
+    """The output rows of a tap-summing conv within ``padding`` of the seams
+    between tiles. Each of the two tiles at a seam hands in the taps of its
+    ``2 * padding`` rows next to it; the second hand-in sums the seam's
+    rows, as ``_sum_taps`` sums any rows, and passes them to ``store``."""
+
+    def __init__(self, conv: Conv2dParams, height: int, store):
+        self.conv, self.height, self.store = conv, height, store
+        self._waiting: dict = {}
+        self._lock = threading.Lock()
+
+    def hand_in(self, seam: int, taps: np.ndarray, below: bool) -> None:
+        with self._lock:
+            other = self._waiting.pop(seam, None)
+            if other is None:
+                self._waiting[seam] = taps
+                return
+        both = np.concatenate([other, taps] if below else [taps, other], axis=3)
+        p = self.conv.padding
+        self.store(seam - p, seam + p, _sum_taps(self.conv, both, seam - 2 * p,
+                                                 seam - p, seam + p, self.height))
+
+
+def _im2col_rows(conv: Conv2dParams, padded: np.ndarray, y0: int, y1: int,
+                 band: int):
+    """Output rows ``y0`` to ``y1`` of a stride-1 ``conv`` over ``padded``,
+    a map that already carries its zero padding, by the im2col strategy of
+    ``conv2d_forward``: one GEMM per band of ``band`` rows; yields
+    ``(ya, yb, rows)`` per band, bias added, in scratch that the next band
+    reuses."""
+    cout, cin, kh, kw = conv.kernel.shape
+    width = padded.shape[2] - kw + 1
+    wmat = conv.kernel.reshape(cout, cin * kh * kw)
+    cols = np.empty((cin, kh, kw, band, width))
+    out = np.empty(cout * band * width)
+    for ya, yb in _spans(y0, y1, band):
+        n = yb - ya
         for ky in range(kh):
-            ya, yb = max(done, p - ky), min(end, height + p - ky)
             for kx in range(kw):
-                xa, xb = max(0, p - kx), min(width, width + p - kx)
-                out[:, ya - done:yb - done, xa:xb] += taps[
-                    :, ky, kx, ya + ky - p - t0:yb + ky - p - t0,
-                    xa + kx - p:xb + kx - p]
-        out += conv.bias[:, None, None]
-        yield done, end, out
-        done = end
-        keep = max(t0, done - p)
-        taps, t0 = taps[:, :, :, keep - t0:], keep
+                cols[:, ky, kx, :n] = padded[:, ya + ky:yb + ky, kx:kx + width]
+        o = out[:cout * n * width].reshape(cout, n * width)
+        np.matmul(wmat, cols[:, :, :, :n].reshape(cin * kh * kw, n * width), out=o)
+        o += conv.bias[:, None]
+        yield ya, yb, o.reshape(cout, n, width)
 
 
 def _check_encoder(blocks: list, shape: tuple) -> None:
@@ -226,31 +322,39 @@ def _check_encoder(blocks: list, shape: tuple) -> None:
 
 
 def r2l_forward(m_l: FeatureMap, enhanced: FeatureMap, encoder,
-                head: HeadParams) -> HeadOutputs:
+                head: HeadParams, *, workers: int | None = None) -> HeadOutputs:
     """``detect_forward(bev_encoder(fuse_bev_maps(m_l, enhanced), encoder),
-    head)`` evaluated in row bands, so neither the fused map nor the
-    512-channel map is ever built whole.
+    head)`` evaluated in row tiles and bands, so neither the fused map nor
+    the 512-channel map is ever built whole.
 
-    The first block reads the fused map band by band, each band cut from
-    ``m_l`` and the replicated radar rows; its 8-channel output and the
-    second block's are kept whole. The last block and its rectifier then
-    run band by band (the band reads a one-row halo of the second block's
-    output) and feed the first trunk conv, which carries its halo taps from
-    band to band. The rest of the head runs on the narrow trunk output.
+    The map is cut into row tiles (``tiles``) and the chain runs in three
+    phases, each over every tile before the next starts. The first block
+    reads the fused map band by band, cut from ``m_l`` and the replicated
+    radar rows; the second reads the first one's 8-channel output; the last
+    block and its rectifier then run band by band and feed the first trunk
+    conv, so the 512-channel map exists one band at a time. A tile
+    allocates each band buffer once and reuses it for all its bands. The
+    first block and the trunk conv keep the per-tap GEMM results of the
+    tile's rows and hand those next to each seam to the tile across it, so
+    no row goes through a GEMM twice. The rest of the head runs on the
+    narrow trunk output. Tiles run on a pool of ``WORKERS`` threads
+    (``workers`` overrides it, for tests); a one-tile map runs inline.
     Every conv output is checked for non-finite values before its
-    rectifier, as in the whole-map chain, and the bands depend on the shapes
-    alone.
+    rectifier, as in the whole-map chain.
 
-    Bits: BLAS computes a GEMM column alike wherever it sits, except in
-    the last, partial block of the GEMM's columns (8 wide on OpenBLAS
-    Haswell kernels). The band GEMMs have ``rows x W`` columns, so when W is
-    a multiple of that block and the whole map's first block and trunk conv
-    sum taps too, as at desk and tiny scale, the result matches the
-    whole-map chain bit for bit; ``heads.tiled-oracle`` bounds any
-    difference at 1e-12 of the largest output.
+    Bits: tiles and bands depend on the shapes alone, and every tile does
+    the same arithmetic on whichever thread runs it, so the output does not
+    depend on the worker count. BLAS computes a GEMM column alike wherever
+    it sits, except in the last, partial block of the GEMM's columns (8
+    wide on OpenBLAS Haswell kernels). The band GEMMs have ``rows x W``
+    columns, so when W is a multiple of that block and the whole map picks
+    the same strategies (taps for the first block and the trunk conv,
+    im2col for the other two), as at desk and tiny scale, the result
+    matches the whole-map chain bit for bit; ``heads.tiled-oracle`` bounds
+    any difference at 1e-12 of the largest output.
     """
     encoder = list(encoder)
-    _replication(m_l, enhanced)
+    fh, fw = _replication(m_l, enhanced)
     h, w = m_l.height, m_l.width
     _check_encoder(encoder, (m_l.channels + enhanced.channels, h, w))
     trunk0 = head.trunk[0] if head.trunk else None
@@ -259,24 +363,54 @@ def r2l_forward(m_l: FeatureMap, enhanced: FeatureMap, encoder,
         # The bands need a first trunk conv that keeps the map size.
         return detect_forward(bev_encoder(fuse_bev_maps(m_l, enhanced), encoder), head)
     enc0, enc1, enc2 = encoder
+    lidar, radar = m_l.data, enhanced.data
+    cl, cin = m_l.channels, m_l.channels + enhanced.channels
+    p1, p2 = enc1.padding, enc2.padding
+    # Rectified outputs of the first two blocks, carrying the zero padding
+    # the next block reads, and of the first trunk conv.
+    a0 = np.zeros((enc0.kernel.shape[0], h + 2 * p1, w + 2 * p1))
+    a1 = np.zeros((enc1.kernel.shape[0], h + 2 * p2, w + 2 * p2))
+    feat = np.empty((trunk0.kernel.shape[0], h, w))
 
-    fused = (_window((m_l.data, enhanced.data), y0, y1, 0)
-             for y0, y1 in _bands(h, enc0.kernel.shape[1], w))
-    a0 = np.empty((enc0.kernel.shape[0], h, w))
-    for y0, y1, pre in _conv_rows(enc0, fused, h, w):
-        a0[:, y0:y1] = _finite(pre)
-    a1 = relu(_finite(_conv2d_raw(relu(a0), enc1)))
+    def fused(y0: int, y1: int, band: int):
+        """Rows y0 to y1 of the fused map, in bands written into one buffer."""
+        win = np.empty((cin, band, w))
+        for ya, yb in _spans(y0, y1, band):
+            n = yb - ya
+            win[:cl, :n] = lidar[:, ya:yb]
+            dst = win[cl:, :n].reshape(radar.shape[0], n, radar.shape[2], fw)
+            for r in range(ya // fh, (yb - 1) // fh + 1):
+                ra, rb = max(ya, r * fh) - ya, min(yb, (r + 1) * fh) - ya
+                dst[:, ra:rb] = radar[:, r, None, :, None]
+            yield win[:, :n]
 
-    def rectified():
-        for y0, y1 in _bands(h, ENCODER_CHANNELS, w):
-            pre = _finite(conv2d_padded(_window((a1,), y0, y1, enc2.padding), enc2))
-            yield np.maximum(pre, 0.0, out=pre)
+    def store0(ya: int, yb: int, pre: np.ndarray) -> None:
+        np.maximum(_finite(pre), 0.0, out=a0[:, p1 + ya:p1 + yb, p1:p1 + w])
 
-    out = np.empty((trunk0.kernel.shape[0], h, w))
-    for y0, y1, pre in _conv_rows(trunk0, rectified(), h, w):
-        out[:, y0:y1] = _finite(pre)
+    def store_trunk0(ya: int, yb: int, pre: np.ndarray) -> None:
+        np.maximum(_finite(pre), 0.0, out=feat[:, ya:yb])
 
-    feat = relu(out)
+    seams0, seams_t = _Seams(enc0, h, store0), _Seams(trunk0, h, store_trunk0)
+
+    def block0(y0: int, y1: int) -> None:
+        store0(*_tap_rows(enc0, h, w, y0, y1, fused(y0, y1, band_rows(cin, w)), seams0))
+
+    def block1(y0: int, y1: int) -> None:
+        band = band_rows(enc1.kernel[0].size, w)
+        for ya, yb, pre in _im2col_rows(enc1, a0, y0, y1, band):
+            np.maximum(_finite(pre), 0.0, out=a1[:, p2 + ya:p2 + yb, p2:p2 + w])
+
+    def block2_trunk0(y0: int, y1: int) -> None:
+        band = band_rows(max(ENCODER_CHANNELS, enc2.kernel[0].size), w)
+        rectified = (np.maximum(_finite(pre), 0.0, out=pre)
+                     for _, _, pre in _im2col_rows(enc2, a1, y0, y1, band))
+        store_trunk0(*_tap_rows(trunk0, h, w, y0, y1, rectified, seams_t))
+
+    cut = tiles(h, max(TILE_ROWS, 2 * enc0.padding, 2 * trunk0.padding))
+    workers = WORKERS if workers is None else workers
+    for phase in (block0, block1, block2_trunk0):
+        _each_tile(phase, cut, workers)
+
     for conv in head.trunk[1:]:
         feat = relu(_finite(_conv2d_raw(feat, conv)))
     logits = _finite(_conv2d_raw(feat, head.heatmap))

@@ -205,17 +205,22 @@ def _decorate_points(points: np.ndarray, indices: np.ndarray,
 
 def height_fuse(cell: tuple, cfg: HeightFusionConfig, points: np.ndarray,
                 radar_grid: GridSpec, points_xyz: np.ndarray | None = None,
-                caps: dict | None = None):
+                caps: dict | None = None, candidates: np.ndarray | None = None):
     """Height-profile feature for one non-empty radar cell.
 
     Returns (feature, segments_hit): the merge-MLP output over the
     concatenated per-segment aggregates, and how many segments grouped at
     least one point. ``caps["height"]``, when given, is increased by the
-    number of segment groups cut at ``max_group``.
+    number of segment groups cut at ``max_group``. ``candidates``, when
+    given, are the ascending indices of the only points the cell's balls
+    can reach (``ball_candidates``); the queries scan just those and give
+    the same groups as a scan of every point.
     """
     if points_xyz is None:
         points_xyz = np.stack([points["x"], points["y"], points["z"]], axis=1) \
             if len(points) else np.zeros((0, 3))
+    if candidates is not None:
+        points_xyz = points_xyz[candidates]
     segments = []
     hit = 0
     for q in segment_query_points(cell, cfg, radar_grid):
@@ -224,11 +229,50 @@ def height_fuse(cell: tuple, cfg: HeightFusionConfig, points: np.ndarray,
             caps["height"] += res.capped
         if len(res):
             hit += 1
-            grouped = _decorate_points(points, res.indices, q)
+            indices = res.indices if candidates is None else candidates[res.indices]
+            grouped = _decorate_points(points, indices, q)
         else:
             grouped = np.zeros((0, POINT_QUERY_FEATURES))
         segments.append(aggregate_segment(grouped, cfg.point_mlp))
     return mlp_forward(np.concatenate(segments), cfg.merge_mlp), hit
+
+
+def column_buckets(points_xyz: np.ndarray, radar_grid: GridSpec) -> tuple:
+    """The points grouped by radar column: ``(order, starts)`` such that
+    ``order[starts[k]:starts[k + 1]]`` are the ascending indices of the
+    points in column ``k = iy * nx + ix``. Column ids are clamped into the
+    grid, so a point outside it joins the nearest edge column."""
+    nx, ny = radar_grid.nx, radar_grid.ny
+    col = []
+    for axis, n in ((0, nx), (1, ny)):
+        rel = np.floor((points_xyz[:, axis] - radar_grid.origin[axis])
+                       / radar_grid.cell[axis])
+        col.append(np.fmin(np.fmax(rel, 0.0), n - 1).astype(np.int64))
+    key = col[1] * nx + col[0]
+    starts = np.zeros(nx * ny + 1, dtype=np.int64)
+    np.cumsum(np.bincount(key, minlength=nx * ny), out=starts[1:])
+    return np.argsort(key, kind="stable"), starts
+
+
+def ball_candidates(cell: tuple, buckets: tuple, radar_grid: GridSpec,
+                    radius: float) -> np.ndarray:
+    """Ascending indices of the points in the columns that a ball of
+    ``radius`` around the cell center can reach, from ``column_buckets``.
+
+    A point within ``radius`` of the center lies at most
+    ``floor(radius / cell) + 1`` columns away, with half a cell to spare,
+    so the block is 3x3 at the default radius r/2 and 5x5 at r."""
+    order, starts = buckets
+    nx, ny = radar_grid.nx, radar_grid.ny
+    bounds = []
+    for c, n, size in ((cell[0], nx, radar_grid.cell[0]),
+                       (cell[1], ny, radar_grid.cell[1])):
+        reach = math.floor(radius / size) + 1
+        bounds.append((min(max(c - reach, 0), n - 1), min(max(c + reach, 0), n - 1)))
+    (x0, x1), (y0, y1) = bounds
+    parts = [order[starts[y * nx + x0]:starts[y * nx + x1 + 1]]
+             for y in range(y0, y1 + 1)]
+    return np.sort(np.concatenate(parts))
 
 
 def manhattan_distance(a: tuple, b: tuple) -> int:
@@ -319,17 +363,20 @@ def compute_cell_features(occupied_cells, cfg_h: HeightFusionConfig,
     Returns (features: {cell: CellFeatures}, stats); the stats count the
     ball and BEV groups cut at their ``max_group``. Cells are processed in
     sorted order; each cell is independent, so any schedule would produce
-    the same maps.
+    the same maps. The LiDAR points are bucketed by radar column once, and
+    each cell's ball queries scan only the columns its balls can reach.
     """
     xyz = np.stack([lidar_points["x"], lidar_points["y"], lidar_points["z"]], axis=1) \
         if len(lidar_points) else np.zeros((0, 3))
+    buckets = column_buckets(xyz, radar_grid)
     features = {}
     seg_total = seg_hit = 0
     bev_total = bev_hit = 0
     caps = {"height": 0, "bev": 0}
     for cell in sorted(occupied_cells):
+        near = ball_candidates(cell, buckets, radar_grid, cfg_h.ball_radius)
         hvec, hits = height_fuse(cell, cfg_h, lidar_points, radar_grid,
-                                 points_xyz=xyz, caps=caps)
+                                 points_xyz=xyz, caps=caps, candidates=near)
         bvec, grouped = bev_fuse(cell, lidar_grids, cfg_b, caps=caps)
         features[cell] = CellFeatures(cell=cell, height_feature=hvec, bev_feature=bvec)
         seg_total += cfg_h.num_segments

@@ -8,6 +8,7 @@ shared across threads after construction.
 """
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -15,15 +16,69 @@ import numpy as np
 
 from .errors import EmptyGroupError, EvaluationError, ShapeError
 
-try:
-    # Multi-threaded BLAS reductions are not bit-stable across thread counts;
-    # the determinism contract (identical outputs regardless of threads)
-    # requires pinning BLAS to one thread for the process.
-    import threadpoolctl
+# (setter, getter) thread-count symbols of the OpenBLAS builds numpy ships
+# with or links against: the scipy-openblas wheels (64- and 32-bit ints),
+# a 64_-suffixed ILP64 build, and a plain build.
+_OPENBLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+    ("scipy_openblas_set_num_threads", "scipy_openblas_get_num_threads"),
+    ("openblas_set_num_threads64_", "openblas_get_num_threads64_"),
+    ("openblas_set_num_threads", "openblas_get_num_threads"),
+)
 
-    _BLAS_PIN = threadpoolctl.threadpool_limits(limits=1, user_api="blas")
-except ImportError:   # pragma: no cover - the dependency is declared
-    _BLAS_PIN = None
+
+def _pin_openblas() -> bool:
+    """Set every OpenBLAS library mapped into the process to one thread
+    through its own C API; True when at least one was found and each now
+    reports one thread. Linux only (it reads ``/proc/self/maps``)."""
+    try:
+        with open("/proc/self/maps") as fh:
+            libs = sorted({line.split()[-1] for line in fh
+                           if "openblas" in line.lower() and ".so" in line})
+    except OSError:
+        return False
+    pinned = 0
+    for path in libs:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            return False
+        for setter, getter in _OPENBLAS_THREAD_SYMBOLS:
+            set_fn, get_fn = getattr(lib, setter, None), getattr(lib, getter, None)
+            if set_fn is None or get_fn is None:
+                continue
+            set_fn.restype, set_fn.argtypes = None, [ctypes.c_int]
+            get_fn.restype, get_fn.argtypes = ctypes.c_int, []
+            set_fn(1)
+            if get_fn() != 1:
+                return False
+            pinned += 1
+            break
+        else:
+            return False
+    return pinned > 0
+
+
+def _pin_blas() -> bool:
+    """Pin BLAS to one thread for the process; True if the pin took effect.
+
+    With one thread, a BLAS call's arithmetic cannot depend on how many
+    threads the library would split it across, and BLAS's own threads do
+    not compete for the cores with the worker threads of
+    ``heads.r2l_forward``. threadpoolctl is used when installed; otherwise
+    the OpenBLAS that numpy loaded is pinned directly."""
+    try:
+        import threadpoolctl
+    except ImportError:
+        return _pin_openblas()
+    threadpoolctl.threadpool_limits(limits=1, user_api="blas")
+    blas = [i for i in threadpoolctl.threadpool_info() if i["user_api"] == "blas"]
+    return bool(blas) and all(i["num_threads"] == 1 for i in blas)
+
+
+# Whether BLAS runs one thread per call; heads.r2l_forward uses a single
+# worker when it does not.
+BLAS_PINNED = _pin_blas()
 
 Array = np.ndarray
 
@@ -287,19 +342,6 @@ def _conv2d_raw(data: Array, p: Conv2dParams) -> Array:
     if oh < 1 or ow < 1:
         raise ShapeError(f"degenerate conv output {oh}x{ow} for input {h}x{w}")
     padded = np.pad(data, ((0, 0), (p.padding, p.padding), (p.padding, p.padding)))
-    return conv2d_padded(padded, p)
-
-
-def conv2d_padded(padded: Array, p: Conv2dParams) -> Array:
-    """``p`` applied to an input that already carries its zero padding
-    (``p.padding`` is not applied again); the arithmetic of
-    ``conv2d_forward``, so a row band cut from a padded map with its halo
-    goes through the same strategy as the whole map whenever the shapes
-    select the same one."""
-    cin = padded.shape[0]
-    cout, _, kh, kw = p.kernel.shape
-    oh = (padded.shape[1] - kh) // p.stride + 1
-    ow = (padded.shape[2] - kw) // p.stride + 1
     # Strategy is a pure function of the shapes, so identical inputs always
     # take the same arithmetic path.
     if kh == 1 and kw == 1:

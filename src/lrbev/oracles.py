@@ -22,8 +22,8 @@ from .errors import ConfigError
 from .evalmetrics import eval_detections
 from .grids import (GridSpec, collapse_to_bev_grids, pillarize, voxel_encode,
                     voxelize, zstack_collapse)
-from .heads import (ENCODER_CHANNELS, HeadOutputs, HeadParams, band_rows,
-                    bev_encoder, compute_loss, decode_detections,
+from .heads import (ENCODER_CHANNELS, TILE_ROWS, HeadOutputs, HeadParams,
+                    band_rows, bev_encoder, compute_loss, decode_detections,
                     detect_forward, fuse_bev_maps, outputs_from_targets,
                     r2l_forward, render_targets)
 from .l2r import (BevFusionConfig, HeightFusionConfig, ball_query,
@@ -712,17 +712,15 @@ TILED_PROFILES = ((64, (8, 8), (4, 4)), (16, (2, 2), (2, 2)),
 HEAD_FIELDS = ("heatmap", "heatmap_logits", "offset", "z", "size", "rot", "vel")
 
 
-def _tiled_instance(rng, s):
+def _r2l_instance(rng, s, heights):
     """Random maps and weights for ``r2l_forward``: widths from
-    TILED_PROFILES; H of one row, under one band, one band plus a row, or
-    past two bands of the 512-channel stage or of the fused input; W from
-    1 to 64; radar replicated 1, 2 or 4 times per axis."""
+    TILED_PROFILES, W from 1 to 64, H from ``heights(w, fused channels)``,
+    radar replicated 1, 2 or 4 times per axis."""
     lidar, hidden, trunk = TILED_PROFILES[s % len(TILED_PROFILES)]
     w = int(rng.choice([1, 3, 16, 33, 64]))
     cin = lidar + 96
-    rows = band_rows(ENCODER_CHANNELS, w)
-    h = [1, max(1, rows - 1), rows + 1, 2 * rows + rows // 2 + 1,
-         2 * band_rows(cin, w) + 1][(s // len(TILED_PROFILES)) % 5]
+    choices = heights(w, cin)
+    h = choices[(s // len(TILED_PROFILES)) % len(choices)]
     fh = int(rng.choice([f for f in (1, 2, 4) if h % f == 0]))
     fw = int(rng.choice([f for f in (1, 2, 4) if w % f == 0]))
     m_l = FeatureMap(np.maximum(rng.normal(size=(lidar, h, w)), 0.0))
@@ -741,13 +739,21 @@ def _tiled_instance(rng, s):
     return m_l, enhanced, encoder, head
 
 
+def _band_heights(w, cin):
+    """One row, under one band, one band plus a row, or past two bands of
+    the 512-channel stage or of the fused input."""
+    rows = band_rows(ENCODER_CHANNELS, w)
+    return [1, max(1, rows - 1), rows + 1, 2 * rows + rows // 2 + 1,
+            2 * band_rows(cin, w) + 1]
+
+
 def check_tiled_r2l(seeds: int, fault=None) -> PropertyResult:
     """Row-banded R2L stage against the whole-map chain it replaces:
     bit-identical, or within GRID_RTOL of the largest reference output."""
     failures = []
     for s in range(seeds):
         rng = np.random.default_rng([31, s])
-        m_l, enhanced, encoder, head = _tiled_instance(rng, s)
+        m_l, enhanced, encoder, head = _r2l_instance(rng, s, _band_heights)
         ref = detect_forward(bev_encoder(fuse_bev_maps(m_l, enhanced), encoder), head)
         got = r2l_forward(m_l, enhanced, encoder, head)
         for name in HEAD_FIELDS:
@@ -755,6 +761,28 @@ def check_tiled_r2l(seeds: int, fault=None) -> PropertyResult:
                 failures.append(f"seed {s}: {name} of a {m_l.shape} map differs")
                 break
     return PropertyResult("heads.tiled-oracle", not failures, seeds, failures)
+
+
+def _tile_heights(w, cin):
+    """One tile, one tile plus a row, two tiles, and several uneven ones."""
+    return [TILE_ROWS, TILE_ROWS + 1, 2 * TILE_ROWS, 3 * TILE_ROWS + 5]
+
+
+def check_worker_count(seeds: int, fault=None) -> PropertyResult:
+    """``r2l_forward`` on 1, 2 and 3 worker threads gives the same bytes
+    for every head output."""
+    failures = []
+    for s in range(seeds):
+        rng = np.random.default_rng([32, s])
+        m_l, enhanced, encoder, head = _r2l_instance(rng, s, _tile_heights)
+        outs = [r2l_forward(m_l, enhanced, encoder, head, workers=k)
+                for k in (1, 2, 3)]
+        for name in HEAD_FIELDS:
+            if len({getattr(o, name).tobytes() for o in outs}) != 1:
+                failures.append(f"seed {s}: {name} of a {m_l.shape} map "
+                                "depends on the worker count")
+                break
+    return PropertyResult("heads.worker-oracle", not failures, seeds, failures)
 
 
 def check_decode_roundtrip(seeds: int, fault=None) -> PropertyResult:
@@ -954,6 +982,7 @@ PROPERTIES = {
     "heads.focal-monotonicity": check_focal_monotonicity,
     "heads.grad-loss": check_grad_loss,
     "heads.tiled-oracle": check_tiled_r2l,
+    "heads.worker-oracle": check_worker_count,
     "l2r.ball-query-oracle": check_ball_query_oracle,
     "l2r.bev-query-oracle": check_bev_query_oracle,
     "l2r.height-sensitivity": check_height_sensitivity,

@@ -133,3 +133,40 @@ def test_radar_variant_flag(tmp_path):
                  "--radar-variant", "b", "--out", str(out)]) == 0
     radar = read_cloud(out / "radar.blrf")
     assert radar.dtype.names == ("x", "y", "rcs", "t")
+
+
+def test_repeated_main_calls_parse_each_call_afresh(generated, tmp_path,
+                                                     monkeypatch):
+    """The parser is built once; every call still gets its own subcommand,
+    arguments and defaults, and patched handlers and ``run_pipeline``
+    take effect."""
+    from lrbev import cli
+    run_a, run_b = tmp_path / "a", tmp_path / "b"
+    assert main(["run", "--scale", "tiny", "--in", str(generated),
+                 "--out", str(run_a)]) == 0
+    assert main(["eval", "--detections", str(run_a / "detections.jsonl"),
+                 "--truth", str(generated / "scene.json"),
+                 "--out", str(tmp_path / "eval.json")]) == 0
+    assert main(["dump-map", "--scale", "tiny", "--in", str(generated),
+                 "--stage", "m_l", "--out", str(tmp_path / "m.blrm")]) == 0
+    assert main(["run", "--scale", "tiny", "--radar-variant", "b",
+                 "--in", str(generated), "--out", str(run_b)]) == 1
+    assert main(["run", "--scale", "tiny", "--in", str(generated),
+                 "--out", str(run_b)]) == 0
+    assert (run_a / "detections.jsonl").read_bytes() == \
+        (run_b / "detections.jsonl").read_bytes()
+    assert cli._parser() is cli._parser()
+
+    seen = []
+    monkeypatch.setattr(cli, "cmd_eval", lambda args: seen.append(args.out) or 0)
+    assert main(["eval", "--detections", "d", "--truth", "t", "--out", "e"]) == 0
+    assert main(["eval", "--detections", "d", "--truth", "t"]) == 0
+    assert seen == ["e", None]
+
+    calls = []
+    original = cli.run_pipeline
+    monkeypatch.setattr(cli, "run_pipeline",
+                        lambda *a, **k: calls.append(1) or original(*a, **k))
+    assert main(["run", "--scale", "tiny", "--in", str(generated),
+                 "--out", str(run_b)]) == 0
+    assert calls == [1]

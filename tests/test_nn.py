@@ -277,3 +277,35 @@ class TestDeterminism:
         x = rng.normal(size=5)
         assert np.array_equal(conv2d_forward(m, p).data, conv2d_forward(m, p).data)
         assert np.array_equal(mlp_forward(x, mlp), mlp_forward(x, mlp))
+
+
+def _loaded_openblas():
+    """Paths of the OpenBLAS libraries mapped into this process."""
+    try:
+        with open("/proc/self/maps") as fh:
+            return sorted({line.split()[-1] for line in fh
+                           if "openblas" in line.lower() and ".so" in line})
+    except OSError:
+        return []
+
+
+def test_import_pins_openblas_to_one_thread():
+    import ctypes
+
+    import lrbev
+    from lrbev import nn
+
+    libs = _loaded_openblas()
+    if not libs:
+        pytest.skip("numpy did not load OpenBLAS")
+    threads = []
+    for path in libs:
+        lib = ctypes.CDLL(path)
+        for _, getter in nn._OPENBLAS_THREAD_SYMBOLS:
+            fn = getattr(lib, getter, None)
+            if fn is not None:
+                fn.restype, fn.argtypes = ctypes.c_int, []
+                threads.append(fn())
+                break
+    assert lrbev.nn.BLAS_PINNED
+    assert threads and all(t == 1 for t in threads)
