@@ -130,9 +130,13 @@ def detect_forward(features: FeatureMap, params: HeadParams) -> HeadOutputs:
 
 # A band holds at most this many floats of its widest activation (the fused
 # input, the 512-channel map or an im2col block), ~2 MB of float64, so its
-# GEMMs work out of cache and two workers' scratch together stays under
-# what one band of twice the size took.
+# GEMMs work out of cache.
 _BAND_FLOATS = 1 << 18
+
+# The tiles in flight at once hold at most this many floats of scratch
+# together, ~12 MB of float64, whatever the number of CPUs. Two tiles may
+# always run at once, even when one needs more than half of it.
+_SCRATCH_FLOATS = 3 << 19
 
 # Tiles are at least this many rows high. Maps of fewer than twice as many
 # rows are one tile and never use the pool.
@@ -172,8 +176,9 @@ _POOLS: dict = {}
 
 def _each_tile(fn, cut: list, workers: int) -> None:
     """``fn(y0, y1)`` for every tile of ``cut``, on a pool of ``workers``
-    threads, or inline when there is one tile or one worker; returns when
-    all are done, raising the first failing tile's error."""
+    threads under the caller's floating-point error handling, or inline
+    when there is one tile or one worker; returns when all are done,
+    raising the first failing tile's error."""
     if workers < 2 or len(cut) < 2:
         for y0, y1 in cut:
             fn(y0, y1)
@@ -185,7 +190,13 @@ def _each_tile(fn, cut: list, workers: int) -> None:
     if pool is None:
         pool = _POOLS.setdefault(key, ThreadPoolExecutor(
             workers, thread_name_prefix="lrbev-r2l"))
-    futures = [pool.submit(fn, y0, y1) for y0, y1 in cut]
+    err = np.geterr()   # thread-local: the workers would start at the defaults
+
+    def task(y0: int, y1: int) -> None:
+        with np.errstate(**err):
+            fn(y0, y1)
+
+    futures = [pool.submit(task, y0, y1) for y0, y1 in cut]
     wait(futures)
     for f in futures:
         f.result()
@@ -252,6 +263,13 @@ def _tap_rows(conv: Conv2dParams, height: int, width: int, y0: int, y1: int,
     return ya, yb, _sum_taps(conv, taps, y0, ya, yb, height)
 
 
+def _tap_floats(conv: Conv2dParams, rows: int, width: int) -> int:
+    """Scratch of ``_tap_rows`` on a tile this many rows high: the taps and
+    their sum."""
+    cout, _, kh, kw = conv.kernel.shape
+    return cout * (kh * kw + 1) * rows * width
+
+
 class _Seams:
     """The output rows of a tap-summing conv within ``padding`` of the seams
     between tiles. Each of the two tiles at a seam hands in the taps of its
@@ -285,17 +303,24 @@ def _im2col_rows(conv: Conv2dParams, padded: np.ndarray, y0: int, y1: int,
     cout, cin, kh, kw = conv.kernel.shape
     width = padded.shape[2] - kw + 1
     wmat = conv.kernel.reshape(cout, cin * kh * kw)
-    cols = np.empty((cin, kh, kw, band, width))
+    cols = np.empty(cin * kh * kw * band * width)
     out = np.empty(cout * band * width)
     for ya, yb in _spans(y0, y1, band):
         n = yb - ya
+        c = cols[:cin * kh * kw * n * width].reshape(cin, kh, kw, n, width)
         for ky in range(kh):
             for kx in range(kw):
-                cols[:, ky, kx, :n] = padded[:, ya + ky:yb + ky, kx:kx + width]
+                c[:, ky, kx] = padded[:, ya + ky:yb + ky, kx:kx + width]
         o = out[:cout * n * width].reshape(cout, n * width)
-        np.matmul(wmat, cols[:, :, :, :n].reshape(cin * kh * kw, n * width), out=o)
+        np.matmul(wmat, c.reshape(cin * kh * kw, n * width), out=o)
         o += conv.bias[:, None]
         yield ya, yb, o.reshape(cout, n, width)
+
+
+def _im2col_floats(conv: Conv2dParams, band: int, width: int) -> int:
+    """Scratch of ``_im2col_rows`` at this band height."""
+    cout, cin, kh, kw = conv.kernel.shape
+    return (cin * kh * kw + cout) * band * width
 
 
 def _check_encoder(blocks: list, shape: tuple) -> None:
@@ -338,7 +363,8 @@ def r2l_forward(m_l: FeatureMap, enhanced: FeatureMap, encoder,
     tile's rows and hand those next to each seam to the tile across it, so
     no row goes through a GEMM twice. The rest of the head runs on the
     narrow trunk output. Tiles run on a pool of ``WORKERS`` threads
-    (``workers`` overrides it, for tests); a one-tile map runs inline.
+    (``workers`` overrides it, for tests), at most as many at once as fit
+    their scratch in ``_SCRATCH_FLOATS``; a one-tile map runs inline.
     Every conv output is checked for non-finite values before its
     rectifier, as in the whole-map chain.
 
@@ -366,23 +392,27 @@ def r2l_forward(m_l: FeatureMap, enhanced: FeatureMap, encoder,
     lidar, radar = m_l.data, enhanced.data
     cl, cin = m_l.channels, m_l.channels + enhanced.channels
     p1, p2 = enc1.padding, enc2.padding
+    band0 = band_rows(cin, w)
+    band1 = band_rows(enc1.kernel[0].size, w)
+    band2 = band_rows(max(ENCODER_CHANNELS, enc2.kernel[0].size), w)
     # Rectified outputs of the first two blocks, carrying the zero padding
     # the next block reads, and of the first trunk conv.
     a0 = np.zeros((enc0.kernel.shape[0], h + 2 * p1, w + 2 * p1))
     a1 = np.zeros((enc1.kernel.shape[0], h + 2 * p2, w + 2 * p2))
     feat = np.empty((trunk0.kernel.shape[0], h, w))
 
-    def fused(y0: int, y1: int, band: int):
+    def fused(y0: int, y1: int):
         """Rows y0 to y1 of the fused map, in bands written into one buffer."""
-        win = np.empty((cin, band, w))
-        for ya, yb in _spans(y0, y1, band):
+        win = np.empty(cin * band0 * w)
+        for ya, yb in _spans(y0, y1, band0):
             n = yb - ya
-            win[:cl, :n] = lidar[:, ya:yb]
-            dst = win[cl:, :n].reshape(radar.shape[0], n, radar.shape[2], fw)
+            band = win[:cin * n * w].reshape(cin, n, w)
+            band[:cl] = lidar[:, ya:yb]
+            dst = band[cl:].reshape(radar.shape[0], n, radar.shape[2], fw)
             for r in range(ya // fh, (yb - 1) // fh + 1):
                 ra, rb = max(ya, r * fh) - ya, min(yb, (r + 1) * fh) - ya
                 dst[:, ra:rb] = radar[:, r, None, :, None]
-            yield win[:, :n]
+            yield band
 
     def store0(ya: int, yb: int, pre: np.ndarray) -> None:
         np.maximum(_finite(pre), 0.0, out=a0[:, p1 + ya:p1 + yb, p1:p1 + w])
@@ -393,21 +423,24 @@ def r2l_forward(m_l: FeatureMap, enhanced: FeatureMap, encoder,
     seams0, seams_t = _Seams(enc0, h, store0), _Seams(trunk0, h, store_trunk0)
 
     def block0(y0: int, y1: int) -> None:
-        store0(*_tap_rows(enc0, h, w, y0, y1, fused(y0, y1, band_rows(cin, w)), seams0))
+        store0(*_tap_rows(enc0, h, w, y0, y1, fused(y0, y1), seams0))
 
     def block1(y0: int, y1: int) -> None:
-        band = band_rows(enc1.kernel[0].size, w)
-        for ya, yb, pre in _im2col_rows(enc1, a0, y0, y1, band):
+        for ya, yb, pre in _im2col_rows(enc1, a0, y0, y1, band1):
             np.maximum(_finite(pre), 0.0, out=a1[:, p2 + ya:p2 + yb, p2:p2 + w])
 
     def block2_trunk0(y0: int, y1: int) -> None:
-        band = band_rows(max(ENCODER_CHANNELS, enc2.kernel[0].size), w)
         rectified = (np.maximum(_finite(pre), 0.0, out=pre)
-                     for _, _, pre in _im2col_rows(enc2, a1, y0, y1, band))
+                     for _, _, pre in _im2col_rows(enc2, a1, y0, y1, band2))
         store_trunk0(*_tap_rows(trunk0, h, w, y0, y1, rectified, seams_t))
 
     cut = tiles(h, max(TILE_ROWS, 2 * enc0.padding, 2 * trunk0.padding))
-    workers = WORKERS if workers is None else workers
+    rows = max(y1 - y0 for y0, y1 in cut)
+    tile_floats = max(cin * band0 * w + _tap_floats(enc0, rows, w),
+                      _im2col_floats(enc1, band1, w),
+                      _im2col_floats(enc2, band2, w) + _tap_floats(trunk0, rows, w))
+    workers = min(WORKERS if workers is None else workers,
+                  max(2, _SCRATCH_FLOATS // tile_floats))
     for phase in (block0, block1, block2_trunk0):
         _each_tile(phase, cut, workers)
 

@@ -27,18 +27,23 @@ _OPENBLAS_THREAD_SYMBOLS = (
 )
 
 
+def _openblas_libs() -> list:
+    """Paths of the OpenBLAS libraries mapped into this process; empty
+    where ``/proc/self/maps`` cannot be read (non-Linux)."""
+    try:
+        with open("/proc/self/maps") as fh:
+            return sorted({line.split()[-1] for line in fh
+                           if "openblas" in line.lower() and ".so" in line})
+    except OSError:
+        return []
+
+
 def _pin_openblas() -> bool:
     """Set every OpenBLAS library mapped into the process to one thread
     through its own C API; True when at least one was found and each now
-    reports one thread. Linux only (it reads ``/proc/self/maps``)."""
-    try:
-        with open("/proc/self/maps") as fh:
-            libs = sorted({line.split()[-1] for line in fh
-                           if "openblas" in line.lower() and ".so" in line})
-    except OSError:
-        return False
+    reports one thread."""
     pinned = 0
-    for path in libs:
+    for path in _openblas_libs():
         try:
             lib = ctypes.CDLL(path)
         except OSError:

@@ -279,23 +279,13 @@ class TestDeterminism:
         assert np.array_equal(mlp_forward(x, mlp), mlp_forward(x, mlp))
 
 
-def _loaded_openblas():
-    """Paths of the OpenBLAS libraries mapped into this process."""
-    try:
-        with open("/proc/self/maps") as fh:
-            return sorted({line.split()[-1] for line in fh
-                           if "openblas" in line.lower() and ".so" in line})
-    except OSError:
-        return []
-
-
 def test_import_pins_openblas_to_one_thread():
     import ctypes
 
     import lrbev
     from lrbev import nn
 
-    libs = _loaded_openblas()
+    libs = nn._openblas_libs()
     if not libs:
         pytest.skip("numpy did not load OpenBLAS")
     threads = []

@@ -4,6 +4,7 @@ memory."""
 import json
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -106,21 +107,43 @@ def test_non_finite_band_in_a_worker_raises():
         r2l_forward(m_l, enhanced, encoder, head, workers=2)
 
 
-def test_pooled_peak_memory():
-    """Two workers on desk-sized inputs peak no higher than one thread did
-    before the tiles."""
+@pytest.mark.parametrize("workers", [2, 8, 32])
+def test_pooled_peak_memory(workers):
+    """Desk-sized inputs peak no higher than one thread did before the
+    tiles, however many workers there are: the tiles in flight share one
+    scratch budget."""
     cfg = desk_config()
     weights = random_weights(cfg, cfg.seeds.weights)
     rng = np.random.default_rng(47)
     m_l, enhanced = _inputs(rng, 128, 128, factor=4)
-    r2l_forward(m_l, enhanced, weights.encoder, weights.head, workers=2)
+    r2l_forward(m_l, enhanced, weights.encoder, weights.head, workers=workers)
     tracemalloc.start()
     try:
-        r2l_forward(m_l, enhanced, weights.encoder, weights.head, workers=2)
+        r2l_forward(m_l, enhanced, weights.encoder, weights.head, workers=workers)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak <= SINGLE_THREAD_PEAK
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_workers_follow_the_callers_error_handling(workers):
+    """An overflow in a pooled tile is handled as the caller set it up: no
+    RuntimeWarning under over='ignore', FloatingPointError under 'raise'."""
+    rng = np.random.default_rng(53)
+    m_l, enhanced = _inputs(rng, 128, 16)
+    encoder, head = _weights(rng)
+    encoder[2] = Conv2dParams(np.full_like(encoder[2].kernel, 1e308),
+                              encoder[2].bias, padding=1)
+    encoder[1] = Conv2dParams(encoder[1].kernel, np.abs(encoder[1].bias) + 1.0,
+                              padding=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(over="ignore"), \
+                pytest.raises(EvaluationError, match="non-finite"):
+            r2l_forward(m_l, enhanced, encoder, head, workers=workers)
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            r2l_forward(m_l, enhanced, encoder, head, workers=workers)
 
 
 def test_desk_pipeline_same_bytes_on_one_worker(monkeypatch):
