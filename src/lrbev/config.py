@@ -159,6 +159,8 @@ class PipelineConfig:
             raise ConfigError("channels.encoder_hidden: the encoder has 3 blocks, "
                               f"so exactly 2 intermediate widths are needed, "
                               f"got {len(ch.encoder_hidden)}")
+        if not ch.trunk_channels:
+            raise ConfigError("channels.trunk_channels: the head needs a trunk conv")
         if fu.bev_window[0] < 0 or fu.bev_window[1] < 0:
             raise ConfigError(f"fusion.bev_window: entries must be >= 0, "
                               f"got {fu.bev_window}")

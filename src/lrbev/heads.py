@@ -12,10 +12,11 @@ centers and reports analytic gradients for the finite-difference checker.
 ``r2l_forward`` runs that chain in row tiles, cut from the map shape
 alone, on a small pool of worker threads, and within a tile in row bands,
 so the fused map and the 512-channel map only ever exist one band at a
-time; its output bits do not depend on the number of workers.
+time; its output bits do not depend on the number of workers. It is the
+only R2L path: a head it cannot band raises ``ShapeError``.
 ``fuse_bev_maps``, ``bev_encoder`` and ``detect_forward`` are the whole-map
-chain it is checked against, and build those maps when a caller asks for
-them.
+chain it is checked against; both run the tap-sum and im2col kernels of
+``nn``.
 """
 from __future__ import annotations
 
@@ -24,6 +25,7 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain
 
 import numpy as np
@@ -31,7 +33,8 @@ import numpy as np
 from .errors import EvaluationError, ShapeError
 from .grids import GridSpec
 from .nn import (BLAS_PINNED, Conv2dParams, FeatureMap, _conv2d_raw,
-                 conv2d_forward, relu, sigmoid)
+                 _im2col_band, _im2col_rows, _spans, _sum_taps, _tap_rows,
+                 band_rows, conv2d_forward, relu, sigmoid)
 from .synth import wrap_angle
 
 ENCODER_CHANNELS = 512
@@ -61,24 +64,34 @@ def fuse_bev_maps(m_l: FeatureMap, enhanced: FeatureMap) -> FeatureMap:
     return FeatureMap._wrap(np.concatenate([m_l.data, enhanced.data], axis=0))
 
 
-def bev_encoder(fused: FeatureMap, blocks) -> FeatureMap:
-    """Three conv+rectifier blocks adjusting the fused map to 512 channels,
-    spatial dimensions preserved."""
-    blocks = list(blocks)
+def _check_encoder(blocks: list, shape: tuple) -> None:
+    """The ShapeErrors of the encoder on an input of this shape."""
     if len(blocks) != 3:
         raise ShapeError(f"encoder needs exactly 3 blocks, got {len(blocks)}")
     if blocks[-1].kernel.shape[0] != ENCODER_CHANNELS:
         raise ShapeError(f"encoder must end at {ENCODER_CHANNELS} channels, "
                          f"last block has {blocks[-1].kernel.shape[0]}")
-    out = fused
     for k, conv in enumerate(blocks):
         if conv.stride != 1:
             raise ShapeError(f"encoder block {k}: stride must be 1")
-        nxt = conv2d_forward(out, conv)
-        if (nxt.height, nxt.width) != (out.height, out.width):
+        cout, cin = conv.kernel.shape[:2]
+        if cin != shape[0]:
+            raise ShapeError(f"conv input has {shape[0]} channels, kernel expects {cin}")
+        oh, ow = conv.out_hw(*shape[1:])
+        if (oh, ow) != shape[1:]:
             raise ShapeError(f"encoder block {k}: spatial dims changed "
-                             f"{out.shape} -> {nxt.shape}")
-        out = FeatureMap._wrap(relu(nxt.data))
+                             f"{shape} -> {(cout, oh, ow)}")
+        shape = (cout, oh, ow)
+
+
+def bev_encoder(fused: FeatureMap, blocks) -> FeatureMap:
+    """Three conv+rectifier blocks adjusting the fused map to 512 channels,
+    spatial dimensions preserved."""
+    blocks = list(blocks)
+    _check_encoder(blocks, fused.shape)
+    out = fused
+    for conv in blocks:
+        out = FeatureMap._wrap(relu(conv2d_forward(out, conv).data))
     return out
 
 
@@ -111,10 +124,6 @@ class HeadOutputs:
     rot: np.ndarray
     vel: np.ndarray
 
-    @property
-    def spatial(self) -> tuple:
-        return self.heatmap.shape[1:]
-
 
 def detect_forward(features: FeatureMap, params: HeadParams) -> HeadOutputs:
     """Run the trunk and every head; sigmoid on the heatmap only."""
@@ -123,15 +132,10 @@ def detect_forward(features: FeatureMap, params: HeadParams) -> HeadOutputs:
         out = FeatureMap._wrap(relu(conv2d_forward(out, conv).data))
     logits = conv2d_forward(out, params.heatmap).data
     maps = {}
-    for name in ("offset", "z", "size", "rot", "vel"):
+    for name in _REGRESSIONS:
         maps[name] = conv2d_forward(out, getattr(params, name)).data
     return HeadOutputs(heatmap=sigmoid(logits), heatmap_logits=logits, **maps)
 
-
-# A band holds at most this many floats of its widest activation (the fused
-# input, the 512-channel map or an im2col block), ~2 MB of float64, so its
-# GEMMs work out of cache.
-_BAND_FLOATS = 1 << 18
 
 # The tiles in flight at once hold at most this many floats of scratch
 # together, ~12 MB of float64, whatever the number of CPUs. Two tiles may
@@ -141,16 +145,6 @@ _SCRATCH_FLOATS = 3 << 19
 # Tiles are at least this many rows high. Maps of fewer than twice as many
 # rows are one tile and never use the pool.
 TILE_ROWS = 16
-
-
-def band_rows(channels: int, width: int) -> int:
-    """Rows per band of an activation with this many channels and columns."""
-    return max(1, _BAND_FLOATS // max(1, channels * width))
-
-
-def _spans(start: int, stop: int, rows: int):
-    for y in range(start, stop, rows):
-        yield y, min(stop, y + rows)
 
 
 def tiles(height: int, min_rows: int = TILE_ROWS) -> list:
@@ -209,79 +203,37 @@ def _finite(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _sum_taps(conv: Conv2dParams, taps: np.ndarray, t0: int, y0: int, y1: int,
-              height: int) -> np.ndarray:
-    """Output rows ``y0`` to ``y1`` of a stride-1, size-keeping conv, from
-    ``taps`` (Cout, kh, kw, rows, W), the per-tap GEMM results of its input
-    rows from ``t0`` on: the shifted tap planes summed onto zeros in
-    (ky, kx) order, as ``conv2d_forward`` sums them, skipping the taps the
-    whole map takes from its zero padding (exact zeros); bias added."""
-    cout, _, kh, kw = conv.kernel.shape
-    p, width = conv.padding, taps.shape[4]
-    out = np.zeros((cout, y1 - y0, width))
-    for ky in range(kh):
-        ya, yb = max(y0, p - ky), min(y1, height + p - ky)
-        if ya >= yb:
-            continue
-        for kx in range(kw):
-            xa, xb = max(0, p - kx), min(width, width + p - kx)
-            out[:, ya - y0:yb - y0, xa:xb] += taps[
-                :, ky, kx, ya + ky - p - t0:yb + ky - p - t0, xa + kx - p:xb + kx - p]
-    out += conv.bias[:, None, None]
-    return out
-
-
-def _tap_rows(conv: Conv2dParams, height: int, width: int, y0: int, y1: int,
-              chunks, seams: "_Seams") -> tuple:
-    """The tap-summing strategy of ``conv2d_forward`` for a stride-1 conv
-    that keeps the map size, on input rows ``y0`` to ``y1`` of a tile
-    arriving as consecutive (C, n, W) chunks: one GEMM of every kernel tap
-    against each chunk, then the tap planes summed by ``_sum_taps``.
-    Returns ``(ya, yb, rows)``, the output rows whose inputs all lie in the
-    tile (or in the map's zero padding).
-
-    The ``padding`` output rows either side of a seam between two tiles
-    need taps from both; the tile hands the taps of its ``2 * padding``
-    rows next to each seam to ``seams``, which finishes those rows."""
-    cout, cin, kh, kw = conv.kernel.shape
-    p = conv.padding
-    kmat = conv.kernel.transpose(0, 2, 3, 1).reshape(cout * kh * kw, cin)
-    taps = np.empty((cout, kh, kw, y1 - y0, width))
-    flat = taps.reshape(cout * kh * kw, -1)
-    done = 0
-    for rows in chunks:
-        n = rows.shape[1]
-        np.matmul(kmat, rows.reshape(cin, n * width),
-                  out=flat[:, done * width:(done + n) * width])
-        done += n
-    if p and y0 > 0:
-        seams.hand_in(y0, taps[:, :, :, :2 * p].copy(), below=True)
-    if p and y1 < height:
-        seams.hand_in(y1, taps[:, :, :, -2 * p:].copy(), below=False)
-    ya = y0 + p if y0 > 0 else 0
-    yb = y1 - p if y1 < height else height
-    return ya, yb, _sum_taps(conv, taps, y0, ya, yb, height)
-
-
 def _tap_floats(conv: Conv2dParams, rows: int, width: int) -> int:
-    """Scratch of ``_tap_rows`` on a tile this many rows high: the taps and
-    their sum."""
+    """Scratch of ``_Seams.tile`` on this many rows: the taps and their sum."""
     cout, _, kh, kw = conv.kernel.shape
     return cout * (kh * kw + 1) * rows * width
 
 
 class _Seams:
-    """The output rows of a tap-summing conv within ``padding`` of the seams
-    between tiles. Each of the two tiles at a seam hands in the taps of its
-    ``2 * padding`` rows next to it; the second hand-in sums the seam's
-    rows, as ``_sum_taps`` sums any rows, and passes them to ``store``."""
+    """A stride-1, size-keeping conv and its rectifier, run tile by tile on
+    summed taps into ``out`` inside its zero border of ``border`` cells. The
+    ``padding`` output rows either side of a seam need taps from both of
+    its tiles; the second tile to hand its taps in sums those rows."""
 
-    def __init__(self, conv: Conv2dParams, height: int, store):
-        self.conv, self.height, self.store = conv, height, store
+    def __init__(self, conv: Conv2dParams, out: np.ndarray, border: int):
+        self.conv, self.out, self.border = conv, out, border
+        self.height, self.width = out.shape[1] - 2 * border, out.shape[2] - 2 * border
         self._waiting: dict = {}
         self._lock = threading.Lock()
 
-    def hand_in(self, seam: int, taps: np.ndarray, below: bool) -> None:
+    def tile(self, y0: int, y1: int, chunks) -> None:
+        """A tile's input rows ``y0`` to ``y1`` as consecutive (C, n, W)
+        chunks: stores the output rows it alone feeds, hands in the rest."""
+        taps = _tap_rows(self.conv, chunks, y1 - y0, self.width)
+        p, h = self.conv.padding, self.height
+        if p and y0 > 0:
+            self._hand_in(y0, taps[:, :, :, :2 * p].copy(), below=True)
+        if p and y1 < h:
+            self._hand_in(y1, taps[:, :, :, -2 * p:].copy(), below=False)
+        ya, yb = (y0 + p if y0 > 0 else 0), (y1 - p if y1 < h else h)
+        self._store(ya, yb, _sum_taps(self.conv, taps, y0, ya, yb, h))
+
+    def _hand_in(self, seam: int, taps: np.ndarray, below: bool) -> None:
         with self._lock:
             other = self._waiting.pop(seam, None)
             if other is None:
@@ -289,61 +241,18 @@ class _Seams:
                 return
         both = np.concatenate([other, taps] if below else [taps, other], axis=3)
         p = self.conv.padding
-        self.store(seam - p, seam + p, _sum_taps(self.conv, both, seam - 2 * p,
-                                                 seam - p, seam + p, self.height))
+        self._store(seam - p, seam + p, _sum_taps(self.conv, both, seam - 2 * p,
+                                                  seam - p, seam + p, self.height))
+
+    def _store(self, ya: int, yb: int, pre: np.ndarray) -> None:
+        b = self.border
+        np.maximum(_finite(pre), 0.0, out=self.out[:, b + ya:b + yb, b:b + self.width])
 
 
-def _im2col_rows(conv: Conv2dParams, padded: np.ndarray, y0: int, y1: int,
-                 band: int):
-    """Output rows ``y0`` to ``y1`` of a stride-1 ``conv`` over ``padded``,
-    a map that already carries its zero padding, by the im2col strategy of
-    ``conv2d_forward``: one GEMM per band of ``band`` rows; yields
-    ``(ya, yb, rows)`` per band, bias added, in scratch that the next band
-    reuses."""
+def _im2col_floats(conv: Conv2dParams, width: int) -> int:
+    """Scratch of ``_im2col_rows`` at this output width."""
     cout, cin, kh, kw = conv.kernel.shape
-    width = padded.shape[2] - kw + 1
-    wmat = conv.kernel.reshape(cout, cin * kh * kw)
-    cols = np.empty(cin * kh * kw * band * width)
-    out = np.empty(cout * band * width)
-    for ya, yb in _spans(y0, y1, band):
-        n = yb - ya
-        c = cols[:cin * kh * kw * n * width].reshape(cin, kh, kw, n, width)
-        for ky in range(kh):
-            for kx in range(kw):
-                c[:, ky, kx] = padded[:, ya + ky:yb + ky, kx:kx + width]
-        o = out[:cout * n * width].reshape(cout, n * width)
-        np.matmul(wmat, c.reshape(cin * kh * kw, n * width), out=o)
-        o += conv.bias[:, None]
-        yield ya, yb, o.reshape(cout, n, width)
-
-
-def _im2col_floats(conv: Conv2dParams, band: int, width: int) -> int:
-    """Scratch of ``_im2col_rows`` at this band height."""
-    cout, cin, kh, kw = conv.kernel.shape
-    return (cin * kh * kw + cout) * band * width
-
-
-def _check_encoder(blocks: list, shape: tuple) -> None:
-    """The ShapeErrors ``bev_encoder`` raises, from the shapes alone."""
-    if len(blocks) != 3:
-        raise ShapeError(f"encoder needs exactly 3 blocks, got {len(blocks)}")
-    if blocks[-1].kernel.shape[0] != ENCODER_CHANNELS:
-        raise ShapeError(f"encoder must end at {ENCODER_CHANNELS} channels, "
-                         f"last block has {blocks[-1].kernel.shape[0]}")
-    for k, conv in enumerate(blocks):
-        if conv.stride != 1:
-            raise ShapeError(f"encoder block {k}: stride must be 1")
-        cout, cin = conv.kernel.shape[:2]
-        if cin != shape[0]:
-            raise ShapeError(f"conv input has {shape[0]} channels, kernel expects {cin}")
-        oh, ow = conv.out_hw(*shape[1:])
-        if oh < 1 or ow < 1:
-            raise ShapeError(f"degenerate conv output {oh}x{ow} for input "
-                             f"{shape[1]}x{shape[2]}")
-        if (oh, ow) != shape[1:]:
-            raise ShapeError(f"encoder block {k}: spatial dims changed "
-                             f"{shape} -> {(cout, oh, ow)}")
-        shape = (cout, oh, ow)
+    return (cin * kh * kw + cout) * _im2col_band(conv, width) * width
 
 
 def r2l_forward(m_l: FeatureMap, enhanced: FeatureMap, encoder,
@@ -359,25 +268,29 @@ def r2l_forward(m_l: FeatureMap, enhanced: FeatureMap, encoder,
     block and its rectifier then run band by band and feed the first trunk
     conv, so the 512-channel map exists one band at a time. A tile
     allocates each band buffer once and reuses it for all its bands. The
-    first block and the trunk conv keep the per-tap GEMM results of the
-    tile's rows and hand those next to each seam to the tile across it, so
-    no row goes through a GEMM twice. The rest of the head runs on the
+    first block and the trunk conv sum their taps (``nn._tap_rows``,
+    ``nn._sum_taps``) and hand the taps next to each seam to the tile across
+    it, so no row goes through a GEMM twice; the other two blocks run the
+    im2col bands of ``nn._im2col_rows``. The rest of the head runs on the
     narrow trunk output. Tiles run on a pool of ``WORKERS`` threads
     (``workers`` overrides it, for tests), at most as many at once as fit
     their scratch in ``_SCRATCH_FLOATS``; a one-tile map runs inline.
     Every conv output is checked for non-finite values before its
-    rectifier, as in the whole-map chain.
+    rectifier, as in the whole-map chain. A head whose first trunk conv
+    does not read the 512-channel map at stride 1 and keep its size cannot
+    take the bands and raises ``ShapeError``.
 
     Bits: tiles and bands depend on the shapes alone, and every tile does
     the same arithmetic on whichever thread runs it, so the output does not
-    depend on the worker count. BLAS computes a GEMM column alike wherever
-    it sits, except in the last, partial block of the GEMM's columns (8
-    wide on OpenBLAS Haswell kernels). The band GEMMs have ``rows x W``
-    columns, so when W is a multiple of that block and the whole map picks
-    the same strategies (taps for the first block and the trunk conv,
-    im2col for the other two), as at desk and tiny scale, the result
-    matches the whole-map chain bit for bit; ``heads.tiled-oracle`` bounds
-    any difference at 1e-12 of the largest output.
+    depend on the worker count. The whole-map chain runs the same kernels.
+    BLAS computes a GEMM column alike wherever it sits, except in the last,
+    partial block of the GEMM's columns (8 wide on OpenBLAS Haswell
+    kernels). The band GEMMs have ``rows x W`` columns, so when W is a
+    multiple of that block and the whole map picks the same strategies
+    (tap sums for the first block and the trunk conv, im2col for the other
+    two), as at desk and tiny scale, the result matches the whole-map chain
+    bit for bit; ``heads.tiled-oracle`` bounds any difference at 1e-12 of
+    the largest output.
     """
     encoder = list(encoder)
     fh, fw = _replication(m_l, enhanced)
@@ -386,15 +299,14 @@ def r2l_forward(m_l: FeatureMap, enhanced: FeatureMap, encoder,
     trunk0 = head.trunk[0] if head.trunk else None
     if (trunk0 is None or trunk0.stride != 1 or trunk0.out_hw(h, w) != (h, w)
             or trunk0.kernel.shape[1] != ENCODER_CHANNELS):
-        # The bands need a first trunk conv that keeps the map size.
-        return detect_forward(bev_encoder(fuse_bev_maps(m_l, enhanced), encoder), head)
+        raise ShapeError(f"head trunk: the first conv must read the "
+                         f"{ENCODER_CHANNELS}-channel map at stride 1 and "
+                         f"keep its size")
     enc0, enc1, enc2 = encoder
     lidar, radar = m_l.data, enhanced.data
     cl, cin = m_l.channels, m_l.channels + enhanced.channels
     p1, p2 = enc1.padding, enc2.padding
     band0 = band_rows(cin, w)
-    band1 = band_rows(enc1.kernel[0].size, w)
-    band2 = band_rows(max(ENCODER_CHANNELS, enc2.kernel[0].size), w)
     # Rectified outputs of the first two blocks, carrying the zero padding
     # the next block reads, and of the first trunk conv.
     a0 = np.zeros((enc0.kernel.shape[0], h + 2 * p1, w + 2 * p1))
@@ -403,7 +315,7 @@ def r2l_forward(m_l: FeatureMap, enhanced: FeatureMap, encoder,
 
     def fused(y0: int, y1: int):
         """Rows y0 to y1 of the fused map, in bands written into one buffer."""
-        win = np.empty(cin * band0 * w)
+        win = np.empty(cin * min(band0, y1 - y0) * w)
         for ya, yb in _spans(y0, y1, band0):
             n = yb - ya
             band = win[:cin * n * w].reshape(cin, n, w)
@@ -414,41 +326,36 @@ def r2l_forward(m_l: FeatureMap, enhanced: FeatureMap, encoder,
                 dst[:, ra:rb] = radar[:, r, None, :, None]
             yield band
 
-    def store0(ya: int, yb: int, pre: np.ndarray) -> None:
-        np.maximum(_finite(pre), 0.0, out=a0[:, p1 + ya:p1 + yb, p1:p1 + w])
-
-    def store_trunk0(ya: int, yb: int, pre: np.ndarray) -> None:
-        np.maximum(_finite(pre), 0.0, out=feat[:, ya:yb])
-
-    seams0, seams_t = _Seams(enc0, h, store0), _Seams(trunk0, h, store_trunk0)
+    seams0, seams_t = _Seams(enc0, a0, p1), _Seams(trunk0, feat, 0)
 
     def block0(y0: int, y1: int) -> None:
-        store0(*_tap_rows(enc0, h, w, y0, y1, fused(y0, y1), seams0))
+        seams0.tile(y0, y1, fused(y0, y1))
 
     def block1(y0: int, y1: int) -> None:
-        for ya, yb, pre in _im2col_rows(enc1, a0, y0, y1, band1):
+        for ya, yb, pre in _im2col_rows(enc1, a0, y0, y1):
             np.maximum(_finite(pre), 0.0, out=a1[:, p2 + ya:p2 + yb, p2:p2 + w])
 
     def block2_trunk0(y0: int, y1: int) -> None:
-        rectified = (np.maximum(_finite(pre), 0.0, out=pre)
-                     for _, _, pre in _im2col_rows(enc2, a1, y0, y1, band2))
-        store_trunk0(*_tap_rows(trunk0, h, w, y0, y1, rectified, seams_t))
+        seams_t.tile(y0, y1, (np.maximum(_finite(pre), 0.0, out=pre)
+                              for _, _, pre in _im2col_rows(enc2, a1, y0, y1)))
 
     cut = tiles(h, max(TILE_ROWS, 2 * enc0.padding, 2 * trunk0.padding))
     rows = max(y1 - y0 for y0, y1 in cut)
     tile_floats = max(cin * band0 * w + _tap_floats(enc0, rows, w),
-                      _im2col_floats(enc1, band1, w),
-                      _im2col_floats(enc2, band2, w) + _tap_floats(trunk0, rows, w))
+                      _im2col_floats(enc1, w),
+                      _im2col_floats(enc2, w) + _tap_floats(trunk0, rows, w))
     workers = min(WORKERS if workers is None else workers,
                   max(2, _SCRATCH_FLOATS // tile_floats))
     for phase in (block0, block1, block2_trunk0):
         _each_tile(phase, cut, workers)
+    # Free the block outputs, and let the head free the first trunk map.
+    del a0, a1, seams0, seams_t
 
     for conv in head.trunk[1:]:
         feat = relu(_finite(_conv2d_raw(feat, conv)))
     logits = _finite(_conv2d_raw(feat, head.heatmap))
     maps = {name: _finite(_conv2d_raw(feat, getattr(head, name)))
-            for name in ("offset", "z", "size", "rot", "vel")}
+            for name in _REGRESSIONS}
     return HeadOutputs(heatmap=sigmoid(logits), heatmap_logits=logits, **maps)
 
 
@@ -550,6 +457,23 @@ class TargetMaps:
     vel: np.ndarray
     centers: list = field(default_factory=list)   # (class_id, iy, ix)
 
+    @cached_property
+    def _loss_terms(self) -> tuple:
+        """What ``compute_loss`` reads of the targets, computed on its first
+        call (the maps and centers must be complete by then): focal masks
+        and norm, center indices, the (center, channel) regression targets
+        and each regression head's first column and entry count."""
+        pos = self.heatmap == 1.0
+        neg_w = np.where(pos, 0.0, (1.0 - self.heatmap) ** FOCAL_BETA)
+        iy = np.array([c[1] for c in self.centers], dtype=np.intp)
+        ix = np.array([c[2] for c in self.centers], dtype=np.intp)
+        regs = [getattr(self, n) for n in _REGRESSIONS]
+        channels = [r.shape[0] for r in regs]
+        count = max(1, len(iy)) * np.array(channels)   # entries per head
+        return (pos, neg_w, max(1.0, float(pos.sum())), iy, ix,
+                np.concatenate(regs)[:, iy, ix].T, np.cumsum([0] + channels[:-1]),
+                count, np.repeat(count, channels)[:, None])
+
 
 def gaussian_radius_cells(box_length: float, box_width: float, cell: float) -> int:
     """Splat radius proportional to the BEV footprint, at least one cell."""
@@ -625,44 +549,28 @@ class LossBreakdown:
     weights: dict
 
 
-def _softplus(x: np.ndarray) -> np.ndarray:
-    return np.log1p(np.exp(-np.abs(x))) + np.maximum(x, 0.0)
-
-
 FOCAL_ALPHA = 2.0
 FOCAL_BETA = 4.0
+_REGRESSIONS = ("offset", "z", "size", "rot", "vel")   # the regression heads
 
 
-def _focal_loss(logits: np.ndarray, target: np.ndarray):
+def _focal_loss(logits: np.ndarray, pos: np.ndarray, neg_w: np.ndarray,
+                norm: float):
     """Penalty-reduced focal loss on sigmoid logits, normalized by the
-    positive count. Returns (loss, grad w.r.t. logits)."""
-    p = sigmoid(logits)
-    log_p = -_softplus(-logits)
-    log_1p = -_softplus(logits)
-    pos = target == 1.0
-    neg_w = np.where(pos, 0.0, (1.0 - target) ** FOCAL_BETA)
-    pos_terms = np.where(pos, -((1.0 - p) ** FOCAL_ALPHA) * log_p, 0.0)
+    positive count ``norm``; ``pos`` marks the positive cells and ``neg_w``
+    weighs the rest. Returns (loss, grad w.r.t. logits)."""
+    e = np.exp(-np.abs(logits))
+    log1pe = np.log1p(e)
+    p = np.where(logits >= 0, 1.0, e) / (1.0 + e)   # sigmoid(logits)
+    log_p = -(log1pe + np.maximum(-logits, 0.0))
+    log_1p = -(log1pe + np.maximum(logits, 0.0))
+    q = 1.0 - p
+    pos_terms = np.where(pos, -(q ** FOCAL_ALPHA) * log_p, 0.0)
     neg_terms = neg_w * (-(p ** FOCAL_ALPHA) * log_1p)
-    norm = max(1.0, float(pos.sum()))
     loss = float((pos_terms.sum() + neg_terms.sum()) / norm)
-    grad_pos = 2.0 * p * (1.0 - p) ** 2 * log_p - (1.0 - p) ** 3
-    grad_neg = -neg_w * (2.0 * p * p * (1.0 - p) * log_1p - p ** 3)
-    grad = np.where(pos, grad_pos, grad_neg) / norm
-    return loss, grad
-
-
-def _l1_at_centers(pred: np.ndarray, target: np.ndarray, centers):
-    """Mean L1 over (center cell, channel) entries; zero without targets."""
-    grad = np.zeros_like(pred)
-    if not centers:
-        return 0.0, grad
-    n = len(centers) * pred.shape[0]
-    total = 0.0
-    for _, iy, ix in centers:
-        diff = pred[:, iy, ix] - target[:, iy, ix]
-        total += float(np.abs(diff).sum())
-        grad[:, iy, ix] += np.sign(diff) / n
-    return total / n, grad
+    grad_pos = 2.0 * p * q ** 2 * log_p - q ** 3
+    grad_neg = -neg_w * (2.0 * p * p * q * log_1p - p ** 3)
+    return loss, np.where(pos, grad_pos, grad_neg) / norm
 
 
 def compute_loss(h: HeadOutputs, targets: TargetMaps,
@@ -675,24 +583,24 @@ def compute_loss(h: HeadOutputs, targets: TargetMaps,
     """
     if weights is None:
         weights = LossWeights()
-    if h.heatmap.shape != targets.heatmap.shape:
-        raise ShapeError(f"heatmap {h.heatmap.shape} vs targets "
-                         f"{targets.heatmap.shape}")
-    hm_loss, hm_grad = _focal_loss(h.heatmap_logits, targets.heatmap)
-    terms = {"heatmap": (hm_loss, hm_grad)}
-    for name in ("offset", "z", "size", "rot", "vel"):
-        pred = getattr(h, name)
-        tgt = getattr(targets, name)
-        if pred.shape != tgt.shape:
-            raise ShapeError(f"{name} {pred.shape} vs targets {tgt.shape}")
-        terms[name] = _l1_at_centers(pred, tgt, targets.centers)
+    names = ("heatmap",) + _REGRESSIONS
+    for name in names:
+        got, want = getattr(h, name).shape, getattr(targets, name).shape
+        if got != want:
+            raise ShapeError(f"{name} {got} vs targets {want}")
+    pos, neg_w, norm, iy, ix, tgt, starts, count, per_column = targets._loss_terms
+    hm_loss, hm_grad = _focal_loss(h.heatmap_logits, pos, neg_w, norm)
+    # Mean L1 over the (center, channel) entries of each regression head,
+    # every head gathered at the centers at once; zero without centers.
+    regs = np.concatenate([getattr(h, name) for name in _REGRESSIONS])
+    diff = regs[:, iy, ix].T - tgt
+    l1 = (np.add.reduceat(np.abs(diff), starts, axis=1).sum(axis=0) / count).tolist()
+    grad = np.zeros_like(regs)
+    np.add.at(grad, (slice(None), iy, ix), np.sign(diff).T / per_column)
+    losses = dict(zip(names, [hm_loss] + l1))
     w = weights.to_dict()
-    total = 0.0
-    for name in ("heatmap", "offset", "z", "size", "rot", "vel"):
-        total += w[name] * terms[name][0]
-    grads = {name: w[name] * terms[name][1] for name in terms}
-    return LossBreakdown(
-        heatmap_loss=terms["heatmap"][0], offset_loss=terms["offset"][0],
-        z_loss=terms["z"][0], size_loss=terms["size"][0],
-        rot_loss=terms["rot"][0], vel_loss=terms["vel"][0],
-        total=total, weights=w), grads
+    grads = {name: w[name] * g
+             for name, g in zip(names, [hm_grad] + np.split(grad, starts[1:]))}
+    return LossBreakdown(**{f"{name}_loss": v for name, v in losses.items()},
+                         total=sum(w[name] * v for name, v in losses.items()),
+                         weights=w), grads

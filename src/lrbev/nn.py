@@ -93,11 +93,11 @@ def relu(x: Array) -> Array:
 
 
 def sigmoid(x: Array) -> Array:
-    out = np.empty_like(x, dtype=np.float64)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    """Logistic function; exponentiates only -|x|, so it never overflows."""
+    e = np.exp(-np.abs(x))
+    out = np.where(x >= 0, 1.0, e)
+    e += 1.0
+    out /= e
     return out
 
 
@@ -323,19 +323,110 @@ class Conv2dParams:
                             stride=self.stride, padding=self.padding)
 
 
-_CONV_CHUNK_FLOATS = 4_000_000   # im2col buffer cap, ~32 MB of float64
+# A band holds at most this many floats of its widest activation (an input
+# or output band, or its im2col block), ~2 MB of float64, so its GEMMs work
+# out of cache.
+_BAND_FLOATS = 1 << 18
 
 
-def _conv_windows(padded: Array, kh: int, kw: int, stride: int) -> Array:
-    """(C, OH, OW, kh, kw) view of all receptive fields."""
-    sw = np.lib.stride_tricks.sliding_window_view(padded, (kh, kw), axis=(1, 2))
-    return sw[:, ::stride, ::stride]
+def band_rows(channels: int, width: int) -> int:
+    """Rows per band of an activation with this many channels and columns."""
+    return max(1, _BAND_FLOATS // max(1, channels * width))
 
 
-def _row_chunks(oh: int, ow: int, patch: int):
-    rows = max(1, _CONV_CHUNK_FLOATS // max(1, patch * ow))
-    for y0 in range(0, oh, rows):
-        yield y0, min(oh, y0 + rows)
+def _spans(start: int, stop: int, rows: int):
+    for y in range(start, stop, rows):
+        yield y, min(stop, y + rows)
+
+
+def _tap_rows(p: Conv2dParams, chunks, rows: int, width: int) -> Array:
+    """Per-tap GEMM results (Cout, kh, kw, rows, W) of a stride-1 conv on
+    ``rows`` input rows arriving as consecutive (Cin, n, W) chunks: one GEMM
+    of every kernel tap against each chunk."""
+    cout, cin, kh, kw = p.kernel.shape
+    kmat = p.kernel.transpose(0, 2, 3, 1).reshape(cout * kh * kw, cin)
+    taps = np.empty((cout, kh, kw, rows, width))
+    flat = taps.reshape(cout * kh * kw, -1)
+    done = 0
+    for chunk in chunks:
+        n = chunk.shape[1]
+        np.matmul(kmat, chunk.reshape(cin, n * width),
+                  out=flat[:, done * width:(done + n) * width])
+        done += n
+    return taps
+
+
+def _sum_taps(p: Conv2dParams, taps: Array, t0: int, y0: int, y1: int,
+              height: int) -> Array:
+    """Output rows ``y0`` to ``y1`` of a stride-1, size-keeping conv, from
+    ``taps`` (Cout, kh, kw, rows, W), the per-tap GEMM results of its input
+    rows from ``t0`` on: the shifted tap planes summed onto zeros in
+    (ky, kx) order, skipping the taps that land on the zero padding;
+    bias added."""
+    cout, _, kh, kw = p.kernel.shape
+    pad, width = p.padding, taps.shape[4]
+    out = np.zeros((cout, y1 - y0, width))
+    for ky in range(kh):
+        ya, yb = max(y0, pad - ky), min(y1, height + pad - ky)
+        if ya >= yb:
+            continue
+        for kx in range(kw):
+            xa, xb = max(0, pad - kx), min(width, width + pad - kx)
+            out[:, ya - y0:yb - y0, xa:xb] += taps[
+                :, ky, kx, ya + ky - pad - t0:yb + ky - pad - t0,
+                xa + kx - pad:xb + kx - pad]
+    out += p.bias[:, None, None]
+    return out
+
+
+def _tap_view(padded: Array, stride: int, ky: int, kx: int, y0: int, y1: int,
+              width: int) -> Array:
+    """View of the cells of ``padded`` that kernel tap (ky, kx) meets for
+    output rows ``y0`` to ``y1`` and ``width`` output columns."""
+    return padded[:, y0 * stride + ky:(y1 - 1) * stride + ky + 1:stride,
+                  kx:kx + (width - 1) * stride + 1:stride]
+
+
+def _im2col(p: Conv2dParams, padded: Array, y0: int, y1: int, width: int,
+            buf: Array) -> Array:
+    """The (Cin*kh*kw, rows*W) im2col columns of output rows ``y0`` to
+    ``y1`` of ``p`` over ``padded``, an input that already carries its zero
+    padding, written into the flat scratch ``buf``."""
+    _, cin, kh, kw = p.kernel.shape
+    n = y1 - y0
+    cols = buf[:cin * kh * kw * n * width].reshape(cin, kh, kw, n, width)
+    for ky in range(kh):
+        for kx in range(kw):
+            cols[:, ky, kx] = _tap_view(padded, p.stride, ky, kx, y0, y1, width)
+    return cols.reshape(cin * kh * kw, n * width)
+
+
+def _im2col_band(p: Conv2dParams, width: int) -> int:
+    """Output rows per im2col band of ``p`` at this output width."""
+    cout, cin, kh, kw = p.kernel.shape
+    return band_rows(max(cout, cin * kh * kw), width)
+
+
+def _im2col_rows(p: Conv2dParams, padded: Array, y0: int, y1: int):
+    """Output rows ``y0`` to ``y1`` of ``p`` over ``padded`` by im2col: one
+    GEMM per band of ``_im2col_band`` rows; yields ``(ya, yb, rows)`` per
+    band, bias added, in scratch that the next band reuses."""
+    cout, _, _, kw = p.kernel.shape
+    width = (padded.shape[2] - kw) // p.stride + 1
+    band = min(_im2col_band(p, width), y1 - y0)
+    wmat = p.kernel.reshape(cout, -1)
+    buf = np.empty(wmat.shape[1] * band * width)
+    out = np.empty(cout * band * width)
+    for ya, yb in _spans(y0, y1, band):
+        o = out[:cout * (yb - ya) * width].reshape(cout, -1)
+        np.matmul(wmat, _im2col(p, padded, ya, yb, width, buf), out=o)
+        o += p.bias[:, None]
+        yield ya, yb, o.reshape(cout, yb - ya, width)
+
+
+def _pad(data: Array, padding: int) -> Array:
+    widths = ((0, 0), (padding, padding), (padding, padding))
+    return np.pad(data, widths) if padding else data
 
 
 def _conv2d_raw(data: Array, p: Conv2dParams) -> Array:
@@ -346,40 +437,19 @@ def _conv2d_raw(data: Array, p: Conv2dParams) -> Array:
     oh, ow = p.out_hw(h, w)
     if oh < 1 or ow < 1:
         raise ShapeError(f"degenerate conv output {oh}x{ow} for input {h}x{w}")
-    padded = np.pad(data, ((0, 0), (p.padding, p.padding), (p.padding, p.padding)))
     # Strategy is a pure function of the shapes, so identical inputs always
-    # take the same arithmetic path.
-    if kh == 1 and kw == 1:
-        sl = padded[:, :oh * p.stride:p.stride, :ow * p.stride:p.stride]
-        out = p.kernel.reshape(cout, cin) @ np.ascontiguousarray(sl).reshape(cin, -1)
-    elif (cout * kh * kw <= 256 and cin >= 16
-          and cout * kh * kw * padded.shape[1] * padded.shape[2] <= 6 * 10**7):
-        # Few output taps, fat input: one GEMM against the whole padded map,
-        # then gather the shifted tap planes. Reads the input exactly once.
-        hp, wp = padded.shape[1], padded.shape[2]
-        a = p.kernel.transpose(0, 2, 3, 1).reshape(cout * kh * kw, cin)
-        taps = (a @ padded.reshape(cin, hp * wp)).reshape(cout, kh, kw, hp, wp)
-        out3 = np.zeros((cout, oh, ow))
-        for ky in range(kh):
-            for kx in range(kw):
-                out3 += taps[:, ky, kx,
-                             ky:ky + oh * p.stride:p.stride,
-                             kx:kx + ow * p.stride:p.stride]
-        out = out3.reshape(cout, oh * ow)
-    else:
-        # im2col in row chunks -> one fat GEMM per chunk. Chunking splits
-        # independent output columns, but BLAS may round a chunk's GEMM
-        # differently from a whole-map one; the chunks are a function of the
-        # shapes alone, so identical inputs still give identical bits.
-        windows = _conv_windows(padded, kh, kw, p.stride)
-        patch = cin * kh * kw
-        wmat = p.kernel.reshape(cout, patch)
-        out = np.empty((cout, oh * ow))
-        for y0, y1 in _row_chunks(oh, ow, patch):
-            cols = windows[:, y0:y1].transpose(0, 3, 4, 1, 2).reshape(patch, -1)
-            out[:, y0 * ow:y1 * ow] = wmat @ cols
-    out += p.bias[:, None]
-    return out.reshape(cout, oh, ow)
+    # take the same arithmetic path; both run the kernels that
+    # heads.r2l_forward runs on its bands.
+    if (p.stride == 1 and (oh, ow) == (h, w) and cout * kh * kw <= 256
+            and cin >= 16 and cout * kh * kw * h * w <= 6 * 10**7):
+        # Few output taps, fat input: one GEMM of every tap against the
+        # unpadded map, then the shifted tap planes summed. Reads the input
+        # exactly once.
+        return _sum_taps(p, _tap_rows(p, (data,), h, w), 0, 0, h, h)
+    out = np.empty((cout, oh, ow))
+    for ya, yb, rows in _im2col_rows(p, _pad(data, p.padding), 0, oh):
+        out[:, ya:yb] = rows
+    return out
 
 
 def conv2d_forward(m: FeatureMap, p: Conv2dParams) -> FeatureMap:
@@ -388,7 +458,8 @@ def conv2d_forward(m: FeatureMap, p: Conv2dParams) -> FeatureMap:
 
 
 def conv2d_backward(m: FeatureMap, p: Conv2dParams, grad_out: Array):
-    """Gradients of ``sum(grad_out * conv2d_forward(m, p))``.
+    """Gradients of ``sum(grad_out * conv2d_forward(m, p))``, band by band
+    on the im2col columns of the forward pass.
 
     Returns (grad_input (C,H,W), grad_kernel, grad_bias).
     """
@@ -399,30 +470,23 @@ def conv2d_backward(m: FeatureMap, p: Conv2dParams, grad_out: Array):
     g = np.asarray(grad_out, dtype=np.float64)
     if g.shape != (cout, oh, ow):
         raise ShapeError(f"grad_out shape {g.shape} != {(cout, oh, ow)}")
-    padded = np.pad(data, ((0, 0), (p.padding, p.padding), (p.padding, p.padding)))
-    windows = _conv_windows(padded, kh, kw, p.stride)
-    patch = cin * kh * kw
-    wmat = p.kernel.reshape(cout, patch)
+    padded = _pad(data, p.padding)
+    wmat = p.kernel.reshape(cout, -1)
     gflat = g.reshape(cout, oh * ow)
-    grad_kernel = np.zeros((cout, patch))
+    band = min(_im2col_band(p, ow), oh)
+    buf = np.empty(wmat.shape[1] * band * ow)
+    grad_kernel = np.zeros(wmat.shape)
     grad_padded = np.zeros_like(padded)
-    for y0, y1 in _row_chunks(oh, ow, patch):
-        cols = windows[:, y0:y1].transpose(0, 3, 4, 1, 2).reshape(patch, -1)
-        gchunk = gflat[:, y0 * ow:y1 * ow]
-        grad_kernel += gchunk @ cols.T
-        gcols = (wmat.T @ gchunk).reshape(cin, kh, kw, y1 - y0, ow)
+    for y0, y1 in _spans(0, oh, band):
+        gband = gflat[:, y0 * ow:y1 * ow]
+        grad_kernel += gband @ _im2col(p, padded, y0, y1, ow, buf).T
+        gcols = (wmat.T @ gband).reshape(cin, kh, kw, y1 - y0, ow)
         for ky in range(kh):
             for kx in range(kw):
-                gp = grad_padded[:, y0 * p.stride + ky:
-                                 y0 * p.stride + ky + (y1 - y0) * p.stride:p.stride,
-                                 kx:kx + ow * p.stride:p.stride]
+                gp = _tap_view(grad_padded, p.stride, ky, kx, y0, y1, ow)
                 gp += gcols[:, ky, kx]
-    grad_bias = gflat.sum(axis=1)
-    if p.padding:
-        grad_in = grad_padded[:, p.padding:p.padding + h, p.padding:p.padding + w]
-    else:
-        grad_in = grad_padded
-    return grad_in, grad_kernel.reshape(p.kernel.shape), grad_bias
+    grad_in = grad_padded[:, p.padding:p.padding + h, p.padding:p.padding + w]
+    return grad_in, grad_kernel.reshape(p.kernel.shape), gflat.sum(axis=1)
 
 
 def max_reduce(rows) -> Array:

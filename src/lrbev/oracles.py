@@ -12,6 +12,7 @@ deliberate defects so the negative controls stay honest:
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -32,7 +33,7 @@ from .l2r import (BevFusionConfig, HeightFusionConfig, ball_query,
 from .nn import (Conv2dParams, FeatureMap, MlpParams, conv2d_backward,
                  conv2d_forward, finite_diff_check, max_reduce,
                  max_reduce_backward, mlp_backward, mlp_forward,
-                 mlp_forward_batch)
+                 mlp_forward_batch, sigmoid)
 from .pipeline import detections_to_jsonl, generate_clouds, run_pipeline
 from .synth import (DEFAULT_CLASSES, GroundTruthBox, SceneSpec, generate_scene,
                     lidar_sample, radar_sample, wrap_angle)
@@ -100,6 +101,46 @@ def check_conv_identity(seeds: int, fault=None) -> PropertyResult:
         if not np.array_equal(out.data, m.data):
             failures.append(f"seed {s}: identity conv changed the map")
     return PropertyResult("nn.conv-identity", not failures, seeds, failures)
+
+
+def conv2d_brute(data: np.ndarray, p: Conv2dParams) -> np.ndarray:
+    """Direct cross-correlation: each output pixel is the sum of its
+    kernel-weighted receptive field in the zero-padded input, plus bias."""
+    kh, kw = p.kernel.shape[2:]
+    s = p.stride
+    padded = np.pad(data, ((0, 0), (p.padding, p.padding), (p.padding, p.padding)))
+    oh, ow = p.out_hw(*data.shape[1:])
+    out = np.empty((p.kernel.shape[0], oh, ow))
+    for y in range(oh):
+        for x in range(ow):
+            field = padded[:, y * s:y * s + kh, x * s:x * s + kw]
+            out[:, y, x] = (p.kernel * field).sum(axis=(1, 2, 3)) + p.bias
+    return out
+
+
+def check_conv_oracle(seeds: int, fault=None) -> PropertyResult:
+    """``conv2d_forward`` against ``conv2d_brute``. Even seeds draw a
+    stride-1, size-keeping conv with few output taps and at least 16 input
+    channels, which sums its taps; odd seeds draw any kernel, padding and
+    stride, most of which run im2col. Widths are never a multiple of 8."""
+    failures = []
+    for s in range(seeds):
+        rng = np.random.default_rng([33, s])
+        k = int(rng.choice([1, 3, 5]))
+        if s % 2 == 0:
+            cin, stride, pad = int(rng.integers(16, 40)), 1, (k - 1) // 2
+            cout = int(rng.integers(1, 256 // (k * k) + 1))
+        else:
+            cin, stride = int(rng.integers(1, 24)), int(rng.choice([1, 2]))
+            pad, cout = int(rng.integers(0, 3)), int(rng.integers(1, 9))
+        h = int(rng.integers(k, 14))
+        w = int(rng.choice([n for n in range(k, 20) if n % 8]))
+        m = FeatureMap(rng.normal(size=(cin, h, w)))
+        p = Conv2dParams.init(cin, cout, k, rng, stride=stride, padding=pad)
+        if not _rel_close(conv2d_forward(m, p).data, conv2d_brute(m.data, p)):
+            failures.append(f"seed {s}: {cout}x{cin}x{k}x{k} conv, stride "
+                            f"{stride}, padding {pad}, on {h}x{w} differs")
+    return PropertyResult("nn.conv-oracle", not failures, seeds, failures)
 
 
 def _mlp_instance_away_from_kinks(rng, margin=1e-2):
@@ -848,7 +889,6 @@ def loss_gradcheck_instance(seed, height=8, width=8, num_classes=2,
                 close = np.abs(col - tgt[:, iy, ix]) < kink_margin
                 col[close] += np.where(col[close] >= tgt[:, iy, ix][close],
                                        kink_margin, -kink_margin) * 2
-    from .nn import sigmoid
     outputs = HeadOutputs(heatmap=sigmoid(maps["heatmap"]),
                           heatmap_logits=maps["heatmap"], offset=maps["offset"],
                           z=maps["z"], size=maps["size"], rot=maps["rot"],
@@ -865,18 +905,19 @@ def pack_head_maps(outputs: HeadOutputs) -> np.ndarray:
     return np.concatenate(parts)
 
 
+@functools.lru_cache
+def _head_layout(shapes: tuple) -> tuple:
+    """(start, stop, shape) of each head map in a packed vector, in
+    ``_HEAD_ORDER``."""
+    stops = np.cumsum([math.prod(shape) for shape in shapes]).tolist()
+    return tuple(zip([0] + stops[:-1], stops, shapes))
+
+
 def unpack_head_maps(vec: np.ndarray, template: HeadOutputs) -> HeadOutputs:
-    from .nn import sigmoid
-    maps = {}
-    k = 0
-    shapes = {"heatmap": template.heatmap_logits.shape}
-    shapes.update({n: getattr(template, n).shape for n in _HEAD_ORDER[1:]})
-    for name in _HEAD_ORDER:
-        size = int(np.prod(shapes[name]))
-        maps[name] = vec[k:k + size].reshape(shapes[name])
-        k += size
-    logits = maps.pop("heatmap")
-    return HeadOutputs(heatmap=sigmoid(logits), heatmap_logits=logits, **maps)
+    shapes = (template.heatmap_logits.shape,) + tuple(
+        getattr(template, n).shape for n in _HEAD_ORDER[1:])
+    logits, *maps = [vec[a:b].reshape(shape) for a, b, shape in _head_layout(shapes)]
+    return HeadOutputs(sigmoid(logits), logits, *maps)
 
 
 def check_grad_loss(seeds: int, fault=None) -> PropertyResult:
@@ -914,7 +955,6 @@ def check_focal_monotonicity(seeds: int, fault=None) -> PropertyResult:
                 break
         logits = outputs.heatmap_logits.copy()
         logits[c, iy, ix] += 0.25
-        from .nn import sigmoid
         bumped = HeadOutputs(heatmap=sigmoid(logits), heatmap_logits=logits,
                              offset=outputs.offset, z=outputs.z,
                              size=outputs.size, rot=outputs.rot, vel=outputs.vel)
@@ -991,6 +1031,7 @@ PROPERTIES = {
     "l2r.query-locality": check_query_locality,
     "l2r.segment-heights": check_segment_heights,
     "nn.conv-identity": check_conv_identity,
+    "nn.conv-oracle": check_conv_oracle,
     "nn.grad-conv": check_grad_conv,
     "nn.grad-max": check_grad_max,
     "nn.grad-mlp": check_grad_mlp,

@@ -20,8 +20,9 @@ from .errors import PipelineError
 from .grids import (LIDAR_POINT_FEATURES, collapse_to_bev_grids, pillarize,
                     voxel_encode, voxelize, zstack_collapse)
 # fuse_bev_maps -> bev_encoder -> detect_forward is the whole-map twin of
-# r2l_forward. The first two build the maps PipelineResult.maps computes on
-# request; all three stay names of this module for code that wraps them.
+# r2l_forward, on the same conv kernels; run_pipeline itself never calls it.
+# The first two build the maps PipelineResult.maps computes on request; all
+# three stay names of this module for code that wraps them.
 from .heads import (DetectionBox, HeadParams, LossWeights, bev_encoder,
                     decode_detections, detect_forward, fuse_bev_maps,
                     r2l_forward)

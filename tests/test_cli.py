@@ -115,6 +115,17 @@ def test_validation_error_exit_code(tmp_path):
                  "--out", str(tmp_path / "o")]) == 1
 
 
+def test_config_without_trunk_exit_code(tmp_path, capsys):
+    from lrbev.config import tiny_config
+    doc = tiny_config().to_dict()
+    doc["channels"]["trunk_channels"] = []
+    cfgfile = tmp_path / "no-trunk.json"
+    cfgfile.write_text(json.dumps(doc))
+    assert main(["run", "--config", str(cfgfile), "--in", str(tmp_path),
+                 "--out", str(tmp_path / "o")]) == 1
+    assert "channels.trunk_channels" in capsys.readouterr().err
+
+
 def test_format_error_exit_code(tmp_path):
     (tmp_path / "lidar.blrf").write_bytes(b"garbage-not-a-cloud")
     (tmp_path / "radar.blrf").write_bytes(b"garbage-not-a-cloud")

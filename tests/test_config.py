@@ -108,6 +108,12 @@ class TestValidationMessagesNameFields:
         with pytest.raises(ConfigError, match="channels.encoder_hidden"):
             cfg.validate()
 
+    def test_trunk_needs_a_conv(self):
+        cfg = desk_config()
+        cfg.channels.trunk_channels = ()
+        with pytest.raises(ConfigError, match="channels.trunk_channels"):
+            cfg.validate()
+
     def test_negative_window(self):
         cfg = desk_config()
         cfg.fusion.bev_window = (-1, 2)

@@ -202,19 +202,17 @@ class TestR2lForward:
                               _twin_chain(m_l, enhanced, encoder, head))
 
     @pytest.mark.parametrize("trunk", [(), (4,)])
-    def test_trunk_that_cannot_take_bands_runs_whole_map(self, trunk):
-        """No trunk conv, or one that shrinks the map: the heads read the
-        512-channel map directly, so it is built whole, as in the twins."""
+    def test_trunk_that_cannot_take_bands_raises(self, trunk):
+        """No trunk conv, or one that shrinks the map: the heads would read
+        the 512-channel map whole, which the bands never build."""
         rng = np.random.default_rng(48)
         m_l, enhanced = _r2l_inputs(rng, 9, 8)
         encoder, head = _encoder(rng), _head_params(rng, trunk=trunk)
         if trunk:
             t = head.trunk[0]
             head.trunk[0] = Conv2dParams(t.kernel, t.bias, padding=0)
-        got = r2l_forward(m_l, enhanced, encoder, head)
-        want = _twin_chain(m_l, enhanced, encoder, head)
-        for name in HEAD_FIELDS:
-            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        with pytest.raises(ShapeError, match="head trunk"):
+            r2l_forward(m_l, enhanced, encoder, head)
 
     def test_two_calls_identical_bits(self):
         rng = np.random.default_rng(43)
@@ -488,6 +486,26 @@ class TestComputeLoss:
         breakdown, _ = compute_loss(out, targets)
         assert breakdown.offset_loss == 0.0 and breakdown.vel_loss == 0.0
         assert breakdown.heatmap_loss > 0.0
+
+    def test_regressions_match_per_center_loop(self):
+        """Every L1 term and its gradient against a loop over the centers,
+        two of which share a cell."""
+        targets = render_targets([_box(), _box(cls=1), _box(cx=4.0, cy=4.0)], GRID, 3)
+        rng = np.random.default_rng(13)
+        maps = {n: rng.normal(size=getattr(targets, n).shape)
+                for n in ("heatmap", "offset", "z", "size", "rot", "vel")}
+        logits = maps.pop("heatmap")
+        out = HeadOutputs(heatmap=sigmoid(logits), heatmap_logits=logits, **maps)
+        breakdown, grads = compute_loss(out, targets)
+        for name, pred in maps.items():
+            tgt, n = getattr(targets, name), len(targets.centers) * pred.shape[0]
+            total, grad = 0.0, np.zeros_like(pred)
+            for _, iy, ix in targets.centers:
+                diff = pred[:, iy, ix] - tgt[:, iy, ix]
+                total += float(np.abs(diff).sum())
+                grad[:, iy, ix] += np.sign(diff) / n
+            assert getattr(breakdown, f"{name}_loss") == pytest.approx(total / n, rel=1e-15)
+            assert np.array_equal(grads[name], grad), name
 
     def test_total_is_weighted_sum(self):
         outputs, targets = loss_gradcheck_instance([30, 0])

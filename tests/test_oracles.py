@@ -16,8 +16,8 @@ REQUIRED = [
     "l2r.ball-query-oracle", "l2r.bev-query-oracle", "l2r.height-sensitivity",
     "l2r.non-overlap", "l2r.pseudo-count", "l2r.query-locality",
     "l2r.segment-heights",
-    "nn.conv-identity", "nn.grad-conv", "nn.grad-max", "nn.grad-mlp",
-    "nn.max-permutation",
+    "nn.conv-identity", "nn.conv-oracle", "nn.grad-conv", "nn.grad-max",
+    "nn.grad-mlp", "nn.max-permutation",
     "pipeline.determinism",
     "scene.accumulate", "scene.determinism", "scene.doppler",
 ]
