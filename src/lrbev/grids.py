@@ -102,14 +102,17 @@ def _blocks(offsets: np.ndarray):
         s0 = s1
 
 
-def _segment_max(rows: np.ndarray, offsets: np.ndarray, p: MlpParams) -> np.ndarray:
-    """(S, out) elementwise max of the MLP over each non-empty segment
-    rows[offsets[k]:offsets[k+1]], one batched forward per block."""
-    out = np.empty((len(offsets) - 1, p.out_dim))
+def segment_max(rows: np.ndarray, offsets: np.ndarray, p: MlpParams) -> np.ndarray:
+    """(S, out) elementwise max of the MLP over each segment
+    rows[offsets[k]:offsets[k+1]], one batched forward per block of the
+    non-empty segments; an empty segment yields the zero vector."""
+    out = np.zeros((len(offsets) - 1, p.out_dim))
+    full = np.flatnonzero(np.diff(offsets))
+    offsets = np.append(offsets[full], offsets[-1])
     for s0, s1 in _blocks(offsets):
         r0 = offsets[s0]
         y = mlp_forward_batch(rows[r0:offsets[s1]], p)
-        out[s0:s1] = np.maximum.reduceat(y, offsets[s0:s1] - r0, axis=0)
+        out[full[s0:s1]] = np.maximum.reduceat(y, offsets[s0:s1] - r0, axis=0)
     return out
 
 
@@ -225,7 +228,7 @@ def voxel_encode(vs: VoxelSet, p: MlpParams) -> VoxelSet:
     if p.in_dim != LIDAR_POINT_FEATURES:
         raise ShapeError(f"voxel MLP expects {p.in_dim} inputs, "
                          f"points provide {LIDAR_POINT_FEATURES}")
-    vs.features = _segment_max(_lidar_point_features(vs), vs.offsets, p)
+    vs.features = segment_max(_lidar_point_features(vs), vs.offsets, p)
     return vs
 
 
@@ -293,12 +296,27 @@ def pillarize(points: np.ndarray, spec: GridSpec, p: MlpParams,
     occupied = {(int(ix[k]), int(iy[k])): members[offsets[k]:offsets[k + 1]].tolist()
                 for k in range(len(ids))}
     rows = _radar_point_features(points[_content_order(points, members, offsets)])
-    out[:, iy, ix] = _segment_max(rows, offsets, p).T
+    out[:, iy, ix] = segment_max(rows, offsets, p).T
     return PillarMap(map=FeatureMap._wrap(out), occupied=occupied,
                      dropped=int(len(points) - len(inside)), truncated=truncated)
 
 
-def collapse_to_bev_grids(vs: VoxelSet, coarse_cell: float) -> dict:
+@dataclass
+class BevGrids:
+    """Non-empty coarse LiDAR BEV cells: ascending (G, 2) (i, j) ``keys`` and
+    their (G, F) ``features``; iterating yields the keys as tuples."""
+
+    keys: np.ndarray
+    features: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    def __iter__(self):
+        return map(tuple, self.keys.tolist())
+
+
+def collapse_to_bev_grids(vs: VoxelSet, coarse_cell: float) -> BevGrids:
     """Rebin encoded voxel features onto the coarse (radar-sized) BEV grid.
 
     Each coarse cell covering at least one occupied voxel gets the
@@ -318,7 +336,5 @@ def collapse_to_bev_grids(vs: VoxelSet, coarse_cell: float) -> dict:
     coarse = (vs.occupied[:, 0] // rx) * spec.ny + vs.occupied[:, 1] // ry
     order = np.argsort(coarse, kind="stable")
     ids, starts = np.unique(coarse[order], return_index=True)
-    if not len(ids):
-        return {}
-    feats = np.maximum.reduceat(vs.features[order], starts, axis=0)
-    return {(int(k // spec.ny), int(k % spec.ny)): f for k, f in zip(ids, feats)}
+    return BevGrids(keys=np.stack([ids // spec.ny, ids % spec.ny], axis=1),
+                    features=np.maximum.reduceat(vs.features[order], starts, axis=0))

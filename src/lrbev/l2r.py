@@ -9,9 +9,12 @@ Every non-empty radar BEV cell is enriched twice:
   Manhattan distance on cell indices and aggregates them into a 32-wide
   neighborhood feature.
 
-Both queries have deterministic ordering (ascending distance, ties by index)
-and ship with pure-Python brute-force twins that serve as oracles.
-"""
+Each half (``height_fuse``, ``bev_fuse``) ranks the query groups of all
+cells at once, ball groups by (distance, point index) and BEV groups by
+(Manhattan distance, i, j), cuts them at ``max_group`` and max-pools one MLP
+batch over all grouped rows (zeros for an empty group). ``ball_query`` and
+``bev_query`` run one query through the same kernels, against brute-force
+twins."""
 from __future__ import annotations
 
 import math
@@ -20,8 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError
-from .grids import GridSpec
-from .nn import FeatureMap, MlpParams, mlp_forward, mlp_forward_batch
+from .grids import BevGrids, GridSpec, segment_max
+# mlp_forward is unused here but kept: perfbench's tracer wraps l2r.mlp_forward.
+from .nn import FeatureMap, MlpParams, mlp_forward, mlp_forward_batch  # noqa: F401
 
 POINT_QUERY_FEATURES = 5   # offsets to the query point, intensity, t
 
@@ -116,53 +120,65 @@ class QueryResult:
         return len(self.indices)
 
 
-@dataclass
-class CellFeatures:
-    """Per-cell fusion output for one non-empty radar cell."""
-
-    cell: tuple
-    height_feature: np.ndarray
-    bev_feature: np.ndarray
+def segment_heights(cfg: HeightFusionConfig) -> np.ndarray:
+    """z of the M segment centers: z_min + r * (2s - 1) for s = 1..M."""
+    return cfg.z_min + cfg.cell_size * (2 * np.arange(1, cfg.num_segments + 1) - 1)
 
 
 def segment_query_points(cell: tuple, cfg: HeightFusionConfig,
                          radar_grid: GridSpec) -> list:
-    """Query points at the segment centers of the cell's vertical pillar.
-
-    The s-th point (s = 1..M) sits at z = z_min + r * (2s - 1), directly
-    above the cell center.
-    """
+    """Query points at the segment centers above the cell center."""
     x, y = radar_grid.cell_center_xy(cell[0], cell[1])
-    return [QueryPoint(x=x, y=y,
-                       z=cfg.z_min + cfg.cell_size * (2 * s - 1),
-                       segment=s)
-            for s in range(1, cfg.num_segments + 1)]
+    return [QueryPoint(x=x, y=y, z=float(z), segment=s)
+            for s, z in enumerate(segment_heights(cfg), start=1)]
+
+
+def _first_k(groups: np.ndarray, n_groups: int, k: int) -> tuple:
+    """For pairs ordered by ascending group: the mask of the first ``k`` of
+    each group, and the segment offsets and in-range count of each group."""
+    counts = np.bincount(groups, minlength=n_groups)
+    rank = np.arange(len(groups)) - np.repeat(np.cumsum(counts) - counts, counts)
+    return rank < k, np.append(0, np.cumsum(np.minimum(counts, k))), counts
+
+
+def _rank_balls(qid, idx, d2, n_queries: int, radius: float, k: int) -> tuple:
+    """The pairs within ``radius`` ranked by (query, d2, point index) and
+    cut at ``k``: their positions, and ``_first_k``'s offsets and counts."""
+    inside = np.flatnonzero(d2 <= radius * radius)
+    order = inside[np.lexsort((idx[inside], d2[inside], qid[inside]))]
+    keep, offsets, counts = _first_k(qid[order], n_queries, k)
+    return order[keep], offsets, counts
+
+
+def _lookup(keys: np.ndarray, probes: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """(P, T) row among the (G, 2) ``keys`` of each probe plus each offset,
+    -1 where none, read from a dense index over the keys' bounding box."""
+    hit = np.full((len(probes), len(offsets)), -1)
+    if len(keys):
+        lo = keys.min(axis=0)
+        shape = keys.max(axis=0) - lo + 1
+        index = np.full(shape, -1)
+        index[keys[:, 0] - lo[0], keys[:, 1] - lo[1]] = np.arange(len(keys))
+        p = probes[:, None, :] + offsets - lo
+        inside = ((p >= 0) & (p < shape)).all(axis=2)
+        hit[inside] = index[p[inside, 0], p[inside, 1]]
+    return hit
 
 
 def ball_query(query_xyz, points_xyz: np.ndarray, radius: float,
                k: int) -> QueryResult:
-    """Up to ``k`` point indices within Euclidean ``radius`` of the query.
-
-    Ordered by ascending distance, ties by ascending point index; identical
-    to the brute-force scan by construction.
-    """
+    """Up to ``k`` point indices within Euclidean ``radius`` of the query,
+    ranked as in ``segment_balls``: ascending distance, ties by index."""
     if radius <= 0:
         raise ValueError(f"radius must be positive, got {radius}")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    pts = np.asarray(points_xyz, dtype=np.float64)
-    if len(pts) == 0:
-        return QueryResult(np.empty(0, dtype=np.int64), np.empty(0))
-    qx, qy, qz = (float(query_xyz[0]), float(query_xyz[1]), float(query_xyz[2]))
-    dx = pts[:, 0] - qx
-    dy = pts[:, 1] - qy
-    dz = pts[:, 2] - qz
-    d2 = dx * dx + dy * dy + dz * dz
-    inside = np.nonzero(d2 <= radius * radius)[0]
-    order = np.lexsort((inside, d2[inside]))[:k]
-    chosen = inside[order]
-    return QueryResult(chosen.astype(np.int64), np.sqrt(d2[chosen]),
-                       capped=len(inside) > k)
+    d = np.asarray(points_xyz, dtype=np.float64).reshape(-1, 3) \
+        - np.asarray(query_xyz, dtype=np.float64)[:3]
+    d2 = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] + d[:, 2] * d[:, 2]
+    n = len(d2)
+    kept, _, counts = _rank_balls(np.zeros(n, np.int64), np.arange(n), d2, 1, radius, k)
+    return QueryResult(kept, np.sqrt(d2[kept]), capped=bool(counts[0] > k))
 
 
 def ball_query_brute(query_xyz, points_xyz, radius: float, k: int) -> QueryResult:
@@ -184,144 +200,100 @@ def ball_query_brute(query_xyz, points_xyz, radius: float, k: int) -> QueryResul
                        np.array([math.sqrt(d2) for d2, _ in hits]), capped=capped)
 
 
-def aggregate_segment(grouped: np.ndarray, psi: MlpParams) -> np.ndarray:
-    """Max over the point MLP of a grouped set; an empty group yields the
-    zero vector (radar cells routinely have no LiDAR neighbors)."""
-    grouped = np.asarray(grouped, dtype=np.float64)
-    if grouped.size == 0:
-        return np.zeros(psi.out_dim)
-    if grouped.ndim != 2 or grouped.shape[1] != psi.in_dim:
-        raise ShapeError(f"grouped points have shape {grouped.shape}, "
-                         f"point MLP expects (n, {psi.in_dim})")
-    return mlp_forward_batch(grouped, psi).max(axis=0)
+def segment_balls(cells: np.ndarray, cfg: HeightFusionConfig, xyz: np.ndarray,
+                  radar_grid: GridSpec) -> tuple:
+    """Ball groups of the (cell, segment) queries q = cell * M + s of the
+    (N, 2) ``cells`` over the (P, 3) points, ranked and cut as by
+    ``ball_query``: each grouped point's index and offset from its query
+    center, and ``_first_k``'s offsets and counts. A point in a ball lies at
+    most floor(radius / cell) + 1 columns (clamped into the grid) from the
+    cell; points outside the ball's xy disc are dropped before the M
+    segments are paired with them."""
+    m, radius = cfg.num_segments, cfg.ball_radius
+    size, n = np.asarray(radar_grid.cell[:2]), np.asarray(radar_grid.counts[:2])
+    reach = np.floor(radius / size).astype(np.int64) + 1
+    block = np.indices(2 * reach + 1).reshape(2, -1).T - reach
+    cover = _lookup(cells, np.indices(n).reshape(2, -1).T, block)
+    col = [np.fmin(np.fmax(np.floor((xyz[:, a] - radar_grid.origin[a]) / size[a]), 0.0),
+                   n[a] - 1).astype(np.int64) for a in (0, 1)]
+    lin = col[0] * n[1] + col[1]
+    idx = np.flatnonzero((cover >= 0).any(axis=1)[lin])
+    hit = cover[lin[idx]]
+    pair, b = np.nonzero(hit >= 0)
+    idx, cell = idx[pair], hit[pair, b]
+    center = radar_grid.origin[:2] + (cells + 0.5) * size
+    dx = xyz[idx, 0] - center[cell, 0]
+    dy = xyz[idx, 1] - center[cell, 1]
+    dxy2 = dx * dx + dy * dy
+    disc = np.flatnonzero(dxy2 <= radius * radius)
+    dz = xyz[idx[disc], 2][:, None] - segment_heights(cfg)
+    kept, offsets, counts = _rank_balls(
+        (cell[disc][:, None] * m + np.arange(m)).ravel(), np.repeat(idx[disc], m),
+        (dxy2[disc][:, None] + dz * dz).ravel(), len(cells) * m, radius, cfg.max_group)
+    pair = disc[kept // m]
+    return (idx[pair], np.stack([dx[pair], dy[pair], dz.ravel()[kept]], axis=1),
+            offsets, counts)
 
 
-def _decorate_points(points: np.ndarray, indices: np.ndarray,
-                     q: QueryPoint) -> np.ndarray:
-    sel = points[indices]
-    return np.stack([sel["x"] - q.x, sel["y"] - q.y, sel["z"] - q.z,
-                     sel["intensity"], sel["t"]], axis=1)
-
-
-def height_fuse(cell: tuple, cfg: HeightFusionConfig, points: np.ndarray,
-                radar_grid: GridSpec, points_xyz: np.ndarray | None = None,
-                caps: dict | None = None, candidates: np.ndarray | None = None):
-    """Height-profile feature for one non-empty radar cell.
-
-    Returns (feature, segments_hit): the merge-MLP output over the
-    concatenated per-segment aggregates, and how many segments grouped at
-    least one point. ``caps["height"]``, when given, is increased by the
-    number of segment groups cut at ``max_group``. ``candidates``, when
-    given, are the ascending indices of the only points the cell's balls
-    can reach (``ball_candidates``); the queries scan just those and give
-    the same groups as a scan of every point.
-    """
-    if points_xyz is None:
-        points_xyz = np.stack([points["x"], points["y"], points["z"]], axis=1) \
-            if len(points) else np.zeros((0, 3))
-    if candidates is not None:
-        points_xyz = points_xyz[candidates]
-    segments = []
-    hit = 0
-    for q in segment_query_points(cell, cfg, radar_grid):
-        res = ball_query((q.x, q.y, q.z), points_xyz, cfg.ball_radius, cfg.max_group)
-        if caps is not None:
-            caps["height"] += res.capped
-        if len(res):
-            hit += 1
-            indices = res.indices if candidates is None else candidates[res.indices]
-            grouped = _decorate_points(points, indices, q)
-        else:
-            grouped = np.zeros((0, POINT_QUERY_FEATURES))
-        segments.append(aggregate_segment(grouped, cfg.point_mlp))
-    return mlp_forward(np.concatenate(segments), cfg.merge_mlp), hit
-
-
-def column_buckets(points_xyz: np.ndarray, radar_grid: GridSpec) -> tuple:
-    """The points grouped by radar column: ``(order, starts)`` such that
-    ``order[starts[k]:starts[k + 1]]`` are the ascending indices of the
-    points in column ``k = iy * nx + ix``. Column ids are clamped into the
-    grid, so a point outside it joins the nearest edge column."""
-    nx, ny = radar_grid.nx, radar_grid.ny
-    col = []
-    for axis, n in ((0, nx), (1, ny)):
-        rel = np.floor((points_xyz[:, axis] - radar_grid.origin[axis])
-                       / radar_grid.cell[axis])
-        col.append(np.fmin(np.fmax(rel, 0.0), n - 1).astype(np.int64))
-    key = col[1] * nx + col[0]
-    starts = np.zeros(nx * ny + 1, dtype=np.int64)
-    np.cumsum(np.bincount(key, minlength=nx * ny), out=starts[1:])
-    return np.argsort(key, kind="stable"), starts
-
-
-def ball_candidates(cell: tuple, buckets: tuple, radar_grid: GridSpec,
-                    radius: float) -> np.ndarray:
-    """Ascending indices of the points in the columns that a ball of
-    ``radius`` around the cell center can reach, from ``column_buckets``.
-
-    A point within ``radius`` of the center lies at most
-    ``floor(radius / cell) + 1`` columns away, with half a cell to spare,
-    so the block is 3x3 at the default radius r/2 and 5x5 at r."""
-    order, starts = buckets
-    nx, ny = radar_grid.nx, radar_grid.ny
-    bounds = []
-    for c, n, size in ((cell[0], nx, radar_grid.cell[0]),
-                       (cell[1], ny, radar_grid.cell[1])):
-        reach = math.floor(radius / size) + 1
-        bounds.append((min(max(c - reach, 0), n - 1), min(max(c + reach, 0), n - 1)))
-    (x0, x1), (y0, y1) = bounds
-    parts = [order[starts[y * nx + x0]:starts[y * nx + x1 + 1]]
-             for y in range(y0, y1 + 1)]
-    return np.sort(np.concatenate(parts))
+def height_fuse(cells: np.ndarray, cfg: HeightFusionConfig, points: np.ndarray,
+                radar_grid: GridSpec) -> tuple:
+    """Height-profile features of the (N, 2) radar ``cells``: the (N, F)
+    merge-MLP outputs over each cell's M concatenated segment aggregates,
+    and the (N * M) in-range point counts of the segment balls."""
+    xyz = np.stack([points["x"], points["y"], points["z"]], axis=1).astype(np.float64)
+    idx, delta, offsets, counts = segment_balls(cells, cfg, xyz, radar_grid)
+    rows = np.column_stack([delta, points["intensity"][idx], points["t"][idx]])
+    segments = segment_max(rows, offsets, cfg.point_mlp)
+    return mlp_forward_batch(segments.reshape(len(cells), cfg.merge_mlp.in_dim),
+                             cfg.merge_mlp), counts
 
 
 def manhattan_distance(a: tuple, b: tuple) -> int:
     return abs(a[0] - b[0]) + abs(a[1] - b[1])
 
 
-def _window_bounds(cfg: BevFusionConfig) -> tuple:
-    if cfg.distance_mode == "window":
-        return int(cfg.window[0]), int(cfg.window[1])
-    t = int(cfg.window[0])
-    return t, t
+def _bev_offsets(cfg: BevFusionConfig) -> np.ndarray:
+    """(T, 2) index offsets (di, dj) a BEV query accepts, in rank order:
+    ascending |di| + |dj|, then di, then dj."""
+    wi = int(cfg.window[0])
+    w = np.array([wi, int(cfg.window[1]) if cfg.distance_mode == "window" else wi])
+    off = np.indices(2 * w + 1).reshape(2, -1).T - w
+    d = np.abs(off).sum(axis=1)
+    if cfg.distance_mode == "scalar":
+        off, d = off[d <= w[0]], d[d <= w[0]]
+    return off[np.lexsort((off[:, 1], off[:, 0], d))]
 
 
-def _accept(cfg: BevFusionConfig, di: int, dj: int) -> bool:
-    if cfg.distance_mode == "window":
-        return abs(di) <= cfg.window[0] and abs(dj) <= cfg.window[1]
-    return abs(di) + abs(dj) <= cfg.window[0]
+def _bev_pairs(cells: np.ndarray, keys: np.ndarray, cfg: BevFusionConfig) -> tuple:
+    """BEV groups of the (N, 2) ``cells`` among the (G, 2) occupied ``keys``:
+    the key row and (di, dj) offset of each grouped cell in rank order, and
+    ``_first_k``'s offsets and counts."""
+    offsets = _bev_offsets(cfg)
+    hit = _lookup(keys, cells, offsets)
+    cell, t = np.nonzero(hit >= 0)
+    keep, group_offsets, counts = _first_k(cell, len(cells), cfg.max_group)
+    cell, t = cell[keep], t[keep]
+    return hit[cell, t], offsets[t], group_offsets, counts
 
 
-def bev_query(cell: tuple, lidar_grids: dict, cfg: BevFusionConfig) -> QueryResult:
-    """Up to ``max_group`` non-empty LiDAR cells near ``cell``.
-
-    Candidates come from the index window around the cell; ordering is
-    ascending Manhattan distance with row-major (i, then j) tie-breaks.
-    """
-    ci, cj = cell
-    wi, wj = _window_bounds(cfg)
-    hits = []
-    for di in range(-wi, wi + 1):
-        for dj in range(-wj, wj + 1):
-            if not _accept(cfg, di, dj):
-                continue
-            key = (ci + di, cj + dj)
-            if key in lidar_grids:
-                hits.append((abs(di) + abs(dj), key[0], key[1]))
-    hits.sort()
-    capped = len(hits) > cfg.max_group
-    hits = hits[:cfg.max_group]
-    return QueryResult(np.array([(i, j) for _, i, j in hits], dtype=np.int64).reshape(-1, 2),
-                       np.array([float(d) for d, _, _ in hits]), capped=capped)
+def bev_query(cell: tuple, lidar_grids, cfg: BevFusionConfig) -> QueryResult:
+    """Up to ``max_group`` non-empty LiDAR cells near ``cell`` among any
+    collection of (i, j) keys, ranked as in ``bev_fuse``: ascending
+    Manhattan distance with row-major (i, then j) tie-breaks."""
+    keys = np.array(list(lidar_grids), dtype=np.int64).reshape(-1, 2)
+    g, off, _, counts = _bev_pairs(np.array([cell], dtype=np.int64), keys, cfg)
+    return QueryResult(keys[g], np.abs(off).sum(axis=1).astype(np.float64),
+                       capped=bool(counts[0] > cfg.max_group))
 
 
-def bev_query_brute(cell: tuple, lidar_grids: dict, cfg: BevFusionConfig) -> QueryResult:
+def bev_query_brute(cell: tuple, lidar_grids, cfg: BevFusionConfig) -> QueryResult:
     """Full scan over every occupied cell, same ordering contract."""
     ci, cj = cell
     hits = []
     for (i, j) in lidar_grids:
         di, dj = i - ci, j - cj
-        if _accept(cfg, di, dj):
+        if (abs(di) <= cfg.window[0] and abs(dj) <= cfg.window[1]
+                if cfg.distance_mode == "window" else abs(di) + abs(dj) <= cfg.window[0]):
             hits.append((abs(di) + abs(dj), i, j))
     hits.sort()
     capped = len(hits) > cfg.max_group
@@ -330,93 +302,58 @@ def bev_query_brute(cell: tuple, lidar_grids: dict, cfg: BevFusionConfig) -> Que
                        np.array([float(d) for d, _, _ in hits]), capped=capped)
 
 
-def bev_fuse(cell: tuple, lidar_grids: dict, cfg: BevFusionConfig,
-             caps: dict | None = None):
-    """Neighborhood feature for one non-empty radar cell.
-
-    Each grouped grid feature is extended with its (di, dj) offset before the
-    grid MLP; the aggregate is the elementwise max, zero when nothing is in
-    range. Returns (feature, grouped_count). ``caps["bev"]``, when given, is
-    increased by one if the group was cut at ``max_group``.
-    """
-    res = bev_query(cell, lidar_grids, cfg)
-    if caps is not None:
-        caps["bev"] += res.capped
-    if len(res) == 0:
-        return np.zeros(cfg.feature_dim), 0
-    rows = []
-    for (i, j) in res.indices:
-        feat = lidar_grids[(int(i), int(j))]
-        rows.append(np.concatenate([feat, [float(i - cell[0]), float(j - cell[1])]]))
-    rows = np.asarray(rows)
-    if rows.shape[1] != cfg.grid_mlp.in_dim:
-        raise ShapeError(f"grid MLP expects {cfg.grid_mlp.in_dim} inputs, "
-                         f"grouped grids provide {rows.shape[1]}")
-    return mlp_forward_batch(rows, cfg.grid_mlp).max(axis=0), len(res)
+def bev_fuse(cells: np.ndarray, lidar_grids: BevGrids, cfg: BevFusionConfig) -> tuple:
+    """Neighborhood features of the (N, 2) radar ``cells``: the (N, F)
+    elementwise max of the grid MLP over each cell's grouped grid features,
+    each extended with its (di, dj) offset (zero when nothing is in range),
+    and the (N,) in-range counts."""
+    g, off, offsets, counts = _bev_pairs(cells, lidar_grids.keys, cfg)
+    rows = np.concatenate([lidar_grids.features[g], off], axis=1)
+    return segment_max(rows, offsets, cfg.grid_mlp), counts
 
 
 def compute_cell_features(occupied_cells, cfg_h: HeightFusionConfig,
                           cfg_b: BevFusionConfig, lidar_points: np.ndarray,
-                          lidar_grids: dict, radar_grid: GridSpec):
+                          lidar_grids: BevGrids, radar_grid: GridSpec):
     """Run both fusion blocks for every non-empty radar cell.
 
-    Returns (features: {cell: CellFeatures}, stats); the stats count the
-    ball and BEV groups cut at their ``max_group``. Cells are processed in
-    sorted order; each cell is independent, so any schedule would produce
-    the same maps. The LiDAR points are bucketed by radar column once, and
-    each cell's ball queries scan only the columns its balls can reach.
+    Returns (features, stats): one [height | bev] row per cell in ascending
+    (ix, iy) order, and the query hit rates and the counts of ball and BEV
+    groups cut at their ``max_group``.
     """
-    xyz = np.stack([lidar_points["x"], lidar_points["y"], lidar_points["z"]], axis=1) \
-        if len(lidar_points) else np.zeros((0, 3))
-    buckets = column_buckets(xyz, radar_grid)
-    features = {}
-    seg_total = seg_hit = 0
-    bev_total = bev_hit = 0
-    caps = {"height": 0, "bev": 0}
-    for cell in sorted(occupied_cells):
-        near = ball_candidates(cell, buckets, radar_grid, cfg_h.ball_radius)
-        hvec, hits = height_fuse(cell, cfg_h, lidar_points, radar_grid,
-                                 points_xyz=xyz, caps=caps, candidates=near)
-        bvec, grouped = bev_fuse(cell, lidar_grids, cfg_b, caps=caps)
-        features[cell] = CellFeatures(cell=cell, height_feature=hvec, bev_feature=bvec)
-        seg_total += cfg_h.num_segments
-        seg_hit += hits
-        bev_total += 1
-        bev_hit += 1 if grouped else 0
+    cells = np.array(sorted(occupied_cells), dtype=np.int64).reshape(-1, 2)
+    height, seg_counts = height_fuse(cells, cfg_h, lidar_points, radar_grid)
+    bev, bev_counts = bev_fuse(cells, lidar_grids, cfg_b)
+    n = len(cells)
+    seg_hit, bev_hit = int(np.count_nonzero(seg_counts)), int(np.count_nonzero(bev_counts))
     stats = {
-        "cells": len(features),
-        "ball_query_hit_rate": (seg_hit / seg_total) if seg_total else 0.0,
-        "bev_query_hit_rate": (bev_hit / bev_total) if bev_total else 0.0,
-        "capped_height_groups": caps["height"],
-        "capped_bev_groups": caps["bev"],
+        "cells": n,
+        "ball_query_hit_rate": seg_hit / (n * cfg_h.num_segments) if n else 0.0,
+        "bev_query_hit_rate": bev_hit / n if n else 0.0,
+        "capped_height_groups": int(np.count_nonzero(seg_counts > cfg_h.max_group)),
+        "capped_bev_groups": int(np.count_nonzero(bev_counts > cfg_b.max_group)),
     }
-    return features, stats
+    return np.concatenate([height, bev], axis=1), stats
 
 
-def enhance_radar_map(m_r: FeatureMap, occupied_cells, features: dict) -> FeatureMap:
-    """Concatenate the radar map with the scattered height and neighborhood
-    features: channels [m_r | height | bev]. Cells empty on the radar map
-    stay exactly zero across all output channels."""
-    cells = set(tuple(c) for c in occupied_cells)
-    if set(features) != cells:
+def enhance_radar_map(m_r: FeatureMap, occupied_cells,
+                      features: np.ndarray) -> FeatureMap:
+    """Concatenate the radar map with the scattered pseudo features, one row
+    per non-empty cell as ``compute_cell_features`` returns them: channels
+    [m_r | height | bev]. Cells empty on the radar map stay exactly zero
+    across all output channels."""
+    cells = np.array(sorted(occupied_cells), dtype=np.int64).reshape(-1, 2)
+    if len(features) != len(cells):
         raise ShapeError(
             f"pseudo features exist for {len(features)} cells, "
             f"radar map has {len(cells)} non-empty cells")
-    if not cells:
-        h_dim = b_dim = 32
-    else:
-        any_feat = next(iter(features.values()))
-        h_dim = len(any_feat.height_feature)
-        b_dim = len(any_feat.bev_feature)
-    total = m_r.channels + h_dim + b_dim
+    total = m_r.channels + features.shape[1]
     if total != 96:
         raise ShapeError(f"enhanced radar map must have 96 channels, "
-                         f"got {m_r.channels}+{h_dim}+{b_dim} = {total}")
+                         f"got {m_r.channels}+{features.shape[1]} = {total}")
     out = np.zeros((total, m_r.height, m_r.width))
     out[:m_r.channels] = m_r.data
-    for (ix, iy), feat in sorted(features.items()):
-        out[m_r.channels:m_r.channels + h_dim, iy, ix] = feat.height_feature
-        out[m_r.channels + h_dim:, iy, ix] = feat.bev_feature
+    out[m_r.channels:, cells[:, 1], cells[:, 0]] = features.T
     return FeatureMap._wrap(out)
 
 
@@ -424,9 +361,5 @@ def query_balls_disjoint(cfg: HeightFusionConfig) -> bool:
     """Whether the per-segment query balls of one pillar are pairwise
     disjoint: closed balls of the configured radius never intersect iff the
     minimum center spacing exceeds twice the radius."""
-    zs = [cfg.z_min + cfg.cell_size * (2 * s - 1)
-          for s in range(1, cfg.num_segments + 1)]
-    if len(zs) < 2:
-        return True
-    min_gap = min(abs(b - a) for a, b in zip(zs[:-1], zs[1:]))
-    return min_gap > 2.0 * cfg.ball_radius
+    zs = segment_heights(cfg)
+    return len(zs) < 2 or float(np.abs(np.diff(zs)).min()) > 2.0 * cfg.ball_radius

@@ -21,15 +21,17 @@ import numpy as np
 from .config import desk_config, tiny_config
 from .errors import ConfigError
 from .evalmetrics import eval_detections
-from .grids import (GridSpec, collapse_to_bev_grids, pillarize, voxel_encode,
-                    voxelize, zstack_collapse)
+from .faults import FAULTS
+from .grids import (BevGrids, GridSpec, collapse_to_bev_grids, pillarize,
+                    voxel_encode, voxelize, zstack_collapse)
 from .heads import (ENCODER_CHANNELS, TILE_ROWS, HeadOutputs, HeadParams,
                     band_rows, bev_encoder, compute_loss, decode_detections,
                     detect_forward, fuse_bev_maps, outputs_from_targets,
                     r2l_forward, render_targets)
 from .l2r import (BevFusionConfig, HeightFusionConfig, ball_query,
-                  ball_query_brute, bev_query, bev_query_brute, height_fuse,
-                  query_balls_disjoint, segment_query_points)
+                  ball_query_brute, bev_query, bev_query_brute,
+                  compute_cell_features, height_fuse, num_height_segments,
+                  query_balls_disjoint, segment_heights, segment_query_points)
 from .nn import (Conv2dParams, FeatureMap, MlpParams, conv2d_backward,
                  conv2d_forward, finite_diff_check, max_reduce,
                  max_reduce_backward, mlp_backward, mlp_forward,
@@ -37,8 +39,6 @@ from .nn import (Conv2dParams, FeatureMap, MlpParams, conv2d_backward,
 from .pipeline import detections_to_jsonl, generate_clouds, run_pipeline
 from .synth import (DEFAULT_CLASSES, GroundTruthBox, SceneSpec, generate_scene,
                     lidar_sample, radar_sample, wrap_angle)
-
-FAULTS = ("ball-radius-r", "offset-bias")
 
 
 @dataclass
@@ -62,7 +62,6 @@ def _mlps(rng, dims, rectify_last=False):
 
 def _height_cfg(rng, cell_size=1.0, pillar_height=8.0, z_min=-5.0,
                 ball_radius=0.0, feature_dim=8):
-    from .l2r import num_height_segments
     m = num_height_segments(pillar_height, cell_size)
     return HeightFusionConfig(
         cell_size=cell_size, pillar_height=pillar_height, z_min=z_min,
@@ -521,10 +520,10 @@ def check_segment_oracle(seeds: int, fault=None) -> PropertyResult:
         coarse = collapse_to_bev_grids(vs, coarse_cell)
         coarse_brute = collapse_to_bev_grids_brute(spec, feats, coarse_cell)
         keys = sorted(coarse_brute)
-        if sorted(coarse) != keys:
+        if list(coarse) != keys:
             failures.append(f"seed {s}: coarse keys differ")
             continue
-        if keys and not _rel_close([coarse[k] for k in keys],
+        if keys and not _rel_close(coarse.features,
                                    [coarse_brute[k] for k in keys]):
             failures.append(f"seed {s}: coarse features differ")
     return PropertyResult("grids.segment-oracle", not failures, seeds, failures)
@@ -657,7 +656,7 @@ def check_query_locality(seeds: int, fault=None) -> PropertyResult:
         cloud["intensity"] = rng.uniform(0, 1, n)
         cell = (7, 7)
         qpts = segment_query_points(cell, cfg, grid)
-        base, _ = height_fuse(cell, cfg, cloud, grid)
+        base = height_fuse(np.array([cell]), cfg, cloud, grid)[0]
         xyz = np.stack([cloud["x"], cloud["y"], cloud["z"]], axis=1)
         margin = 0.2
         far = [i for i in range(n)
@@ -669,7 +668,7 @@ def check_query_locality(seeds: int, fault=None) -> PropertyResult:
         moved = cloud.copy()
         moved["x"][i] += float(rng.uniform(-margin / 2, margin / 2))
         moved["z"][i] += float(rng.uniform(-margin / 2, margin / 2))
-        after, _ = height_fuse(cell, cfg, moved, grid)
+        after = height_fuse(np.array([cell]), cfg, moved, grid)[0]
         if not np.array_equal(base, after):
             failures.append(f"seed {s}: far point changed the height feature")
     return PropertyResult("l2r.query-locality", not failures, seeds, failures)
@@ -699,13 +698,122 @@ def check_height_sensitivity(seeds: int, fault=None) -> PropertyResult:
         cloud_a["z"] = za
         cloud_b = cloud.copy()
         cloud_b["z"] = zb
-        fa, _ = height_fuse(cell, cfg, cloud_a, grid)
-        fb, _ = height_fuse(cell, cfg, cloud_b, grid)
+        fa = height_fuse(np.array([cell]), cfg, cloud_a, grid)[0]
+        fb = height_fuse(np.array([cell]), cfg, cloud_b, grid)[0]
         if not np.array_equal(fa, fb):
             hits += 1
     passed = hits >= max(1, int(0.95 * seeds))
     failures = [] if passed else [f"only {hits}/{seeds} seeds were sensitive"]
     return PropertyResult("l2r.height-sensitivity", passed, seeds, failures)
+
+
+def cell_features_brute(occupied_cells, cfg_h: HeightFusionConfig,
+                        cfg_b: BevFusionConfig, points: np.ndarray,
+                        lidar_grids: BevGrids, radar_grid: GridSpec):
+    """Per-cell twin of ``compute_cell_features``: every ball and BEV query
+    is a brute-force scan, each non-empty group one point- or grid-MLP batch
+    and each cell one merge-MLP call."""
+    xyz = np.stack([points["x"], points["y"], points["z"]], axis=1)
+    grid_features = dict(zip(lidar_grids, lidar_grids.features))
+    rows, seg_hit, bev_hit, caps = [], 0, 0, {"height": 0, "bev": 0}
+    for cell in sorted(occupied_cells):
+        segments = []
+        for q in segment_query_points(cell, cfg_h, radar_grid):
+            res = ball_query_brute((q.x, q.y, q.z), xyz, cfg_h.ball_radius,
+                                   cfg_h.max_group)
+            caps["height"] += res.capped
+            if not len(res):
+                segments.append(np.zeros(cfg_h.point_mlp.out_dim))
+                continue
+            seg_hit += 1
+            sel = points[res.indices]
+            grouped = np.stack([sel["x"] - q.x, sel["y"] - q.y, sel["z"] - q.z,
+                                sel["intensity"], sel["t"]], axis=1)
+            segments.append(mlp_forward_batch(grouped, cfg_h.point_mlp).max(axis=0))
+        bev = np.zeros(cfg_b.feature_dim)
+        res = bev_query_brute(cell, lidar_grids, cfg_b)
+        caps["bev"] += res.capped
+        if len(res):
+            bev_hit += 1
+            grouped = [np.concatenate([grid_features[(i, j)], [i - cell[0], j - cell[1]]])
+                       for i, j in res.indices.tolist()]
+            bev = mlp_forward_batch(np.array(grouped), cfg_b.grid_mlp).max(axis=0)
+        rows.append(np.concatenate([mlp_forward(np.concatenate(segments),
+                                                cfg_h.merge_mlp), bev]))
+    n = len(rows)
+    stats = {"cells": n,
+             "ball_query_hit_rate": seg_hit / (n * cfg_h.num_segments) if n else 0.0,
+             "bev_query_hit_rate": bev_hit / n if n else 0.0,
+             "capped_height_groups": caps["height"], "capped_bev_groups": caps["bev"]}
+    return np.array(rows).reshape(n, cfg_h.feature_dim + cfg_b.feature_dim), stats
+
+
+def _fusion_cloud(rng, grid: GridSpec, zs) -> np.ndarray:
+    """Points around the grid, points on column edges and corners, points at
+    cell centers on segment heights and ball boundaries, and duplicates."""
+    lo = np.asarray(grid.origin[:2])
+    size, counts = np.asarray(grid.cell[:2]), np.asarray(grid.counts[:2])
+    n = int(rng.integers(0, 120))
+    xy = [rng.uniform(lo - size, lo + (counts + 1) * size, size=(n, 2))]
+    z = [rng.uniform(zs[0] - 2.0, zs[-1] + 2.0, n)]
+    edges = lo + size * rng.integers(-1, counts + 2, size=(40, 2))
+    along = rng.uniform(lo[1], lo[1] + counts[1] * size[1], 20)
+    xy += [edges, np.column_stack([edges[:20, 0], along])]
+    z += [rng.choice(zs, 40), rng.uniform(zs[0], zs[-1], 20)]
+    centers = lo + (rng.integers(0, counts, size=(30, 2)) + 0.5) * size
+    xy.append(centers)
+    z.append(rng.choice(np.concatenate([zs, zs + size[0], zs - size[0] / 2]), 30))
+    xy, z = np.concatenate(xy), np.concatenate(z)
+    pts = np.zeros(len(z), dtype=[("x", "<f8"), ("y", "<f8"), ("z", "<f8"),
+                                  ("intensity", "<f8"), ("t", "<f8")])
+    pts["x"], pts["y"], pts["z"] = xy[:, 0], xy[:, 1], z
+    pts["intensity"] = rng.uniform(0.0, 1.0, len(pts))
+    pts["t"] = rng.choice([0.0, -0.05], len(pts))
+    pts = np.concatenate([pts, pts[rng.integers(0, len(pts), 10)]])
+    return pts[rng.permutation(len(pts))]
+
+
+def check_cell_features(seeds: int, fault=None) -> PropertyResult:
+    """``compute_cell_features`` against its per-cell brute-force twin on
+    random clouds: stats (hit rates, capped counts) exact, features within
+    GRID_RTOL of the largest reference value. Instances cycle the ball
+    radius through r/2, r and 3r/2, and cover both BEV distance modes, group
+    caps from 1 to 20, empty clouds, grids and cell sets."""
+    failures = []
+    for s in range(seeds):
+        rng = np.random.default_rng([21, s])
+        r = float(rng.choice([0.5, 0.6, 1.0]))
+        grid = GridSpec(origin=(-3.0, -2.0, -5.0), cell=(r, r, 8.0),
+                        counts=(int(rng.integers(2, 9)), int(rng.integers(2, 9)), 1))
+        fdim = int(rng.integers(1, 7))
+        m = num_height_segments(8.0, r)
+        cfg_h = HeightFusionConfig(
+            cell_size=r, pillar_height=8.0, z_min=-5.0,
+            point_mlp=_mlps(rng, (5, 8, fdim)), merge_mlp=_mlps(rng, (m * fdim, 8, fdim)),
+            ball_radius=r * (0.5, 1.0, 1.5)[s % 3], max_group=int(rng.integers(1, 21)))
+        gdim = int(rng.integers(1, 5))
+        cfg_b = BevFusionConfig(
+            grid_mlp=_mlps(rng, (gdim + 2, 8, fdim)),
+            window=(int(rng.integers(0, 4)), int(rng.integers(0, 4))),
+            max_group=int(rng.integers(1, 21)),
+            distance_mode=("window", "scalar")[s % 2])
+        cloud = _fusion_cloud(rng, grid, segment_heights(cfg_h))
+        if s % 7 == 3:
+            cloud = cloud[:0]
+        nx, ny = grid.nx, grid.ny
+        key_ids = np.unique(rng.integers(0, (nx + 4) * (ny + 4), int(rng.integers(0, 30))))
+        keys = np.stack([key_ids // (ny + 4) - 2, key_ids % (ny + 4) - 2], axis=1)
+        grids = BevGrids(keys=keys, features=rng.normal(size=(len(keys), gdim)))
+        cells = {(int(i), int(j)) for i, j in zip(rng.integers(0, nx, 12),
+                                                  rng.integers(0, ny, 12))}
+        cells = set() if s % 9 == 5 else cells | {(0, 0), (nx - 1, ny - 1)}
+        got, got_stats = compute_cell_features(cells, cfg_h, cfg_b, cloud, grids, grid)
+        want, want_stats = cell_features_brute(cells, cfg_h, cfg_b, cloud, grids, grid)
+        if got_stats != want_stats:
+            failures.append(f"seed {s}: stats {got_stats} != {want_stats}")
+        elif not _rel_close(got, want):
+            failures.append(f"seed {s}: cell features differ")
+    return PropertyResult("l2r.cell-features-oracle", not failures, seeds, failures)
 
 
 def check_pseudo_count(seeds: int, fault=None) -> PropertyResult:
@@ -1025,6 +1133,7 @@ PROPERTIES = {
     "heads.worker-oracle": check_worker_count,
     "l2r.ball-query-oracle": check_ball_query_oracle,
     "l2r.bev-query-oracle": check_bev_query_oracle,
+    "l2r.cell-features-oracle": check_cell_features,
     "l2r.height-sensitivity": check_height_sensitivity,
     "l2r.non-overlap": check_non_overlap,
     "l2r.pseudo-count": check_pseudo_count,

@@ -1,6 +1,9 @@
 """CLI subcommands, file outputs, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -102,6 +105,19 @@ def test_offset_fault_breaks_decode(capsys):
     out = capsys.readouterr().out
     assert any(l.startswith("FAIL  heads.decode-roundtrip")
                for l in out.splitlines())
+
+
+def test_unknown_fault_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "--fault", "gremlins"])
+    assert exc.value.code == 2
+    assert "ball-radius-r" in capsys.readouterr().err
+
+
+def test_importing_the_cli_leaves_the_oracle_suite_unloaded():
+    code = "import sys, lrbev.cli; sys.exit('lrbev.oracles' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def test_validation_error_exit_code(tmp_path):

@@ -1,15 +1,16 @@
-"""Ball queries over the radar columns a ball can reach against a scan of
-every point."""
+"""The frame path's ball groups, drawn from the radar columns a ball can
+reach, against scans of every point."""
 
 import numpy as np
 import pytest
 
 from lrbev.cloud import make_cloud
-from lrbev.grids import GridSpec
-from lrbev.l2r import (BevFusionConfig, HeightFusionConfig, ball_candidates,
-                       ball_query, column_buckets, compute_cell_features,
-                       height_fuse, num_height_segments, segment_query_points)
+from lrbev.grids import BevGrids, GridSpec
+from lrbev.l2r import (BevFusionConfig, HeightFusionConfig, ball_query,
+                       ball_query_brute, compute_cell_features,
+                       num_height_segments, segment_balls, segment_query_points)
 from lrbev.nn import MlpParams
+from lrbev.oracles import GRID_RTOL, cell_features_brute
 
 GRID = GridSpec(origin=(-4.0, -3.0, -5.0), cell=(0.5, 0.5, 8.0), counts=(16, 12, 1))
 
@@ -39,27 +40,34 @@ def _height_cfg(rng, radius):
                               ball_radius=radius, max_group=int(rng.integers(1, 40)))
 
 
+def _groups(cells, cfg, xyz):
+    """Per query of ``segment_balls``: (point indices, distances, capped)."""
+    idx, delta, offsets, counts = segment_balls(np.array(cells), cfg, xyz, GRID)
+    d2 = delta[:, 0] * delta[:, 0] + delta[:, 1] * delta[:, 1] + delta[:, 2] * delta[:, 2]
+    return [(idx[a:b], np.sqrt(d2[a:b]), bool(c > cfg.max_group))
+            for a, b, c in zip(offsets[:-1], offsets[1:], counts)]
+
+
 @pytest.mark.parametrize("seed", range(12))
 def test_bucketed_ball_query_matches_full_scan(seed):
     rng = np.random.default_rng([60, seed])
     x, y, z = _cloud(rng, 3000)
     xyz = np.stack([x, y, z], axis=1)
-    buckets = column_buckets(xyz, GRID)
     r = GRID.cell[0]
     radii = [0.5 * r, r, 2.0 * r, float(rng.uniform(0.05, 2.0 * r))]
     cells = [(0, 0), (GRID.nx - 1, GRID.ny - 1), (0, GRID.ny - 1),
              (int(rng.integers(0, GRID.nx)), int(rng.integers(0, GRID.ny)))]
+    cells = list(dict.fromkeys(cells))
     for radius in radii:
         cfg = _height_cfg(rng, radius)
+        groups = iter(_groups(cells, cfg, xyz))
         for cell in cells:
-            near = ball_candidates(cell, buckets, GRID, radius)
-            assert np.all(np.diff(near) > 0)
             for q in segment_query_points(cell, cfg, GRID):
                 full = ball_query((q.x, q.y, q.z), xyz, radius, cfg.max_group)
-                part = ball_query((q.x, q.y, q.z), xyz[near], radius, cfg.max_group)
-                assert np.array_equal(near[part.indices], full.indices)
-                assert np.array_equal(part.distances, full.distances)
-                assert part.capped == full.capped
+                indices, distances, capped = next(groups)
+                assert np.array_equal(indices, full.indices)
+                assert np.array_equal(distances, full.distances)
+                assert capped == full.capped
 
 
 def test_edge_points_at_the_ball_surface_are_found():
@@ -70,10 +78,15 @@ def test_edge_points_at_the_ball_surface_are_found():
     radius = 0.5 * GRID.cell[0]
     xyz = np.array([[cx + radius, cy, 0.0], [cx, cy - radius, 0.0],
                     [cx - radius, cy, 0.0], [cx + radius, cy + radius, 0.0]])
-    near = ball_candidates(cell, column_buckets(xyz, GRID), GRID, radius)
-    assert near.tolist() == [0, 1, 2, 3]
-    hits = ball_query((cx, cy, 0.0), xyz[near], radius, 16)
-    assert sorted(near[hits.indices].tolist()) == [0, 1, 2]
+    # z_min puts the first segment center at z = 0.
+    rng = np.random.default_rng(0)
+    cfg = HeightFusionConfig(cell_size=GRID.cell[0], pillar_height=8.0,
+                             z_min=-GRID.cell[0], point_mlp=MlpParams.init((5, 4), rng),
+                             merge_mlp=MlpParams.init((32, 4), rng))
+    hits = _groups([cell], cfg, xyz)[0][0]
+    assert sorted(hits.tolist()) == [0, 1, 2]
+    brute = ball_query_brute((cx, cy, 0.0), xyz, radius, cfg.max_group)
+    assert hits.tolist() == brute.indices.tolist()
 
 
 def test_compute_cell_features_matches_full_scan_height_fuse():
@@ -88,9 +101,8 @@ def test_compute_cell_features_matches_full_scan_height_fuse():
     cells = {(int(i), int(j)) for i, j in zip(rng.integers(0, GRID.nx, 20),
                                               rng.integers(0, GRID.ny, 20))}
     cells |= {(0, 0), (GRID.nx - 1, GRID.ny - 1)}
-    features, stats = compute_cell_features(cells, cfg_h, cfg_b, cloud, {}, GRID)
-    caps = {"height": 0, "bev": 0}
-    for cell in sorted(cells):
-        want, _ = height_fuse(cell, cfg_h, cloud, GRID, caps=caps)
-        assert features[cell].height_feature.tobytes() == want.tobytes()
-    assert stats["capped_height_groups"] == caps["height"]
+    grids = BevGrids(np.zeros((0, 2), np.int64), np.zeros((0, 4)))
+    features, stats = compute_cell_features(cells, cfg_h, cfg_b, cloud, grids, GRID)
+    want, want_stats = cell_features_brute(cells, cfg_h, cfg_b, cloud, grids, GRID)
+    assert np.abs(features - want).max() <= GRID_RTOL * np.abs(want).max()
+    assert stats == want_stats

@@ -283,7 +283,7 @@ class TestCollapseToBevGrids:
         spec = _spec()
         vs = voxel_encode(voxelize(_lidar([[0.1, 0.2, -0.3]]), spec), _voxel_mlp())
         coarse = collapse_to_bev_grids(vs, coarse_cell=1.0)
-        (key, feat), = coarse.items()
+        (key,), (feat,) = coarse, coarse.features
         (vkey,), (vfeat,) = vs.occupied, vs.features
         assert key == (vkey[0] // 2, vkey[1] // 2)
         assert np.array_equal(feat, vfeat)
@@ -294,7 +294,8 @@ class TestCollapseToBevGrids:
         vs = voxel_encode(voxelize(cloud, spec), _voxel_mlp())
         coarse = collapse_to_bev_grids(vs, coarse_cell=1.0)
         want = max_reduce(list(vs.features))
-        assert np.array_equal(coarse[(0, 0)], want)
+        assert list(coarse) == [(0, 0)]
+        assert np.array_equal(coarse.features[0], want)
 
     def test_ratio_eight_index_arithmetic(self):
         # full-scale geometry: coarse cell = 8x the fine cell
@@ -306,7 +307,8 @@ class TestCollapseToBevGrids:
         vs = voxel_encode(voxelize(_lidar(pts), spec), _voxel_mlp())
         coarse = collapse_to_bev_grids(vs, coarse_cell=0.6)
         expected_keys = {(k[0] // 8, k[1] // 8) for k in vs.occupied.tolist()}
-        assert set(coarse) == expected_keys
+        assert list(coarse) == sorted(expected_keys)
+        assert coarse.features.shape == (len(expected_keys), vs.feature_dim)
 
     def test_non_commensurate_raises(self):
         spec = _spec(cell=0.3)
@@ -319,3 +321,9 @@ class TestCollapseToBevGrids:
         vs = voxel_encode(voxelize(_lidar([[0.1, 0.2, -0.3]]), spec), _voxel_mlp())
         coarse = collapse_to_bev_grids(vs, coarse_cell=2.0)
         assert len(coarse) == 1
+
+    def test_empty_voxel_set_gives_empty_grids(self):
+        vs = voxel_encode(voxelize(_lidar(np.zeros((0, 3))), _spec()), _voxel_mlp())
+        coarse = collapse_to_bev_grids(vs, coarse_cell=1.0)
+        assert len(coarse) == 0 and list(coarse) == []
+        assert coarse.keys.shape == (0, 2)

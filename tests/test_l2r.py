@@ -6,13 +6,14 @@ import pytest
 
 from lrbev.cloud import make_cloud
 from lrbev.errors import ShapeError
-from lrbev.grids import GridSpec
-from lrbev.l2r import (BevFusionConfig, HeightFusionConfig, aggregate_segment,
-                       ball_query, ball_query_brute, bev_fuse, bev_query,
-                       bev_query_brute, enhance_radar_map, height_fuse,
+from lrbev.grids import BevGrids, GridSpec, segment_max
+from lrbev.l2r import (BevFusionConfig, HeightFusionConfig, ball_query,
+                       ball_query_brute, bev_fuse, bev_query, bev_query_brute,
+                       compute_cell_features, enhance_radar_map, height_fuse,
                        manhattan_distance, num_height_segments,
                        query_balls_disjoint, segment_query_points)
 from lrbev.nn import FeatureMap, MlpParams, mlp_forward
+from lrbev.oracles import GRID_RTOL, cell_features_brute
 
 
 def _mlp(dims, seed=0):
@@ -121,49 +122,59 @@ class TestBallQuery:
         cfg = _cfg(max_group=2)
         q1, q2 = segment_query_points((90, 90), cfg, RADAR_GRID)[:2]
         cloud = _cloud([[q1.x, q1.y, q1.z]] * 3 + [[q2.x, q2.y, q2.z]] * 2)
-        caps = {"height": 0, "bev": 0}
-        height_fuse((90, 90), cfg, cloud, RADAR_GRID, caps=caps)
-        assert caps == {"height": 1, "bev": 0}
+        _, counts = height_fuse(np.array([(90, 90)]), cfg, cloud, RADAR_GRID)
+        assert np.count_nonzero(counts > cfg.max_group) == 1
 
 
 class TestAggregateSegment:
+    """``segment_max``, the max-pooled MLP of every L2R group."""
+
     def test_empty_group_zero_vector(self):
         psi = _mlp((5, 8, 32))
-        out = aggregate_segment(np.zeros((0, 5)), psi)
-        assert np.array_equal(out, np.zeros(32))
+        out = segment_max(np.zeros((0, 5)), np.array([0, 0]), psi)
+        assert np.array_equal(out, np.zeros((1, 32)))
 
     def test_singleton_equals_mlp(self):
         psi = _mlp((5, 8, 32))
         row = np.array([0.1, -0.2, 0.3, 0.5, 0.0])
-        assert np.array_equal(aggregate_segment(row[None, :], psi),
+        assert np.array_equal(segment_max(row[None, :], np.array([0, 1]), psi)[0],
                               mlp_forward(row, psi))
 
     def test_permutation_invariant(self):
         rng = np.random.default_rng(21)
         psi = _mlp((5, 8, 32))
         rows = rng.normal(size=(7, 5))
-        base = aggregate_segment(rows, psi)
+        base = segment_max(rows, np.array([0, 7]), psi)
         for _ in range(100):
-            assert np.array_equal(aggregate_segment(rows[rng.permutation(7)], psi),
-                                  base)
+            assert np.array_equal(
+                segment_max(rows[rng.permutation(7)], np.array([0, 7]), psi), base)
+
+    def test_empty_groups_between_full_ones(self):
+        psi = _mlp((5, 8, 32))
+        rows = np.random.default_rng(27).normal(size=(3, 5))
+        out = segment_max(rows, np.array([0, 0, 2, 2, 3, 3]), psi)
+        assert not out[[0, 2, 4]].any()
+        assert np.array_equal(out[[1, 3]], segment_max(rows, np.array([0, 2, 3]), psi))
 
     def test_shape_error(self):
         with pytest.raises(ShapeError):
-            aggregate_segment(np.zeros((2, 4)), _mlp((5, 8, 32)))
+            segment_max(np.zeros((2, 4)), np.array([0, 2]), _mlp((5, 8, 32)))
 
 
 class TestHeightFuse:
     def test_no_lidar_points_gives_merge_of_zeros(self):
         cfg = _cfg()
-        out, hits = height_fuse((5, 5), cfg, _cloud(np.zeros((0, 3))), RADAR_GRID)
+        out, counts = height_fuse(np.array([(5, 5)]), cfg, _cloud(np.zeros((0, 3))),
+                                  RADAR_GRID)
         want = mlp_forward(np.zeros(cfg.merge_mlp.in_dim), cfg.merge_mlp)
-        assert np.array_equal(out, want)
-        assert hits == 0
+        assert np.array_equal(out[0], want)
+        assert np.count_nonzero(counts) == 0
 
     def test_output_length_32(self):
         cfg = _cfg()
-        out, _ = height_fuse((5, 5), cfg, _cloud([[0.0, 0.0, 0.0]]), RADAR_GRID)
-        assert out.shape == (32,)
+        out, _ = height_fuse(np.array([(5, 5)]), cfg, _cloud([[0.0, 0.0, 0.0]]),
+                             RADAR_GRID)
+        assert out.shape == (1, 32)
 
     def test_moving_points_between_segments_changes_feature(self):
         cfg = _cfg()
@@ -172,8 +183,8 @@ class TestHeightFuse:
         x, y = pts[0].x, pts[0].y
         low = _cloud([[x, y, pts[0].z], [x + 0.05, y, pts[0].z + 0.1]])
         high = _cloud([[x, y, pts[1].z], [x + 0.05, y, pts[1].z + 0.1]])
-        f_low, _ = height_fuse(cell, cfg, low, RADAR_GRID)
-        f_high, _ = height_fuse(cell, cfg, high, RADAR_GRID)
+        f_low, _ = height_fuse(np.array([cell]), cfg, low, RADAR_GRID)
+        f_high, _ = height_fuse(np.array([cell]), cfg, high, RADAR_GRID)
         assert not np.array_equal(f_low, f_high)
 
     def test_shuffling_cloud_leaves_feature_bit_identical(self):
@@ -185,10 +196,10 @@ class TestHeightFuse:
                                y + rng.uniform(-0.25, 0.25, 30),
                                rng.uniform(-5.0, 3.0, 30)])
         cloud = _cloud(xyz)
-        base, _ = height_fuse(cell, cfg, cloud, RADAR_GRID)
+        base, _ = height_fuse(np.array([cell]), cfg, cloud, RADAR_GRID)
         for _ in range(25):
             sh = rng.permutation(len(cloud))
-            out, _ = height_fuse(cell, cfg, cloud[sh], RADAR_GRID)
+            out, _ = height_fuse(np.array([cell]), cfg, cloud[sh], RADAR_GRID)
             assert np.array_equal(out, base)
 
 
@@ -276,18 +287,24 @@ class TestBevQuery:
             assert bev_query_brute((5, 5), grids, cfg).capped is capped
 
 
+def _bev_grids(items, fdim=16):
+    """BevGrids from (key, feature) pairs, rows in the given order."""
+    keys = np.array([k for k, _ in items], dtype=np.int64).reshape(-1, 2)
+    return BevGrids(keys, np.array([f for _, f in items]).reshape(len(keys), fdim))
+
+
 class TestBevFuse:
     def test_empty_group_zero_vector(self):
-        out, hit = bev_fuse((3, 3), {}, _bev_cfg())
-        assert np.array_equal(out, np.zeros(32)) and hit == 0
+        out, counts = bev_fuse(np.array([(3, 3)]), _bev_grids([]), _bev_cfg())
+        assert np.array_equal(out, np.zeros((1, 32))) and np.count_nonzero(counts) == 0
 
     def test_singleton_equals_mlp_of_decorated_feature(self):
         rng = np.random.default_rng(25)
         feat = rng.normal(size=16)
         cfg = _bev_cfg()
-        out, _ = bev_fuse((3, 3), {(5, 2): feat}, cfg)
+        out, _ = bev_fuse(np.array([(3, 3)]), _bev_grids([((5, 2), feat)]), cfg)
         want = mlp_forward(np.concatenate([feat, [2.0, -1.0]]), cfg.grid_mlp)
-        assert np.array_equal(out, want)
+        assert np.array_equal(out[0], want)
 
     def test_dict_order_invariant(self):
         rng = np.random.default_rng(26)
@@ -295,10 +312,10 @@ class TestBevFuse:
                  for _ in range(12)}
         items = [(c, rng.normal(size=16)) for c in sorted(cells)]
         cfg = _bev_cfg(window=(4, 4))
-        base, _ = bev_fuse((5, 5), dict(items), cfg)
+        base, _ = bev_fuse(np.array([(5, 5)]), _bev_grids(items), cfg)
         for _ in range(20):
             rng.shuffle(items)
-            out, _ = bev_fuse((5, 5), dict(items), cfg)
+            out, _ = bev_fuse(np.array([(5, 5)]), _bev_grids(items), cfg)
             assert np.array_equal(out, base)
 
 
@@ -311,13 +328,11 @@ class TestEnhanceRadarMap:
         return FeatureMap(data)
 
     def _features(self, cells, seed=1):
-        from lrbev.l2r import CellFeatures
-        rng = np.random.default_rng(seed)
-        return {c: CellFeatures(cell=c, height_feature=rng.normal(size=32),
-                                bev_feature=rng.normal(size=32)) for c in cells}
+        """One [height | bev] row per cell, cells in ascending order."""
+        return np.random.default_rng(seed).normal(size=(len(cells), 64))
 
     def test_zero_map_no_features_zero_output(self):
-        out = enhance_radar_map(self._mr([]), [], {})
+        out = enhance_radar_map(self._mr([]), [], np.zeros((0, 64)))
         assert out.channels == 96
         assert not np.any(out.data)
 
@@ -334,17 +349,89 @@ class TestEnhanceRadarMap:
         out = enhance_radar_map(m_r, cells, feats)
         assert out.channels == 96
         assert np.array_equal(out.data[:32], m_r.data)
-        assert np.array_equal(out.data[32:64, 1, 1], feats[(1, 1)].height_feature)
-        assert np.array_equal(out.data[64:, 2, 4], feats[(4, 2)].bev_feature)
+        assert np.array_equal(out.data[32:64, 1, 1], feats[0, :32])
+        assert np.array_equal(out.data[64:, 2, 4], feats[1, 32:])
 
-    def test_feature_cell_mismatch_raises(self):
+    def test_rows_follow_sorted_cell_order(self):
+        cells = [(4, 2), (1, 1)]
+        feats = self._features(cells)
+        out = enhance_radar_map(self._mr(cells), {c: [] for c in cells}, feats)
+        assert np.array_equal(out.data[32:, 1, 1], feats[0])
+        assert np.array_equal(out.data[32:, 2, 4], feats[1])
+
+    def test_feature_row_count_mismatch_raises(self):
         cells = [(1, 1)]
         with pytest.raises(ShapeError):
-            enhance_radar_map(self._mr(cells), cells, self._features([(0, 0)]))
+            enhance_radar_map(self._mr(cells), cells, self._features([(0, 0), (1, 1)]))
 
     def test_wrong_total_width_raises(self):
-        from lrbev.l2r import CellFeatures
         cells = [(1, 1)]
-        feats = {(1, 1): CellFeatures((1, 1), np.zeros(16), np.zeros(32))}
         with pytest.raises(ShapeError):
-            enhance_radar_map(self._mr(cells), cells, feats)
+            enhance_radar_map(self._mr(cells), cells, np.zeros((1, 48)))
+
+
+GRID = GridSpec(origin=(-4.0, -3.0, -5.0), cell=(0.5, 0.5, 8.0), counts=(16, 12, 1))
+
+
+class TestComputeCellFeatures:
+    """Edge cases of the frame path against its per-cell brute-force twin."""
+
+    def _configs(self, seed=0, ball_radius=0.0):
+        m = num_height_segments(8.0, 0.5)
+        cfg_h = HeightFusionConfig(cell_size=0.5, pillar_height=8.0, z_min=-5.0,
+                                   point_mlp=_mlp((5, 8, 32), seed),
+                                   merge_mlp=_mlp((m * 32, 8, 32), seed + 1),
+                                   ball_radius=ball_radius, max_group=4)
+        return cfg_h, _bev_cfg(window=(2, 1), max_group=3, fdim=4, seed=seed + 2)
+
+    def _grids(self, seed=3):
+        rng = np.random.default_rng(seed)
+        keys = sorted({(int(i), int(j)) for i, j in rng.integers(-1, 17, size=(40, 2))})
+        return _bev_grids([(k, rng.normal(size=4)) for k in keys], fdim=4)
+
+    def _check(self, cells, cloud, grids, ball_radius=0.0):
+        cfg_h, cfg_b = self._configs(ball_radius=ball_radius)
+        got, stats = compute_cell_features(cells, cfg_h, cfg_b, cloud, grids, GRID)
+        want, want_stats = cell_features_brute(cells, cfg_h, cfg_b, cloud, grids, GRID)
+        assert stats == want_stats
+        assert got.shape == want.shape == (len(cells), 64)
+        assert np.abs(got - want).max(initial=0.0) <= GRID_RTOL * np.abs(want).max(initial=0.0)
+        return got, stats
+
+    def _cloud(self, seed=4, n=400):
+        rng = np.random.default_rng(seed)
+        return _cloud(np.column_stack([rng.uniform(-5.0, 5.0, n), rng.uniform(-4.0, 4.0, n),
+                                       rng.uniform(-5.0, 3.0, n)]))
+
+    def test_no_radar_cells(self):
+        got, stats = self._check({}, self._cloud(), self._grids())
+        assert stats["cells"] == 0 and stats["ball_query_hit_rate"] == 0.0
+
+    def test_no_lidar_points(self):
+        got, stats = self._check([(3, 4), (9, 2)], _cloud(np.zeros((0, 3))), self._grids())
+        assert stats["ball_query_hit_rate"] == 0.0
+        assert np.array_equal(got[0, :32], got[1, :32])
+
+    def test_empty_bev_grids(self):
+        grids = BevGrids(np.zeros((0, 2), np.int64), np.zeros((0, 0)))
+        got, stats = self._check([(3, 4), (9, 2)], self._cloud(), grids)
+        assert stats["bev_query_hit_rate"] == 0.0 and not got[:, 32:].any()
+
+    @pytest.mark.parametrize("ball_radius", [0.25, 0.5])
+    def test_cells_at_the_grid_corners(self, ball_radius):
+        """Balls of radius r reach past the grid edge, whose points the
+        corner columns hold."""
+        corners = [(0, 0), (0, 11), (15, 0), (15, 11)]
+        rng = np.random.default_rng(5)
+        xyz = []
+        for ix, iy in corners:
+            x, y = GRID.cell_center_xy(ix, iy)
+            z = -4.5 + rng.integers(0, 8, 30) + rng.uniform(-0.2, 0.2, 30)
+            xyz.append(np.column_stack([x + rng.uniform(-0.6, 0.6, 30),
+                                        y + rng.uniform(-0.6, 0.6, 30), z]))
+            xyz.append(np.column_stack([x + rng.uniform(-0.1, 0.1, 6),
+                                        y + rng.uniform(-0.1, 0.1, 6), np.full(6, -2.5)]))
+        cloud = _cloud(np.concatenate(xyz))
+        got, stats = self._check(corners, cloud, self._grids(), ball_radius)
+        assert stats["ball_query_hit_rate"] > 0.0 and stats["bev_query_hit_rate"] > 0.0
+        assert stats["capped_height_groups"] > 0

@@ -13,7 +13,8 @@ REQUIRED = [
     "heads.channel-contract", "heads.decode-roundtrip",
     "heads.focal-monotonicity", "heads.grad-loss", "heads.tiled-oracle",
     "heads.worker-oracle",
-    "l2r.ball-query-oracle", "l2r.bev-query-oracle", "l2r.height-sensitivity",
+    "l2r.ball-query-oracle", "l2r.bev-query-oracle", "l2r.cell-features-oracle",
+    "l2r.height-sensitivity",
     "l2r.non-overlap", "l2r.pseudo-count", "l2r.query-locality",
     "l2r.segment-heights",
     "nn.conv-identity", "nn.conv-oracle", "nn.grad-conv", "nn.grad-max",
