@@ -1,17 +1,21 @@
-"""Pipeline configuration: grids, channel widths, fusion settings, seeds.
+"""Pipeline configuration: grids, layer widths, fusion settings, seeds.
 
-Everything round-trips through JSON. ``validate`` rejects each invariant
-violation with a message that names the offending field. Two built-in
-scales exist: ``desk`` (CI-friendly) and ``paper`` (full resolution, slow).
+A config holds free values only: the 32/96/512 channel contract is made of
+constants, and the radar grid and class count are derived properties.
+Everything round-trips through JSON; ``from_dict`` and ``validate`` reject a
+bad key, type or value with a message that names the offending field.
+Built-in scales: ``tiny``, ``desk`` (CI-friendly), ``paper`` (slow).
 """
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
-
 import json
+import math
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
+from typing import get_args, get_origin, get_type_hints
 
-from .errors import ConfigError
-from .grids import GridSpec
+from .errors import ConfigError, FormatError
+from .grids import RADAR_CHANNELS, GridSpec
+from .l2r import ENHANCED_CHANNELS
 from .synth import DEFAULT_CLASSES, ObjectClass
 
 COMPACT_CLASSES = (
@@ -30,8 +34,8 @@ class SceneSettings:
     lidar_density: float = 40.0
     lidar_noise_sigma: float = 0.02
     ground_density: float = 2.0
-    radar_returns: tuple = (1, 3)
-    ego_velocity: tuple = (2.0, 0.0)
+    radar_returns: tuple[int, int] = (1, 3)
+    ego_velocity: tuple[float, float] = (2.0, 0.0)
     sweep_dt: float = 0.1
     sensor_height: float = 0.5
     ground_z: float = -1.5
@@ -45,11 +49,11 @@ class FusionSettings:
     ball_radius: float = 0.0        # 0 -> half the radar cell
     height_max_group: int = 16
     bev_max_group: int = 16
-    bev_window: tuple = (2, 2)
+    bev_window: tuple[int, int] = (2, 2)
     distance_mode: str = "window"
-    point_mlp_hidden: tuple = (16,)
-    merge_mlp_hidden: tuple = (32,)
-    grid_mlp_hidden: tuple = (32,)
+    point_mlp_hidden: tuple[int, ...] = (16,)
+    merge_mlp_hidden: tuple[int, ...] = (32,)
+    grid_mlp_hidden: tuple[int, ...] = (32,)
     height_feature_dim: int = 32
     bev_feature_dim: int = 32
 
@@ -57,24 +61,18 @@ class FusionSettings:
 @dataclass
 class ChannelSettings:
     voxel_feature_dim: int = 16
-    voxel_mlp_hidden: tuple = (16,)
-    zstack_hidden: tuple = (32,)
+    voxel_mlp_hidden: tuple[int, ...] = (16,)
+    zstack_hidden: tuple[int, ...] = (32,)
     lidar_channels: int = 64        # width of the LiDAR BEV map
-    radar_channels: int = 32        # width of the radar BEV map
-    pillar_mlp_hidden: tuple = (16,)
-    encoder_hidden: tuple = (8, 8)  # intermediate widths of the 3-block encoder
-    encoder_channels: int = 512
-    trunk_channels: tuple = (4, 4)
+    pillar_mlp_hidden: tuple[int, ...] = (16,)
+    encoder_hidden: tuple[int, ...] = (8, 8)  # intermediate widths of the 3-block encoder
+    trunk_channels: tuple[int, ...] = (4, 4)
 
 
 @dataclass
 class HeadSettings:
-    num_classes: int = 3
     score_thresh: float = 0.3
     max_detections: int = 64
-    loss_weights: dict = field(default_factory=lambda: {
-        "heatmap": 1.0, "offset": 1.0, "z": 1.0,
-        "size": 1.0, "rot": 1.0, "vel": 1.0})
 
 
 @dataclass
@@ -86,7 +84,7 @@ class SeedSettings:
 @dataclass
 class PipelineConfig:
     lidar_grid: GridSpec
-    radar_grid: GridSpec
+    radar_cell: float               # radar pillar edge, a multiple of the LiDAR cell
     lidar_sweeps: int = 3
     radar_sweeps: int = 2
     radar_variant: str = "a"
@@ -100,8 +98,17 @@ class PipelineConfig:
     # -- derived geometry ---------------------------------------------------
 
     @property
+    def radar_grid(self) -> GridSpec:
+        """The radar pillar grid: the LiDAR extent in ``radar_cell`` squares,
+        one layer spanning the LiDAR z range."""
+        lg, r = self.lidar_grid, self.radar_cell
+        return GridSpec(origin=lg.origin, cell=(r, r, self.pillar_height),
+                        counts=(lg.nx // round(r / lg.cell[0]),
+                                lg.ny // round(r / lg.cell[1]), 1))
+
+    @property
     def radar_cell_size(self) -> float:
-        return self.radar_grid.cell[0]
+        return self.radar_cell
 
     @property
     def z_min(self) -> float:
@@ -113,7 +120,7 @@ class PipelineConfig:
 
     @property
     def grid_ratio(self) -> int:
-        return int(round(self.radar_grid.cell[0] / self.lidar_grid.cell[0]))
+        return round(self.radar_cell / self.lidar_grid.cell[0])
 
     @property
     def extent(self) -> float:
@@ -123,38 +130,29 @@ class PipelineConfig:
     def classes(self) -> tuple:
         return CLASS_SETS[self.scene.class_set]
 
+    @property
+    def num_classes(self) -> int:
+        return len(self.classes)
+
     def validate(self) -> None:
-        lg, rg = self.lidar_grid, self.radar_grid
-        if abs(rg.cell[0] - rg.cell[1]) > 1e-12:
-            raise ConfigError(f"radar_grid.cell: dx ({rg.cell[0]}) != dy ({rg.cell[1]}); "
-                              "the radar grid must be square")
-        if rg.nz != 1:
-            raise ConfigError(f"radar_grid.counts: pillar grid needs nz == 1, got {rg.nz}")
-        if abs(rg.cell[2] - self.pillar_height) > 1e-9:
-            raise ConfigError(f"radar_grid.cell: pillar depth {rg.cell[2]} must span "
-                              f"the full z range {self.pillar_height}")
-        for axis in (0, 1, 2):
-            if abs(lg.origin[axis] - rg.origin[axis]) > 1e-12:
-                raise ConfigError(f"radar_grid.origin: axis {axis} differs from "
-                                  "lidar_grid.origin; the grids must share a corner")
-        ratio = rg.cell[0] / lg.cell[0]
-        if abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
-            raise ConfigError(f"radar_grid.cell: radar cell {rg.cell[0]} is not an "
-                              f"integer multiple of lidar cell {lg.cell[0]}")
-        r = int(round(ratio))
-        if lg.nx != rg.nx * r or lg.ny != rg.ny * r:
-            raise ConfigError(f"radar_grid.counts: {rg.nx}x{rg.ny} cells at ratio {r} "
-                              f"do not cover the lidar grid {lg.nx}x{lg.ny}")
+        lg, r = self.lidar_grid, self.radar_cell
+        for axis, name in ((0, "x"), (1, "y")):
+            ratio = r / lg.cell[axis]
+            # NaN, infinite and non-positive cells fail the range test too
+            if not 1 <= ratio <= lg.counts[axis] or abs(ratio - round(ratio)) > 1e-9:
+                raise ConfigError(f"radar_cell: {r} must be a whole multiple, 1 to "
+                                  f"{lg.counts[axis]} times, of the LiDAR {name} "
+                                  f"cell {lg.cell[axis]}")
+            if lg.counts[axis] % round(ratio):
+                raise ConfigError(f"radar_cell: {lg.counts[axis]} LiDAR {name} cells "
+                                  f"do not split into radar cells of {round(ratio)}")
         ch, fu = self.channels, self.fusion
-        enhanced = ch.radar_channels + fu.height_feature_dim + fu.bev_feature_dim
-        if enhanced != 96:
+        fusion_width = ENHANCED_CHANNELS - RADAR_CHANNELS
+        if fu.height_feature_dim + fu.bev_feature_dim != fusion_width:
             raise ConfigError(
-                "channels.radar_channels: radar width plus the two fusion feature "
-                f"widths must total 96, got {ch.radar_channels}+"
-                f"{fu.height_feature_dim}+{fu.bev_feature_dim} = {enhanced}")
-        if ch.encoder_channels != 512:
-            raise ConfigError(f"channels.encoder_channels: fixed at 512, "
-                              f"got {ch.encoder_channels}")
+                "fusion.height_feature_dim: the height and BEV feature widths must "
+                f"total {ENHANCED_CHANNELS} - {RADAR_CHANNELS} = {fusion_width}, got "
+                f"{fu.height_feature_dim}+{fu.bev_feature_dim}")
         if len(ch.encoder_hidden) != 2:
             raise ConfigError("channels.encoder_hidden: the encoder has 3 blocks, "
                               f"so exactly 2 intermediate widths are needed, "
@@ -183,8 +181,9 @@ class PipelineConfig:
         if not (0.0 < hd.score_thresh < 1.0):
             raise ConfigError(f"head.score_thresh: must be in (0,1), "
                               f"got {hd.score_thresh}")
-        if hd.num_classes < 1 or hd.max_detections < 1:
-            raise ConfigError("head.num_classes/max_detections: must be >= 1")
+        if hd.max_detections < 1:
+            raise ConfigError(f"head.max_detections: must be >= 1, "
+                              f"got {hd.max_detections}")
         sc = self.scene
         if sc.num_objects < 0:
             raise ConfigError(f"scene.num_objects: must be >= 0, got {sc.num_objects}")
@@ -203,23 +202,11 @@ class PipelineConfig:
     # -- serialization ------------------------------------------------------
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        d["lidar_grid"] = self.lidar_grid.to_dict()
-        d["radar_grid"] = self.radar_grid.to_dict()
-        return d
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "PipelineConfig":
-        kwargs = dict(d)
-        kwargs["lidar_grid"] = GridSpec.from_dict(d["lidar_grid"])
-        kwargs["radar_grid"] = GridSpec.from_dict(d["radar_grid"])
-        for name, sub in (("scene", SceneSettings), ("fusion", FusionSettings),
-                          ("channels", ChannelSettings), ("head", HeadSettings),
-                          ("seeds", SeedSettings)):
-            if name in kwargs and isinstance(kwargs[name], dict):
-                kwargs[name] = sub(**{k: (tuple(v) if isinstance(v, list) else v)
-                                      for k, v in kwargs[name].items()})
-        return cls(**kwargs)
+        return _from_json_value("", d, cls)
 
     def to_json(self, path) -> None:
         with open(path, "w") as fh:
@@ -227,8 +214,50 @@ class PipelineConfig:
 
     @classmethod
     def from_json(cls, path) -> "PipelineConfig":
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
+        try:
+            with open(path, "rb") as fh:
+                doc = json.loads(fh.read().decode("utf-8"))
+        except json.JSONDecodeError as e:
+            raise FormatError(f"{path}: not JSON: {e.msg}",
+                              len(e.doc[:e.pos].encode())) from None
+        except UnicodeDecodeError as e:
+            raise FormatError(f"{path}: not UTF-8 text", e.start) from None
+        return cls.from_dict(doc)
+
+
+def _from_json_value(name: str, value, kind):
+    """``value`` read from JSON as the annotated type ``kind``, or a
+    ConfigError naming ``name``, the dotted field name ("" for the config),
+    for an unknown or missing key, a wrong type or list length, or NaN/inf."""
+    if is_dataclass(kind):
+        if not isinstance(value, dict):
+            raise ConfigError(f"{name or 'config'}: expected an object, "
+                              f"got {json.dumps(value)}")
+        prefix = name + "." if name else ""
+        hints = get_type_hints(kind)
+        for key in value:
+            if key not in hints:
+                raise ConfigError(f"{prefix}{key}: unknown key")
+        for f in fields(kind):
+            required = f.default is MISSING and f.default_factory is MISSING
+            if required and f.name not in value:
+                raise ConfigError(f"{prefix}{f.name}: missing")
+        return kind(**{key: _from_json_value(prefix + key, v, hints[key])
+                       for key, v in value.items()})
+    if get_origin(kind) is tuple:
+        items = get_args(kind)
+        if not isinstance(value, (list, tuple)) or (items[-1] is not Ellipsis
+                                                    and len(value) != len(items)):
+            size = "" if items[-1] is Ellipsis else f"{len(items)} "
+            raise ConfigError(f"{name}: expected a list of {size}{items[0].__name__}s, "
+                              f"got {json.dumps(value)}")
+        return tuple(_from_json_value(name, v, items[0]) for v in value)
+    if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float
+                                                 else kind):
+        raise ConfigError(f"{name}: expected {kind.__name__}, got {json.dumps(value)}")
+    if kind is float and not math.isfinite(value):
+        raise ConfigError(f"{name}: expected a finite number, got {value}")
+    return float(value) if kind is float else value
 
 
 def desk_config() -> PipelineConfig:
@@ -236,8 +265,7 @@ def desk_config() -> PipelineConfig:
     return PipelineConfig(
         lidar_grid=GridSpec(origin=(-16.0, -16.0, -5.0), cell=(0.25, 0.25, 1.0),
                             counts=(128, 128, 8)),
-        radar_grid=GridSpec(origin=(-16.0, -16.0, -5.0), cell=(1.0, 1.0, 8.0),
-                            counts=(32, 32, 1)))
+        radar_cell=1.0)
 
 
 def paper_config() -> PipelineConfig:
@@ -246,8 +274,7 @@ def paper_config() -> PipelineConfig:
     return PipelineConfig(
         lidar_grid=GridSpec(origin=(-54.0, -54.0, -5.0), cell=(0.075, 0.075, 0.2),
                             counts=(1440, 1440, 40)),
-        radar_grid=GridSpec(origin=(-54.0, -54.0, -5.0), cell=(0.6, 0.6, 8.0),
-                            counts=(180, 180, 1)),
+        radar_cell=0.6,
         lidar_sweeps=10,
         radar_sweeps=6,
         scene=SceneSettings(num_objects=12))
@@ -258,8 +285,7 @@ def tiny_config() -> PipelineConfig:
     return PipelineConfig(
         lidar_grid=GridSpec(origin=(-4.0, -4.0, -5.0), cell=(0.5, 0.5, 2.0),
                             counts=(16, 16, 4)),
-        radar_grid=GridSpec(origin=(-4.0, -4.0, -5.0), cell=(2.0, 2.0, 8.0),
-                            counts=(4, 4, 1)),
+        radar_cell=2.0,
         scene=SceneSettings(num_objects=2, class_set="compact", min_range=1.0,
                             lidar_density=25.0, ground_density=1.0,
                             speed_max=4.0),

@@ -23,15 +23,16 @@ from .errors import ConfigError, ShapeError
 from .nn import FeatureMap, MlpParams, mlp_forward_batch
 
 LIDAR_POINT_FEATURES = 8   # x, y, z, intensity, t, and offsets to the cell center
+RADAR_CHANNELS = 32        # width of the radar BEV map, fixed by the channel contract
 
 
 @dataclass(frozen=True)
 class GridSpec:
     """Regular 3D grid: minimum corner, cell size, cell counts."""
 
-    origin: tuple
-    cell: tuple
-    counts: tuple
+    origin: tuple[float, float, float]
+    cell: tuple[float, float, float]
+    counts: tuple[int, int, int]
 
     def __post_init__(self):
         if len(self.origin) != 3 or len(self.cell) != 3 or len(self.counts) != 3:
@@ -53,9 +54,6 @@ class GridSpec:
     def nz(self) -> int:
         return self.counts[2]
 
-    def is_pillar_grid(self) -> bool:
-        return self.nz == 1
-
     def cell_index(self, xyz: np.ndarray) -> np.ndarray:
         """(n,3) -> (n,3) integer indices; may fall outside the grid."""
         rel = (np.asarray(xyz, dtype=np.float64) - np.asarray(self.origin)) \
@@ -73,16 +71,6 @@ class GridSpec:
     def voxel_center(self, ix: int, iy: int, iz: int) -> tuple:
         x, y = self.cell_center_xy(ix, iy)
         return x, y, self.origin[2] + (iz + 0.5) * self.cell[2]
-
-    def to_dict(self) -> dict:
-        return {"origin": list(self.origin), "cell": list(self.cell),
-                "counts": list(self.counts)}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "GridSpec":
-        return cls(origin=tuple(float(v) for v in d["origin"]),
-                   cell=tuple(float(v) for v in d["cell"]),
-                   counts=tuple(int(v) for v in d["counts"]))
 
 
 # Most rows one batched MLP forward takes. Blocks hold whole segments, so
@@ -275,7 +263,7 @@ def pillarize(points: np.ndarray, spec: GridSpec, p: MlpParams,
               max_points_per_pillar: int = 32) -> PillarMap:
     """Radar pillar encoding: per-pillar max over the point MLP, scattered
     onto a dense BEV map. Raw record fields are the MLP inputs."""
-    if not spec.is_pillar_grid():
+    if spec.nz != 1:
         raise ConfigError(f"radar.counts: pillar grid needs nz == 1, got {spec.nz}")
     nfeat = len(points.dtype.names)
     if p.in_dim != nfeat:

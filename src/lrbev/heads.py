@@ -107,10 +107,6 @@ class HeadParams:
     rot: Conv2dParams        # 2 out, (sin yaw, cos yaw)
     vel: Conv2dParams        # 2 out, m/s
 
-    @property
-    def num_classes(self) -> int:
-        return self.heatmap.kernel.shape[0]
-
 
 @dataclass
 class HeadOutputs:

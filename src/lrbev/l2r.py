@@ -28,6 +28,7 @@ from .grids import BevGrids, GridSpec, segment_max
 from .nn import FeatureMap, MlpParams, mlp_forward, mlp_forward_batch  # noqa: F401
 
 POINT_QUERY_FEATURES = 5   # offsets to the query point, intensity, t
+ENHANCED_CHANNELS = 96     # [radar | height | bev] width, fixed by the channel contract
 
 
 def num_height_segments(pillar_height: float, cell_size: float) -> int:
@@ -49,18 +50,10 @@ class HeightFusionConfig:
     z_min: float
     point_mlp: MlpParams
     merge_mlp: MlpParams
-    num_segments: int = 0
     ball_radius: float = 0.0
     max_group: int = 16
 
     def __post_init__(self):
-        want = num_height_segments(self.pillar_height, self.cell_size)
-        if self.num_segments == 0:
-            self.num_segments = want
-        elif self.num_segments != want:
-            raise ShapeError(f"num_segments {self.num_segments} != floor(h/2r) "
-                             f"= {want} for h={self.pillar_height}, "
-                             f"r={self.cell_size}")
         if self.ball_radius == 0.0:
             self.ball_radius = 0.5 * self.cell_size
         if self.point_mlp.in_dim != POINT_QUERY_FEATURES:
@@ -70,6 +63,10 @@ class HeightFusionConfig:
         if self.merge_mlp.in_dim != want:
             raise ShapeError(f"merge MLP expects {self.merge_mlp.in_dim} inputs, "
                              f"{self.num_segments} segments provide {want}")
+
+    @property
+    def num_segments(self) -> int:
+        return num_height_segments(self.pillar_height, self.cell_size)
 
     @property
     def feature_dim(self) -> int:
@@ -348,8 +345,8 @@ def enhance_radar_map(m_r: FeatureMap, occupied_cells,
             f"pseudo features exist for {len(features)} cells, "
             f"radar map has {len(cells)} non-empty cells")
     total = m_r.channels + features.shape[1]
-    if total != 96:
-        raise ShapeError(f"enhanced radar map must have 96 channels, "
+    if total != ENHANCED_CHANNELS:
+        raise ShapeError(f"enhanced radar map must have {ENHANCED_CHANNELS} channels, "
                          f"got {m_r.channels}+{features.shape[1]} = {total}")
     out = np.zeros((total, m_r.height, m_r.width))
     out[:m_r.channels] = m_r.data

@@ -10,28 +10,28 @@ from __future__ import annotations
 
 import json
 from collections.abc import Mapping
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
-from .cloud import accumulate_sweeps
+from .cloud import DTYPE_BY_KIND, accumulate_sweeps
 from .config import PipelineConfig
 from .errors import PipelineError
-from .grids import (LIDAR_POINT_FEATURES, collapse_to_bev_grids, pillarize,
-                    voxel_encode, voxelize, zstack_collapse)
+from .grids import (LIDAR_POINT_FEATURES, RADAR_CHANNELS, collapse_to_bev_grids,
+                    pillarize, voxel_encode, voxelize, zstack_collapse)
 # fuse_bev_maps -> bev_encoder -> detect_forward is the whole-map twin of
 # r2l_forward, on the same conv kernels; run_pipeline itself never calls it.
 # The first two build the maps PipelineResult.maps computes on request; all
 # three stay names of this module for code that wraps them.
-from .heads import (DetectionBox, HeadParams, LossWeights, bev_encoder,
+from .heads import (ENCODER_CHANNELS, DetectionBox, HeadParams, bev_encoder,
                     decode_detections, detect_forward, fuse_bev_maps,
                     r2l_forward)
-from .l2r import (BevFusionConfig, HeightFusionConfig, compute_cell_features,
-                  enhance_radar_map, num_height_segments)
+from .l2r import (ENHANCED_CHANNELS, POINT_QUERY_FEATURES, BevFusionConfig,
+                  HeightFusionConfig, compute_cell_features, enhance_radar_map,
+                  num_height_segments)
 from .nn import Conv2dParams, FeatureMap, MlpParams
 from .synth import SceneSpec, generate_scene, lidar_sweeps, radar_sweeps
-
-RADAR_FIELD_COUNT = {"a": 9, "b": 4}
 
 
 @dataclass
@@ -46,43 +46,48 @@ class PipelineWeights:
     head: HeadParams
 
 
-def _head_params(rng, trunk_channels, in_channels: int, num_classes: int) -> HeadParams:
-    trunk = []
-    prev = in_channels
-    for width in trunk_channels:
-        trunk.append(Conv2dParams.init(prev, width, 3, rng, padding=1))
-        prev = width
-    def head(out):
-        return Conv2dParams.init(prev, out, 1, rng)
-    return HeadParams(trunk=trunk, heatmap=head(num_classes), offset=head(2),
-                      z=head(1), size=head(3), rot=head(2), vel=head(2))
+def _layer_dims(cfg: PipelineConfig) -> dict:
+    """Every layer shape, in draw order: the dims of each MLP, the encoder
+    widths (fused map to 512), the trunk widths (512 on) and the output
+    width of each 1x1 head."""
+    ch, fu = cfg.channels, cfg.fusion
+    m = num_height_segments(cfg.pillar_height, cfg.radar_cell)
+    radar_fields = len(DTYPE_BY_KIND[f"radar_{cfg.radar_variant}"].names)
+    return {
+        "voxel_mlp": (LIDAR_POINT_FEATURES, *ch.voxel_mlp_hidden, ch.voxel_feature_dim),
+        "zstack_mlp": (ch.voxel_feature_dim * cfg.lidar_grid.nz, *ch.zstack_hidden,
+                       ch.lidar_channels),
+        "pillar_mlp": (radar_fields, *ch.pillar_mlp_hidden, RADAR_CHANNELS),
+        "point_mlp": (POINT_QUERY_FEATURES, *fu.point_mlp_hidden, fu.height_feature_dim),
+        "merge_mlp": (m * fu.height_feature_dim, *fu.merge_mlp_hidden,
+                      fu.height_feature_dim),
+        # a grid feature plus its (di, dj) offset
+        "grid_mlp": (ch.voxel_feature_dim + 2, *fu.grid_mlp_hidden, fu.bev_feature_dim),
+        "encoder": (ch.lidar_channels + ENHANCED_CHANNELS, *ch.encoder_hidden,
+                    ENCODER_CHANNELS),
+        "trunk": (ENCODER_CHANNELS, *ch.trunk_channels),
+        "heads": {"heatmap": cfg.num_classes, "offset": 2, "z": 1, "size": 3,
+                  "rot": 2, "vel": 2},
+    }
 
 
 def random_weights(cfg: PipelineConfig, seed: int) -> PipelineWeights:
     """All learnable parameters from one seeded generator, fixed draw order."""
     rng = np.random.default_rng([seed, 424242])
-    ch, fu = cfg.channels, cfg.fusion
-    m = num_height_segments(cfg.pillar_height, cfg.radar_cell_size)
-    voxel = MlpParams.init((LIDAR_POINT_FEATURES, *ch.voxel_mlp_hidden,
-                            ch.voxel_feature_dim), rng)
-    zstack = MlpParams.init((ch.voxel_feature_dim * cfg.lidar_grid.nz,
-                             *ch.zstack_hidden, ch.lidar_channels), rng)
-    pillar = MlpParams.init((RADAR_FIELD_COUNT[cfg.radar_variant],
-                             *ch.pillar_mlp_hidden, ch.radar_channels), rng)
-    point = MlpParams.init((5, *fu.point_mlp_hidden, fu.height_feature_dim), rng)
-    merge = MlpParams.init((m * fu.height_feature_dim, *fu.merge_mlp_hidden,
-                            fu.height_feature_dim), rng)
-    grid = MlpParams.init((ch.voxel_feature_dim + 2, *fu.grid_mlp_hidden,
-                           fu.bev_feature_dim), rng)
-    fused_channels = ch.lidar_channels + 96
-    widths = [fused_channels, *ch.encoder_hidden, ch.encoder_channels]
-    encoder = [Conv2dParams.init(widths[k], widths[k + 1], 3, rng, padding=1)
-               for k in range(3)]
-    head = _head_params(rng, ch.trunk_channels, ch.encoder_channels,
-                        cfg.head.num_classes)
-    return PipelineWeights(voxel_mlp=voxel, zstack_mlp=zstack, pillar_mlp=pillar,
-                           point_mlp=point, merge_mlp=merge, grid_mlp=grid,
-                           encoder=encoder, head=head)
+    dims = _layer_dims(cfg)
+    weights = {name: MlpParams.init(d, rng) for name, d in dims.items()
+               if name.endswith("_mlp")}
+
+    def convs(widths):
+        return [Conv2dParams.init(cin, cout, 3, rng, padding=1)
+                for cin, cout in zip(widths, widths[1:])]
+
+    weights["encoder"] = convs(dims["encoder"])
+    trunk = convs(dims["trunk"])     # drawn before the heads
+    weights["head"] = HeadParams(trunk=trunk, **{
+        name: Conv2dParams.init(dims["trunk"][-1], out, 1, rng)
+        for name, out in dims["heads"].items()})
+    return PipelineWeights(**weights)
 
 
 def _probe_mlp(dims, first_bias: bool = False, final_bias: bool = False,
@@ -97,18 +102,12 @@ def _probe_mlp(dims, first_bias: bool = False, final_bias: bool = False,
     for k, (fin, fout) in enumerate(zip(dims[:-1], dims[1:])):
         w = np.zeros((fout, fin))
         b = np.zeros(fout)
-        if k == 0 and first_bias:
+        if k == 0 and first_bias or k == len(dims) - 2 and final_bias:
             b[0] = 1.0
         elif k == 0 and sum_stride:
             w[0, ::sum_stride] = 1.0
-        elif k == 0:
-            w[0, 0] = 1.0
         else:
             w[0, 0] = 1.0
-        if k == len(dims) - 2 and final_bias:
-            w[:] = 0.0
-            b[:] = 0.0
-            b[0] = 1.0
         layers.append((w, b))
     return MlpParams(layers)
 
@@ -121,59 +120,38 @@ def probe_weights(cfg: PipelineConfig) -> PipelineWeights:
     and the class-0 heatmap reads it against a fixed bias. Radar-side blocks
     emit constant-one channel-0 marks so sparsity bookkeeping stays intact.
     """
-    ch, fu = cfg.channels, cfg.fusion
-    m = num_height_segments(cfg.pillar_height, cfg.radar_cell_size)
-    voxel = _probe_mlp((LIDAR_POINT_FEATURES, *ch.voxel_mlp_hidden,
-                        ch.voxel_feature_dim), first_bias=True)
-    zstack = _probe_mlp((ch.voxel_feature_dim * cfg.lidar_grid.nz,
-                         *ch.zstack_hidden, ch.lidar_channels),
-                        sum_stride=ch.voxel_feature_dim)
-    pillar = _probe_mlp((RADAR_FIELD_COUNT[cfg.radar_variant],
-                         *ch.pillar_mlp_hidden, ch.radar_channels),
-                        first_bias=True)
-    point = _probe_mlp((5, *fu.point_mlp_hidden, fu.height_feature_dim))
-    merge = _probe_mlp((m * fu.height_feature_dim, *fu.merge_mlp_hidden,
-                        fu.height_feature_dim), final_bias=True)
-    grid = _probe_mlp((ch.voxel_feature_dim + 2, *fu.grid_mlp_hidden,
-                       fu.bev_feature_dim), final_bias=True)
+    dims = _layer_dims(cfg)
+    probes = {"voxel_mlp": {"first_bias": True},
+              "zstack_mlp": {"sum_stride": cfg.channels.voxel_feature_dim},
+              "pillar_mlp": {"first_bias": True},
+              "point_mlp": {},
+              "merge_mlp": {"final_bias": True},
+              "grid_mlp": {"final_bias": True}}
+    weights = {name: _probe_mlp(dims[name], **kw) for name, kw in probes.items()}
 
-    fused_channels = ch.lidar_channels + 96
-    widths = [fused_channels, *ch.encoder_hidden, ch.encoder_channels]
-    encoder = []
-    for k in range(3):
-        kernel = np.zeros((widths[k + 1], widths[k], 3, 3))
-        if k == 0:
-            kernel[0, 0, :, :] = 1.0     # 3x3 box blur of the occupancy channel
-        else:
-            kernel[0, 0, 1, 1] = 1.0
-        encoder.append(Conv2dParams(kernel, np.zeros(widths[k + 1]), padding=1))
+    def convs(widths, blur_first=False):
+        out = []
+        for k, (cin, cout) in enumerate(zip(widths, widths[1:])):
+            kernel = np.zeros((cout, cin, 3, 3))
+            if k == 0 and blur_first:
+                kernel[0, 0, :, :] = 1.0     # 3x3 box blur of the occupancy channel
+            else:
+                kernel[0, 0, 1, 1] = 1.0
+            out.append(Conv2dParams(kernel, np.zeros(cout), padding=1))
+        return out
 
-    trunk = []
-    prev = ch.encoder_channels
-    for width in ch.trunk_channels:
-        kernel = np.zeros((width, prev, 3, 3))
-        kernel[0, 0, 1, 1] = 1.0
-        trunk.append(Conv2dParams(kernel, np.zeros(width), padding=1))
-        prev = width
-
-    def zero_head(out):
-        return Conv2dParams(np.zeros((out, prev, 1, 1)), np.zeros(out))
-
-    hm_kernel = np.zeros((cfg.head.num_classes, prev, 1, 1))
-    hm_kernel[0, 0, 0, 0] = 1.0
-    hm_bias = np.full(cfg.head.num_classes, -8.0)
-    head = HeadParams(trunk=trunk,
-                      heatmap=Conv2dParams(hm_kernel, hm_bias),
-                      offset=zero_head(2), z=zero_head(1), size=zero_head(3),
-                      rot=zero_head(2), vel=zero_head(2))
-    return PipelineWeights(voxel_mlp=voxel, zstack_mlp=zstack, pillar_mlp=pillar,
-                           point_mlp=point, merge_mlp=merge, grid_mlp=grid,
-                           encoder=encoder, head=head)
+    weights["encoder"] = convs(dims["encoder"], blur_first=True)
+    heads = {name: Conv2dParams(np.zeros((out, dims["trunk"][-1], 1, 1)), np.zeros(out))
+             for name, out in dims["heads"].items()}
+    heads["heatmap"].kernel[0, 0, 0, 0] = 1.0
+    heads["heatmap"].bias[:] = -8.0
+    weights["head"] = HeadParams(trunk=convs(dims["trunk"]), **heads)
+    return PipelineWeights(**weights)
 
 
 def height_fusion_config(cfg: PipelineConfig, w: PipelineWeights) -> HeightFusionConfig:
     return HeightFusionConfig(
-        cell_size=cfg.radar_cell_size, pillar_height=cfg.pillar_height,
+        cell_size=cfg.radar_cell, pillar_height=cfg.pillar_height,
         z_min=cfg.z_min, point_mlp=w.point_mlp, merge_mlp=w.merge_mlp,
         ball_radius=cfg.fusion.ball_radius, max_group=cfg.fusion.height_max_group)
 
@@ -219,6 +197,17 @@ def _require(cond: bool, stage: str, message: str) -> None:
         raise PipelineError(f"{stage}: {message}")
 
 
+@contextmanager
+def _stage(stage: str):
+    """Re-raise any error but a PipelineError as one naming ``stage``."""
+    try:
+        yield
+    except PipelineError:
+        raise
+    except Exception as e:
+        raise PipelineError(f"{stage}: {e}") from e
+
+
 def generate_clouds(cfg: PipelineConfig, seed: int):
     """Scene plus accumulated LiDAR/radar clouds for one keyframe."""
     sc = cfg.scene
@@ -244,29 +233,27 @@ def run_pipeline(cfg: PipelineConfig, lidar: np.ndarray, radar: np.ndarray,
                  weights: PipelineWeights | None = None) -> PipelineResult:
     """Clouds in, detections plus per-stage statistics out.
 
-    Deterministic in (config, clouds, weights); the channel contract
-    (32 -> 96 -> C1+96 -> 512) and the sparsity bookkeeping are asserted on
-    every run.
+    Deterministic in (config, clouds, weights). Every config keeps the
+    channel contract, since its widths are constants: radar 32 -> enhanced
+    96 -> fused lidar_channels + 96 -> encoded 512. It and the sparsity
+    bookkeeping are asserted on every run.
     """
     cfg.validate()
+    radar_grid = cfg.radar_grid
     if weights is None:
         weights = random_weights(cfg, cfg.seeds.weights)
     stats: dict = {"scene_io": {"lidar_points": int(len(lidar)),
                                 "radar_points": int(len(radar))}}
     stage = "grid-encoding"
-    try:
+    with _stage(stage):
         voxels = voxelize(lidar, cfg.lidar_grid, cfg.max_points_per_voxel)
         voxel_encode(voxels, weights.voxel_mlp)
-        m_l = zstack_collapse_safe(voxels, weights.zstack_mlp, cfg)
-        pillars = pillarize(radar, cfg.radar_grid, weights.pillar_mlp)
+        m_l = zstack_collapse(voxels, weights.zstack_mlp)
+        pillars = pillarize(radar, radar_grid, weights.pillar_mlp)
         m_r = pillars.map
-        lidar_grids = collapse_to_bev_grids(voxels, cfg.radar_cell_size)
-    except PipelineError:
-        raise
-    except Exception as e:
-        raise PipelineError(f"{stage}: {e}") from e
-    _require(m_r.channels == 32, stage, f"radar map has {m_r.channels} channels, "
-             "the contract fixes 32")
+        lidar_grids = collapse_to_bev_grids(voxels, cfg.radar_cell)
+    _require(m_r.channels == RADAR_CHANNELS, stage, f"radar map has {m_r.channels} "
+             f"channels, the contract fixes {RADAR_CHANNELS}")
     _require(m_l.shape == (cfg.channels.lidar_channels, cfg.lidar_grid.ny,
                            cfg.lidar_grid.nx), stage,
              f"LiDAR map shape {m_l.shape} violates the configured grid")
@@ -283,18 +270,15 @@ def run_pipeline(cfg: PipelineConfig, lidar: np.ndarray, radar: np.ndarray,
     }
 
     stage = "l2r-fusion"
-    try:
+    with _stage(stage):
         cfg_h = height_fusion_config(cfg, weights)
         cfg_b = bev_fusion_config(cfg, weights)
         features, fstats = compute_cell_features(pillars.occupied, cfg_h, cfg_b,
-                                                 lidar, lidar_grids, cfg.radar_grid)
+                                                 lidar, lidar_grids, radar_grid)
         enhanced = enhance_radar_map(m_r, pillars.occupied, features)
-    except PipelineError:
-        raise
-    except Exception as e:
-        raise PipelineError(f"{stage}: {e}") from e
-    _require(enhanced.channels == 96, stage,
-             f"enhanced radar map has {enhanced.channels} channels, expected 96")
+    _require(enhanced.channels == ENHANCED_CHANNELS, stage,
+             f"enhanced radar map has {enhanced.channels} channels, "
+             f"expected {ENHANCED_CHANNELS}")
     _require(len(features) == len(pillars.occupied), stage,
              f"{len(features)} pseudo features for {len(pillars.occupied)} "
              "non-empty cells")
@@ -313,24 +297,21 @@ def run_pipeline(cfg: PipelineConfig, lidar: np.ndarray, radar: np.ndarray,
     }
 
     stage = "r2l-fusion-head"
-    try:
+    with _stage(stage):
         outputs = r2l_forward(m_l, enhanced, weights.encoder, weights.head)
         detections = decode_detections(outputs, cfg.lidar_grid,
                                        cfg.head.score_thresh,
                                        cfg.head.max_detections)
-    except PipelineError:
-        raise
-    except Exception as e:
-        raise PipelineError(f"{stage}: {e}") from e
     # r2l_forward builds neither map whole; their shapes follow from the
     # inputs and the encoder weights.
     fused_shape = [m_l.channels + enhanced.channels, m_l.height, m_l.width]
     encoded_shape = [weights.encoder[-1].kernel.shape[0], m_l.height, m_l.width]
-    _require(fused_shape[0] == cfg.channels.lidar_channels + 96, stage,
-             f"fused map has {fused_shape[0]} channels, expected "
-             f"{cfg.channels.lidar_channels + 96}")
-    _require(encoded_shape[0] == 512, stage,
-             f"encoder output has {encoded_shape[0]} channels, expected 512")
+    fused_channels = cfg.channels.lidar_channels + ENHANCED_CHANNELS
+    _require(fused_shape[0] == fused_channels, stage,
+             f"fused map has {fused_shape[0]} channels, expected {fused_channels}")
+    _require(encoded_shape[0] == ENCODER_CHANNELS, stage,
+             f"encoder output has {encoded_shape[0]} channels, "
+             f"expected {ENCODER_CHANNELS}")
     stats["r2l_fusion_head"] = {
         "fused_shape": fused_shape,
         "encoded_shape": encoded_shape,
@@ -345,16 +326,9 @@ def run_pipeline(cfg: PipelineConfig, lidar: np.ndarray, radar: np.ndarray,
 
 
 def zstack_collapse_safe(voxels, zstack_mlp, cfg: PipelineConfig):
-    """Z-stack collapse that also covers the all-empty cloud (no features,
-    thus no feature dim to infer)."""
-    if len(voxels.occupied) == 0:
-        return FeatureMap.zeros(cfg.channels.lidar_channels, cfg.lidar_grid.ny,
-                                cfg.lidar_grid.nx)
+    """``zstack_collapse``, which maps an empty voxel set to the zero map
+    itself; kept as a stage name for code that calls it."""
     return zstack_collapse(voxels, zstack_mlp)
-
-
-def loss_weights(cfg: PipelineConfig) -> LossWeights:
-    return LossWeights(**cfg.head.loss_weights)
 
 
 def detections_to_jsonl(detections) -> str:

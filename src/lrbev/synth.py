@@ -312,6 +312,21 @@ def _scene_at(scene: Scene, t: float, ego_xy: tuple) -> Scene:
     return replace(scene, objects=moved)
 
 
+def _sweeps(scene: Scene, n: int, dt: float, ego_velocity: tuple, sample):
+    """``n`` sweeps at t = -k*dt, ``sample(local_scene, k)`` drawing sweep k
+    in its sweep-local frame; returns (clouds, poses) with exact
+    constant-velocity ego poses."""
+    clouds, poses = [], []
+    for k in range(n):
+        t = -k * dt
+        ego = (ego_velocity[0] * t, ego_velocity[1] * t)
+        cloud = sample(_scene_at(scene, t, ego), k)
+        cloud["t"] = float(_f4(t))
+        clouds.append(cloud)
+        poses.append(Pose(tx=ego[0], ty=ego[1]))
+    return clouds, poses
+
+
 def lidar_sweeps(scene: Scene, n: int, dt: float, ego_velocity: tuple,
                  density: float, noise_sigma: float, seed: int,
                  ground_density: float = 2.0):
@@ -320,29 +335,12 @@ def lidar_sweeps(scene: Scene, n: int, dt: float, ego_velocity: tuple,
     Sweep k is taken at t = -k*dt; returns (clouds, poses) ready for
     :func:`lrbev.cloud.accumulate_sweeps`. ``seed`` must be an integer.
     """
-    clouds, poses = [], []
-    for k in range(n):
-        t = -k * dt
-        ego = (ego_velocity[0] * t, ego_velocity[1] * t)
-        local = _scene_at(scene, t, ego)
-        cloud = lidar_sample(local, density, noise_sigma, seed=[seed, 1, k],
-                             ground_density=ground_density)
-        cloud["t"] = float(_f4(t))
-        clouds.append(cloud)
-        poses.append(Pose(tx=ego[0], ty=ego[1]))
-    return clouds, poses
+    return _sweeps(scene, n, dt, ego_velocity, lambda local, k: lidar_sample(
+        local, density, noise_sigma, seed=[seed, 1, k], ground_density=ground_density))
 
 
 def radar_sweeps(scene: Scene, n: int, dt: float, ego_velocity: tuple,
                  returns_range: tuple, seed: int, variant: str = "a"):
     """Past radar sweeps, mirroring :func:`lidar_sweeps`."""
-    clouds, poses = [], []
-    for k in range(n):
-        t = -k * dt
-        ego = (ego_velocity[0] * t, ego_velocity[1] * t)
-        local = _scene_at(scene, t, ego)
-        cloud = radar_sample(local, returns_range, seed=[seed, 2, k], variant=variant)
-        cloud["t"] = float(_f4(t))
-        clouds.append(cloud)
-        poses.append(Pose(tx=ego[0], ty=ego[1]))
-    return clouds, poses
+    return _sweeps(scene, n, dt, ego_velocity, lambda local, k: radar_sample(
+        local, returns_range, seed=[seed, 2, k], variant=variant))

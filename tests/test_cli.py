@@ -125,10 +125,43 @@ def test_validation_error_exit_code(tmp_path):
     from lrbev.config import desk_config
     cfg = desk_config()
     doc = cfg.to_dict()
-    doc["channels"]["radar_channels"] = 48
+    doc["fusion"]["height_feature_dim"] = 48
     cfgfile.write_text(json.dumps(doc))
     assert main(["run", "--config", str(cfgfile), "--in", str(tmp_path),
                  "--out", str(tmp_path / "o")]) == 1
+
+
+def _edited(edit):
+    from lrbev.config import tiny_config
+    doc = tiny_config().to_dict()
+    edit(doc)
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("text, code, field", [
+    (_edited(lambda d: d["channels"].update(radar_channels=32)), 1,
+     "channels.radar_channels: unknown key"),
+    (_edited(lambda d: d.update(radar_grid={})), 1, "radar_grid: unknown key"),
+    (_edited(lambda d: d["fusion"].update(bev_window=2)), 1,
+     "fusion.bev_window: expected a list"),
+    (_edited(lambda d: d["scene"].update(sweep_dt="0.1")), 1,
+     "scene.sweep_dt: expected float"),
+    (_edited(lambda d: d.pop("lidar_grid")), 1, "lidar_grid: missing"),
+    ('{"radar_cell": 2.0', 3, "not JSON"),
+    ("{\x80}", 3, "not UTF-8"),
+], ids=["unknown-key", "removed-grid", "number-for-list", "string-for-number",
+        "missing-grid", "not-json", "not-text"])
+def test_bad_config_file_exits_without_traceback(tmp_path, text, code, field):
+    cfgfile = tmp_path / "bad.json"
+    cfgfile.write_bytes(text.encode("latin-1"))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run(
+        [sys.executable, "-m", "lrbev.cli", "run", "--config", str(cfgfile),
+         "--in", str(tmp_path), "--out", str(tmp_path / "o")],
+        env=env, capture_output=True, text=True)
+    assert proc.returncode == code
+    assert "Traceback" not in proc.stderr
+    assert field in proc.stderr
 
 
 def test_config_without_trunk_exit_code(tmp_path, capsys):

@@ -1,12 +1,13 @@
 """Configuration validation and JSON round trips."""
 
 import dataclasses
+import json
 
 import pytest
 
 from lrbev.config import (PipelineConfig, config_for_scale, desk_config,
                           paper_config, tiny_config)
-from lrbev.errors import ConfigError
+from lrbev.errors import ConfigError, FormatError
 from lrbev.grids import GridSpec
 
 
@@ -50,57 +51,41 @@ def _mutate(cfg, **kwargs):
 
 
 class TestValidationMessagesNameFields:
-    def test_non_square_radar_cell(self):
-        cfg = desk_config()
-        cfg = _mutate(cfg, radar_grid=GridSpec(origin=(-16, -16, -5),
-                                               cell=(1.0, 0.5, 8.0),
-                                               counts=(32, 32, 1)))
-        with pytest.raises(ConfigError, match="radar_grid.cell"):
-            cfg.validate()
-
-    def test_radar_nz_not_one(self):
-        cfg = _mutate(desk_config(),
-                      radar_grid=GridSpec(origin=(-16, -16, -5),
-                                          cell=(1.0, 1.0, 4.0),
-                                          counts=(32, 32, 2)))
-        with pytest.raises(ConfigError, match="radar_grid.counts"):
-            cfg.validate()
-
-    def test_pillar_depth_must_span_z(self):
-        cfg = _mutate(desk_config(),
-                      radar_grid=GridSpec(origin=(-16, -16, -5),
-                                          cell=(1.0, 1.0, 4.0),
-                                          counts=(32, 32, 1)))
-        with pytest.raises(ConfigError, match="radar_grid.cell"):
-            cfg.validate()
-
-    def test_origin_mismatch(self):
-        cfg = _mutate(desk_config(),
-                      radar_grid=GridSpec(origin=(-15, -16, -5),
-                                          cell=(1.0, 1.0, 8.0),
-                                          counts=(32, 32, 1)))
-        with pytest.raises(ConfigError, match="radar_grid.origin"):
-            cfg.validate()
-
     def test_non_integer_cell_ratio(self):
-        cfg = _mutate(desk_config(),
-                      radar_grid=GridSpec(origin=(-16, -16, -5),
-                                          cell=(0.9, 0.9, 8.0),
-                                          counts=(32, 32, 1)))
-        with pytest.raises(ConfigError, match="radar_grid.cell"):
+        cfg = _mutate(desk_config(), radar_cell=0.9)
+        with pytest.raises(ConfigError, match="radar_cell: .* LiDAR x cell"):
             cfg.validate()
+
+    def test_non_integer_cell_ratio_on_y(self):
+        grid = GridSpec(origin=(-16.0, -16.0, -5.0), cell=(0.25, 0.3, 1.0),
+                        counts=(128, 100, 8))
+        cfg = _mutate(desk_config(), lidar_grid=grid)
+        with pytest.raises(ConfigError, match="radar_cell: .* LiDAR y cell"):
+            cfg.validate()
+
+    def test_radar_cells_must_tile_the_lidar_grid(self):
+        grid = GridSpec(origin=(-16.0, -16.0, -5.0), cell=(0.25, 0.25, 1.0),
+                        counts=(128, 126, 8))
+        cfg = _mutate(desk_config(), lidar_grid=grid)
+        with pytest.raises(ConfigError, match="radar_cell: 126 LiDAR y cells"):
+            cfg.validate()
+
+    @pytest.mark.parametrize("cell", [0.0, -1.0, float("nan"), float("inf"), 64.0])
+    def test_radar_cell_out_of_range(self, cell):
+        with pytest.raises(ConfigError, match="radar_cell"):
+            _mutate(desk_config(), radar_cell=cell).validate()
 
     def test_enhanced_width_must_total_96(self):
         cfg = desk_config()
-        cfg.channels.radar_channels = 48
-        with pytest.raises(ConfigError, match="channels.radar_channels"):
+        cfg.fusion.height_feature_dim = 48
+        with pytest.raises(ConfigError, match="fusion.height_feature_dim"):
             cfg.validate()
 
     def test_encoder_channels_pinned_512(self):
-        cfg = desk_config()
-        cfg.channels.encoder_channels = 256
-        with pytest.raises(ConfigError, match="channels.encoder_channels"):
-            cfg.validate()
+        doc = desk_config().to_dict()
+        doc["channels"]["encoder_channels"] = 256
+        with pytest.raises(ConfigError, match="channels.encoder_channels: unknown key"):
+            PipelineConfig.from_dict(doc)
 
     def test_encoder_needs_three_blocks(self):
         cfg = desk_config()
@@ -163,6 +148,106 @@ def test_grid_spec_rejects_bad_cells():
 
 
 def test_grid_spec_json_round_trip():
-    g = GridSpec(origin=(-16.0, -16.0, -5.0), cell=(0.25, 0.25, 1.0),
-                 counts=(128, 128, 8))
-    assert GridSpec.from_dict(g.to_dict()) == g
+    g = GridSpec(origin=(-16.0, -16.0, -5.0), cell=(0.25, 0.5, 1.0),
+                 counts=(128, 64, 8))
+    doc = json.loads(json.dumps(_mutate(desk_config(), lidar_grid=g).to_dict()))
+    assert PipelineConfig.from_dict(doc).lidar_grid == g
+
+
+def test_radar_grid_derived_from_radar_cell():
+    g = GridSpec(origin=(-16.0, -16.0, -5.0), cell=(0.25, 0.5, 1.0),
+                 counts=(128, 64, 8))
+    cfg = _mutate(desk_config(), lidar_grid=g)
+    cfg.validate()
+    assert cfg.radar_grid == GridSpec(origin=g.origin, cell=(1.0, 1.0, 8.0),
+                                      counts=(32, 32, 1))
+    assert cfg.radar_cell_size == 1.0 and cfg.grid_ratio == 4
+
+
+@pytest.mark.parametrize("factory", [desk_config, paper_config, tiny_config])
+def test_class_count_follows_the_class_set(factory):
+    cfg = factory()
+    assert cfg.num_classes == len(cfg.classes) == 3
+
+
+def test_desk_has_48_settable_values():
+    """A tuple counts as one value, ``lidar_grid`` as its nine numbers."""
+    doc = desk_config().to_dict()
+    grid = doc.pop("lidar_grid")
+    count = sum(len(v) for v in grid.values()) + sum(
+        len(v) if isinstance(v, dict) else 1 for v in doc.values())
+    assert count == 48
+
+
+@pytest.mark.parametrize("section, key", [
+    (None, "radar_grid"), ("channels", "radar_channels"),
+    ("channels", "encoder_channels"), ("head", "num_classes"),
+    ("head", "loss_weights")])
+def test_removed_keys_rejected(section, key):
+    doc = desk_config().to_dict()
+    (doc[section] if section else doc)[key] = 1
+    name = f"{section}.{key}" if section else key
+    with pytest.raises(ConfigError, match=f"^{name}: unknown key"):
+        PipelineConfig.from_dict(doc)
+
+
+@pytest.mark.parametrize("path, value, field", [
+    (("fusion", "bev_window"), 2, "fusion.bev_window"),
+    (("fusion", "bev_window"), [1], "fusion.bev_window"),
+    (("fusion", "bev_window"), [1, "2"], "fusion.bev_window"),
+    (("scene", "sweep_dt"), "0.1", "scene.sweep_dt"),
+    (("scene", "num_objects"), 2.5, "scene.num_objects"),
+    (("scene", "num_objects"), True, "scene.num_objects"),
+    (("channels", "trunk_channels"), {"a": 1}, "channels.trunk_channels"),
+    (("radar_variant",), 1, "radar_variant"),
+    (("radar_cell",), [1.0], "radar_cell"),
+    (("lidar_grid", "counts"), [128, 128], "lidar_grid.counts"),
+    (("scene",), [], "scene"),
+])
+def test_wrong_json_type_names_the_field(path, value, field):
+    doc = desk_config().to_dict()
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    with pytest.raises(ConfigError, match=f"^{field}: expected"):
+        PipelineConfig.from_dict(doc)
+
+
+@pytest.mark.parametrize("path, field", [
+    (("lidar_grid",), "lidar_grid"), (("radar_cell",), "radar_cell"),
+    (("lidar_grid", "cell"), "lidar_grid.cell")])
+def test_missing_required_value(path, field):
+    doc = desk_config().to_dict()
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    del target[path[-1]]
+    with pytest.raises(ConfigError, match=f"^{field}: missing"):
+        PipelineConfig.from_dict(doc)
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_number_rejected(literal):
+    text = json.dumps(desk_config().to_dict()).replace(
+        '"lidar_density": 40.0', f'"lidar_density": {literal}')
+    with pytest.raises(ConfigError, match="^scene.lidar_density: expected a finite"):
+        PipelineConfig.from_dict(json.loads(text))
+
+
+def test_integers_read_as_floats():
+    doc = desk_config().to_dict()
+    doc["radar_cell"] = 1
+    doc["lidar_grid"]["origin"] = [-16, -16, -5]
+    cfg = PipelineConfig.from_dict(doc)
+    assert cfg.to_dict() == desk_config().to_dict()
+    assert type(cfg.radar_cell) is float
+
+
+@pytest.mark.parametrize("text, offset", [('{"radar_cell": 1.0,,}', 19),
+                                          ('{"r\u00e9": 1.0,,}', 12)])
+def test_non_json_file_is_a_format_error(tmp_path, text, offset):
+    path = tmp_path / "cfg.json"
+    path.write_bytes(text.encode("utf-8"))
+    with pytest.raises(FormatError, match=f"byte offset {offset}\\)"):
+        PipelineConfig.from_json(path)

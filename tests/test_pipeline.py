@@ -1,13 +1,16 @@
 """End-to-end pipeline: determinism, stage stats, channel contract."""
 
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
 
 from lrbev.cloud import make_cloud
-from lrbev.config import tiny_config
-from lrbev.errors import PipelineError
+from lrbev.config import config_for_scale, desk_config, tiny_config
+from lrbev.errors import ConfigError, PipelineError
+from lrbev.grids import GridSpec
+from lrbev.heads import _replication
 from lrbev.pipeline import (detections_to_jsonl, generate_clouds, probe_weights,
                             random_weights, run_pipeline)
 
@@ -193,3 +196,104 @@ def test_group_cap_counters(tiny_run):
     st = run_pipeline(tight, lidar, radar).stats["l2r_fusion"]
     assert st["capped_height_groups"] > 0
     assert 0 < st["capped_bev_groups"] <= st["pseudo_features"]
+
+
+def _weight_digest(weights) -> str:
+    """sha256 over the name, dtype, shape and bytes of every array of a
+    weight set, and the name and value of every scalar (conv padding and
+    stride, MLP rectify flags), in field order."""
+    h = hashlib.sha256()
+
+    def walk(obj, name):
+        if isinstance(obj, np.ndarray):
+            h.update(f"{name}:{obj.dtype.str}:{obj.shape}:".encode())
+            h.update(np.ascontiguousarray(obj).tobytes())
+        elif dataclasses.is_dataclass(obj):
+            for f in dataclasses.fields(obj):
+                walk(getattr(obj, f.name), f"{name}.{f.name}")
+        elif isinstance(obj, (list, tuple)):
+            for k, v in enumerate(obj):
+                walk(v, f"{name}[{k}]")
+        else:
+            h.update(f"{name}={obj!r};".encode())
+
+    walk(weights, "w")
+    return h.hexdigest()
+
+
+# Digests of the weights as first drawn; a change to any layer shape or to
+# the draw order changes them.
+PINNED_WEIGHTS = {
+    "tiny-a-random": "ad874f3f37d41d8e184fab668575d9c9e67c235f7b33ba0df9bfb2f705c278c6",
+    "tiny-a-probe": "5256ef26fc3c1ba92d86db4c6ba2d5a13cbf493d2485ea257426f45d7bf4b404",
+    "tiny-b-random": "bd2aafdab4fb589ccb5482c9bf62e955a8f3ee9b68d85b96c8789c568db3dc5d",
+    "tiny-b-probe": "51e9ca5193ed1f880286eb9bcd7e618515dc3da4ca7845eb2944e2b497fc8537",
+    "desk-a-random": "e6e1c0575617bed8817fb77c05005edc1c68987be77593d8c35851d7e782db97",
+    "desk-a-probe": "089036384ac147efdba98cac620ad2248a95783ce7ecec296703f1865e5c8022",
+    "desk-b-random": "2b86b0313153b193f2d87438bef1d507caf9929d09b82d9e6c0704e856d71457",
+    "desk-b-probe": "0637c60e4625b550becfbe96272bb38ad51e39582cfbc0b9e47e2431f49da468",
+}
+
+
+@pytest.mark.parametrize("key", sorted(PINNED_WEIGHTS))
+def test_weight_draw_pinned(key):
+    scale, variant, kind = key.split("-")
+    cfg = dataclasses.replace(config_for_scale(scale), radar_variant=variant)
+    weights = (random_weights(cfg, cfg.seeds.weights) if kind == "random"
+               else probe_weights(cfg))
+    assert _weight_digest(weights) == PINNED_WEIGHTS[key]
+
+
+def _outside(radar, grid) -> int:
+    """Radar returns outside the xy extent of ``grid``."""
+    lo = np.asarray(grid.origin[:2])
+    hi = lo + np.asarray(grid.cell[:2]) * np.asarray(grid.counts[:2])
+    xy = np.stack([radar["x"], radar["y"]], axis=1)
+    return int((~((xy >= lo) & (xy < hi)).all(axis=1)).sum())
+
+
+def _check_runs_on_its_grids(cfg, seed):
+    lg, rg = cfg.lidar_grid, cfg.radar_grid
+    assert rg.origin == lg.origin and rg.nz == 1
+    for a in (0, 1):
+        assert np.isclose(rg.cell[a] * rg.counts[a], lg.cell[a] * lg.counts[a])
+    _, lidar, radar = generate_clouds(cfg, seed)
+    result = run_pipeline(cfg, lidar, radar)
+    m_l, enhanced = result.maps["m_l"], result.maps["enhanced"]
+    fh, fw = _replication(m_l, enhanced)
+    assert (enhanced.height * fh, enhanced.width * fw) == (m_l.height, m_l.width)
+    assert (enhanced.width, enhanced.height) == rg.counts[:2]
+    st = result.stats["grid_encoding"]
+    assert st["dropped_radar_points"] == _outside(radar, lg)
+    return st
+
+
+@pytest.mark.parametrize("lidar_cell", [(0.5, 0.5), (0.25, 0.5), (0.5, 0.25),
+                                        (0.25, 0.25), (0.4, 0.4)])
+def test_every_valid_radar_cell_runs(lidar_cell):
+    """Each radar cell either fails validation naming ``radar_cell`` or
+    gives a radar grid over the whole LiDAR extent that the pipeline runs."""
+    base = tiny_config()
+    counts = tuple(round(2 * base.extent / c) for c in lidar_cell)
+    grid = GridSpec(origin=base.lidar_grid.origin, cell=(*lidar_cell, 2.0),
+                    counts=(*counts, 4))
+    valid = 0
+    for radar_cell in (1.0, 2.0, 4.0):
+        cfg = dataclasses.replace(base, lidar_grid=grid, radar_cell=radar_cell)
+        try:
+            cfg.validate()
+        except ConfigError as e:
+            assert str(e).startswith("radar_cell: ")
+            continue
+        valid += 1
+        _check_runs_on_its_grids(cfg, 3)
+    assert valid >= 2
+
+
+def test_non_square_lidar_cell_keeps_radar_points_at_desk():
+    cfg = desk_config()
+    cfg = dataclasses.replace(cfg, lidar_grid=GridSpec(
+        origin=cfg.lidar_grid.origin, cell=(0.25, 0.5, 1.0), counts=(128, 64, 8)))
+    st = _check_runs_on_its_grids(cfg, 0)
+    assert st["mr_shape"] == [32, 32, 32]
+    assert st["dropped_radar_points"] == 0
