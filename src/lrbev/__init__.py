@@ -5,8 +5,9 @@ from .config import PipelineConfig, desk_config, paper_config, tiny_config
 from .errors import (ConfigError, EmptyGroupError, FormatError, LrbevError,
                      PipelineError, PlacementError, ShapeError)
 from .evalmetrics import EvalResult, eval_detections
-from .grids import (BevGrids, GridSpec, VoxelSet, collapse_to_bev_grids,
-                    pillarize, voxel_encode, voxelize, zstack_collapse)
+from .grids import (BevColumns, BevGrids, GridSpec, VoxelSet,
+                    collapse_to_bev_grids, pillarize, voxel_encode, voxelize,
+                    zstack_collapse)
 from .heads import (DetectionBox, HeadOutputs, HeadParams, LossBreakdown,
                     LossWeights, bev_encoder, compute_loss, decode_detections,
                     detect_forward, fuse_bev_maps, outputs_from_targets,

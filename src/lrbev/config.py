@@ -8,9 +8,11 @@ Built-in scales: ``tiny``, ``desk`` (CI-friendly), ``paper`` (slow).
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
+from numbers import Integral, Real
 from typing import get_args, get_origin, get_type_hints
 
 from .errors import ConfigError, FormatError
@@ -135,6 +137,7 @@ class PipelineConfig:
         return len(self.classes)
 
     def validate(self) -> None:
+        _typed("", self, type(self))
         lg, r = self.lidar_grid, self.radar_cell
         for axis, name in ((0, "x"), (1, "y")):
             ratio = r / lg.cell[axis]
@@ -206,7 +209,7 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "PipelineConfig":
-        return _from_json_value("", d, cls)
+        return _typed("", d, cls)
 
     def to_json(self, path) -> None:
         with open(path, "w") as fh:
@@ -225,39 +228,71 @@ class PipelineConfig:
         return cls.from_dict(doc)
 
 
-def _from_json_value(name: str, value, kind):
-    """``value`` read from JSON as the annotated type ``kind``, or a
-    ConfigError naming ``name``, the dotted field name ("" for the config),
-    for an unknown or missing key, a wrong type or list length, or NaN/inf."""
+# Python types taken as is for an annotated scalar type; other numbers
+# are checked against the abstract number types.
+_EXACT = {float: (float, int), int: (int,), str: (str,)}
+_NUMBERS = {float: Real, int: Integral}
+
+
+@functools.cache
+def _layout(kind) -> tuple:
+    """(type hints, fields) of a dataclass, (item types,) of a tuple type,
+    () of a scalar type."""
     if is_dataclass(kind):
-        if not isinstance(value, dict):
-            raise ConfigError(f"{name or 'config'}: expected an object, "
-                              f"got {json.dumps(value)}")
-        prefix = name + "." if name else ""
-        hints = get_type_hints(kind)
-        for key in value:
-            if key not in hints:
-                raise ConfigError(f"{prefix}{key}: unknown key")
-        for f in fields(kind):
-            required = f.default is MISSING and f.default_factory is MISSING
-            if required and f.name not in value:
-                raise ConfigError(f"{prefix}{f.name}: missing")
-        return kind(**{key: _from_json_value(prefix + key, v, hints[key])
-                       for key, v in value.items()})
+        return get_type_hints(kind), fields(kind)
     if get_origin(kind) is tuple:
-        items = get_args(kind)
+        return (get_args(kind),)
+    return ()
+
+
+def _show(value) -> str:
+    try:
+        return json.dumps(value)
+    except (TypeError, ValueError):
+        return repr(value)
+
+
+def _typed(name: str, value, kind):
+    """``value`` read as the annotated type ``kind``, or a ConfigError naming
+    ``name``, the dotted field name ("" for the config), for an unknown or
+    missing key, a wrong type or list length, or NaN/inf. ``value`` is a
+    JSON value, or for a dataclass ``kind`` also an instance, whose fields
+    are checked in place."""
+    layout = _layout(kind)
+    if not layout:
+        if type(value) not in _EXACT.get(kind, ()) and (
+                isinstance(value, bool)
+                or not isinstance(value, _NUMBERS.get(kind, kind))):
+            raise ConfigError(f"{name}: expected {kind.__name__}, got {_show(value)}")
+        if kind is float and not math.isfinite(value):
+            raise ConfigError(f"{name}: expected a finite number, got {value}")
+        return float(value) if kind is float else value
+    if len(layout) == 1:
+        items = layout[0]
         if not isinstance(value, (list, tuple)) or (items[-1] is not Ellipsis
                                                     and len(value) != len(items)):
             size = "" if items[-1] is Ellipsis else f"{len(items)} "
             raise ConfigError(f"{name}: expected a list of {size}{items[0].__name__}s, "
-                              f"got {json.dumps(value)}")
-        return tuple(_from_json_value(name, v, items[0]) for v in value)
-    if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float
-                                                 else kind):
-        raise ConfigError(f"{name}: expected {kind.__name__}, got {json.dumps(value)}")
-    if kind is float and not math.isfinite(value):
-        raise ConfigError(f"{name}: expected a finite number, got {value}")
-    return float(value) if kind is float else value
+                              f"got {_show(value)}")
+        return tuple(_typed(name, v, items[0]) for v in value)
+    hints, kind_fields = layout
+    prefix = name + "." if name else ""
+    if isinstance(value, kind):
+        for f in kind_fields:
+            _typed(prefix + f.name, getattr(value, f.name), hints[f.name])
+        return value
+    if not isinstance(value, dict):
+        raise ConfigError(f"{name or 'config'}: expected an object, "
+                          f"got {_show(value)}")
+    for key in value:
+        if key not in hints:
+            raise ConfigError(f"{prefix}{key}: unknown key")
+    for f in kind_fields:
+        required = f.default is MISSING and f.default_factory is MISSING
+        if required and f.name not in value:
+            raise ConfigError(f"{prefix}{f.name}: missing")
+    return kind(**{key: _typed(prefix + key, v, hints[key])
+                   for key, v in value.items()})
 
 
 def desk_config() -> PipelineConfig:

@@ -1,9 +1,10 @@
 """Point clouds to BEV feature maps.
 
 LiDAR goes through voxelize -> per-voxel MLP+max encode -> Z-stack collapse,
-yielding the LiDAR BEV map. Radar goes through single-layer pillars, yielding
-the radar BEV map. A separate collapse rebins encoded LiDAR voxels onto the
-coarse radar-sized grid for the BEV-feature queries.
+yielding the occupied columns of the LiDAR BEV map (``BevColumns``). Radar
+goes through single-layer pillars, yielding the radar BEV map. A separate
+collapse rebins encoded LiDAR voxels onto the coarse radar-sized grid for the
+BEV-feature queries.
 
 Cell assignment is floor((p - origin) / cell), lower-inclusive and
 upper-exclusive. Empty cells are exact zeros everywhere.
@@ -11,7 +12,8 @@ upper-exclusive. Empty cells are exact zeros everywhere.
 Points are grouped by one stable argsort of linear cell ids into segments
 (sorted keys plus offsets). Each MLP stage runs as a few batched forwards
 over blocks of whole segments, max-pooled per segment with
-``np.maximum.reduceat`` and scattered into the dense map by fancy indexing.
+``np.maximum.reduceat`` and scattered into the dense radar map by fancy
+indexing; the LiDAR map stays a block of its occupied columns.
 """
 from __future__ import annotations
 
@@ -19,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, EvaluationError, ShapeError
 from .nn import FeatureMap, MlpParams, mlp_forward_batch
 
 LIDAR_POINT_FEATURES = 8   # x, y, z, intensity, t, and offsets to the cell center
@@ -220,28 +222,65 @@ def voxel_encode(vs: VoxelSet, p: MlpParams) -> VoxelSet:
     return vs
 
 
-def zstack_collapse(vs: VoxelSet, p: MlpParams) -> FeatureMap:
-    """Concatenate each BEV cell's voxel features bottom-to-top (zeros for
-    empty voxels) and project with an MLP; untouched cells stay exact zero."""
+@dataclass
+class BevColumns:
+    """The occupied columns of a (C, ny, nx) BEV map: ascending row-major
+    column ids ``iy * nx + ix`` and their (K, C) ``features``; every other
+    column is exact zero. ``dense`` builds the map."""
+
+    ids: np.ndarray
+    features: np.ndarray
+    shape: tuple
+
+    @property
+    def channels(self) -> int:
+        return self.shape[0]
+
+    @property
+    def height(self) -> int:
+        return self.shape[1]
+
+    @property
+    def width(self) -> int:
+        return self.shape[2]
+
+    def dense(self) -> FeatureMap:
+        out = np.zeros(self.shape)
+        out.reshape(self.channels, -1)[:, self.ids] = self.features.T
+        return FeatureMap._wrap(out)
+
+
+def zstack_collapse(vs: VoxelSet, p: MlpParams) -> BevColumns:
+    """Concatenate each occupied BEV column's voxel features bottom-to-top
+    (zeros for empty voxels) and project with an MLP; the unoccupied
+    columns are left out, as exact zeros."""
     spec = vs.spec
     nvox, fdim = vs.features.shape
     if nvox and p.in_dim != fdim * spec.nz:
         raise ShapeError(f"z-stack MLP expects {p.in_dim} inputs, "
                          f"stack provides {fdim * spec.nz}")
-    out = np.zeros((p.out_dim, spec.ny, spec.nx))
-    # Keys ascend in (ix, iy, iz) order, so each BEV column is one run of voxels.
+    # Keys ascend in (ix, iy, iz) order, so each BEV column is one run of
+    # voxels; the GEMM blocks follow that order, and their rows land at the
+    # columns' row-major ranks.
     ix, iy, iz = vs.occupied.T
     _, starts, counts = np.unique(ix * spec.ny + iy, return_index=True,
                                   return_counts=True)
+    ids = iy[starts] * spec.nx + ix[starts]
+    order = np.argsort(ids)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    features = np.empty((len(starts), p.out_dim))
     column = np.repeat(np.arange(len(starts)), counts)
     bounds = np.append(starts, nvox)
     for c0, c1 in _blocks(np.arange(len(starts) + 1)):
         v0, v1 = bounds[c0], bounds[c1]
         stack = np.zeros((c1 - c0, spec.nz, fdim))
         stack[column[v0:v1] - c0, iz[v0:v1]] = vs.features[v0:v1]
-        cols = mlp_forward_batch(stack.reshape(c1 - c0, -1), p)
-        out[:, iy[starts[c0:c1]], ix[starts[c0:c1]]] = cols.T
-    return FeatureMap._wrap(out)
+        features[rank[c0:c1]] = mlp_forward_batch(stack.reshape(c1 - c0, -1), p)
+    if not np.isfinite(features).all():
+        raise EvaluationError("feature map contains non-finite values")
+    return BevColumns(ids=ids[order], features=features,
+                      shape=(p.out_dim, spec.ny, spec.nx))
 
 
 @dataclass

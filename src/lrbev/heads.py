@@ -10,13 +10,14 @@ penalty-reduced focal term on the heatmap with L1 regression at ground-truth
 centers and reports analytic gradients for the finite-difference checker.
 
 ``r2l_forward`` runs that chain in row tiles, cut from the map shape
-alone, on a small pool of worker threads, and within a tile in row bands,
-so the fused map and the 512-channel map only ever exist one band at a
-time; its output bits do not depend on the number of workers. It is the
-only R2L path: a head it cannot band raises ``ShapeError``.
-``fuse_bev_maps``, ``bev_encoder`` and ``detect_forward`` are the whole-map
-chain it is checked against; both run the tap-sum and im2col kernels of
-``nn``.
+alone, on a small pool of worker threads, and within a tile in row bands.
+It takes the LiDAR map as its occupied columns (``grids.BevColumns``), runs
+the first block on the non-zero fused columns only and builds the
+512-channel map one band at a time; its output bits do not depend on the
+number of workers. It is the only R2L path: a head it cannot band raises
+``ShapeError``. ``fuse_bev_maps``, ``bev_encoder`` and ``detect_forward``
+are the whole-map chain it is checked against; both run the tap-sum and
+im2col kernels of ``nn``.
 """
 from __future__ import annotations
 
@@ -31,10 +32,10 @@ from itertools import chain
 import numpy as np
 
 from .errors import EvaluationError, ShapeError
-from .grids import GridSpec
+from .grids import BevColumns, GridSpec
 from .nn import (BLAS_PINNED, Conv2dParams, FeatureMap, _conv2d_raw,
-                 _im2col_band, _im2col_rows, _spans, _sum_taps, _tap_rows,
-                 band_rows, conv2d_forward, relu, sigmoid)
+                 _im2col_band, _im2col_rows, _sum_taps, _tap_rows, band_rows,
+                 conv2d_forward, relu, sigmoid)
 from .synth import wrap_angle
 
 ENCODER_CHANNELS = 512
@@ -217,10 +218,10 @@ class _Seams:
         self._waiting: dict = {}
         self._lock = threading.Lock()
 
-    def tile(self, y0: int, y1: int, chunks) -> None:
-        """A tile's input rows ``y0`` to ``y1`` as consecutive (C, n, W)
-        chunks: stores the output rows it alone feeds, hands in the rest."""
-        taps = _tap_rows(self.conv, chunks, y1 - y0, self.width)
+    def tile(self, y0: int, y1: int, taps: np.ndarray) -> None:
+        """The per-tap GEMM results (Cout, kh, kw, rows, W) of a tile's input
+        rows ``y0`` to ``y1``: stores the output rows they alone feed, hands
+        in the rest."""
         p, h = self.conv.padding, self.height
         if p and y0 > 0:
             self._hand_in(y0, taps[:, :, :, :2 * p].copy(), below=True)
@@ -251,42 +252,79 @@ def _im2col_floats(conv: Conv2dParams, width: int) -> int:
     return (cin * kh * kw + cout) * _im2col_band(conv, width) * width
 
 
-def r2l_forward(m_l: FeatureMap, enhanced: FeatureMap, encoder,
-                head: HeadParams, *, workers: int | None = None) -> HeadOutputs:
-    """``detect_forward(bev_encoder(fuse_bev_maps(m_l, enhanced), encoder),
-    head)`` evaluated in row tiles and bands, so neither the fused map nor
-    the 512-channel map is ever built whole.
+# BLAS computes a GEMM column alike wherever it sits, except in the last,
+# partial block of the GEMM's columns; gathered column blocks are padded
+# with zero columns to a multiple of this width.
+_COLUMN_BLOCK = 8
+
+
+def _gather_plan(m_l: BevColumns, enhanced: FeatureMap, fh: int, fw: int) -> tuple:
+    """The fused columns holding a non-zero value, from ``m_l`` and the radar
+    map ``enhanced`` replicated ``fh`` x ``fw`` times: their ascending
+    row-major ids, the positions among them of the LiDAR columns and of the
+    replicated non-zero radar cells, and each of the latter's flat index
+    into the radar map."""
+    occ = np.flatnonzero(enhanced.data.any(axis=0))
+    ry, rx = np.divmod(occ, enhanced.width)
+    dy, dx = np.divmod(np.arange(fh * fw), fw)
+    rid = ((ry[:, None] * fh + dy) * m_l.width + rx[:, None] * fw + dx).ravel()
+    order = np.argsort(rid)
+    rid, rsrc = rid[order], np.repeat(occ, fh * fw)[order]
+    # The sorted union of the ids, spelled out: np.union1d imports numpy.ma
+    # (~1.5 MB of resident memory) on first use.
+    cols = np.sort(np.concatenate([m_l.ids, rid]))
+    cols = cols[np.diff(cols, prepend=-1) != 0]     # ids are >= 0
+    return cols, np.searchsorted(cols, m_l.ids), np.searchsorted(cols, rid), rsrc
+
+
+def r2l_forward(m_l: BevColumns, enhanced: FeatureMap, encoder,
+                head: HeadParams, *, workers: int | None = None,
+                counts: dict | None = None) -> HeadOutputs:
+    """``detect_forward(bev_encoder(fuse_bev_maps(m_l.dense(), enhanced),
+    encoder), head)`` evaluated in row tiles and bands, so neither the
+    LiDAR map nor the fused map nor the 512-channel map is ever built whole.
 
     The map is cut into row tiles (``tiles``) and the chain runs in three
     phases, each over every tile before the next starts. The first block
-    reads the fused map band by band, cut from ``m_l`` and the replicated
-    radar rows; the second reads the first one's 8-channel output; the last
-    block and its rectifier then run band by band and feed the first trunk
-    conv, so the 512-channel map exists one band at a time. A tile
-    allocates each band buffer once and reuses it for all its bands. The
-    first block and the trunk conv sum their taps (``nn._tap_rows``,
-    ``nn._sum_taps``) and hand the taps next to each seam to the tile across
-    it, so no row goes through a GEMM twice; the other two blocks run the
-    im2col bands of ``nn._im2col_rows``. The rest of the head runs on the
-    narrow trunk output. Tiles run on a pool of ``WORKERS`` threads
-    (``workers`` overrides it, for tests), at most as many at once as fit
-    their scratch in ``_SCRATCH_FLOATS``; a one-tile map runs inline.
-    Every conv output is checked for non-finite values before its
-    rectifier, as in the whole-map chain. A head whose first trunk conv
+    runs only on the fused columns holding a non-zero value: the LiDAR
+    columns of ``m_l`` and the non-zero radar cells replicated to the LiDAR
+    grid, found once per call. Per tile it gathers them in chunks into a
+    (channels, columns) block, runs one GEMM of every kernel tap on it and
+    scatters the results into the tile's zeroed tap buffer. The second
+    block reads the first one's 8-channel output; the last block and its
+    rectifier then run band by band and feed the first trunk conv, so the
+    512-channel map exists one band at a time. A tile allocates each band
+    buffer once and reuses it for all its bands. The first block and the
+    trunk conv sum their taps (``nn._sum_taps``) and hand the taps next to
+    each seam to the tile across it, so no row goes through a GEMM twice;
+    the other two blocks run the im2col bands of ``nn._im2col_rows``. The
+    rest of the head runs on the narrow trunk output. Tiles run on a pool
+    of ``WORKERS`` threads (``workers`` overrides it, for tests), at most as
+    many at once as fit their scratch in ``_SCRATCH_FLOATS``; a one-tile map
+    runs inline. Every conv output is checked for non-finite values before
+    its rectifier, as in the whole-map chain. A head whose first trunk conv
     does not read the 512-channel map at stride 1 and keep its size cannot
-    take the bands and raises ``ShapeError``.
+    take the bands and raises ``ShapeError``. ``counts``, when given,
+    receives ``gathered_columns``: how many fused columns the first block
+    ran its GEMM on.
 
-    Bits: tiles and bands depend on the shapes alone, and every tile does
-    the same arithmetic on whichever thread runs it, so the output does not
-    depend on the worker count. The whole-map chain runs the same kernels.
-    BLAS computes a GEMM column alike wherever it sits, except in the last,
-    partial block of the GEMM's columns (8 wide on OpenBLAS Haswell
-    kernels). The band GEMMs have ``rows x W`` columns, so when W is a
-    multiple of that block and the whole map picks the same strategies
-    (tap sums for the first block and the trunk conv, im2col for the other
-    two), as at desk and tiny scale, the result matches the whole-map chain
-    bit for bit; ``heads.tiled-oracle`` bounds any difference at 1e-12 of
-    the largest output.
+    Bits: tiles, bands and gather chunks depend on the shapes and on which
+    columns are non-zero alone, and every tile does the same arithmetic on
+    whichever thread runs it, so the output does not depend on the worker
+    count. The whole-map chain runs the same kernels. BLAS computes a GEMM
+    column alike wherever it sits, except in the last, partial block of the
+    GEMM's columns (8 wide on OpenBLAS Haswell kernels). The
+    gathered chunks are padded with zero columns to a multiple of
+    ``_COLUMN_BLOCK``: without the padding, taps of the last 1 to 4 columns
+    of a chunk differ from the whole map's in the last bits (OpenBLAS
+    0.3.31 on an AVX-512 Xeon). A skipped column's taps would be exact zeros of
+    either sign, and adding those onto the +0 start of a tap sum changes no
+    sum, so skipping them changes no bit. The band GEMMs have ``rows x W``
+    columns, so when W is a multiple of that block and the whole map picks
+    the same strategies (tap sums for the first block and the trunk conv,
+    im2col for the other two), as at desk and tiny scale, the result
+    matches the whole-map chain bit for bit; ``heads.tiled-oracle`` bounds
+    any difference at 1e-12 of the largest output.
     """
     encoder = list(encoder)
     fh, fw = _replication(m_l, enhanced)
@@ -299,45 +337,77 @@ def r2l_forward(m_l: FeatureMap, enhanced: FeatureMap, encoder,
                          f"{ENCODER_CHANNELS}-channel map at stride 1 and "
                          f"keep its size")
     enc0, enc1, enc2 = encoder
-    lidar, radar = m_l.data, enhanced.data
+    lidar, radar = m_l.features, enhanced.data.reshape(enhanced.channels, -1)
     cl, cin = m_l.channels, m_l.channels + enhanced.channels
     p1, p2 = enc1.padding, enc2.padding
-    band0 = band_rows(cin, w)
     # Rectified outputs of the first two blocks, carrying the zero padding
     # the next block reads, and of the first trunk conv.
     a0 = np.zeros((enc0.kernel.shape[0], h + 2 * p1, w + 2 * p1))
     a1 = np.zeros((enc1.kernel.shape[0], h + 2 * p2, w + 2 * p2))
     feat = np.empty((trunk0.kernel.shape[0], h, w))
 
-    def fused(y0: int, y1: int):
-        """Rows y0 to y1 of the fused map, in bands written into one buffer."""
-        win = np.empty(cin * min(band0, y1 - y0) * w)
-        for ya, yb in _spans(y0, y1, band0):
-            n = yb - ya
-            band = win[:cin * n * w].reshape(cin, n, w)
-            band[:cl] = lidar[:, ya:yb]
-            dst = band[cl:].reshape(radar.shape[0], n, radar.shape[2], fw)
-            for r in range(ya // fh, (yb - 1) // fh + 1):
-                ra, rb = max(ya, r * fh) - ya, min(yb, (r + 1) * fh) - ya
-                dst[:, ra:rb] = radar[:, r, None, :, None]
-            yield band
+    cut = tiles(h, max(TILE_ROWS, 2 * enc0.padding, 2 * trunk0.padding))
+    cols, lpos, rpos, rsrc = _gather_plan(m_l, enhanced, fh, fw)
+    if counts is not None:
+        counts["gathered_columns"] = len(cols)
+    # Gather chunks: at most `span` columns each, a whole number of column
+    # blocks whose (cin, span) block fits a band. Chunk j is columns
+    # edges[j] to edges[j + 1]; tile_chunks[y0] lists the chunks of the tile
+    # starting at row y0, none when it has no non-zero column.
+    span = _COLUMN_BLOCK * band_rows(cin, _COLUMN_BLOCK)
+    tile_lo = np.searchsorted(cols, [y0 * w for y0, _ in cut] + [h * w]).tolist()
+    edges, tile_chunks = [], {}
+    for (y0, _), lo, hi in zip(cut, tile_lo, tile_lo[1:]):
+        start = len(edges)
+        edges.extend(range(lo, hi, span))
+        tile_chunks[y0] = range(start, len(edges))
+    edges.append(len(cols))
+    lcut = np.searchsorted(lpos, edges).tolist()
+    rcut = np.searchsorted(rpos, edges).tolist()
+    kh, kw = enc0.kernel.shape[2:]
+    kmat = enc0.kernel.transpose(0, 2, 3, 1).reshape(-1, cin)
+
+    def taps0(y0: int, y1: int) -> np.ndarray:
+        """Per-tap GEMM results of rows y0 to y1 of the fused map, a tile,
+        from its non-zero columns alone."""
+        taps = np.zeros((enc0.kernel.shape[0], kh, kw, y1 - y0, w))
+        flat = taps.reshape(len(kmat), -1)
+        chunks = tile_chunks[y0]
+        if not chunks:
+            return taps
+        widest = max(edges[j + 1] - edges[j] for j in chunks)
+        widest += -widest % _COLUMN_BLOCK
+        block, out = np.empty(cin * widest), np.empty(len(kmat) * widest)
+        for j in chunks:
+            c0, c1 = edges[j], edges[j + 1]
+            n = c1 - c0
+            padded = n + -n % _COLUMN_BLOCK
+            b = block[:cin * padded].reshape(cin, padded)
+            b.fill(0.0)
+            la, lb, ra, rb = lcut[j], lcut[j + 1], rcut[j], rcut[j + 1]
+            b[:cl, lpos[la:lb] - c0] = lidar[la:lb].T
+            b[cl:, rpos[ra:rb] - c0] = radar[:, rsrc[ra:rb]]
+            o = out[:len(kmat) * padded].reshape(len(kmat), padded)
+            np.matmul(kmat, b, out=o)
+            flat[:, cols[c0:c1] - y0 * w] = o[:, :n]
+        return taps
 
     seams0, seams_t = _Seams(enc0, a0, p1), _Seams(trunk0, feat, 0)
 
     def block0(y0: int, y1: int) -> None:
-        seams0.tile(y0, y1, fused(y0, y1))
+        seams0.tile(y0, y1, taps0(y0, y1))
 
     def block1(y0: int, y1: int) -> None:
         for ya, yb, pre in _im2col_rows(enc1, a0, y0, y1):
             np.maximum(_finite(pre), 0.0, out=a1[:, p2 + ya:p2 + yb, p2:p2 + w])
 
     def block2_trunk0(y0: int, y1: int) -> None:
-        seams_t.tile(y0, y1, (np.maximum(_finite(pre), 0.0, out=pre)
-                              for _, _, pre in _im2col_rows(enc2, a1, y0, y1)))
+        bands = (np.maximum(_finite(pre), 0.0, out=pre)
+                 for _, _, pre in _im2col_rows(enc2, a1, y0, y1))
+        seams_t.tile(y0, y1, _tap_rows(trunk0, bands, y1 - y0, w))
 
-    cut = tiles(h, max(TILE_ROWS, 2 * enc0.padding, 2 * trunk0.padding))
     rows = max(y1 - y0 for y0, y1 in cut)
-    tile_floats = max(cin * band0 * w + _tap_floats(enc0, rows, w),
+    tile_floats = max((cin + len(kmat)) * span + _tap_floats(enc0, rows, w),
                       _im2col_floats(enc1, w),
                       _im2col_floats(enc2, w) + _tap_floats(trunk0, rows, w))
     workers = min(WORKERS if workers is None else workers,

@@ -22,8 +22,8 @@ from .config import desk_config, tiny_config
 from .errors import ConfigError
 from .evalmetrics import eval_detections
 from .faults import FAULTS
-from .grids import (BevGrids, GridSpec, collapse_to_bev_grids, pillarize,
-                    voxel_encode, voxelize, zstack_collapse)
+from .grids import (BevColumns, BevGrids, GridSpec, collapse_to_bev_grids,
+                    pillarize, voxel_encode, voxelize, zstack_collapse)
 from .heads import (ENCODER_CHANNELS, TILE_ROWS, HeadOutputs, HeadParams,
                     band_rows, bev_encoder, compute_loss, decode_detections,
                     detect_forward, fuse_bev_maps, outputs_from_targets,
@@ -419,17 +419,20 @@ def voxel_encode_brute(points: np.ndarray, spec: GridSpec, occupied: dict,
     return out
 
 
-def zstack_collapse_brute(spec: GridSpec, features: dict, p: MlpParams) -> np.ndarray:
-    """Per-column twin of ``zstack_collapse``: the (C, ny, nx) map array."""
-    out = np.zeros((p.out_dim, spec.ny, spec.nx))
-    for ix, iy in sorted({(k[0], k[1]) for k in features}):
+def zstack_collapse_brute(spec: GridSpec, features: dict, p: MlpParams) -> tuple:
+    """Per-column twin of ``zstack_collapse``: the ascending row-major ids
+    of the occupied columns and their (K, C) features."""
+    columns = sorted({(k[1], k[0]) for k in features})
+    out = np.zeros((len(columns), p.out_dim))
+    for row, (iy, ix) in enumerate(columns):
         stack = np.zeros(p.in_dim)
         for iz in range(spec.nz):
             feat = features.get((ix, iy, iz))
             if feat is not None:
                 stack[iz * len(feat):(iz + 1) * len(feat)] = feat
-        out[:, iy, ix] = mlp_forward_batch(stack[None, :], p)[0]
-    return out
+        out[row] = mlp_forward_batch(stack[None, :], p)[0]
+    ids = np.array([iy * spec.nx + ix for iy, ix in columns], dtype=np.int64)
+    return ids, out
 
 
 def collapse_to_bev_grids_brute(spec: GridSpec, features: dict,
@@ -481,8 +484,8 @@ def _segment_cloud(rng, spec: GridSpec) -> np.ndarray:
 
 def check_segment_oracle(seeds: int, fault=None) -> PropertyResult:
     """Array grid core against the per-key twins: voxel keys, member sets,
-    drop and truncation counts and coarse keys agree exactly; features and
-    maps agree within GRID_RTOL of their largest magnitude."""
+    drop and truncation counts, z-stack column ids and coarse keys agree
+    exactly; features agree within GRID_RTOL of their largest magnitude."""
     failures = []
     for s in range(seeds):
         rng = np.random.default_rng([20, s])
@@ -513,9 +516,13 @@ def check_segment_oracle(seeds: int, fault=None) -> PropertyResult:
         if not _rel_close(vs.features, want):
             failures.append(f"seed {s}: voxel features differ")
             continue
-        if not _rel_close(zstack_collapse(vs, zmlp).data,
-                          zstack_collapse_brute(spec, feats, zmlp)):
-            failures.append(f"seed {s}: z-stack maps differ")
+        columns = zstack_collapse(vs, zmlp)
+        ids, block = zstack_collapse_brute(spec, feats, zmlp)
+        if not np.array_equal(columns.ids, ids):
+            failures.append(f"seed {s}: z-stack column ids differ")
+            continue
+        if not _rel_close(columns.features, block):
+            failures.append(f"seed {s}: z-stack column features differ")
             continue
         coarse = collapse_to_bev_grids(vs, coarse_cell)
         coarse_brute = collapse_to_bev_grids_brute(spec, feats, coarse_cell)
@@ -858,21 +865,29 @@ def check_channel_contract(seeds: int, fault=None) -> PropertyResult:
 # from the whole map.
 TILED_PROFILES = ((64, (8, 8), (4, 4)), (16, (2, 2), (2, 2)),
                   (33, (33, 7), (33, 3)))
+# Share of LiDAR-occupied columns: some, none, all.
+LIDAR_OCCUPANCY = (0.35, 0.0, 1.0)
 HEAD_FIELDS = ("heatmap", "heatmap_logits", "offset", "z", "size", "rot", "vel")
 
 
 def _r2l_instance(rng, s, heights):
     """Random maps and weights for ``r2l_forward``: widths from
-    TILED_PROFILES, W from 1 to 64, H from ``heights(w, fused channels)``,
-    radar replicated 1, 2 or 4 times per axis."""
+    TILED_PROFILES, LiDAR occupancy from LIDAR_OCCUPANCY, W from 1 to 64, H
+    from ``heights(w)``, radar replicated 1, 2 or 4 times
+    per axis and non-zero in 30% of its cells, many of them over empty
+    LiDAR columns."""
     lidar, hidden, trunk = TILED_PROFILES[s % len(TILED_PROFILES)]
     w = int(rng.choice([1, 3, 16, 33, 64]))
     cin = lidar + 96
-    choices = heights(w, cin)
+    choices = heights(w)
     h = choices[(s // len(TILED_PROFILES)) % len(choices)]
     fh = int(rng.choice([f for f in (1, 2, 4) if h % f == 0]))
     fw = int(rng.choice([f for f in (1, 2, 4) if w % f == 0]))
-    m_l = FeatureMap(np.maximum(rng.normal(size=(lidar, h, w)), 0.0))
+    # Seeds 0-2 take each occupancy; later seeds pair it with each profile.
+    occupancy = LIDAR_OCCUPANCY[(s + s // len(TILED_PROFILES)) % len(LIDAR_OCCUPANCY)]
+    ids = np.flatnonzero(rng.uniform(size=h * w) < occupancy)
+    features = np.maximum(rng.normal(size=(len(ids), lidar)), 0.0)
+    m_l = BevColumns(ids=ids, features=features, shape=(lidar, h, w))
     enhanced = FeatureMap(rng.normal(size=(96, h // fh, w // fw))
                           * (rng.uniform(size=(1, h // fh, w // fw)) < 0.3))
     widths = [cin, *hidden, ENCODER_CHANNELS]
@@ -888,12 +903,21 @@ def _r2l_instance(rng, s, heights):
     return m_l, enhanced, encoder, head
 
 
-def _band_heights(w, cin):
+def columns_of(m: FeatureMap) -> BevColumns:
+    """The columns of a dense map holding a non-zero value, as the input
+    ``r2l_forward`` takes."""
+    flat = m.data.reshape(m.channels, -1)
+    ids = np.flatnonzero(flat.any(axis=0))
+    return BevColumns(ids=ids, features=flat[:, ids].T.copy(), shape=m.shape)
+
+
+def _band_heights(w):
     """One row, under one band, one band plus a row, or past two bands of
-    the 512-channel stage or of the fused input."""
+    the 512-channel stage; and the tallest one-tile map, whose fused
+    columns take more than one gather chunk at W = 64 when all occupied."""
     rows = band_rows(ENCODER_CHANNELS, w)
     return [1, max(1, rows - 1), rows + 1, 2 * rows + rows // 2 + 1,
-            2 * band_rows(cin, w) + 1]
+            2 * TILE_ROWS - 1]
 
 
 def check_tiled_r2l(seeds: int, fault=None) -> PropertyResult:
@@ -903,7 +927,8 @@ def check_tiled_r2l(seeds: int, fault=None) -> PropertyResult:
     for s in range(seeds):
         rng = np.random.default_rng([31, s])
         m_l, enhanced, encoder, head = _r2l_instance(rng, s, _band_heights)
-        ref = detect_forward(bev_encoder(fuse_bev_maps(m_l, enhanced), encoder), head)
+        ref = detect_forward(bev_encoder(fuse_bev_maps(m_l.dense(), enhanced),
+                                         encoder), head)
         got = r2l_forward(m_l, enhanced, encoder, head)
         for name in HEAD_FIELDS:
             if not _rel_close(getattr(got, name), getattr(ref, name)):
@@ -912,7 +937,7 @@ def check_tiled_r2l(seeds: int, fault=None) -> PropertyResult:
     return PropertyResult("heads.tiled-oracle", not failures, seeds, failures)
 
 
-def _tile_heights(w, cin):
+def _tile_heights(w):
     """One tile, one tile plus a row, two tiles, and several uneven ones."""
     return [TILE_ROWS, TILE_ROWS + 1, 2 * TILE_ROWS, 3 * TILE_ROWS + 5]
 

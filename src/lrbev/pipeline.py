@@ -9,6 +9,7 @@ probe used for smoke testing.
 from __future__ import annotations
 
 import json
+import threading
 from collections.abc import Mapping
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -22,8 +23,9 @@ from .grids import (LIDAR_POINT_FEATURES, RADAR_CHANNELS, collapse_to_bev_grids,
                     pillarize, voxel_encode, voxelize, zstack_collapse)
 # fuse_bev_maps -> bev_encoder -> detect_forward is the whole-map twin of
 # r2l_forward, on the same conv kernels; run_pipeline itself never calls it.
-# The first two build the maps PipelineResult.maps computes on request; all
-# three stay names of this module for code that wraps them.
+# The first two build the maps PipelineResult.maps computes on request, from
+# the dense LiDAR map it builds on request too; all three stay names of this
+# module for code that wraps them.
 from .heads import (ENCODER_CHANNELS, DetectionBox, HeadParams, bev_encoder,
                     decode_detections, detect_forward, fuse_bev_maps,
                     r2l_forward)
@@ -42,7 +44,7 @@ class PipelineWeights:
     point_mlp: MlpParams
     merge_mlp: MlpParams
     grid_mlp: MlpParams
-    encoder: list
+    encoder: list            # or a tuple, in the shared random_weights
     head: HeadParams
 
 
@@ -71,22 +73,51 @@ def _layer_dims(cfg: PipelineConfig) -> dict:
     }
 
 
+# Weight sets drawn so far, by (layer shapes, seed), oldest first; at most
+# _WEIGHT_SETS are kept.
+_WEIGHTS: dict = {}
+_WEIGHT_SETS = 8
+_WEIGHTS_LOCK = threading.Lock()
+
+
 def random_weights(cfg: PipelineConfig, seed: int) -> PipelineWeights:
-    """All learnable parameters from one seeded generator, fixed draw order."""
-    rng = np.random.default_rng([seed, 424242])
+    """All learnable parameters from one seeded generator, fixed draw order.
+
+    Drawn once per (layer shapes, seed) and shared by every later call with
+    the same ones, so every array is read-only."""
     dims = _layer_dims(cfg)
+    key = (repr(dims), seed)
+    with _WEIGHTS_LOCK:
+        weights = _WEIGHTS.get(key)
+        if weights is None:
+            if len(_WEIGHTS) >= _WEIGHT_SETS:
+                del _WEIGHTS[next(iter(_WEIGHTS))]
+            weights = _WEIGHTS[key] = _draw_weights(dims, seed)
+    return weights
+
+
+def _draw_weights(dims: dict, seed: int) -> PipelineWeights:
+    """The weights of ``random_weights``, frozen: read-only arrays, layer
+    tuples."""
+    rng = np.random.default_rng([seed, 424242])
     weights = {name: MlpParams.init(d, rng) for name, d in dims.items()
                if name.endswith("_mlp")}
 
     def convs(widths):
-        return [Conv2dParams.init(cin, cout, 3, rng, padding=1)
-                for cin, cout in zip(widths, widths[1:])]
+        return tuple(Conv2dParams.init(cin, cout, 3, rng, padding=1)
+                     for cin, cout in zip(widths, widths[1:]))
 
     weights["encoder"] = convs(dims["encoder"])
     trunk = convs(dims["trunk"])     # drawn before the heads
-    weights["head"] = HeadParams(trunk=trunk, **{
-        name: Conv2dParams.init(dims["trunk"][-1], out, 1, rng)
-        for name, out in dims["heads"].items()})
+    heads = {name: Conv2dParams.init(dims["trunk"][-1], out, 1, rng)
+             for name, out in dims["heads"].items()}
+    weights["head"] = HeadParams(trunk=trunk, **heads)
+    arrays = [a for name in weights if name.endswith("_mlp")
+              for layer in weights[name].layers for a in layer]
+    for conv in (*weights["encoder"], *trunk, *heads.values()):
+        arrays += [conv.kernel, conv.bias]
+    for a in arrays:
+        a.flags.writeable = False
     return PipelineWeights(**weights)
 
 
@@ -259,6 +290,7 @@ def run_pipeline(cfg: PipelineConfig, lidar: np.ndarray, radar: np.ndarray,
              f"LiDAR map shape {m_l.shape} violates the configured grid")
     stats["grid_encoding"] = {
         "occupied_voxels": len(voxels.occupied),
+        "lidar_columns": len(m_l.ids),
         "dropped_lidar_points": voxels.dropped,
         "truncated_lidar_points": voxels.truncated,
         "ml_shape": list(m_l.shape),
@@ -298,12 +330,14 @@ def run_pipeline(cfg: PipelineConfig, lidar: np.ndarray, radar: np.ndarray,
 
     stage = "r2l-fusion-head"
     with _stage(stage):
-        outputs = r2l_forward(m_l, enhanced, weights.encoder, weights.head)
+        r2l_counts: dict = {}
+        outputs = r2l_forward(m_l, enhanced, weights.encoder, weights.head,
+                              counts=r2l_counts)
         detections = decode_detections(outputs, cfg.lidar_grid,
                                        cfg.head.score_thresh,
                                        cfg.head.max_detections)
-    # r2l_forward builds neither map whole; their shapes follow from the
-    # inputs and the encoder weights.
+    # r2l_forward builds none of the LiDAR, fused and encoded maps whole;
+    # their shapes follow from the inputs and the encoder weights.
     fused_shape = [m_l.channels + enhanced.channels, m_l.height, m_l.width]
     encoded_shape = [weights.encoder[-1].kernel.shape[0], m_l.height, m_l.width]
     fused_channels = cfg.channels.lidar_channels + ENHANCED_CHANNELS
@@ -316,17 +350,18 @@ def run_pipeline(cfg: PipelineConfig, lidar: np.ndarray, radar: np.ndarray,
         "fused_shape": fused_shape,
         "encoded_shape": encoded_shape,
         "detections": len(detections),
+        "gathered_columns": r2l_counts["gathered_columns"],
     }
     maps = LazyMaps({
-        "m_l": m_l, "m_r": m_r, "enhanced": enhanced,
-        "fused": lambda maps: fuse_bev_maps(m_l, enhanced),
+        "m_l": lambda maps: m_l.dense(), "m_r": m_r, "enhanced": enhanced,
+        "fused": lambda maps: fuse_bev_maps(maps["m_l"], enhanced),
         "encoded": lambda maps: bev_encoder(maps["fused"], weights.encoder),
         "heatmap": FeatureMap(outputs.heatmap)})
     return PipelineResult(detections=detections, stats=stats, maps=maps)
 
 
 def zstack_collapse_safe(voxels, zstack_mlp, cfg: PipelineConfig):
-    """``zstack_collapse``, which maps an empty voxel set to the zero map
+    """``zstack_collapse``, which maps an empty voxel set to no columns
     itself; kept as a stage name for code that calls it."""
     return zstack_collapse(voxels, zstack_mlp)
 

@@ -191,7 +191,7 @@ def test_removed_keys_rejected(section, key):
         PipelineConfig.from_dict(doc)
 
 
-@pytest.mark.parametrize("path, value, field", [
+WRONG_TYPES = [
     (("fusion", "bev_window"), 2, "fusion.bev_window"),
     (("fusion", "bev_window"), [1], "fusion.bev_window"),
     (("fusion", "bev_window"), [1, "2"], "fusion.bev_window"),
@@ -203,7 +203,10 @@ def test_removed_keys_rejected(section, key):
     (("radar_cell",), [1.0], "radar_cell"),
     (("lidar_grid", "counts"), [128, 128], "lidar_grid.counts"),
     (("scene",), [], "scene"),
-])
+]
+
+
+@pytest.mark.parametrize("path, value, field", WRONG_TYPES)
 def test_wrong_json_type_names_the_field(path, value, field):
     doc = desk_config().to_dict()
     target = doc
@@ -212,6 +215,34 @@ def test_wrong_json_type_names_the_field(path, value, field):
     target[path[-1]] = value
     with pytest.raises(ConfigError, match=f"^{field}: expected"):
         PipelineConfig.from_dict(doc)
+
+
+@pytest.mark.parametrize("path, value, field", WRONG_TYPES)
+def test_wrong_python_type_names_the_field(path, value, field):
+    """The same values set on a config built in Python fail ``validate``
+    with the same message, not with an error from the code reading them."""
+    cfg = desk_config()
+    target = cfg
+    for key in path[:-1]:
+        target = getattr(target, key)
+    object.__setattr__(target, path[-1], value)   # GridSpec is frozen
+    with pytest.raises(ConfigError, match=f"^{field}: expected"):
+        cfg.validate()
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_python_value_rejected(value):
+    cfg = tiny_config()
+    cfg.scene.lidar_density = value
+    with pytest.raises(ConfigError, match="^scene.lidar_density: expected a finite"):
+        cfg.validate()
+
+
+def test_python_window_of_one_int_rejected():
+    cfg = tiny_config()
+    cfg.fusion.bev_window = 2
+    with pytest.raises(ConfigError, match="^fusion.bev_window: expected a list of 2 ints"):
+        cfg.validate()
 
 
 @pytest.mark.parametrize("path, field", [

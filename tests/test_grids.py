@@ -135,7 +135,8 @@ class TestZstackCollapse:
         vs = voxelize(make_cloud("lidar", {}), spec)
         mlp = MlpParams.init((6 * spec.nz, 8, 5), np.random.default_rng(3))
         out = zstack_collapse(voxel_encode(vs, _voxel_mlp()), mlp)
-        assert np.array_equal(out.data, np.zeros((5, spec.ny, spec.nx)))
+        assert len(out.ids) == 0 and out.features.shape == (0, 5)
+        assert np.array_equal(out.dense().data, np.zeros((5, spec.ny, spec.nx)))
 
     def test_nz_one_reduces_to_per_cell_mlp(self):
         spec = _spec(nz=1)
@@ -147,7 +148,8 @@ class TestZstackCollapse:
         out = zstack_collapse(vs, mlp)
         (key,), (feat,) = vs.occupied, vs.features
         want = mlp_forward(feat, mlp)
-        assert np.array_equal(out.data[:, key[1], key[0]], want)
+        assert out.ids.tolist() == [key[1] * spec.nx + key[0]]
+        assert np.array_equal(out.dense().data[:, key[1], key[0]], want)
 
     def test_two_z_levels_differ_from_single(self):
         spec = _spec()
@@ -158,14 +160,16 @@ class TestZstackCollapse:
         out_both = zstack_collapse(voxel_encode(voxelize(both, spec), vmlp), mlp)
         out_lower = zstack_collapse(voxel_encode(voxelize(lower, spec), vmlp), mlp)
         ix = math.floor((0.1 + 2.0) / 0.5)
-        assert not np.array_equal(out_both.data[:, ix, ix], out_lower.data[:, ix, ix])
+        assert not np.array_equal(out_both.dense().data[:, ix, ix],
+                                  out_lower.dense().data[:, ix, ix])
 
     def test_untouched_cells_exact_zero(self):
         spec = _spec()
         cloud = _lidar([[0.1, 0.2, -0.3]])
         mlp = MlpParams.init((6 * spec.nz, 8, 5), np.random.default_rng(6))
         out = zstack_collapse(voxel_encode(voxelize(cloud, spec), _voxel_mlp()), mlp)
-        assert int((np.abs(out.data) > 0).any(axis=0).sum()) == 1
+        assert len(out.ids) == 1
+        assert int((np.abs(out.dense().data) > 0).any(axis=0).sum()) == 1
 
 
 class TestBlocks:
@@ -190,9 +194,10 @@ class TestBlocks:
         feats = voxel_encode_brute(cloud, spec, occupied, vmlp)
         want = np.array([feats[k] for k in sorted(feats)])
         assert np.abs(vs.features - want).max() <= 1e-12 * np.abs(want).max()
-        got = zstack_collapse(vs, zmlp).data
-        want = zstack_collapse_brute(spec, feats, zmlp)
-        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        got = zstack_collapse(vs, zmlp)
+        ids, want = zstack_collapse_brute(spec, feats, zmlp)
+        assert np.array_equal(got.ids, ids)
+        assert np.abs(got.features - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def _radar(xy, variant="a"):

@@ -15,8 +15,8 @@ from lrbev.heads import (ENCODER_CHANNELS, DetectionBox, HeadOutputs, HeadParams
                          fuse_bev_maps, outputs_from_targets, r2l_forward,
                          render_targets, upsample_nearest)
 from lrbev.nn import Conv2dParams, FeatureMap, finite_diff_check, sigmoid
-from lrbev.oracles import (HEAD_FIELDS, loss_gradcheck_instance, pack_head_maps,
-                           unpack_head_maps)
+from lrbev.oracles import (HEAD_FIELDS, columns_of, loss_gradcheck_instance,
+                           pack_head_maps, unpack_head_maps)
 from lrbev.pipeline import random_weights
 from lrbev.synth import GroundTruthBox, wrap_angle
 
@@ -152,11 +152,12 @@ class TestDetectForward:
 def _r2l_inputs(rng, h, w, lidar=64, factor=1):
     m_l = FeatureMap(np.maximum(rng.normal(size=(lidar, h, w)), 0.0))
     enhanced = FeatureMap(rng.normal(size=(96, h // factor, w // factor)))
-    return m_l, enhanced
+    return columns_of(m_l), enhanced
 
 
 def _twin_chain(m_l, enhanced, encoder, head):
-    return detect_forward(bev_encoder(fuse_bev_maps(m_l, enhanced), encoder), head)
+    return detect_forward(bev_encoder(fuse_bev_maps(m_l.dense(), enhanced), encoder),
+                          head)
 
 
 def _assert_matches_twins(got, want):
@@ -253,7 +254,8 @@ class TestR2lForward:
         with pytest.raises(ShapeError) as twin:
             fuse_bev_maps(m_l, enhanced)
         with pytest.raises(ShapeError) as banded:
-            r2l_forward(m_l, enhanced, _encoder(rng), _head_params(rng))
+            r2l_forward(columns_of(m_l), enhanced, _encoder(rng),
+                        _head_params(rng))
         assert str(banded.value) == str(twin.value)
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")

@@ -6,10 +6,11 @@ import hashlib
 import numpy as np
 import pytest
 
+from lrbev import grids, heads, pipeline
 from lrbev.cloud import make_cloud
 from lrbev.config import config_for_scale, desk_config, tiny_config
 from lrbev.errors import ConfigError, PipelineError
-from lrbev.grids import GridSpec
+from lrbev.grids import GridSpec, voxelize
 from lrbev.heads import _replication
 from lrbev.pipeline import (detections_to_jsonl, generate_clouds, probe_weights,
                             random_weights, run_pipeline)
@@ -297,3 +298,45 @@ def test_non_square_lidar_cell_keeps_radar_points_at_desk():
     st = _check_runs_on_its_grids(cfg, 0)
     assert st["mr_shape"] == [32, 32, 32]
     assert st["dropped_radar_points"] == 0
+
+
+def test_run_builds_no_dense_lidar_map_and_no_fused_map(monkeypatch):
+    """The LiDAR map stays columns and the fused map is never built: both
+    are made only when ``maps`` is read."""
+    def refuse(*args, **kwargs):
+        raise RuntimeError("dense map built")
+
+    monkeypatch.setattr(grids.BevColumns, "dense", refuse)
+    monkeypatch.setattr(pipeline, "fuse_bev_maps", refuse)
+    monkeypatch.setattr(heads, "fuse_bev_maps", refuse)
+    monkeypatch.setattr(heads, "upsample_nearest", refuse)
+    cfg = desk_config()
+    _, lidar, radar = generate_clouds(cfg, 0)
+    result = run_pipeline(cfg, lidar, radar)
+    assert result.stats["grid_encoding"]["ml_shape"] == [64, 128, 128]
+    with pytest.raises(RuntimeError, match="dense map built"):
+        result.maps["m_l"]
+
+
+def test_sparsity_counters(tiny_run):
+    cfg, _, lidar, radar, result = tiny_run
+    ge, r2l = result.stats["grid_encoding"], result.stats["r2l_fusion_head"]
+    voxels = voxelize(lidar, cfg.lidar_grid, cfg.max_points_per_voxel)
+    assert ge["lidar_columns"] == len({(ix, iy) for ix, iy, _ in voxels.occupied.tolist()})
+    m_l, fused = result.maps["m_l"].data, result.maps["fused"].data
+    assert ge["lidar_columns"] == int(m_l.any(axis=0).sum())
+    assert r2l["gathered_columns"] == int(fused.any(axis=0).sum())
+    assert ge["lidar_columns"] < r2l["gathered_columns"] < fused[0].size
+
+
+def test_random_weights_drawn_once_and_read_only():
+    cfg = desk_config()
+    weights = random_weights(cfg, 11)
+    assert random_weights(desk_config(), 11) is weights
+    assert random_weights(cfg, 12) is not weights
+    with pytest.raises(ValueError, match="read-only"):
+        weights.encoder[0].kernel[0, 0, 0, 0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        weights.zstack_mlp.layers[0][1][0] = 1.0
+    with pytest.raises(TypeError):
+        weights.head.trunk[0] = weights.head.trunk[1]

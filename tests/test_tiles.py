@@ -9,13 +9,14 @@ import warnings
 import numpy as np
 import pytest
 
-from lrbev import heads
+from lrbev import heads, nn
 from lrbev.config import desk_config
 from lrbev.errors import EvaluationError
+from lrbev.grids import voxel_encode, voxelize, zstack_collapse
 from lrbev.heads import (TILE_ROWS, HeadParams, bev_encoder, detect_forward,
                          fuse_bev_maps, r2l_forward, tiles)
 from lrbev.nn import Conv2dParams, FeatureMap
-from lrbev.oracles import HEAD_FIELDS
+from lrbev.oracles import HEAD_FIELDS, columns_of
 from lrbev.pipeline import (detections_to_jsonl, generate_clouds,
                             random_weights, run_pipeline)
 
@@ -27,7 +28,7 @@ SINGLE_THREAD_PEAK = 17_061_224
 def _inputs(rng, h, w, factor=1):
     m_l = FeatureMap(np.maximum(rng.normal(size=(64, h, w)), 0.0))
     enhanced = FeatureMap(rng.normal(size=(96, h // factor, w // factor)))
-    return m_l, enhanced
+    return columns_of(m_l), enhanced
 
 
 def _weights(rng):
@@ -59,7 +60,8 @@ def test_seams_bit_identical_to_twins(h, workers):
     m_l, enhanced = _inputs(rng, h, 64)
     encoder, head = _weights(rng)
     got = r2l_forward(m_l, enhanced, encoder, head, workers=workers)
-    want = detect_forward(bev_encoder(fuse_bev_maps(m_l, enhanced), encoder), head)
+    want = detect_forward(bev_encoder(fuse_bev_maps(m_l.dense(), enhanced), encoder),
+                          head)
     for name in HEAD_FIELDS:
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
@@ -162,3 +164,45 @@ def test_desk_pipeline_same_bytes_on_one_worker(monkeypatch):
             serial.maps["heatmap"].data.tobytes()
         assert detections_to_jsonl(pooled.detections) == \
             detections_to_jsonl(serial.detections)
+
+
+def test_desk_r2l_equals_whole_map_twin():
+    """A desk frame's LiDAR columns and enhanced map: the gathered first
+    block and the bands give the whole-map chain's bytes."""
+    cfg = desk_config()
+    _, lidar, radar = generate_clouds(cfg, 1)
+    result = run_pipeline(cfg, lidar, radar)
+    weights = random_weights(cfg, cfg.seeds.weights)
+    voxels = voxel_encode(voxelize(lidar, cfg.lidar_grid, cfg.max_points_per_voxel),
+                          weights.voxel_mlp)
+    m_l = zstack_collapse(voxels, weights.zstack_mlp)
+    enhanced = result.maps["enhanced"]
+    got = r2l_forward(m_l, enhanced, weights.encoder, weights.head)
+    want = detect_forward(bev_encoder(fuse_bev_maps(m_l.dense(), enhanced),
+                                      weights.encoder), weights.head)
+    for name in HEAD_FIELDS:
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    assert got.heatmap.tobytes() == result.maps["heatmap"].data.tobytes()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_small_gather_chunks_match_twins(monkeypatch, workers):
+    """Gather chunks of 16 columns: most tiles take several, padded ones
+    among them, over sparse LiDAR, radar-only columns and an empty band."""
+    monkeypatch.setattr(nn, "_BAND_FLOATS", 160 * 16)
+    rng = np.random.default_rng(54)
+    h, w = 3 * TILE_ROWS, 64
+    data = np.maximum(rng.normal(size=(64, h, w)), 0.0)
+    data *= rng.uniform(size=(1, h, w)) < 0.3
+    data[:, 5:9] = 0.0
+    m_l = columns_of(FeatureMap(data))
+    enhanced = FeatureMap(rng.normal(size=(96, h // 4, w // 4))
+                          * (rng.uniform(size=(1, h // 4, w // 4)) < 0.3))
+    encoder, head = _weights(rng)
+    counts = {}
+    got = r2l_forward(m_l, enhanced, encoder, head, workers=workers, counts=counts)
+    fused = fuse_bev_maps(m_l.dense(), enhanced)
+    want = detect_forward(bev_encoder(fused, encoder), head)
+    for name in HEAD_FIELDS:
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    assert counts["gathered_columns"] == int(fused.data.any(axis=0).sum())
