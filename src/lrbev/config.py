@@ -291,8 +291,11 @@ def _typed(name: str, value, kind):
         required = f.default is MISSING and f.default_factory is MISSING
         if required and f.name not in value:
             raise ConfigError(f"{prefix}{f.name}: missing")
-    return kind(**{key: _typed(prefix + key, v, hints[key])
-                   for key, v in value.items()})
+    typed = {key: _typed(prefix + key, v, hints[key]) for key, v in value.items()}
+    try:
+        return kind(**typed)
+    except ConfigError as e:   # the dataclass's own checks name its own field
+        raise ConfigError(prefix + str(e)) from None
 
 
 def desk_config() -> PipelineConfig:

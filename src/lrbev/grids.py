@@ -37,12 +37,15 @@ class GridSpec:
     counts: tuple[int, int, int]
 
     def __post_init__(self):
-        if len(self.origin) != 3 or len(self.cell) != 3 or len(self.counts) != 3:
-            raise ConfigError("grid: origin, cell and counts must each have 3 entries")
+        # Messages name the field of the grid; a config that holds it
+        # prefixes the grid's own name.
+        for name in ("origin", "cell", "counts"):
+            if len(getattr(self, name)) != 3:
+                raise ConfigError(f"{name}: needs 3 entries, got {getattr(self, name)}")
         if any(c <= 0 for c in self.cell):
-            raise ConfigError(f"grid.cell: all sizes must be positive, got {self.cell}")
+            raise ConfigError(f"cell: all sizes must be positive, got {self.cell}")
         if any(n < 1 for n in self.counts):
-            raise ConfigError(f"grid.counts: all counts must be >= 1, got {self.counts}")
+            raise ConfigError(f"counts: all counts must be >= 1, got {self.counts}")
 
     @property
     def nx(self) -> int:
@@ -303,7 +306,7 @@ def pillarize(points: np.ndarray, spec: GridSpec, p: MlpParams,
     """Radar pillar encoding: per-pillar max over the point MLP, scattered
     onto a dense BEV map. Raw record fields are the MLP inputs."""
     if spec.nz != 1:
-        raise ConfigError(f"radar.counts: pillar grid needs nz == 1, got {spec.nz}")
+        raise ConfigError(f"radar_grid.counts: pillar grid needs nz == 1, got {spec.nz}")
     nfeat = len(points.dtype.names)
     if p.in_dim != nfeat:
         raise ShapeError(f"pillar MLP expects {p.in_dim} inputs, "
@@ -356,7 +359,7 @@ def collapse_to_bev_grids(vs: VoxelSet, coarse_cell: float) -> BevGrids:
         ratio = coarse_cell / spec.cell[axis]
         if abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
             raise ConfigError(
-                f"grid.cell: coarse cell {coarse_cell} is not an integer multiple "
+                f"radar_cell: coarse cell {coarse_cell} is not an integer multiple "
                 f"of fine {name} cell {spec.cell[axis]}")
         ratios.append(int(round(ratio)))
     rx, ry = ratios

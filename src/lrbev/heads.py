@@ -9,12 +9,13 @@ velocity regressions. Decoding finds 3x3 local maxima; the loss combines a
 penalty-reduced focal term on the heatmap with L1 regression at ground-truth
 centers and reports analytic gradients for the finite-difference checker.
 
-``r2l_forward`` runs that chain in row tiles, cut from the map shape
-alone, on a small pool of worker threads, and within a tile in row bands.
-It takes the LiDAR map as its occupied columns (``grids.BevColumns``), runs
-the first block on the non-zero fused columns only and builds the
-512-channel map one band at a time; its output bits do not depend on the
-number of workers. It is the only R2L path: a head it cannot band raises
+``r2l_forward`` runs that chain without building its wide maps. It takes
+the LiDAR map as its occupied columns (``grids.BevColumns``) and runs the
+first block on the non-zero fused columns only; the last block and the
+first trunk conv run in row tiles, cut from the map shape alone, on a small
+pool of worker threads, and within a tile in row bands, so the 512-channel
+map exists one band at a time. Its output bits do not depend on the number
+of workers. It is the only R2L path: a head it cannot band raises
 ``ShapeError``. ``fuse_bev_maps``, ``bev_encoder`` and ``detect_forward``
 are the whole-map chain it is checked against; both run the tap-sum and
 im2col kernels of ``nn``.
@@ -27,7 +28,6 @@ import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
 
 import numpy as np
 
@@ -208,13 +208,12 @@ def _tap_floats(conv: Conv2dParams, rows: int, width: int) -> int:
 
 class _Seams:
     """A stride-1, size-keeping conv and its rectifier, run tile by tile on
-    summed taps into ``out`` inside its zero border of ``border`` cells. The
-    ``padding`` output rows either side of a seam need taps from both of
-    its tiles; the second tile to hand its taps in sums those rows."""
+    summed taps into ``out``. The ``padding`` output rows either side of a
+    seam need taps from both of its tiles; the second tile to hand its taps
+    in sums those rows."""
 
-    def __init__(self, conv: Conv2dParams, out: np.ndarray, border: int):
-        self.conv, self.out, self.border = conv, out, border
-        self.height, self.width = out.shape[1] - 2 * border, out.shape[2] - 2 * border
+    def __init__(self, conv: Conv2dParams, out: np.ndarray):
+        self.conv, self.out, self.height = conv, out, out.shape[1]
         self._waiting: dict = {}
         self._lock = threading.Lock()
 
@@ -242,8 +241,7 @@ class _Seams:
                                                   seam - p, seam + p, self.height))
 
     def _store(self, ya: int, yb: int, pre: np.ndarray) -> None:
-        b = self.border
-        np.maximum(_finite(pre), 0.0, out=self.out[:, b + ya:b + yb, b:b + self.width])
+        np.maximum(_finite(pre), 0.0, out=self.out[:, ya:yb])
 
 
 def _im2col_floats(conv: Conv2dParams, width: int) -> int:
@@ -277,54 +275,101 @@ def _gather_plan(m_l: BevColumns, enhanced: FeatureMap, fh: int, fw: int) -> tup
     return cols, np.searchsorted(cols, m_l.ids), np.searchsorted(cols, rid), rsrc
 
 
+def _sparse_block(conv: Conv2dParams, m_l: BevColumns, enhanced: FeatureMap,
+                  fh: int, fw: int, border: int, counts: dict | None) -> np.ndarray:
+    """The rectified size-keeping, stride-1 ``conv`` of the fused map of
+    ``m_l`` and ``enhanced`` replicated ``fh`` x ``fw`` times, inside a zero
+    border of ``border`` >= ``conv.padding`` cells: one GEMM per chunk of
+    the non-zero columns in ascending id order, each tap's results added
+    onto the cells it feeds. Taps falling off the map land on the border,
+    zeroed again afterwards."""
+    h, w = m_l.height, m_l.width
+    cout, cin, kh, kw = conv.kernel.shape
+    cl, p, wide = m_l.channels, conv.padding, w + 2 * border
+    lidar, radar = m_l.features, enhanced.data.reshape(enhanced.channels, -1)
+    cols, lpos, rpos, rsrc = _gather_plan(m_l, enhanced, fh, fw)
+    if counts is not None:
+        counts["gathered_columns"] = len(cols)
+    out = np.zeros((cout, h + 2 * border, wide))
+    flat = out.reshape(-1)
+    # Flat index into `out` of each column's cell in each channel, and of
+    # each tap's output cell relative to it.
+    iy, ix = np.divmod(cols, w)
+    home = np.arange(cout)[:, None] * out[0].size + (iy + border) * wide + ix + border
+    shifts = [(p - ky) * wide + p - kx for ky in range(kh) for kx in range(kw)]
+    kmat = conv.kernel.transpose(0, 2, 3, 1).reshape(-1, cin)
+    span = _COLUMN_BLOCK * band_rows(cin, _COLUMN_BLOCK)
+    edges = list(range(0, len(cols), span)) + [len(cols)]
+    lcut = np.searchsorted(lpos, edges).tolist()
+    rcut = np.searchsorted(rpos, edges).tolist()
+    widest = min(span, len(cols))
+    widest += -widest % _COLUMN_BLOCK
+    block, res = np.empty(cin * widest), np.empty(len(kmat) * widest)
+    for j, (c0, c1) in enumerate(zip(edges, edges[1:])):
+        n = c1 - c0
+        padded = n + -n % _COLUMN_BLOCK
+        b = block[:cin * padded].reshape(cin, padded)
+        b.fill(0.0)
+        la, lb, ra, rb = lcut[j], lcut[j + 1], rcut[j], rcut[j + 1]
+        b[:cl, lpos[la:lb] - c0] = lidar[la:lb].T
+        b[cl:, rpos[ra:rb] - c0] = radar[:, rsrc[ra:rb]]
+        o = res[:len(kmat) * padded].reshape(len(kmat), padded)
+        np.matmul(kmat, b, out=o)
+        o = o.reshape(cout, kh * kw, padded)
+        for t, shift in enumerate(shifts):
+            flat[home[:, c0:c1] + shift] += o[:, t, :n]
+    out[:, :border] = out[:, h + border:] = 0.0
+    out[:, :, :border] = out[:, :, w + border:] = 0.0
+    inner = out[:, border:border + h, border:border + w]
+    inner += conv.bias[:, None, None]
+    np.maximum(_finite(inner), 0.0, out=inner)
+    return out
+
+
 def r2l_forward(m_l: BevColumns, enhanced: FeatureMap, encoder,
                 head: HeadParams, *, workers: int | None = None,
                 counts: dict | None = None) -> HeadOutputs:
     """``detect_forward(bev_encoder(fuse_bev_maps(m_l.dense(), enhanced),
-    encoder), head)`` evaluated in row tiles and bands, so neither the
-    LiDAR map nor the fused map nor the 512-channel map is ever built whole.
+    encoder), head)`` evaluated without building the LiDAR, fused or
+    512-channel map whole.
 
-    The map is cut into row tiles (``tiles``) and the chain runs in three
-    phases, each over every tile before the next starts. The first block
-    runs only on the fused columns holding a non-zero value: the LiDAR
-    columns of ``m_l`` and the non-zero radar cells replicated to the LiDAR
-    grid, found once per call. Per tile it gathers them in chunks into a
-    (channels, columns) block, runs one GEMM of every kernel tap on it and
-    scatters the results into the tile's zeroed tap buffer. The second
-    block reads the first one's 8-channel output; the last block and its
-    rectifier then run band by band and feed the first trunk conv, so the
-    512-channel map exists one band at a time. A tile allocates each band
-    buffer once and reuses it for all its bands. The first block and the
-    trunk conv sum their taps (``nn._sum_taps``) and hand the taps next to
-    each seam to the tile across it, so no row goes through a GEMM twice;
-    the other two blocks run the im2col bands of ``nn._im2col_rows``. The
-    rest of the head runs on the narrow trunk output. Tiles run on a pool
-    of ``WORKERS`` threads (``workers`` overrides it, for tests), at most as
-    many at once as fit their scratch in ``_SCRATCH_FLOATS``; a one-tile map
-    runs inline. Every conv output is checked for non-finite values before
-    its rectifier, as in the whole-map chain. A head whose first trunk conv
-    does not read the 512-channel map at stride 1 and keep its size cannot
-    take the bands and raises ``ShapeError``. ``counts``, when given,
-    receives ``gathered_columns``: how many fused columns the first block
-    ran its GEMM on.
+    The first block runs on the non-zero fused columns alone
+    (``_sparse_block``), the second on the whole narrow map in the
+    im2col bands of ``nn._im2col_rows``. Then, in row tiles (``tiles``), the
+    last block and its rectifier run band by band into the first trunk
+    conv, so the 512-channel map exists one band at a time. The trunk conv
+    sums its taps (``nn._sum_taps``) and hands the taps next to each seam
+    to the tile across it, so no row goes through a GEMM twice. The rest of
+    the head runs on the narrow trunk output. Tiles run on a pool of
+    ``WORKERS`` threads (``workers`` overrides it, for tests), at most as
+    many at once as fit their scratch in ``_SCRATCH_FLOATS``; a one-tile
+    map runs inline. Every conv output is checked for non-finite values
+    before its rectifier, as in the whole-map chain. A first trunk conv
+    that does not read the 512-channel map at stride 1 and keep its size
+    raises ``ShapeError``. ``counts``, when given, receives
+    ``gathered_columns``: how many fused columns the first block ran its
+    GEMM on.
 
     Bits: tiles, bands and gather chunks depend on the shapes and on which
     columns are non-zero alone, and every tile does the same arithmetic on
     whichever thread runs it, so the output does not depend on the worker
     count. The whole-map chain runs the same kernels. BLAS computes a GEMM
     column alike wherever it sits, except in the last, partial block of the
-    GEMM's columns (8 wide on OpenBLAS Haswell kernels). The
-    gathered chunks are padded with zero columns to a multiple of
-    ``_COLUMN_BLOCK``: without the padding, taps of the last 1 to 4 columns
-    of a chunk differ from the whole map's in the last bits (OpenBLAS
-    0.3.31 on an AVX-512 Xeon). A skipped column's taps would be exact zeros of
-    either sign, and adding those onto the +0 start of a tap sum changes no
-    sum, so skipping them changes no bit. The band GEMMs have ``rows x W``
-    columns, so when W is a multiple of that block and the whole map picks
-    the same strategies (tap sums for the first block and the trunk conv,
-    im2col for the other two), as at desk and tiny scale, the result
-    matches the whole-map chain bit for bit; ``heads.tiled-oracle`` bounds
-    any difference at 1e-12 of the largest output.
+    GEMM's columns (8 wide on OpenBLAS Haswell kernels), so gathered chunks
+    are padded with zero columns to a multiple of ``_COLUMN_BLOCK``;
+    without it, taps of a chunk's last 1 to 4 columns differ from the whole
+    map's in the last bits (OpenBLAS 0.3.31, AVX-512 Xeon). For any output
+    cell, the input column behind tap (ky, kx) has a row-major id that
+    strictly increases with (ky, kx), so adding ascending chunks tap by tap
+    sums each cell in ``nn._sum_taps`` order, from the same +0; a skipped
+    column's taps would be zeros of either sign, which change no sum. The
+    second block runs the twin's bands, so it matches at every width. The
+    last block's band GEMMs have ``rows x W`` columns, so when W is a
+    multiple of the BLAS block and the whole map picks the same strategies
+    (tap sums for the first block and the trunk conv, im2col for the other
+    two), as at desk and tiny scale, the output matches the whole-map chain
+    bit for bit; ``heads.tiled-oracle`` bounds any difference at 1e-12 of
+    the largest output.
     """
     encoder = list(encoder)
     fh, fw = _replication(m_l, enhanced)
@@ -337,85 +382,33 @@ def r2l_forward(m_l: BevColumns, enhanced: FeatureMap, encoder,
                          f"{ENCODER_CHANNELS}-channel map at stride 1 and "
                          f"keep its size")
     enc0, enc1, enc2 = encoder
-    lidar, radar = m_l.features, enhanced.data.reshape(enhanced.channels, -1)
-    cl, cin = m_l.channels, m_l.channels + enhanced.channels
     p1, p2 = enc1.padding, enc2.padding
-    # Rectified outputs of the first two blocks, carrying the zero padding
-    # the next block reads, and of the first trunk conv.
-    a0 = np.zeros((enc0.kernel.shape[0], h + 2 * p1, w + 2 * p1))
+    border = max(enc0.padding, p1)
+    a0 = _sparse_block(enc0, m_l, enhanced, fh, fw, border, counts)
+    # The rectified second block, carrying the zero padding the last reads.
     a1 = np.zeros((enc1.kernel.shape[0], h + 2 * p2, w + 2 * p2))
+    b = border - p1
+    for ya, yb, pre in _im2col_rows(enc1, a0[:, b:b + h + 2 * p1, b:b + w + 2 * p1],
+                                    0, h):
+        np.maximum(_finite(pre), 0.0, out=a1[:, p2 + ya:p2 + yb, p2:p2 + w])
+    del a0
+
     feat = np.empty((trunk0.kernel.shape[0], h, w))
-
-    cut = tiles(h, max(TILE_ROWS, 2 * enc0.padding, 2 * trunk0.padding))
-    cols, lpos, rpos, rsrc = _gather_plan(m_l, enhanced, fh, fw)
-    if counts is not None:
-        counts["gathered_columns"] = len(cols)
-    # Gather chunks: at most `span` columns each, a whole number of column
-    # blocks whose (cin, span) block fits a band. Chunk j is columns
-    # edges[j] to edges[j + 1]; tile_chunks[y0] lists the chunks of the tile
-    # starting at row y0, none when it has no non-zero column.
-    span = _COLUMN_BLOCK * band_rows(cin, _COLUMN_BLOCK)
-    tile_lo = np.searchsorted(cols, [y0 * w for y0, _ in cut] + [h * w]).tolist()
-    edges, tile_chunks = [], {}
-    for (y0, _), lo, hi in zip(cut, tile_lo, tile_lo[1:]):
-        start = len(edges)
-        edges.extend(range(lo, hi, span))
-        tile_chunks[y0] = range(start, len(edges))
-    edges.append(len(cols))
-    lcut = np.searchsorted(lpos, edges).tolist()
-    rcut = np.searchsorted(rpos, edges).tolist()
-    kh, kw = enc0.kernel.shape[2:]
-    kmat = enc0.kernel.transpose(0, 2, 3, 1).reshape(-1, cin)
-
-    def taps0(y0: int, y1: int) -> np.ndarray:
-        """Per-tap GEMM results of rows y0 to y1 of the fused map, a tile,
-        from its non-zero columns alone."""
-        taps = np.zeros((enc0.kernel.shape[0], kh, kw, y1 - y0, w))
-        flat = taps.reshape(len(kmat), -1)
-        chunks = tile_chunks[y0]
-        if not chunks:
-            return taps
-        widest = max(edges[j + 1] - edges[j] for j in chunks)
-        widest += -widest % _COLUMN_BLOCK
-        block, out = np.empty(cin * widest), np.empty(len(kmat) * widest)
-        for j in chunks:
-            c0, c1 = edges[j], edges[j + 1]
-            n = c1 - c0
-            padded = n + -n % _COLUMN_BLOCK
-            b = block[:cin * padded].reshape(cin, padded)
-            b.fill(0.0)
-            la, lb, ra, rb = lcut[j], lcut[j + 1], rcut[j], rcut[j + 1]
-            b[:cl, lpos[la:lb] - c0] = lidar[la:lb].T
-            b[cl:, rpos[ra:rb] - c0] = radar[:, rsrc[ra:rb]]
-            o = out[:len(kmat) * padded].reshape(len(kmat), padded)
-            np.matmul(kmat, b, out=o)
-            flat[:, cols[c0:c1] - y0 * w] = o[:, :n]
-        return taps
-
-    seams0, seams_t = _Seams(enc0, a0, p1), _Seams(trunk0, feat, 0)
-
-    def block0(y0: int, y1: int) -> None:
-        seams0.tile(y0, y1, taps0(y0, y1))
-
-    def block1(y0: int, y1: int) -> None:
-        for ya, yb, pre in _im2col_rows(enc1, a0, y0, y1):
-            np.maximum(_finite(pre), 0.0, out=a1[:, p2 + ya:p2 + yb, p2:p2 + w])
+    seams = _Seams(trunk0, feat)
 
     def block2_trunk0(y0: int, y1: int) -> None:
         bands = (np.maximum(_finite(pre), 0.0, out=pre)
                  for _, _, pre in _im2col_rows(enc2, a1, y0, y1))
-        seams_t.tile(y0, y1, _tap_rows(trunk0, bands, y1 - y0, w))
+        seams.tile(y0, y1, _tap_rows(trunk0, bands, y1 - y0, w))
 
+    cut = tiles(h, max(TILE_ROWS, 2 * trunk0.padding))
     rows = max(y1 - y0 for y0, y1 in cut)
-    tile_floats = max((cin + len(kmat)) * span + _tap_floats(enc0, rows, w),
-                      _im2col_floats(enc1, w),
-                      _im2col_floats(enc2, w) + _tap_floats(trunk0, rows, w))
+    tile_floats = _im2col_floats(enc2, w) + _tap_floats(trunk0, rows, w)
     workers = min(WORKERS if workers is None else workers,
                   max(2, _SCRATCH_FLOATS // tile_floats))
-    for phase in (block0, block1, block2_trunk0):
-        _each_tile(phase, cut, workers)
-    # Free the block outputs, and let the head free the first trunk map.
-    del a0, a1, seams0, seams_t
+    _each_tile(block2_trunk0, cut, workers)
+    # Free the last block's input, and let the head free the first trunk map.
+    del a1, seams
 
     for conv in head.trunk[1:]:
         feat = relu(_finite(_conv2d_raw(feat, conv)))
@@ -451,22 +444,23 @@ class DetectionBox:
                       for k, v in d.items()})
 
 
-def find_peaks(channel: np.ndarray, thresh: float) -> list:
-    """3x3 local maxima at or above ``thresh``, as (iy, ix) in row-major order.
+def find_peaks(heatmap: np.ndarray, thresh: float) -> np.ndarray:
+    """3x3 local maxima at or above ``thresh`` of every channel of a
+    (C, H, W) heatmap, as (n, 3) rows (class, iy, ix) in class-major,
+    row-major order.
 
     A cell must strictly beat neighbors that precede it in row-major order
     and be >= the rest, so exactly one cell of a tied plateau survives.
     """
-    h, w = channel.shape
-    padded = np.full((h + 2, w + 2), -np.inf)
-    padded[1:-1, 1:-1] = channel
-    ok = channel >= thresh
+    c, h, w = heatmap.shape
+    padded = np.full((c, h + 2, w + 2), -np.inf)
+    padded[:, 1:-1, 1:-1] = heatmap
+    ok = heatmap >= thresh
     for dy, dx in ((-1, -1), (-1, 0), (-1, 1), (0, -1)):   # row-major predecessors
-        ok &= channel > padded[1 + dy:1 + dy + h, 1 + dx:1 + dx + w]
+        ok &= heatmap > padded[:, 1 + dy:1 + dy + h, 1 + dx:1 + dx + w]
     for dy, dx in ((0, 1), (1, -1), (1, 0), (1, 1)):
-        ok &= channel >= padded[1 + dy:1 + dy + h, 1 + dx:1 + dx + w]
-    ys, xs = np.nonzero(ok)
-    return list(zip(ys.tolist(), xs.tolist()))
+        ok &= heatmap >= padded[:, 1 + dy:1 + dy + h, 1 + dx:1 + dx + w]
+    return np.argwhere(ok)
 
 
 def decode_detections(h: HeadOutputs, grid: GridSpec, score_thresh: float,
@@ -480,12 +474,10 @@ def decode_detections(h: HeadOutputs, grid: GridSpec, score_thresh: float,
     """
     if not (0.0 < score_thresh < 1.0):
         raise ValueError(f"score_thresh must be in (0,1), got {score_thresh}")
-    peaks = [find_peaks(h.heatmap[c], score_thresh) for c in range(h.heatmap.shape[0])]
-    cls = np.repeat(np.arange(len(peaks)), [len(p) for p in peaks])
-    if not len(cls) or max_detections < 1:
+    peaks = find_peaks(h.heatmap, score_thresh)
+    if not len(peaks) or max_detections < 1:
         return []
-    iy, ix = np.fromiter(chain.from_iterable(chain.from_iterable(peaks)),
-                         dtype=np.int64, count=2 * len(cls)).reshape(-1, 2).T
+    cls, iy, ix = peaks.T
     score = h.heatmap[cls, iy, ix]
     # Only peaks scoring at least the max_detections-th best can be kept.
     top = min(max_detections, len(score))

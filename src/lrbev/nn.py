@@ -158,14 +158,10 @@ class FeatureMap:
 
 @dataclass
 class MlpParams:
-    """Stack of affine layers with a rectifier between them.
-
-    Hidden layers are always rectified; the last layer is rectified only when
-    ``rectify_last`` is set.
-    """
+    """Stack of affine layers with a rectifier between them; the last layer
+    is linear."""
 
     layers: list  # list of (weight out x in, bias out)
-    rectify_last: bool = False
 
     def __post_init__(self):
         if not self.layers:
@@ -181,8 +177,7 @@ class MlpParams:
                     f"{self.layers[k - 1][0].shape[0]}")
 
     @classmethod
-    def init(cls, dims: Sequence[int], rng: np.random.Generator,
-             rectify_last: bool = False) -> "MlpParams":
+    def init(cls, dims: Sequence[int], rng: np.random.Generator) -> "MlpParams":
         """Seeded init, uniform in [-1/sqrt(fan_in), +1/sqrt(fan_in)].
 
         ``dims`` is (in, hidden..., out).
@@ -193,7 +188,7 @@ class MlpParams:
             w = rng.uniform(-bound, bound, size=(fan_out, fan_in))
             b = rng.uniform(-bound, bound, size=fan_out)
             layers.append((w, b))
-        return cls(layers, rectify_last=rectify_last)
+        return cls(layers)
 
     @property
     def in_dim(self) -> int:
@@ -215,7 +210,7 @@ class MlpParams:
             k += nw + nb
         if k != vec.size:
             raise ShapeError(f"parameter vector has {vec.size} entries, expected {k}")
-        return MlpParams(out, rectify_last=self.rectify_last)
+        return MlpParams(out)
 
 
 def mlp_forward(x, p: MlpParams) -> Array:
@@ -223,12 +218,10 @@ def mlp_forward(x, p: MlpParams) -> Array:
     a = np.asarray(x, dtype=np.float64)
     if a.ndim != 1 or a.shape[0] != p.in_dim:
         raise ShapeError(f"MLP input has shape {a.shape}, expected ({p.in_dim},)")
-    last = len(p.layers) - 1
-    for k, (w, b) in enumerate(p.layers):
-        a = w @ a + b
-        if k < last or p.rectify_last:
-            a = relu(a)
-    return a
+    for w, b in p.layers[:-1]:
+        a = relu(w @ a + b)
+    w, b = p.layers[-1]
+    return w @ a + b
 
 
 def mlp_forward_batch(xs: Array, p: MlpParams) -> Array:
@@ -242,12 +235,10 @@ def mlp_forward_batch(xs: Array, p: MlpParams) -> Array:
     a = np.asarray(xs, dtype=np.float64)
     if a.ndim != 2 or a.shape[1] != p.in_dim:
         raise ShapeError(f"MLP batch input has shape {a.shape}, expected (n, {p.in_dim})")
-    last = len(p.layers) - 1
-    for k, (w, b) in enumerate(p.layers):
-        a = a @ w.T + b
-        if k < last or p.rectify_last:
-            a = relu(a)
-    return a
+    for w, b in p.layers[:-1]:
+        a = relu(a @ w.T + b)
+    w, b = p.layers[-1]
+    return a @ w.T + b
 
 
 def mlp_backward(x, p: MlpParams, grad_out: Array):
@@ -262,11 +253,11 @@ def mlp_backward(x, p: MlpParams, grad_out: Array):
     for k, (w, b) in enumerate(p.layers):
         z = w @ acts[-1] + b
         pre.append(z)
-        acts.append(relu(z) if (k < last or p.rectify_last) else z)
+        acts.append(relu(z) if k < last else z)
     g = np.asarray(grad_out, dtype=np.float64)
     grads = [None] * len(p.layers)
     for k in range(last, -1, -1):
-        if k < last or p.rectify_last:
+        if k < last:
             g = g * (pre[k] > 0)
         w, _ = p.layers[k]
         grads[k] = (np.outer(g, acts[k]), g.copy())

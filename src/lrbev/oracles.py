@@ -56,8 +56,8 @@ class PropertyResult:
         return msg
 
 
-def _mlps(rng, dims, rectify_last=False):
-    return MlpParams.init(dims, rng, rectify_last=rectify_last)
+def _mlps(rng, dims):
+    return MlpParams.init(dims, rng)
 
 
 def _height_cfg(rng, cell_size=1.0, pillar_height=8.0, z_min=-5.0,

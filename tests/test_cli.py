@@ -147,10 +147,12 @@ def _edited(edit):
     (_edited(lambda d: d["scene"].update(sweep_dt="0.1")), 1,
      "scene.sweep_dt: expected float"),
     (_edited(lambda d: d.pop("lidar_grid")), 1, "lidar_grid: missing"),
+    (_edited(lambda d: d["lidar_grid"].update(cell=[0.5, -0.5, 2.0])), 1,
+     "lidar_grid.cell: all sizes must be positive"),
     ('{"radar_cell": 2.0', 3, "not JSON"),
     ("{\x80}", 3, "not UTF-8"),
 ], ids=["unknown-key", "removed-grid", "number-for-list", "string-for-number",
-        "missing-grid", "not-json", "not-text"])
+        "missing-grid", "negative-cell", "not-json", "not-text"])
 def test_bad_config_file_exits_without_traceback(tmp_path, text, code, field):
     cfgfile = tmp_path / "bad.json"
     cfgfile.write_bytes(text.encode("latin-1"))

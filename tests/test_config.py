@@ -147,6 +147,16 @@ def test_grid_spec_rejects_bad_cells():
         GridSpec(origin=(0, 0, 0), cell=(1.0, 1.0, 1.0), counts=(0, 4, 1))
 
 
+@pytest.mark.parametrize("key, value", [("cell", [0.25, -0.25, 1.0]),
+                                        ("counts", [128, 0, 8])])
+def test_grid_check_names_the_config_field(key, value):
+    """The grid's own checks name the field of the config that holds it."""
+    doc = desk_config().to_dict()
+    doc["lidar_grid"][key] = value
+    with pytest.raises(ConfigError, match=f"^lidar_grid.{key}: "):
+        PipelineConfig.from_dict(doc)
+
+
 def test_grid_spec_json_round_trip():
     g = GridSpec(origin=(-16.0, -16.0, -5.0), cell=(0.25, 0.5, 1.0),
                  counts=(128, 64, 8))

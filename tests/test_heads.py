@@ -329,38 +329,46 @@ class TestFindPeaks:
             # sprinkle ties
             if channel.size >= 4:
                 channel.flat[1] = channel.flat[0]
-            assert find_peaks(channel, 0.3) == _find_peaks_brute(channel, 0.3)
+            assert find_peaks(channel[None], 0.3).tolist() == \
+                [[0, y, x] for y, x in _find_peaks_brute(channel, 0.3)]
 
     def test_equal_adjacent_peaks_resolved_row_major(self):
         channel = np.zeros((5, 5))
         channel[2, 2] = channel[2, 3] = 0.9
-        assert find_peaks(channel, 0.5) == [(2, 2)]
+        assert find_peaks(channel[None], 0.5).tolist() == [[0, 2, 2]]
 
     def test_plateau_keeps_first_cell_only(self):
         channel = np.full((3, 3), 0.8)
-        assert find_peaks(channel, 0.5) == [(0, 0)]
+        assert find_peaks(channel[None], 0.5).tolist() == [[0, 0, 0]]
+
+    def test_channels_in_class_major_order(self):
+        rng = np.random.default_rng(12)
+        heatmap = rng.uniform(0, 1, size=(3, 7, 9))
+        want = [[c, y, x] for c in range(3)
+                for y, x in _find_peaks_brute(heatmap[c], 0.3)]
+        assert find_peaks(heatmap, 0.3).tolist() == want
+        assert find_peaks(heatmap, 1.0).shape == (0, 3)
 
 
 def _decode_full_sort(h, grid, score_thresh, max_detections):
     """Reference decoder: a box for every peak, one full sort, then cut."""
     rows = []
-    for cls in range(h.heatmap.shape[0]):
-        for iy, ix in find_peaks(h.heatmap[cls], score_thresh):
-            score = float(h.heatmap[cls, iy, ix])
-            cx, cy = grid.cell_center_xy(ix, iy)
-            rows.append(DetectionBox(
-                x=cx + float(h.offset[0, iy, ix]),
-                y=cy + float(h.offset[1, iy, ix]),
-                z=float(h.z[0, iy, ix]),
-                length=float(np.exp(h.size[0, iy, ix])),
-                width=float(np.exp(h.size[1, iy, ix])),
-                height=float(np.exp(h.size[2, iy, ix])),
-                yaw=wrap_angle(math.atan2(float(h.rot[0, iy, ix]),
-                                          float(h.rot[1, iy, ix]))),
-                vx=float(h.vel[0, iy, ix]),
-                vy=float(h.vel[1, iy, ix]),
-                class_id=cls,
-                score=score))
+    for cls, iy, ix in find_peaks(h.heatmap, score_thresh).tolist():
+        score = float(h.heatmap[cls, iy, ix])
+        cx, cy = grid.cell_center_xy(ix, iy)
+        rows.append(DetectionBox(
+            x=cx + float(h.offset[0, iy, ix]),
+            y=cy + float(h.offset[1, iy, ix]),
+            z=float(h.z[0, iy, ix]),
+            length=float(np.exp(h.size[0, iy, ix])),
+            width=float(np.exp(h.size[1, iy, ix])),
+            height=float(np.exp(h.size[2, iy, ix])),
+            yaw=wrap_angle(math.atan2(float(h.rot[0, iy, ix]),
+                                      float(h.rot[1, iy, ix]))),
+            vx=float(h.vel[0, iy, ix]),
+            vy=float(h.vel[1, iy, ix]),
+            class_id=cls,
+            score=score))
     rows.sort(key=lambda b: (-b.score, b.class_id, b.y, b.x))
     return rows[:max_detections]
 

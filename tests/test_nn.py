@@ -32,8 +32,9 @@ class TestFeatureMap:
 
 class TestMlpForward:
     def test_identity_weights_with_rectifier(self):
-        # rectifier clamps the negative component
-        p = MlpParams([(np.eye(2), np.zeros(2))], rectify_last=True)
+        # the hidden rectifier clamps the negative component; the identity
+        # output layer passes the rest through
+        p = MlpParams([(np.eye(2), np.zeros(2)), (np.eye(2), np.zeros(2))])
         assert np.array_equal(mlp_forward([1.0, -2.0], p), [1.0, 0.0])
 
     def test_zero_input_zero_bias(self):

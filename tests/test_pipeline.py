@@ -202,7 +202,7 @@ def test_group_cap_counters(tiny_run):
 def _weight_digest(weights) -> str:
     """sha256 over the name, dtype, shape and bytes of every array of a
     weight set, and the name and value of every scalar (conv padding and
-    stride, MLP rectify flags), in field order."""
+    stride), in field order."""
     h = hashlib.sha256()
 
     def walk(obj, name):
@@ -225,14 +225,14 @@ def _weight_digest(weights) -> str:
 # Digests of the weights as first drawn; a change to any layer shape or to
 # the draw order changes them.
 PINNED_WEIGHTS = {
-    "tiny-a-random": "ad874f3f37d41d8e184fab668575d9c9e67c235f7b33ba0df9bfb2f705c278c6",
-    "tiny-a-probe": "5256ef26fc3c1ba92d86db4c6ba2d5a13cbf493d2485ea257426f45d7bf4b404",
-    "tiny-b-random": "bd2aafdab4fb589ccb5482c9bf62e955a8f3ee9b68d85b96c8789c568db3dc5d",
-    "tiny-b-probe": "51e9ca5193ed1f880286eb9bcd7e618515dc3da4ca7845eb2944e2b497fc8537",
-    "desk-a-random": "e6e1c0575617bed8817fb77c05005edc1c68987be77593d8c35851d7e782db97",
-    "desk-a-probe": "089036384ac147efdba98cac620ad2248a95783ce7ecec296703f1865e5c8022",
-    "desk-b-random": "2b86b0313153b193f2d87438bef1d507caf9929d09b82d9e6c0704e856d71457",
-    "desk-b-probe": "0637c60e4625b550becfbe96272bb38ad51e39582cfbc0b9e47e2431f49da468",
+    "tiny-a-random": "ad04ced10f5936c642f045833b7921d4c1a8e0b6d507f3f28d5769ffa3fec0e9",
+    "tiny-a-probe": "72024978e3288b4d30842ffdfa25f6030cf208d80ce09c3819064efa2ba8ac2e",
+    "tiny-b-random": "b8ed2a79dacf09fc8b5847230a6cd1c09dfe27ee4de4f0a444a7137c21808bd5",
+    "tiny-b-probe": "b33a71f3070add6df477b63212393d58bb38a5de9c0cbc57f79dd8961df85e19",
+    "desk-a-random": "f077f78d091f8115aa7a86558f694e8a6198ee85b6a5e1f64c99dd2c52da8084",
+    "desk-a-probe": "70a7ddba8b9daa84e4b3578731b5e1a1457b0a6b5ea277eaaddf53dc9917da64",
+    "desk-b-random": "57716327a5ebbc57039bb95ae6a6fdef6fa07c774d5aea4ef89097cf6f8b2026",
+    "desk-b-probe": "93496b29ea34258d7042a4ce12e084b580d51e9e528d028b7c47993a0bfaec78",
 }
 
 

@@ -187,8 +187,8 @@ def test_desk_r2l_equals_whole_map_twin():
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_small_gather_chunks_match_twins(monkeypatch, workers):
-    """Gather chunks of 16 columns: most tiles take several, padded ones
-    among them, over sparse LiDAR, radar-only columns and an empty band."""
+    """Gather chunks of 16 columns, padded ones among them, over sparse
+    LiDAR, radar-only columns and an empty band."""
     monkeypatch.setattr(nn, "_BAND_FLOATS", 160 * 16)
     rng = np.random.default_rng(54)
     h, w = 3 * TILE_ROWS, 64
@@ -206,3 +206,35 @@ def test_small_gather_chunks_match_twins(monkeypatch, workers):
     for name in HEAD_FIELDS:
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
     assert counts["gathered_columns"] == int(fused.data.any(axis=0).sum())
+
+
+@pytest.mark.parametrize("kernel", [3, 5])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_edge_columns_in_small_chunks_match_twins(monkeypatch, workers, kernel):
+    """Occupied columns on every edge and corner, LiDAR and radar-only,
+    spread over gather chunks of 16 columns: the taps falling off the map
+    land on the border and none of them reaches the output. A 5x5 first
+    block pads by 2, more than the second block's 1, so its border is wider
+    than the padding the second block reads."""
+    monkeypatch.setattr(nn, "_BAND_FLOATS", 160 * 16)
+    rng = np.random.default_rng([56, kernel])
+    h, w = 3 * TILE_ROWS, 64
+    edge = np.zeros((h, w), bool)
+    edge[[0, -1]] = edge[:, [0, -1]] = True
+    edge |= rng.uniform(size=(h, w)) < 0.1
+    data = np.zeros((64, h, w))
+    data[:, edge] = np.abs(rng.normal(size=(64, int(edge.sum()))))
+    data[:, 1:4, 1:4] = 0.0        # a radar-only corner
+    radar = np.zeros((96, h // 4, w // 4))
+    radar[:, [0, -1, -1], [0, 0, -1]] = rng.normal(size=(96, 3))
+    m_l, enhanced = columns_of(FeatureMap(data)), FeatureMap(radar)
+    encoder, head = _weights(rng)
+    encoder[0] = Conv2dParams.init(160, 8, kernel, rng, padding=kernel // 2)
+    counts = {}
+    got = r2l_forward(m_l, enhanced, encoder, head, workers=workers, counts=counts)
+    fused = fuse_bev_maps(m_l.dense(), enhanced)
+    want = detect_forward(bev_encoder(fused, encoder), head)
+    for name in HEAD_FIELDS:
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    assert counts["gathered_columns"] == int(fused.data.any(axis=0).sum())
+    assert counts["gathered_columns"] > 4 * 16
