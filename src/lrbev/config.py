@@ -110,6 +110,7 @@ class PipelineConfig:
 
     @property
     def radar_cell_size(self) -> float:
+        """``radar_cell`` under the name perfbench's paper-l2r workload reads."""
         return self.radar_cell
 
     @property

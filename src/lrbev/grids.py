@@ -1,10 +1,11 @@
 """Point clouds to BEV feature maps.
 
 LiDAR goes through voxelize -> per-voxel MLP+max encode -> Z-stack collapse,
-yielding the occupied columns of the LiDAR BEV map (``BevColumns``). Radar
-goes through single-layer pillars, yielding the radar BEV map. A separate
-collapse rebins encoded LiDAR voxels onto the coarse radar-sized grid for the
-BEV-feature queries.
+yielding the occupied columns of the LiDAR BEV map. Radar goes through
+single-layer pillars, yielding the occupied columns of the radar BEV map. A
+separate collapse rebins encoded LiDAR voxels onto the coarse radar-sized
+grid for the BEV-feature queries. All three are ``BevColumns``: ascending
+row-major column ids and one feature row per column.
 
 Cell assignment is floor((p - origin) / cell), lower-inclusive and
 upper-exclusive. Empty cells are exact zeros everywhere.
@@ -12,8 +13,7 @@ upper-exclusive. Empty cells are exact zeros everywhere.
 Points are grouped by one stable argsort of linear cell ids into segments
 (sorted keys plus offsets). Each MLP stage runs as a few batched forwards
 over blocks of whole segments, max-pooled per segment with
-``np.maximum.reduceat`` and scattered into the dense radar map by fancy
-indexing; the LiDAR map stays a block of its occupied columns.
+``np.maximum.reduceat``; no map is built dense.
 """
 from __future__ import annotations
 
@@ -228,12 +228,17 @@ def voxel_encode(vs: VoxelSet, p: MlpParams) -> VoxelSet:
 @dataclass
 class BevColumns:
     """The occupied columns of a (C, ny, nx) BEV map: ascending row-major
-    column ids ``iy * nx + ix`` and their (K, C) ``features``; every other
-    column is exact zero. ``dense`` builds the map."""
+    column ids ``iy * nx + ix`` and their (K, C) ``features``, which must be
+    finite; every other column is exact zero. ``len`` counts the columns,
+    iterating yields their (ix, iy) cells, and ``dense`` builds the map."""
 
     ids: np.ndarray
     features: np.ndarray
     shape: tuple
+
+    def __post_init__(self):
+        if not np.isfinite(self.features).all():
+            raise EvaluationError("feature map contains non-finite values")
 
     @property
     def channels(self) -> int:
@@ -246,6 +251,23 @@ class BevColumns:
     @property
     def width(self) -> int:
         return self.shape[2]
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __iter__(self):
+        return map(tuple, self.cells.tolist())
+
+    @property
+    def cells(self) -> np.ndarray:
+        """(K, 2) (ix, iy) of the columns, in id order."""
+        iy, ix = np.divmod(self.ids, self.width)
+        return np.stack([ix, iy], axis=1)
+
+    @property
+    def data(self) -> np.ndarray:
+        """The dense map's array, built on each read."""
+        return self.dense().data
 
     def dense(self) -> FeatureMap:
         out = np.zeros(self.shape)
@@ -280,73 +302,54 @@ def zstack_collapse(vs: VoxelSet, p: MlpParams) -> BevColumns:
         stack = np.zeros((c1 - c0, spec.nz, fdim))
         stack[column[v0:v1] - c0, iz[v0:v1]] = vs.features[v0:v1]
         features[rank[c0:c1]] = mlp_forward_batch(stack.reshape(c1 - c0, -1), p)
-    if not np.isfinite(features).all():
-        raise EvaluationError("feature map contains non-finite values")
     return BevColumns(ids=ids[order], features=features,
                       shape=(p.out_dim, spec.ny, spec.nx))
 
 
 @dataclass
 class PillarMap:
-    """Radar BEV map plus the occupancy bookkeeping downstream stages need."""
+    """Radar pillars as sorted segments, like ``VoxelSet``: pillar k, column
+    ``map.ids[k]`` of the radar map, owns the kept return indices
+    members[offsets[k]:offsets[k+1]], ordered by record content."""
 
-    map: FeatureMap
-    occupied: dict          # (ix,iy) -> list[int] member point indices
+    map: BevColumns
+    offsets: np.ndarray
+    members: np.ndarray
     dropped: int
     truncated: int          # returns beyond max_points_per_pillar
 
-
-def _radar_point_features(points: np.ndarray) -> np.ndarray:
-    names = points.dtype.names
-    return np.stack([points[n] for n in names], axis=1)
+    @property
+    def occupied(self) -> BevColumns:
+        """The non-empty radar cells: the columns of ``map``."""
+        return self.map
 
 
 def pillarize(points: np.ndarray, spec: GridSpec, p: MlpParams,
               max_points_per_pillar: int = 32) -> PillarMap:
-    """Radar pillar encoding: per-pillar max over the point MLP, scattered
-    onto a dense BEV map. Raw record fields are the MLP inputs."""
+    """Radar pillar encoding: per-pillar max over the point MLP, one row per
+    occupied column. Raw record fields are the MLP inputs."""
     if spec.nz != 1:
         raise ConfigError(f"radar_grid.counts: pillar grid needs nz == 1, got {spec.nz}")
     nfeat = len(points.dtype.names)
     if p.in_dim != nfeat:
         raise ShapeError(f"pillar MLP expects {p.in_dim} inputs, "
                          f"records provide {nfeat}")
-    out = np.zeros((p.out_dim, spec.ny, spec.nx))
-    if not len(points):
-        return PillarMap(map=FeatureMap._wrap(out), occupied={}, dropped=0, truncated=0)
-    z = np.zeros(len(points))
+    # Every return sits on the grid floor: the one pillar layer spans all z.
+    z = np.full(len(points), spec.origin[2])
     idx = spec.cell_index(np.stack([points["x"], points["y"], z], axis=1))
-    # z index is always 0: the single pillar layer spans the full range.
-    idx[:, 2] = 0
     inside = np.flatnonzero(spec.in_range(idx))
-    kept, offsets, ids, truncated = _group(idx[inside, 0] * spec.ny + idx[inside, 1],
+    kept, offsets, ids, truncated = _group(idx[inside, 1] * spec.nx + idx[inside, 0],
                                            max_points_per_pillar)
-    members = inside[kept]
-    ix, iy = ids // spec.ny, ids % spec.ny
-    occupied = {(int(ix[k]), int(iy[k])): members[offsets[k]:offsets[k + 1]].tolist()
-                for k in range(len(ids))}
-    rows = _radar_point_features(points[_content_order(points, members, offsets)])
-    out[:, iy, ix] = segment_max(rows, offsets, p).T
-    return PillarMap(map=FeatureMap._wrap(out), occupied=occupied,
+    members = _content_order(points, inside[kept], offsets)
+    recs = points[members]
+    rows = np.stack([recs[name] for name in points.dtype.names], axis=1)
+    features = segment_max(rows, offsets, p)
+    return PillarMap(map=BevColumns(ids, features, (p.out_dim, spec.ny, spec.nx)),
+                     offsets=offsets, members=members,
                      dropped=int(len(points) - len(inside)), truncated=truncated)
 
 
-@dataclass
-class BevGrids:
-    """Non-empty coarse LiDAR BEV cells: ascending (G, 2) (i, j) ``keys`` and
-    their (G, F) ``features``; iterating yields the keys as tuples."""
-
-    keys: np.ndarray
-    features: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.keys)
-
-    def __iter__(self):
-        return map(tuple, self.keys.tolist())
-
-
-def collapse_to_bev_grids(vs: VoxelSet, coarse_cell: float) -> BevGrids:
+def collapse_to_bev_grids(vs: VoxelSet, coarse_cell: float) -> BevColumns:
     """Rebin encoded voxel features onto the coarse (radar-sized) BEV grid.
 
     Each coarse cell covering at least one occupied voxel gets the
@@ -363,8 +366,9 @@ def collapse_to_bev_grids(vs: VoxelSet, coarse_cell: float) -> BevGrids:
                 f"of fine {name} cell {spec.cell[axis]}")
         ratios.append(int(round(ratio)))
     rx, ry = ratios
-    coarse = (vs.occupied[:, 0] // rx) * spec.ny + vs.occupied[:, 1] // ry
+    nx, ny = -(-spec.nx // rx), -(-spec.ny // ry)   # a partial edge cell counts
+    coarse = (vs.occupied[:, 1] // ry) * nx + vs.occupied[:, 0] // rx
     order = np.argsort(coarse, kind="stable")
     ids, starts = np.unique(coarse[order], return_index=True)
-    return BevGrids(keys=np.stack([ids // spec.ny, ids % spec.ny], axis=1),
-                    features=np.maximum.reduceat(vs.features[order], starts, axis=0))
+    return BevColumns(ids, np.maximum.reduceat(vs.features[order], starts, axis=0),
+                      (vs.feature_dim, ny, nx))

@@ -10,15 +10,15 @@ penalty-reduced focal term on the heatmap with L1 regression at ground-truth
 centers and reports analytic gradients for the finite-difference checker.
 
 ``r2l_forward`` runs that chain without building its wide maps. It takes
-the LiDAR map as its occupied columns (``grids.BevColumns``) and runs the
-first block on the non-zero fused columns only; the last block and the
-first trunk conv run in row tiles, cut from the map shape alone, on a small
-pool of worker threads, and within a tile in row bands, so the 512-channel
-map exists one band at a time. Its output bits do not depend on the number
-of workers. It is the only R2L path: a head it cannot band raises
-``ShapeError``. ``fuse_bev_maps``, ``bev_encoder`` and ``detect_forward``
-are the whole-map chain it is checked against; both run the tap-sum and
-im2col kernels of ``nn``.
+the LiDAR and the enhanced radar maps as their occupied columns
+(``grids.BevColumns``) and runs the first block on the occupied fused
+columns only; the last block and the first trunk conv run in row tiles, cut
+from the map shape alone, on a small pool of worker threads, and within a
+tile in row bands, so the 512-channel map exists one band at a time. Its
+output bits do not depend on the number of workers. It is the only R2L
+path: a head it cannot band raises ``ShapeError``. ``fuse_bev_maps``,
+``bev_encoder`` and ``detect_forward`` are the whole-map chain it is
+checked against; both run the tap-sum and im2col kernels of ``nn``.
 """
 from __future__ import annotations
 
@@ -48,7 +48,7 @@ def upsample_nearest(m: FeatureMap, factor_h: int, factor_w: int) -> FeatureMap:
     return FeatureMap._wrap(np.repeat(np.repeat(m.data, factor_h, axis=1), factor_w, axis=2))
 
 
-def _replication(m_l: FeatureMap, enhanced: FeatureMap) -> tuple:
+def _replication(m_l, enhanced) -> tuple:
     """Nearest-neighbour factors taking the radar map to the LiDAR grid."""
     if m_l.height % enhanced.height or m_l.width % enhanced.width:
         raise ShapeError(
@@ -256,18 +256,17 @@ def _im2col_floats(conv: Conv2dParams, width: int) -> int:
 _COLUMN_BLOCK = 8
 
 
-def _gather_plan(m_l: BevColumns, enhanced: FeatureMap, fh: int, fw: int) -> tuple:
-    """The fused columns holding a non-zero value, from ``m_l`` and the radar
-    map ``enhanced`` replicated ``fh`` x ``fw`` times: their ascending
-    row-major ids, the positions among them of the LiDAR columns and of the
-    replicated non-zero radar cells, and each of the latter's flat index
-    into the radar map."""
-    occ = np.flatnonzero(enhanced.data.any(axis=0))
-    ry, rx = np.divmod(occ, enhanced.width)
+def _gather_plan(m_l: BevColumns, enhanced: BevColumns, fh: int, fw: int) -> tuple:
+    """The occupied fused columns, from ``m_l`` and the radar columns
+    ``enhanced`` replicated ``fh`` x ``fw`` times: their ascending row-major
+    ids, the positions among them of the LiDAR columns and of the
+    replicated radar columns, and each of the latter's row in
+    ``enhanced.features``."""
+    ry, rx = np.divmod(enhanced.ids, enhanced.width)
     dy, dx = np.divmod(np.arange(fh * fw), fw)
     rid = ((ry[:, None] * fh + dy) * m_l.width + rx[:, None] * fw + dx).ravel()
     order = np.argsort(rid)
-    rid, rsrc = rid[order], np.repeat(occ, fh * fw)[order]
+    rid, rsrc = rid[order], order // (fh * fw)
     # The sorted union of the ids, spelled out: np.union1d imports numpy.ma
     # (~1.5 MB of resident memory) on first use.
     cols = np.sort(np.concatenate([m_l.ids, rid]))
@@ -275,18 +274,17 @@ def _gather_plan(m_l: BevColumns, enhanced: FeatureMap, fh: int, fw: int) -> tup
     return cols, np.searchsorted(cols, m_l.ids), np.searchsorted(cols, rid), rsrc
 
 
-def _sparse_block(conv: Conv2dParams, m_l: BevColumns, enhanced: FeatureMap,
+def _sparse_block(conv: Conv2dParams, m_l: BevColumns, enhanced: BevColumns,
                   fh: int, fw: int, border: int, counts: dict | None) -> np.ndarray:
     """The rectified size-keeping, stride-1 ``conv`` of the fused map of
     ``m_l`` and ``enhanced`` replicated ``fh`` x ``fw`` times, inside a zero
     border of ``border`` >= ``conv.padding`` cells: one GEMM per chunk of
-    the non-zero columns in ascending id order, each tap's results added
+    the occupied columns in ascending id order, each tap's results added
     onto the cells it feeds. Taps falling off the map land on the border,
     zeroed again afterwards."""
     h, w = m_l.height, m_l.width
     cout, cin, kh, kw = conv.kernel.shape
     cl, p, wide = m_l.channels, conv.padding, w + 2 * border
-    lidar, radar = m_l.features, enhanced.data.reshape(enhanced.channels, -1)
     cols, lpos, rpos, rsrc = _gather_plan(m_l, enhanced, fh, fw)
     if counts is not None:
         counts["gathered_columns"] = len(cols)
@@ -311,8 +309,8 @@ def _sparse_block(conv: Conv2dParams, m_l: BevColumns, enhanced: FeatureMap,
         b = block[:cin * padded].reshape(cin, padded)
         b.fill(0.0)
         la, lb, ra, rb = lcut[j], lcut[j + 1], rcut[j], rcut[j + 1]
-        b[:cl, lpos[la:lb] - c0] = lidar[la:lb].T
-        b[cl:, rpos[ra:rb] - c0] = radar[:, rsrc[ra:rb]]
+        b[:cl, lpos[la:lb] - c0] = m_l.features[la:lb].T
+        b[cl:, rpos[ra:rb] - c0] = enhanced.features[rsrc[ra:rb]].T
         o = res[:len(kmat) * padded].reshape(len(kmat), padded)
         np.matmul(kmat, b, out=o)
         o = o.reshape(cout, kh * kw, padded)
@@ -326,14 +324,14 @@ def _sparse_block(conv: Conv2dParams, m_l: BevColumns, enhanced: FeatureMap,
     return out
 
 
-def r2l_forward(m_l: BevColumns, enhanced: FeatureMap, encoder,
+def r2l_forward(m_l: BevColumns, enhanced: BevColumns, encoder,
                 head: HeadParams, *, workers: int | None = None,
                 counts: dict | None = None) -> HeadOutputs:
-    """``detect_forward(bev_encoder(fuse_bev_maps(m_l.dense(), enhanced),
-    encoder), head)`` evaluated without building the LiDAR, fused or
-    512-channel map whole.
+    """``detect_forward(bev_encoder(fuse_bev_maps(m_l.dense(),
+    enhanced.dense()), encoder), head)`` evaluated without building the
+    LiDAR, radar, fused or 512-channel map whole.
 
-    The first block runs on the non-zero fused columns alone
+    The first block runs on the occupied fused columns alone
     (``_sparse_block``), the second on the whole narrow map in the
     im2col bands of ``nn._im2col_rows``. Then, in row tiles (``tiles``), the
     last block and its rectifier run band by band into the first trunk
@@ -351,7 +349,7 @@ def r2l_forward(m_l: BevColumns, enhanced: FeatureMap, encoder,
     GEMM on.
 
     Bits: tiles, bands and gather chunks depend on the shapes and on which
-    columns are non-zero alone, and every tile does the same arithmetic on
+    columns are occupied alone, and every tile does the same arithmetic on
     whichever thread runs it, so the output does not depend on the worker
     count. The whole-map chain runs the same kernels. BLAS computes a GEMM
     column alike wherever it sits, except in the last, partial block of the

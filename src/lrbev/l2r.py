@@ -9,10 +9,12 @@ Every non-empty radar BEV cell is enriched twice:
   Manhattan distance on cell indices and aggregates them into a 32-wide
   neighborhood feature.
 
-Each half (``height_fuse``, ``bev_fuse``) ranks the query groups of all
-cells at once, ball groups by (distance, point index) and BEV groups by
-(Manhattan distance, i, j), cuts them at ``max_group`` and max-pools one MLP
-batch over all grouped rows (zeros for an empty group). ``ball_query`` and
+Radar cells and coarse LiDAR cells come as ``grids.BevColumns`` and are
+taken in ascending row-major id order. Each half (``height_fuse``,
+``bev_fuse``) ranks the query groups of all cells at once, ball groups by
+(distance, point index) and BEV groups by (Manhattan distance, i, j), cuts
+them at ``max_group`` and max-pools one MLP batch over all grouped rows
+(zeros for an empty group). ``ball_query`` and
 ``bev_query`` run one query through the same kernels, against brute-force
 twins."""
 from __future__ import annotations
@@ -23,9 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError
-from .grids import BevGrids, GridSpec, segment_max
+from .grids import BevColumns, GridSpec, segment_max
 # mlp_forward is unused here but kept: perfbench's tracer wraps l2r.mlp_forward.
-from .nn import FeatureMap, MlpParams, mlp_forward, mlp_forward_batch  # noqa: F401
+from .nn import MlpParams, mlp_forward, mlp_forward_batch  # noqa: F401
 
 POINT_QUERY_FEATURES = 5   # offsets to the query point, intensity, t
 ENHANCED_CHANNELS = 96     # [radar | height | bev] width, fixed by the channel contract
@@ -245,10 +247,6 @@ def height_fuse(cells: np.ndarray, cfg: HeightFusionConfig, points: np.ndarray,
                              cfg.merge_mlp), counts
 
 
-def manhattan_distance(a: tuple, b: tuple) -> int:
-    return abs(a[0] - b[0]) + abs(a[1] - b[1])
-
-
 def _bev_offsets(cfg: BevFusionConfig) -> np.ndarray:
     """(T, 2) index offsets (di, dj) a BEV query accepts, in rank order:
     ascending |di| + |dj|, then di, then dj."""
@@ -299,26 +297,27 @@ def bev_query_brute(cell: tuple, lidar_grids, cfg: BevFusionConfig) -> QueryResu
                        np.array([float(d) for d, _, _ in hits]), capped=capped)
 
 
-def bev_fuse(cells: np.ndarray, lidar_grids: BevGrids, cfg: BevFusionConfig) -> tuple:
+def bev_fuse(cells: np.ndarray, lidar_grids: BevColumns, cfg: BevFusionConfig) -> tuple:
     """Neighborhood features of the (N, 2) radar ``cells``: the (N, F)
     elementwise max of the grid MLP over each cell's grouped grid features,
     each extended with its (di, dj) offset (zero when nothing is in range),
     and the (N,) in-range counts."""
-    g, off, offsets, counts = _bev_pairs(cells, lidar_grids.keys, cfg)
+    g, off, offsets, counts = _bev_pairs(cells, lidar_grids.cells, cfg)
     rows = np.concatenate([lidar_grids.features[g], off], axis=1)
     return segment_max(rows, offsets, cfg.grid_mlp), counts
 
 
-def compute_cell_features(occupied_cells, cfg_h: HeightFusionConfig,
+def compute_cell_features(occupied_cells: BevColumns, cfg_h: HeightFusionConfig,
                           cfg_b: BevFusionConfig, lidar_points: np.ndarray,
-                          lidar_grids: BevGrids, radar_grid: GridSpec):
-    """Run both fusion blocks for every non-empty radar cell.
+                          lidar_grids: BevColumns, radar_grid: GridSpec):
+    """Run both fusion blocks for every non-empty radar cell, the columns of
+    ``occupied_cells``.
 
     Returns (features, stats): one [height | bev] row per cell in ascending
-    (ix, iy) order, and the query hit rates and the counts of ball and BEV
-    groups cut at their ``max_group``.
+    id order, and the query hit rates and the counts of ball and BEV groups
+    cut at their ``max_group``.
     """
-    cells = np.array(sorted(occupied_cells), dtype=np.int64).reshape(-1, 2)
+    cells = occupied_cells.cells
     height, seg_counts = height_fuse(cells, cfg_h, lidar_points, radar_grid)
     bev, bev_counts = bev_fuse(cells, lidar_grids, cfg_b)
     n = len(cells)
@@ -333,25 +332,26 @@ def compute_cell_features(occupied_cells, cfg_h: HeightFusionConfig,
     return np.concatenate([height, bev], axis=1), stats
 
 
-def enhance_radar_map(m_r: FeatureMap, occupied_cells,
-                      features: np.ndarray) -> FeatureMap:
-    """Concatenate the radar map with the scattered pseudo features, one row
-    per non-empty cell as ``compute_cell_features`` returns them: channels
-    [m_r | height | bev]. Cells empty on the radar map stay exactly zero
-    across all output channels."""
-    cells = np.array(sorted(occupied_cells), dtype=np.int64).reshape(-1, 2)
-    if len(features) != len(cells):
+def enhance_radar_map(m_r: BevColumns, occupied_cells: BevColumns,
+                      features: np.ndarray) -> BevColumns:
+    """The radar map's columns with their pseudo ``features`` appended:
+    channels [m_r | height | bev], one feature row per column as
+    ``compute_cell_features`` returns them for ``occupied_cells``, which
+    must be those columns. Cells empty on the radar map stay absent, so
+    exactly zero across all output channels."""
+    if not np.array_equal(occupied_cells.ids, m_r.ids):
+        raise ShapeError("pseudo features are for other cells than the "
+                         f"{len(m_r)} non-empty cells of the radar map")
+    if len(features) != len(m_r):
         raise ShapeError(
             f"pseudo features exist for {len(features)} cells, "
-            f"radar map has {len(cells)} non-empty cells")
+            f"radar map has {len(m_r)} non-empty cells")
     total = m_r.channels + features.shape[1]
     if total != ENHANCED_CHANNELS:
         raise ShapeError(f"enhanced radar map must have {ENHANCED_CHANNELS} channels, "
                          f"got {m_r.channels}+{features.shape[1]} = {total}")
-    out = np.zeros((total, m_r.height, m_r.width))
-    out[:m_r.channels] = m_r.data
-    out[m_r.channels:, cells[:, 1], cells[:, 0]] = features.T
-    return FeatureMap._wrap(out)
+    return BevColumns(m_r.ids, np.concatenate([m_r.features, features], axis=1),
+                      (total, m_r.height, m_r.width))
 
 
 def query_balls_disjoint(cfg: HeightFusionConfig) -> bool:

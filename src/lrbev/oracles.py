@@ -22,7 +22,7 @@ from .config import desk_config, tiny_config
 from .errors import ConfigError
 from .evalmetrics import eval_detections
 from .faults import FAULTS
-from .grids import (BevColumns, BevGrids, GridSpec, collapse_to_bev_grids,
+from .grids import (BevColumns, GridSpec, collapse_to_bev_grids,
                     pillarize, voxel_encode, voxelize, zstack_collapse)
 from .heads import (ENCODER_CHANNELS, TILE_ROWS, HeadOutputs, HeadParams,
                     band_rows, bev_encoder, compute_loss, decode_detections,
@@ -526,7 +526,7 @@ def check_segment_oracle(seeds: int, fault=None) -> PropertyResult:
             continue
         coarse = collapse_to_bev_grids(vs, coarse_cell)
         coarse_brute = collapse_to_bev_grids_brute(spec, feats, coarse_cell)
-        keys = sorted(coarse_brute)
+        keys = sorted(coarse_brute, key=lambda k: (k[1], k[0]))   # row-major
         if list(coarse) != keys:
             failures.append(f"seed {s}: coarse keys differ")
             continue
@@ -714,16 +714,16 @@ def check_height_sensitivity(seeds: int, fault=None) -> PropertyResult:
     return PropertyResult("l2r.height-sensitivity", passed, seeds, failures)
 
 
-def cell_features_brute(occupied_cells, cfg_h: HeightFusionConfig,
+def cell_features_brute(occupied_cells: BevColumns, cfg_h: HeightFusionConfig,
                         cfg_b: BevFusionConfig, points: np.ndarray,
-                        lidar_grids: BevGrids, radar_grid: GridSpec):
+                        lidar_grids: BevColumns, radar_grid: GridSpec):
     """Per-cell twin of ``compute_cell_features``: every ball and BEV query
     is a brute-force scan, each non-empty group one point- or grid-MLP batch
-    and each cell one merge-MLP call."""
+    and each cell one merge-MLP call; cells in ``occupied_cells`` order."""
     xyz = np.stack([points["x"], points["y"], points["z"]], axis=1)
     grid_features = dict(zip(lidar_grids, lidar_grids.features))
     rows, seg_hit, bev_hit, caps = [], 0, 0, {"height": 0, "bev": 0}
-    for cell in sorted(occupied_cells):
+    for cell in occupied_cells:
         segments = []
         for q in segment_query_points(cell, cfg_h, radar_grid):
             res = ball_query_brute((q.x, q.y, q.z), xyz, cfg_h.ball_radius,
@@ -809,11 +809,18 @@ def check_cell_features(seeds: int, fault=None) -> PropertyResult:
             cloud = cloud[:0]
         nx, ny = grid.nx, grid.ny
         key_ids = np.unique(rng.integers(0, (nx + 4) * (ny + 4), int(rng.integers(0, 30))))
-        keys = np.stack([key_ids // (ny + 4) - 2, key_ids % (ny + 4) - 2], axis=1)
-        grids = BevGrids(keys=keys, features=rng.normal(size=(len(keys), gdim)))
+        features = rng.normal(size=(len(key_ids), gdim))
+        # Keys are drawn from two cells around the grid; coarse cells lie on
+        # it, so a key off the grid moves onto the nearest border cell (the
+        # first one there keeps its place).
+        i = np.clip(key_ids // (ny + 4) - 2, 0, nx - 1)
+        j = np.clip(key_ids % (ny + 4) - 2, 0, ny - 1)
+        ids, first = np.unique(j * nx + i, return_index=True)
+        grids = BevColumns(ids, features[first], (gdim, ny, nx))
         cells = {(int(i), int(j)) for i, j in zip(rng.integers(0, nx, 12),
                                                   rng.integers(0, ny, 12))}
         cells = set() if s % 9 == 5 else cells | {(0, 0), (nx - 1, ny - 1)}
+        cells = columns_at(cells, np.zeros((len(cells), 0)), (0, ny, nx))
         got, got_stats = compute_cell_features(cells, cfg_h, cfg_b, cloud, grids, grid)
         want, want_stats = cell_features_brute(cells, cfg_h, cfg_b, cloud, grids, grid)
         if got_stats != want_stats:
@@ -888,8 +895,8 @@ def _r2l_instance(rng, s, heights):
     ids = np.flatnonzero(rng.uniform(size=h * w) < occupancy)
     features = np.maximum(rng.normal(size=(len(ids), lidar)), 0.0)
     m_l = BevColumns(ids=ids, features=features, shape=(lidar, h, w))
-    enhanced = FeatureMap(rng.normal(size=(96, h // fh, w // fw))
-                          * (rng.uniform(size=(1, h // fh, w // fw)) < 0.3))
+    enhanced = columns_of(FeatureMap(rng.normal(size=(96, h // fh, w // fw))
+                                     * (rng.uniform(size=(1, h // fh, w // fw)) < 0.3)))
     widths = [cin, *hidden, ENCODER_CHANNELS]
     encoder = [Conv2dParams.init(widths[k], widths[k + 1], 3, rng, padding=1)
                for k in range(3)]
@@ -901,6 +908,16 @@ def _r2l_instance(rng, s, heights):
     head = HeadParams(trunk=blocks, heatmap=one(3), offset=one(2), z=one(1),
                       size=one(3), rot=one(2), vel=one(2))
     return m_l, enhanced, encoder, head
+
+
+def columns_at(cells, features, shape: tuple) -> BevColumns:
+    """The columns of a (C, ny, nx) map holding row k of the (K, C)
+    ``features`` at the k-th (ix, iy) of the distinct ``cells``."""
+    cells = np.array(list(cells), dtype=np.int64).reshape(-1, 2)
+    ids = cells[:, 1] * shape[2] + cells[:, 0]
+    order = np.argsort(ids)
+    return BevColumns(ids[order], np.asarray(features, dtype=np.float64)[order],
+                      tuple(shape))
 
 
 def columns_of(m: FeatureMap) -> BevColumns:
@@ -927,7 +944,7 @@ def check_tiled_r2l(seeds: int, fault=None) -> PropertyResult:
     for s in range(seeds):
         rng = np.random.default_rng([31, s])
         m_l, enhanced, encoder, head = _r2l_instance(rng, s, _band_heights)
-        ref = detect_forward(bev_encoder(fuse_bev_maps(m_l.dense(), enhanced),
+        ref = detect_forward(bev_encoder(fuse_bev_maps(m_l.dense(), enhanced.dense()),
                                          encoder), head)
         got = r2l_forward(m_l, enhanced, encoder, head)
         for name in HEAD_FIELDS:

@@ -24,8 +24,8 @@ from .grids import (LIDAR_POINT_FEATURES, RADAR_CHANNELS, collapse_to_bev_grids,
 # fuse_bev_maps -> bev_encoder -> detect_forward is the whole-map twin of
 # r2l_forward, on the same conv kernels; run_pipeline itself never calls it.
 # The first two build the maps PipelineResult.maps computes on request, from
-# the dense LiDAR map it builds on request too; all three stay names of this
-# module for code that wraps them.
+# the dense LiDAR and enhanced radar maps it builds on request too; all three
+# stay names of this module for code that wraps them.
 from .heads import (ENCODER_CHANNELS, DetectionBox, HeadParams, bev_encoder,
                     decode_detections, detect_forward, fuse_bev_maps,
                     r2l_forward)
@@ -307,14 +307,9 @@ def run_pipeline(cfg: PipelineConfig, lidar: np.ndarray, radar: np.ndarray,
         cfg_b = bev_fusion_config(cfg, weights)
         features, fstats = compute_cell_features(pillars.occupied, cfg_h, cfg_b,
                                                  lidar, lidar_grids, radar_grid)
+        # Checks one feature row per pillar and the 96-channel contract.
         enhanced = enhance_radar_map(m_r, pillars.occupied, features)
-    _require(enhanced.channels == ENHANCED_CHANNELS, stage,
-             f"enhanced radar map has {enhanced.channels} channels, "
-             f"expected {ENHANCED_CHANNELS}")
-    _require(len(features) == len(pillars.occupied), stage,
-             f"{len(features)} pseudo features for {len(pillars.occupied)} "
-             "non-empty cells")
-    nonzero_cells = int((np.abs(enhanced.data) > 0).any(axis=0).sum())
+    nonzero_cells = int(np.count_nonzero(enhanced.features.any(axis=1)))
     _require(nonzero_cells == len(pillars.occupied), stage,
              f"{nonzero_cells} non-zero enhanced cells for "
              f"{len(pillars.occupied)} non-empty pillars")
@@ -353,8 +348,9 @@ def run_pipeline(cfg: PipelineConfig, lidar: np.ndarray, radar: np.ndarray,
         "gathered_columns": r2l_counts["gathered_columns"],
     }
     maps = LazyMaps({
-        "m_l": lambda maps: m_l.dense(), "m_r": m_r, "enhanced": enhanced,
-        "fused": lambda maps: fuse_bev_maps(maps["m_l"], enhanced),
+        "m_l": lambda maps: m_l.dense(), "m_r": lambda maps: m_r.dense(),
+        "enhanced": lambda maps: enhanced.dense(),
+        "fused": lambda maps: fuse_bev_maps(maps["m_l"], maps["enhanced"]),
         "encoded": lambda maps: bev_encoder(maps["fused"], weights.encoder),
         "heatmap": FeatureMap(outputs.heatmap)})
     return PipelineResult(detections=detections, stats=stats, maps=maps)

@@ -2,12 +2,15 @@
 and stage functions; this runs its ``paper-l2r`` frame, output digest and
 spot check on a tiny scene with the per-layer tracer installed, so a change
 that breaks a name the benchmark reads fails here rather than only in the
-benchmark's own smoke run."""
+benchmark's own smoke run. It also checks pool scenes against the
+benchmark's reference outputs."""
 
+import json
 import sys
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+sys.path.insert(0, str(PERFBENCH))
 
 import tracing  # noqa: E402
 import workloads  # noqa: E402
@@ -34,3 +37,17 @@ def test_paper_l2r_steps_run_traced_on_a_tiny_scene():
     spans = {span[0] for span in tracer.spans}
     assert {"l2r.compute_cell_features", "l2r.height_fuse", "l2r.bev_fuse",
             "l2r.enhance_radar_map"} <= spans
+
+
+def test_pool_scene_outputs_match_the_benchmark_reference(tmp_path):
+    """Every tiny pool scene and desk scenes 0-3, run as the benchmark runs
+    them, agree with ``perfbench/reference.json``: an output drift fails
+    here, not only as the benchmark's incorrect-output count."""
+    reference = json.loads((PERFBENCH / "reference.json").read_text())
+    for name, ids in (("tiny", range(48)), ("desk", range(4))):
+        wl = workloads.WORKLOADS[name]
+        state = wl.setup(tmp_path / name, 0, list(ids))
+        for sid in ids:
+            got = wl.collect(state, wl.frame(state, sid)).value
+            assert workloads.output_matches(got, reference[name][str(sid)]), \
+                f"{name} scene {sid}"

@@ -64,13 +64,25 @@ def test_run_deterministic_output_bytes(generated, tmp_path):
     assert (a / "stats.json").read_bytes() == (b / "stats.json").read_bytes()
 
 
-def test_dump_map(generated, tmp_path):
-    out = tmp_path / "ml.blrm"
+@pytest.mark.parametrize("stage, channels, count", [
+    ("m_l", None, ("grid_encoding", "lidar_columns")),
+    ("m_r", 32, ("grid_encoding", "radar_pillars")),
+    ("enhanced", 96, ("l2r_fusion", "enhanced_nonzero_cells")),
+], ids=["m_l", "m_r", "enhanced"])
+def test_dump_map(generated, tmp_path, stage, channels, count):
+    """Each sparse stage dumps whole, with as many non-zero cells as the
+    run's stats count; the LiDAR map is as wide as the config says."""
+    out = tmp_path / f"{stage}.blrm"
     assert main(["dump-map", "--scale", "tiny", "--in", str(generated),
-                 "--stage", "m_l", "--out", str(out)]) == 0
+                 "--stage", stage, "--out", str(out)]) == 0
     m = read_feature_map(out)
     cfg = json.loads((generated / "config.json").read_text())
-    assert m.channels == cfg["channels"]["lidar_channels"]
+    assert m.channels == (channels or cfg["channels"]["lidar_channels"])
+    assert main(["run", "--scale", "tiny", "--in", str(generated),
+                 "--out", str(tmp_path / "run")]) == 0
+    stats = json.loads((tmp_path / "run" / "stats.json").read_text())
+    section, key = count
+    assert int(m.data.any(axis=0).sum()) == stats[section][key] > 0
 
 
 def test_dump_map_in_dot_reads_working_directory(generated, tmp_path, monkeypatch):

@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 
 from lrbev.cloud import make_cloud
-from lrbev.grids import BevGrids, GridSpec
+from lrbev.grids import GridSpec
 from lrbev.l2r import (BevFusionConfig, HeightFusionConfig, ball_query,
                        ball_query_brute, compute_cell_features,
                        num_height_segments, segment_balls, segment_query_points)
 from lrbev.nn import MlpParams
-from lrbev.oracles import GRID_RTOL, cell_features_brute
+from lrbev.oracles import GRID_RTOL, cell_features_brute, columns_at
 
 GRID = GridSpec(origin=(-4.0, -3.0, -5.0), cell=(0.5, 0.5, 8.0), counts=(16, 12, 1))
 
@@ -101,7 +101,8 @@ def test_compute_cell_features_matches_full_scan_height_fuse():
     cells = {(int(i), int(j)) for i, j in zip(rng.integers(0, GRID.nx, 20),
                                               rng.integers(0, GRID.ny, 20))}
     cells |= {(0, 0), (GRID.nx - 1, GRID.ny - 1)}
-    grids = BevGrids(np.zeros((0, 2), np.int64), np.zeros((0, 4)))
+    cells = columns_at(cells, np.zeros((len(cells), 0)), (0, GRID.ny, GRID.nx))
+    grids = columns_at([], np.zeros((0, 4)), (4, GRID.ny, GRID.nx))
     features, stats = compute_cell_features(cells, cfg_h, cfg_b, cloud, grids, GRID)
     want, want_stats = cell_features_brute(cells, cfg_h, cfg_b, cloud, grids, GRID)
     assert np.abs(features - want).max() <= GRID_RTOL * np.abs(want).max()

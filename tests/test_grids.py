@@ -222,7 +222,7 @@ class TestPillarize:
         mlp = MlpParams.init((9, 8, 6), np.random.default_rng(7))
         pm = pillarize(_radar(np.zeros((0, 2))), _pillar_spec(), mlp)
         assert np.array_equal(pm.map.data, np.zeros((6, 4, 4)))
-        assert pm.occupied == {}
+        assert len(pm.occupied) == 0 and list(pm.occupied) == []
 
     def test_one_point_one_nonzero_cell(self):
         mlp = MlpParams.init((9, 8, 6), np.random.default_rng(8))
@@ -236,8 +236,8 @@ class TestPillarize:
         mlp = MlpParams.init((9, 8, 6), rng)
         xy = rng.uniform(-1.99, 1.99, size=(50, 2))
         pm = pillarize(_radar(xy), spec, mlp)
-        for (ix, iy), members in pm.occupied.items():
-            for i in members:
+        for k, (ix, iy) in enumerate(pm.occupied):
+            for i in pm.members[pm.offsets[k]:pm.offsets[k + 1]]:
                 assert ix == math.floor((xy[i, 0] - spec.origin[0]) / spec.cell[0])
                 assert iy == math.floor((xy[i, 1] - spec.origin[1]) / spec.cell[1])
 
@@ -249,6 +249,13 @@ class TestPillarize:
             pm = pillarize(_radar(xy), _pillar_spec(), mlp)
             nonzero = int((np.abs(pm.map.data) > 0).any(axis=0).sum())
             assert nonzero == len(pm.occupied)
+
+    def test_columns_in_row_major_order(self):
+        mlp = MlpParams.init((9, 8, 6), np.random.default_rng(16))
+        pm = pillarize(_radar([[-1.5, -0.5], [1.5, -1.5]]), _pillar_spec(), mlp)
+        assert pm.map.ids.tolist() == [3, 4]
+        assert list(pm.occupied) == [(3, 0), (0, 1)]
+        assert pm.members.tolist() == [1, 0]
 
     def test_variant_b_feature_width(self):
         mlp = MlpParams.init((4, 8, 6), np.random.default_rng(11))
@@ -269,7 +276,7 @@ class TestPillarize:
         mlp = MlpParams.init((9, 8, 6), np.random.default_rng(15))
         pm = pillarize(_radar([[0.3, -1.2]] * 33), _pillar_spec(), mlp)
         assert pm.truncated == 1
-        assert [len(m) for m in pm.occupied.values()] == [32]
+        assert np.diff(pm.offsets).tolist() == [32]
 
     def test_point_order_invariant(self):
         rng = np.random.default_rng(14)
@@ -312,7 +319,7 @@ class TestCollapseToBevGrids:
         vs = voxel_encode(voxelize(_lidar(pts), spec), _voxel_mlp())
         coarse = collapse_to_bev_grids(vs, coarse_cell=0.6)
         expected_keys = {(k[0] // 8, k[1] // 8) for k in vs.occupied.tolist()}
-        assert list(coarse) == sorted(expected_keys)
+        assert list(coarse) == sorted(expected_keys, key=lambda k: (k[1], k[0]))
         assert coarse.features.shape == (len(expected_keys), vs.feature_dim)
 
     def test_non_commensurate_raises(self):
@@ -331,4 +338,4 @@ class TestCollapseToBevGrids:
         vs = voxel_encode(voxelize(_lidar(np.zeros((0, 3))), _spec()), _voxel_mlp())
         coarse = collapse_to_bev_grids(vs, coarse_cell=1.0)
         assert len(coarse) == 0 and list(coarse) == []
-        assert coarse.keys.shape == (0, 2)
+        assert coarse.cells.shape == (0, 2)

@@ -152,7 +152,7 @@ class TestDetectForward:
 def _r2l_inputs(rng, h, w, lidar=64, factor=1):
     m_l = FeatureMap(np.maximum(rng.normal(size=(lidar, h, w)), 0.0))
     enhanced = FeatureMap(rng.normal(size=(96, h // factor, w // factor)))
-    return columns_of(m_l), enhanced
+    return columns_of(m_l), columns_of(enhanced)
 
 
 def _twin_chain(m_l, enhanced, encoder, head):
@@ -254,7 +254,7 @@ class TestR2lForward:
         with pytest.raises(ShapeError) as twin:
             fuse_bev_maps(m_l, enhanced)
         with pytest.raises(ShapeError) as banded:
-            r2l_forward(columns_of(m_l), enhanced, _encoder(rng),
+            r2l_forward(columns_of(m_l), columns_of(enhanced), _encoder(rng),
                         _head_params(rng))
         assert str(banded.value) == str(twin.value)
 

@@ -6,14 +6,14 @@ import pytest
 
 from lrbev.cloud import make_cloud
 from lrbev.errors import ShapeError
-from lrbev.grids import BevGrids, GridSpec, segment_max
+from lrbev.grids import GridSpec, segment_max
 from lrbev.l2r import (BevFusionConfig, HeightFusionConfig, ball_query,
                        ball_query_brute, bev_fuse, bev_query, bev_query_brute,
                        compute_cell_features, enhance_radar_map, height_fuse,
-                       manhattan_distance, num_height_segments,
+                       num_height_segments,
                        query_balls_disjoint, segment_query_points)
-from lrbev.nn import FeatureMap, MlpParams, mlp_forward
-from lrbev.oracles import GRID_RTOL, cell_features_brute
+from lrbev.nn import MlpParams, mlp_forward
+from lrbev.oracles import GRID_RTOL, cell_features_brute, columns_at
 
 
 def _mlp(dims, seed=0):
@@ -219,22 +219,6 @@ class TestNonOverlap:
         assert all(abs(g - 2 * 0.6) < 1e-12 for g in gaps)
 
 
-class TestManhattan:
-    def test_same_cell(self):
-        assert manhattan_distance((4, 9), (4, 9)) == 0
-
-    def test_hand_value(self):
-        # |3-1| + |4-7| = 5
-        assert manhattan_distance((3, 4), (1, 7)) == 5
-
-    def test_symmetric(self):
-        rng = np.random.default_rng(23)
-        for _ in range(50):
-            a = tuple(rng.integers(0, 30, 2))
-            b = tuple(rng.integers(0, 30, 2))
-            assert manhattan_distance(a, b) == manhattan_distance(b, a)
-
-
 def _bev_cfg(window=(2, 2), max_group=16, mode="window", fdim=16, seed=0):
     return BevFusionConfig(grid_mlp=_mlp((fdim + 2, 16, 32), seed),
                            window=window, max_group=max_group,
@@ -287,10 +271,11 @@ class TestBevQuery:
             assert bev_query_brute((5, 5), grids, cfg).capped is capped
 
 
-def _bev_grids(items, fdim=16):
-    """BevGrids from (key, feature) pairs, rows in the given order."""
-    keys = np.array([k for k, _ in items], dtype=np.int64).reshape(-1, 2)
-    return BevGrids(keys, np.array([f for _, f in items]).reshape(len(keys), fdim))
+def _bev_grids(items, fdim=16, ny=16, nx=16):
+    """Coarse grid columns from (key, feature) pairs given in any order."""
+    return columns_at([k for k, _ in items],
+                      np.array([f for _, f in items]).reshape(len(items), fdim),
+                      (fdim, ny, nx))
 
 
 class TestBevFuse:
@@ -322,52 +307,55 @@ class TestBevFuse:
 class TestEnhanceRadarMap:
     def _mr(self, cells, h=6, w=6, seed=0):
         rng = np.random.default_rng(seed)
-        data = np.zeros((32, h, w))
-        for ix, iy in cells:
-            data[:, iy, ix] = rng.normal(size=32)
-        return FeatureMap(data)
+        return columns_at(cells, rng.normal(size=(len(cells), 32)), (32, h, w))
 
     def _features(self, cells, seed=1):
-        """One [height | bev] row per cell, cells in ascending order."""
+        """One [height | bev] row per cell, cells in ascending id order."""
         return np.random.default_rng(seed).normal(size=(len(cells), 64))
 
     def test_zero_map_no_features_zero_output(self):
-        out = enhance_radar_map(self._mr([]), [], np.zeros((0, 64)))
+        m_r = self._mr([])
+        out = enhance_radar_map(m_r, m_r, np.zeros((0, 64)))
         assert out.channels == 96
         assert not np.any(out.data)
 
     def test_one_cell_sparsity_preserved(self):
-        cells = [(2, 3)]
-        out = enhance_radar_map(self._mr(cells), cells, self._features(cells))
+        m_r = self._mr([(2, 3)])
+        out = enhance_radar_map(m_r, m_r, self._features(m_r))
         nonzero = (np.abs(out.data) > 0).any(axis=0)
         assert int(nonzero.sum()) == 1 and nonzero[3, 2]
 
     def test_channel_layout_32_32_32(self):
-        cells = [(1, 1), (4, 2)]
-        m_r = self._mr(cells)
-        feats = self._features(cells)
-        out = enhance_radar_map(m_r, cells, feats)
+        m_r = self._mr([(1, 1), (4, 2)])
+        feats = self._features(m_r)
+        out = enhance_radar_map(m_r, m_r, feats)
         assert out.channels == 96
         assert np.array_equal(out.data[:32], m_r.data)
         assert np.array_equal(out.data[32:64, 1, 1], feats[0, :32])
         assert np.array_equal(out.data[64:, 2, 4], feats[1, 32:])
 
     def test_rows_follow_sorted_cell_order(self):
-        cells = [(4, 2), (1, 1)]
-        feats = self._features(cells)
-        out = enhance_radar_map(self._mr(cells), {c: [] for c in cells}, feats)
-        assert np.array_equal(out.data[32:, 1, 1], feats[0])
-        assert np.array_equal(out.data[32:, 2, 4], feats[1])
+        """Rows follow the ascending row-major ids: (2, 1) before (1, 2)."""
+        m_r = self._mr([(1, 2), (2, 1)])
+        feats = self._features(m_r)
+        out = enhance_radar_map(m_r, m_r, feats)
+        assert np.array_equal(out.data[32:, 1, 2], feats[0])
+        assert np.array_equal(out.data[32:, 2, 1], feats[1])
 
     def test_feature_row_count_mismatch_raises(self):
-        cells = [(1, 1)]
+        m_r = self._mr([(1, 1)])
         with pytest.raises(ShapeError):
-            enhance_radar_map(self._mr(cells), cells, self._features([(0, 0), (1, 1)]))
+            enhance_radar_map(m_r, m_r, self._features([(0, 0), (1, 1)]))
+
+    def test_cells_other_than_the_radar_columns_raise(self):
+        m_r = self._mr([(1, 1)])
+        with pytest.raises(ShapeError, match="other cells"):
+            enhance_radar_map(m_r, self._mr([(2, 1)]), self._features(m_r))
 
     def test_wrong_total_width_raises(self):
-        cells = [(1, 1)]
+        m_r = self._mr([(1, 1)])
         with pytest.raises(ShapeError):
-            enhance_radar_map(self._mr(cells), cells, np.zeros((1, 48)))
+            enhance_radar_map(m_r, m_r, np.zeros((1, 48)))
 
 
 GRID = GridSpec(origin=(-4.0, -3.0, -5.0), cell=(0.5, 0.5, 8.0), counts=(16, 12, 1))
@@ -386,10 +374,13 @@ class TestComputeCellFeatures:
 
     def _grids(self, seed=3):
         rng = np.random.default_rng(seed)
-        keys = sorted({(int(i), int(j)) for i, j in rng.integers(-1, 17, size=(40, 2))})
-        return _bev_grids([(k, rng.normal(size=4)) for k in keys], fdim=4)
+        # Keys drawn a cell around the grid sit on its border cells.
+        keys = sorted({(min(max(int(i), 0), 15), min(max(int(j), 0), 11))
+                       for i, j in rng.integers(-1, 17, size=(40, 2))})
+        return _bev_grids([(k, rng.normal(size=4)) for k in keys], fdim=4, ny=12)
 
     def _check(self, cells, cloud, grids, ball_radius=0.0):
+        cells = columns_at(cells, np.zeros((len(cells), 0)), (0, 12, 16))
         cfg_h, cfg_b = self._configs(ball_radius=ball_radius)
         got, stats = compute_cell_features(cells, cfg_h, cfg_b, cloud, grids, GRID)
         want, want_stats = cell_features_brute(cells, cfg_h, cfg_b, cloud, grids, GRID)
@@ -413,7 +404,7 @@ class TestComputeCellFeatures:
         assert np.array_equal(got[0, :32], got[1, :32])
 
     def test_empty_bev_grids(self):
-        grids = BevGrids(np.zeros((0, 2), np.int64), np.zeros((0, 0)))
+        grids = columns_at([], np.zeros((0, 0)), (0, 12, 16))
         got, stats = self._check([(3, 4), (9, 2)], self._cloud(), grids)
         assert stats["bev_query_hit_rate"] == 0.0 and not got[:, 32:].any()
 

@@ -12,6 +12,7 @@ from lrbev.config import config_for_scale, desk_config, tiny_config
 from lrbev.errors import ConfigError, PipelineError
 from lrbev.grids import GridSpec, voxelize
 from lrbev.heads import _replication
+from lrbev.nn import MlpParams
 from lrbev.pipeline import (detections_to_jsonl, generate_clouds, probe_weights,
                             random_weights, run_pipeline)
 
@@ -188,6 +189,26 @@ def test_non_finite_r2l_preactivation_names_the_stage(tiny_run):
     assert "non-finite" in str(err.value)
 
 
+def _huge(mlp):
+    """The MLP with every weight 1e308, so its outputs overflow."""
+    return MlpParams([(np.full_like(w, 1e308), b) for w, b in mlp.layers])
+
+
+@pytest.mark.parametrize("layer, stage", [("pillar_mlp", "grid-encoding"),
+                                          ("grid_mlp", "l2r-fusion")])
+def test_non_finite_radar_columns_name_the_stage(tiny_run, layer, stage):
+    """Overflowing radar pillar features, and overflowing BEV features on
+    the enhanced radar map, are caught on the column blocks."""
+    cfg, _, lidar, radar, _ = tiny_run
+    weights = random_weights(cfg, 0)
+    bad = dataclasses.replace(weights, **{layer: _huge(getattr(weights, layer))})
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(PipelineError) as err:
+            run_pipeline(cfg, lidar, radar, weights=bad)
+    assert str(err.value).startswith(f"{stage}: ")
+    assert "non-finite" in str(err.value)
+
+
 def test_group_cap_counters(tiny_run):
     cfg, _, lidar, radar, result = tiny_run
     st = result.stats["l2r_fusion"]
@@ -301,8 +322,8 @@ def test_non_square_lidar_cell_keeps_radar_points_at_desk():
 
 
 def test_run_builds_no_dense_lidar_map_and_no_fused_map(monkeypatch):
-    """The LiDAR map stays columns and the fused map is never built: both
-    are made only when ``maps`` is read."""
+    """The LiDAR, radar and enhanced radar maps stay columns and the fused
+    map is never built: all are made only when ``maps`` is read."""
     def refuse(*args, **kwargs):
         raise RuntimeError("dense map built")
 
@@ -314,8 +335,9 @@ def test_run_builds_no_dense_lidar_map_and_no_fused_map(monkeypatch):
     _, lidar, radar = generate_clouds(cfg, 0)
     result = run_pipeline(cfg, lidar, radar)
     assert result.stats["grid_encoding"]["ml_shape"] == [64, 128, 128]
-    with pytest.raises(RuntimeError, match="dense map built"):
-        result.maps["m_l"]
+    for name in ("m_l", "m_r", "enhanced"):
+        with pytest.raises(RuntimeError, match="dense map built"):
+            result.maps[name]
 
 
 def test_sparsity_counters(tiny_run):

@@ -28,7 +28,7 @@ SINGLE_THREAD_PEAK = 17_061_224
 def _inputs(rng, h, w, factor=1):
     m_l = FeatureMap(np.maximum(rng.normal(size=(64, h, w)), 0.0))
     enhanced = FeatureMap(rng.normal(size=(96, h // factor, w // factor)))
-    return columns_of(m_l), enhanced
+    return columns_of(m_l), columns_of(enhanced)
 
 
 def _weights(rng):
@@ -176,7 +176,7 @@ def test_desk_r2l_equals_whole_map_twin():
     voxels = voxel_encode(voxelize(lidar, cfg.lidar_grid, cfg.max_points_per_voxel),
                           weights.voxel_mlp)
     m_l = zstack_collapse(voxels, weights.zstack_mlp)
-    enhanced = result.maps["enhanced"]
+    enhanced = columns_of(result.maps["enhanced"])
     got = r2l_forward(m_l, enhanced, weights.encoder, weights.head)
     want = detect_forward(bev_encoder(fuse_bev_maps(m_l.dense(), enhanced),
                                       weights.encoder), weights.head)
@@ -196,8 +196,8 @@ def test_small_gather_chunks_match_twins(monkeypatch, workers):
     data *= rng.uniform(size=(1, h, w)) < 0.3
     data[:, 5:9] = 0.0
     m_l = columns_of(FeatureMap(data))
-    enhanced = FeatureMap(rng.normal(size=(96, h // 4, w // 4))
-                          * (rng.uniform(size=(1, h // 4, w // 4)) < 0.3))
+    enhanced = columns_of(FeatureMap(rng.normal(size=(96, h // 4, w // 4))
+                                     * (rng.uniform(size=(1, h // 4, w // 4)) < 0.3)))
     encoder, head = _weights(rng)
     counts = {}
     got = r2l_forward(m_l, enhanced, encoder, head, workers=workers, counts=counts)
@@ -227,7 +227,7 @@ def test_edge_columns_in_small_chunks_match_twins(monkeypatch, workers, kernel):
     data[:, 1:4, 1:4] = 0.0        # a radar-only corner
     radar = np.zeros((96, h // 4, w // 4))
     radar[:, [0, -1, -1], [0, 0, -1]] = rng.normal(size=(96, 3))
-    m_l, enhanced = columns_of(FeatureMap(data)), FeatureMap(radar)
+    m_l, enhanced = columns_of(FeatureMap(data)), columns_of(FeatureMap(radar))
     encoder, head = _weights(rng)
     encoder[0] = Conv2dParams.init(160, 8, kernel, rng, padding=kernel // 2)
     counts = {}
