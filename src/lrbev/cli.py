@@ -93,7 +93,8 @@ def cmd_run(args) -> int:
 
 def cmd_eval(args) -> int:
     detections = read_detections_jsonl(args.detections)
-    scene = Scene.from_dict(json.loads(Path(args.truth).read_text()))
+    scene = cloudio.parse_json(Path(args.truth).read_bytes(), args.truth,
+                               Scene.from_dict)
     result = eval_detections(detections, scene.objects)
     doc = result.to_dict()
     if args.out:

@@ -11,6 +11,10 @@ discarding ring.
 
 Feature-map dumps (.blrm): magic ``BLRM``, u32 (C, H, W), little-endian
 float32 values.
+
+``parse_json`` reads every JSON input of the package (configs, cloud twins,
+detection lines, scenes), so malformed text or a missing or mistyped key
+raises ``FormatError`` naming the file.
 """
 from __future__ import annotations
 
@@ -21,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .cloud import DTYPE_BY_KIND, cloud_kind, make_cloud
-from .errors import FormatError
+from .errors import FormatError, LrbevError
 from .nn import FeatureMap
 
 MAGIC = b"BLRF"
@@ -52,7 +56,7 @@ def write_cloud(cloud: np.ndarray, path) -> None:
 def read_cloud(path) -> np.ndarray:
     path = Path(path)
     if path.suffix == ".json":
-        return _read_cloud_json(path)
+        return parse_json(path.read_bytes(), path, _cloud_from_doc)
     blob = path.read_bytes()
     if len(blob) < _HEADER.size:
         raise FormatError(f"header needs {_HEADER.size} bytes, file has {len(blob)}",
@@ -83,8 +87,33 @@ def _write_cloud_json(cloud: np.ndarray, path: Path) -> None:
     path.write_text(json.dumps({"kind": kind, "points": points}, indent=1))
 
 
-def _read_cloud_json(path: Path) -> np.ndarray:
-    doc = json.loads(path.read_text())
+def parse_json(blob: bytes, where, build=None, offset: int = 0):
+    """``build(doc)``, or ``doc`` itself, of the JSON document ``doc`` in
+    ``blob``, which starts at byte ``offset`` of ``where`` (a file, or a
+    file and line). Bytes that are not UTF-8 JSON, and a document that
+    lacks a key ``build`` reads or holds a value of the wrong type or
+    shape, raise ``FormatError`` naming ``where``; the package's own errors
+    pass through."""
+    try:
+        doc = json.loads(blob.decode("utf-8"))
+    except json.JSONDecodeError as e:
+        raise FormatError(f"{where}: not JSON: {e.msg}",
+                          offset + len(e.doc[:e.pos].encode())) from None
+    except UnicodeDecodeError as e:
+        raise FormatError(f"{where}: not UTF-8 text", offset + e.start) from None
+    if build is None:
+        return doc
+    try:
+        return build(doc)
+    except LrbevError:
+        raise
+    except KeyError as e:
+        raise FormatError(f"{where}: missing key {e}", offset) from None
+    except (AttributeError, IndexError, TypeError, ValueError) as e:
+        raise FormatError(f"{where}: malformed document: {e}", offset) from None
+
+
+def _cloud_from_doc(doc: dict) -> np.ndarray:
     kind = doc["kind"]
     if kind not in DTYPE_BY_KIND:
         raise FormatError(f"unknown cloud kind {kind!r}", offset=0)

@@ -13,9 +13,11 @@ import json
 import math
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from numbers import Integral, Real
+from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
-from .errors import ConfigError, FormatError
+from .cloudio import parse_json
+from .errors import ConfigError
 from .grids import RADAR_CHANNELS, GridSpec
 from .l2r import ENHANCED_CHANNELS
 from .synth import DEFAULT_CLASSES, ObjectClass
@@ -218,15 +220,7 @@ class PipelineConfig:
 
     @classmethod
     def from_json(cls, path) -> "PipelineConfig":
-        try:
-            with open(path, "rb") as fh:
-                doc = json.loads(fh.read().decode("utf-8"))
-        except json.JSONDecodeError as e:
-            raise FormatError(f"{path}: not JSON: {e.msg}",
-                              len(e.doc[:e.pos].encode())) from None
-        except UnicodeDecodeError as e:
-            raise FormatError(f"{path}: not UTF-8 text", e.start) from None
-        return cls.from_dict(doc)
+        return cls.from_dict(parse_json(Path(path).read_bytes(), path))
 
 
 # Python types taken as is for an annotated scalar type; other numbers

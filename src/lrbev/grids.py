@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, EvaluationError, ShapeError
-from .nn import FeatureMap, MlpParams, mlp_forward_batch
+from .errors import ConfigError, ShapeError
+from .nn import FeatureMap, MlpParams, _finite, mlp_forward_batch
 
 LIDAR_POINT_FEATURES = 8   # x, y, z, intensity, t, and offsets to the cell center
 RADAR_CHANNELS = 32        # width of the radar BEV map, fixed by the channel contract
@@ -237,8 +237,7 @@ class BevColumns:
     shape: tuple
 
     def __post_init__(self):
-        if not np.isfinite(self.features).all():
-            raise EvaluationError("feature map contains non-finite values")
+        _finite(self.features)
 
     @property
     def channels(self) -> int:

@@ -14,26 +14,28 @@ the LiDAR and the enhanced radar maps as their occupied columns
 (``grids.BevColumns``) and runs the first block on the occupied fused
 columns only; the last block and the first trunk conv run in row tiles, cut
 from the map shape alone, on a small pool of worker threads, and within a
-tile in row bands, so the 512-channel map exists one band at a time. Its
-output bits do not depend on the number of workers. It is the only R2L
-path: a head it cannot band raises ``ShapeError``. ``fuse_bev_maps``,
-``bev_encoder`` and ``detect_forward`` are the whole-map chain it is
-checked against; both run the tap-sum and im2col kernels of ``nn``.
+tile in row bands, so the 512-channel map exists one band at a time. The
+calling thread takes the tiles' results in tile order and sums the trunk
+rows next to each seam itself. Its output bits do not depend on the number
+of workers. It is the only R2L path: a head it cannot band raises
+``ShapeError``. ``fuse_bev_maps``, ``bev_encoder`` and ``detect_forward``
+are the whole-map chain it is checked against; both run the tap-sum and
+im2col kernels of ``nn``.
 """
 from __future__ import annotations
 
 import math
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor, wait
+from contextlib import closing
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .errors import EvaluationError, ShapeError
+from .errors import ShapeError
 from .grids import BevColumns, GridSpec
-from .nn import (BLAS_PINNED, Conv2dParams, FeatureMap, _conv2d_raw,
+from .nn import (BLAS_PINNED, Conv2dParams, FeatureMap, _conv2d_raw, _finite,
                  _im2col_band, _im2col_rows, _sum_taps, _tap_rows, band_rows,
                  conv2d_forward, relu, sigmoid)
 from .synth import wrap_angle
@@ -165,14 +167,15 @@ WORKERS = _usable_cpus() if BLAS_PINNED else 1
 _POOLS: dict = {}
 
 
-def _each_tile(fn, cut: list, workers: int) -> None:
-    """``fn(y0, y1)`` for every tile of ``cut``, on a pool of ``workers``
-    threads under the caller's floating-point error handling, or inline
-    when there is one tile or one worker; returns when all are done,
-    raising the first failing tile's error."""
+def _each_tile(fn, cut: list, workers: int):
+    """Yields ``fn(y0, y1)`` of every tile of ``cut`` in tile order: inline
+    when there is one tile or one worker, else from a pool of ``workers``
+    threads under the caller's floating-point error handling. Returns or
+    raises, with the first failing tile's error in tile order, only after
+    every submitted tile has finished."""
     if workers < 2 or len(cut) < 2:
         for y0, y1 in cut:
-            fn(y0, y1)
+            yield fn(y0, y1)
         return
     # Keyed by process too: a child forked after the pool started has none
     # of its threads.
@@ -183,65 +186,24 @@ def _each_tile(fn, cut: list, workers: int) -> None:
             workers, thread_name_prefix="lrbev-r2l"))
     err = np.geterr()   # thread-local: the workers would start at the defaults
 
-    def task(y0: int, y1: int) -> None:
+    def task(y0: int, y1: int):
         with np.errstate(**err):
-            fn(y0, y1)
+            return fn(y0, y1)
 
     futures = [pool.submit(task, y0, y1) for y0, y1 in cut]
-    wait(futures)
-    for f in futures:
-        f.result()
-
-
-def _finite(a: np.ndarray) -> np.ndarray:
-    """The check ``FeatureMap`` makes on every conv output."""
-    if not np.isfinite(a).all():
-        raise EvaluationError("feature map contains non-finite values")
-    return a
+    try:
+        while futures:
+            # Popped, so a tile's result is freed once the caller drops it.
+            yield futures.pop(0).result()
+    finally:
+        wait(futures)
 
 
 def _tap_floats(conv: Conv2dParams, rows: int, width: int) -> int:
-    """Scratch of ``_Seams.tile`` on this many rows: the taps and their sum."""
+    """Scratch of a tile's first trunk conv on this many rows: the taps and
+    their sum."""
     cout, _, kh, kw = conv.kernel.shape
     return cout * (kh * kw + 1) * rows * width
-
-
-class _Seams:
-    """A stride-1, size-keeping conv and its rectifier, run tile by tile on
-    summed taps into ``out``. The ``padding`` output rows either side of a
-    seam need taps from both of its tiles; the second tile to hand its taps
-    in sums those rows."""
-
-    def __init__(self, conv: Conv2dParams, out: np.ndarray):
-        self.conv, self.out, self.height = conv, out, out.shape[1]
-        self._waiting: dict = {}
-        self._lock = threading.Lock()
-
-    def tile(self, y0: int, y1: int, taps: np.ndarray) -> None:
-        """The per-tap GEMM results (Cout, kh, kw, rows, W) of a tile's input
-        rows ``y0`` to ``y1``: stores the output rows they alone feed, hands
-        in the rest."""
-        p, h = self.conv.padding, self.height
-        if p and y0 > 0:
-            self._hand_in(y0, taps[:, :, :, :2 * p].copy(), below=True)
-        if p and y1 < h:
-            self._hand_in(y1, taps[:, :, :, -2 * p:].copy(), below=False)
-        ya, yb = (y0 + p if y0 > 0 else 0), (y1 - p if y1 < h else h)
-        self._store(ya, yb, _sum_taps(self.conv, taps, y0, ya, yb, h))
-
-    def _hand_in(self, seam: int, taps: np.ndarray, below: bool) -> None:
-        with self._lock:
-            other = self._waiting.pop(seam, None)
-            if other is None:
-                self._waiting[seam] = taps
-                return
-        both = np.concatenate([other, taps] if below else [taps, other], axis=3)
-        p = self.conv.padding
-        self._store(seam - p, seam + p, _sum_taps(self.conv, both, seam - 2 * p,
-                                                  seam - p, seam + p, self.height))
-
-    def _store(self, ya: int, yb: int, pre: np.ndarray) -> None:
-        np.maximum(_finite(pre), 0.0, out=self.out[:, ya:yb])
 
 
 def _im2col_floats(conv: Conv2dParams, width: int) -> int:
@@ -335,10 +297,13 @@ def r2l_forward(m_l: BevColumns, enhanced: BevColumns, encoder,
     (``_sparse_block``), the second on the whole narrow map in the
     im2col bands of ``nn._im2col_rows``. Then, in row tiles (``tiles``), the
     last block and its rectifier run band by band into the first trunk
-    conv, so the 512-channel map exists one band at a time. The trunk conv
-    sums its taps (``nn._sum_taps``) and hands the taps next to each seam
-    to the tile across it, so no row goes through a GEMM twice. The rest of
-    the head runs on the narrow trunk output. Tiles run on a pool of
+    conv, so the 512-channel map exists one band at a time. A tile sums
+    the trunk conv's taps (``nn._sum_taps``) into the rows its input rows
+    alone feed and returns the taps of its first and last 2 x padding input
+    rows; the calling thread takes those in tile order and sums the rows
+    either side of each seam from the taps of both its tiles, so no row
+    goes through a GEMM twice and no two threads write the same row. The
+    rest of the head runs on the narrow trunk output. Tiles run on a pool of
     ``WORKERS`` threads (``workers`` overrides it, for tests), at most as
     many at once as fit their scratch in ``_SCRATCH_FLOATS``; a one-tile
     map runs inline. Every conv output is checked for non-finite values
@@ -362,12 +327,18 @@ def r2l_forward(m_l: BevColumns, enhanced: BevColumns, encoder,
     sums each cell in ``nn._sum_taps`` order, from the same +0; a skipped
     column's taps would be zeros of either sign, which change no sum. The
     second block runs the twin's bands, so it matches at every width. The
-    last block's band GEMMs have ``rows x W`` columns, so when W is a
-    multiple of the BLAS block and the whole map picks the same strategies
-    (tap sums for the first block and the trunk conv, im2col for the other
-    two), as at desk and tiny scale, the output matches the whole-map chain
-    bit for bit; ``heads.tiled-oracle`` bounds any difference at 1e-12 of
-    the largest output.
+    last block's band GEMMs, and the trunk conv's GEMMs on them, have
+    ``rows x W`` columns where the whole map's have ``H x W``. A W that is a
+    multiple of the BLAS block keeps those columns out of a partial block,
+    but BLAS may also give a small GEMM's columns other bits than the same
+    columns of a large one (a 4 x 512 by 512 x 64 GEMM against a 4 x 512 by
+    512 x 3392 one). So a 1x1 first trunk conv on a 53 x 64 map, whose tiles
+    end in one-row bands, differs from the whole map in the last bits
+    (2e-16 of the largest output), on 1, 2 and 3 workers alike; the 36-row
+    GEMMs of a 3x3 trunk conv there match. Desk and tiny maps, with the
+    shipped 3x3 trunk, match the whole-map chain bit for bit;
+    ``heads.tiled-oracle`` bounds any difference at 1e-12 of the largest
+    output.
     """
     encoder = list(encoder)
     fh, fw = _replication(m_l, enhanced)
@@ -392,21 +363,34 @@ def r2l_forward(m_l: BevColumns, enhanced: BevColumns, encoder,
     del a0
 
     feat = np.empty((trunk0.kernel.shape[0], h, w))
-    seams = _Seams(trunk0, feat)
+    p = trunk0.padding
 
-    def block2_trunk0(y0: int, y1: int) -> None:
+    def block2_trunk0(y0: int, y1: int) -> tuple:
+        """Stores the trunk rows that the taps of input rows ``y0`` to ``y1``
+        alone feed; returns the taps of their first and last 2p rows."""
         bands = (np.maximum(_finite(pre), 0.0, out=pre)
                  for _, _, pre in _im2col_rows(enc2, a1, y0, y1))
-        seams.tile(y0, y1, _tap_rows(trunk0, bands, y1 - y0, w))
+        taps = _tap_rows(trunk0, bands, y1 - y0, w)
+        ya, yb = (y0 + p if y0 > 0 else 0), (y1 - p if y1 < h else h)
+        pre = _sum_taps(trunk0, taps, y0, ya, yb, h)
+        np.maximum(_finite(pre), 0.0, out=feat[:, ya:yb])
+        # Not ``-2 * p:``, which would take every row when p = 0.
+        return taps[:, :, :, :2 * p].copy(), taps[:, :, :, y1 - y0 - 2 * p:].copy()
 
-    cut = tiles(h, max(TILE_ROWS, 2 * trunk0.padding))
+    cut = tiles(h, max(TILE_ROWS, 2 * p))
     rows = max(y1 - y0 for y0, y1 in cut)
     tile_floats = _im2col_floats(enc2, w) + _tap_floats(trunk0, rows, w)
     workers = min(WORKERS if workers is None else workers,
                   max(2, _SCRATCH_FLOATS // tile_floats))
-    _each_tile(block2_trunk0, cut, workers)
-    # Free the last block's input, and let the head free the first trunk map.
-    del a1, seams
+    # The 2p rows either side of a seam need the taps of both its tiles.
+    with closing(_each_tile(block2_trunk0, cut, workers)) as results:
+        for (y0, _), (top, bottom) in zip(cut, results):
+            if y0 > 0:
+                both = np.concatenate([upper, top], axis=3)
+                pre = _sum_taps(trunk0, both, y0 - 2 * p, y0 - p, y0 + p, h)
+                np.maximum(_finite(pre), 0.0, out=feat[:, y0 - p:y0 + p])
+            upper = bottom
+    del a1   # the last block's input
 
     for conv in head.trunk[1:]:
         feat = relu(_finite(_conv2d_raw(feat, conv)))

@@ -101,6 +101,14 @@ def sigmoid(x: Array) -> Array:
     return out
 
 
+def _finite(a: np.ndarray) -> np.ndarray:
+    """``a``, once checked to hold no NaN or infinity: the check made on
+    every feature map and conv output."""
+    if not np.isfinite(a).all():
+        raise EvaluationError("feature map contains non-finite values")
+    return a
+
+
 class FeatureMap:
     """Dense C x H x W activation grid, row-major with C the slowest axis.
 
@@ -117,8 +125,7 @@ class FeatureMap:
     def _adopt(self, arr: np.ndarray) -> None:
         if arr.ndim != 3:
             raise ShapeError(f"feature map must be 3-d (C,H,W), got ndim={arr.ndim}")
-        if not np.all(np.isfinite(arr)):
-            raise EvaluationError("feature map contains non-finite values")
+        _finite(arr)
         arr.flags.writeable = False
         self.data = arr
 

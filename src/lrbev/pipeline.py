@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cloud import DTYPE_BY_KIND, accumulate_sweeps
+from .cloudio import parse_json
 from .config import PipelineConfig
 from .errors import PipelineError
 from .grids import (LIDAR_POINT_FEATURES, RADAR_CHANNELS, collapse_to_bev_grids,
@@ -368,10 +369,11 @@ def detections_to_jsonl(detections) -> str:
 
 
 def read_detections_jsonl(path) -> list:
-    out = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                out.append(DetectionBox.from_dict(json.loads(line)))
+    out, offset = [], 0
+    with open(path, "rb") as fh:
+        for number, line in enumerate(fh, 1):
+            if line.strip():
+                out.append(parse_json(line, f"{path}:{number}",
+                                      DetectionBox.from_dict, offset))
+            offset += len(line)
     return out

@@ -178,6 +178,42 @@ def test_bad_config_file_exits_without_traceback(tmp_path, text, code, field):
     assert field in proc.stderr
 
 
+_BOX = {"x": 1.0, "y": 2.0, "z": 0.0, "length": 4.0, "width": 2.0, "height": 1.5,
+        "yaw": 0.0, "vx": 0.0, "vy": 0.0, "class_id": 0, "score": 0.9}
+
+
+@pytest.mark.parametrize("command, name, text, where", [
+    ("run", "lidar.json", '{"kind": "lidar", "points": [', "lidar.json: not JSON"),
+    ("run", "lidar.json", '{"points": []}', "lidar.json: missing key 'kind'"),
+    ("run", "lidar.json",
+     '{"kind": "lidar", "points": [{"x": 1, "z": 0, "intensity": 0, "t": 0}]}',
+     "lidar.json: missing key 'y'"),
+    ("eval", "detections.jsonl", '{"x": 1}\n', "detections.jsonl:1: malformed"),
+    ("eval", "detections.jsonl", json.dumps(_BOX) + "\n\nnot json\n",
+     "detections.jsonl:3: not JSON"),
+    ("eval", "scene.json", '{"objects": []}', "scene.json: missing key"),
+], ids=["cloud-not-json", "cloud-no-kind", "point-no-y", "detection-missing-fields",
+        "detection-line-not-json", "scene-no-sensor-height"])
+def test_bad_json_input_exits_without_traceback(tmp_path, command, name, text, where):
+    """A malformed JSON input exits 3 with a message naming the file, and
+    the line of a JSON-lines file."""
+    (tmp_path / name).write_text(text)
+    if command == "run":
+        argv = ["run", "--scale", "tiny", "--lidar", str(tmp_path / name),
+                "--in", str(tmp_path), "--out", str(tmp_path / "o")]
+    else:
+        if name != "detections.jsonl":
+            (tmp_path / "detections.jsonl").write_text("")
+        argv = ["eval", "--detections", str(tmp_path / "detections.jsonl"),
+                "--truth", str(tmp_path / "scene.json")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, "-m", "lrbev.cli", *argv],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 3
+    assert "Traceback" not in proc.stderr
+    assert where in proc.stderr
+
+
 def test_config_without_trunk_exit_code(tmp_path, capsys):
     from lrbev.config import tiny_config
     doc = tiny_config().to_dict()

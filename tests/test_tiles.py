@@ -3,6 +3,8 @@ memory."""
 
 import json
 import sys
+import threading
+import time
 import tracemalloc
 import warnings
 
@@ -51,14 +53,20 @@ def test_tiles_cover_the_map():
         assert len(cut) == 1 or min(y1 - y0 for y0, y1 in cut) >= TILE_ROWS
 
 
-@pytest.mark.parametrize("h", [2 * TILE_ROWS, 3 * TILE_ROWS + 5])
+@pytest.mark.parametrize("h, kernel", [
+    (2 * TILE_ROWS, 3), (3 * TILE_ROWS + 5, 3), (2 * TILE_ROWS, 5),
+    (3 * TILE_ROWS + 5, 5),
+], ids=["32", "53", "32-5x5", "53-5x5"])
 @pytest.mark.parametrize("workers", [1, 2])
-def test_seams_bit_identical_to_twins(h, workers):
+def test_seams_bit_identical_to_twins(h, kernel, workers):
     """W = 64 keeps every GEMM column in a full block, so the rows next to
-    a seam, summed from the taps of both tiles, match the whole map."""
+    a seam, summed from the taps of both tiles, match the whole map. A 5x5
+    first trunk conv has two seam rows either side."""
     rng = np.random.default_rng([49, h])
     m_l, enhanced = _inputs(rng, h, 64)
     encoder, head = _weights(rng)
+    if kernel != 3:
+        head.trunk[0] = Conv2dParams.init(512, 4, kernel, rng, padding=kernel // 2)
     got = r2l_forward(m_l, enhanced, encoder, head, workers=workers)
     want = detect_forward(bev_encoder(fuse_bev_maps(m_l.dense(), enhanced), encoder),
                           head)
@@ -68,18 +76,24 @@ def test_seams_bit_identical_to_twins(h, workers):
 
 def test_seam_hand_ins_under_fast_thread_switching():
     """More workers than cores and a short switch interval: every seam's
-    rows are still summed exactly once, from both tiles' taps."""
+    rows are still summed exactly once, from both tiles' taps. A 1x1 first
+    trunk conv has no seam rows, and its edge taps are empty. Checked
+    against one worker, not the whole-map twin: a 1x1 trunk conv's small
+    GEMMs may take other bits than the whole map's."""
     rng = np.random.default_rng(52)
     m_l, enhanced = _inputs(rng, 8 * TILE_ROWS + 3, 16)
     encoder, head = _weights(rng)
-    want = r2l_forward(m_l, enhanced, encoder, head, workers=1)
+    pointwise = HeadParams(**{**vars(head), "trunk": [
+        Conv2dParams.init(512, 4, 1, rng), head.trunk[1]]})
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        for _ in range(3):
-            got = r2l_forward(m_l, enhanced, encoder, head, workers=6)
-            for name in HEAD_FIELDS:
-                assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+        for trunk_head in (head, pointwise):
+            want = r2l_forward(m_l, enhanced, encoder, trunk_head, workers=1)
+            for _ in range(3):
+                got = r2l_forward(m_l, enhanced, encoder, trunk_head, workers=6)
+                for name in HEAD_FIELDS:
+                    assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
     finally:
         sys.setswitchinterval(interval)
 
@@ -107,6 +121,38 @@ def test_non_finite_band_in_a_worker_raises():
                               padding=1)
     with pytest.raises(EvaluationError, match="non-finite"):
         r2l_forward(m_l, enhanced, encoder, head, workers=2)
+
+
+def test_first_failing_tile_raises_after_every_tile(monkeypatch):
+    """The middle tile fails at once while the later tiles are still
+    running: its error is raised only after they have all finished, and the
+    last tile's later failure does not replace it."""
+    cut = [(0, 16), (16, 33), (33, 51), (51, 70), (70, 90)]   # told apart by height
+    running, lock = set(), threading.Lock()
+    real = heads._tap_rows
+
+    def tap_rows(conv, chunks, rows, width):
+        with lock:
+            running.add(rows)
+        try:
+            if rows == 18:
+                raise RuntimeError("tile 2")
+            if rows > 18:
+                time.sleep(0.2)
+                if rows == 20:
+                    raise RuntimeError("tile 4")
+            return real(conv, chunks, rows, width)
+        finally:
+            with lock:
+                running.discard(rows)
+
+    monkeypatch.setattr(heads, "tiles", lambda h, min_rows: cut)
+    monkeypatch.setattr(heads, "_tap_rows", tap_rows)
+    rng = np.random.default_rng(55)
+    m_l, enhanced = _inputs(rng, 90, 16)
+    with pytest.raises(RuntimeError, match="tile 2"):
+        r2l_forward(m_l, enhanced, *_weights(rng), workers=3)
+    assert not running
 
 
 @pytest.mark.parametrize("workers", [2, 8, 32])
