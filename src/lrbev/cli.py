@@ -21,7 +21,8 @@ from .config import PipelineConfig, config_for_scale
 from .errors import ConfigError, FormatError, LrbevError
 from .evalmetrics import eval_detections
 from .faults import FAULTS
-from .pipeline import (detections_to_jsonl, generate_clouds,
+from .heads import bev_encoder, fuse_bev_maps
+from .pipeline import (detections_to_jsonl, generate_clouds, random_weights,
                        read_detections_jsonl, run_pipeline)
 from .synth import Scene
 
@@ -123,8 +124,13 @@ def cmd_dump_map(args) -> int:
         lidar, radar = _load_clouds(args)
     else:
         _, lidar, radar = generate_clouds(cfg, cfg.seeds.scene)
-    result = run_pipeline(cfg, lidar, radar)
-    m = result.maps[args.stage]
+    maps = run_pipeline(cfg, lidar, radar).maps
+    if args.stage in ("fused", "encoded"):
+        m = fuse_bev_maps(maps["m_l"].dense(), maps["enhanced"].dense())
+        if args.stage == "encoded":
+            m = bev_encoder(m, random_weights(cfg, cfg.seeds.weights).encoder)
+    else:
+        m = maps[args.stage]
     cloudio.write_feature_map(m, args.out)
     print(f"wrote {args.stage} map {m.channels}x{m.height}x{m.width} to {args.out}")
     return EXIT_OK

@@ -137,9 +137,13 @@ def read_raw_lidar(path) -> np.ndarray:
 
 
 def write_feature_map(m: FeatureMap, path) -> None:
+    """Write ``m`` one channel plane at a time, so no float32 copy of the
+    whole map is made."""
+    data = m.data
     with open(path, "wb") as fh:
         fh.write(_MAP_HEADER.pack(MAP_MAGIC, m.channels, m.height, m.width))
-        fh.write(m.data.astype("<f4").tobytes())
+        for plane in data:
+            fh.write(plane.astype("<f4", order="C"))
 
 
 def read_feature_map(path) -> FeatureMap:

@@ -10,10 +10,11 @@ row-major column ids and one feature row per column.
 Cell assignment is floor((p - origin) / cell), lower-inclusive and
 upper-exclusive. Empty cells are exact zeros everywhere.
 
-Points are grouped by one stable argsort of linear cell ids into segments
-(sorted keys plus offsets). Each MLP stage runs as a few batched forwards
-over blocks of whole segments, max-pooled per segment with
-``np.maximum.reduceat``; no map is built dense.
+Voxels and pillars are grouped alike, by one stable argsort of the cell ids
+``(iy * nx + ix) * nz + iz`` into segments (sorted ids plus offsets), so
+voxel keys run in row-major column order, z fastest. Each MLP stage runs as
+a few batched forwards over blocks of whole segments, max-pooled per
+segment with ``np.maximum.reduceat``; no map is built dense.
 """
 from __future__ import annotations
 
@@ -59,15 +60,14 @@ class GridSpec:
     def nz(self) -> int:
         return self.counts[2]
 
-    def cell_index(self, xyz: np.ndarray) -> np.ndarray:
-        """(n,3) -> (n,3) integer indices; may fall outside the grid."""
-        rel = (np.asarray(xyz, dtype=np.float64) - np.asarray(self.origin)) \
-            / np.asarray(self.cell)
-        return np.floor(rel).astype(np.int64)
-
-    def in_range(self, idx: np.ndarray) -> np.ndarray:
-        return ((idx >= 0).all(axis=1)
-                & (idx < np.asarray(self.counts, dtype=np.int64)).all(axis=1))
+    def cell_index(self, xyz: np.ndarray) -> tuple:
+        """The positions of the (n, 3) points inside the grid and their (k, 3)
+        cell indices; a non-finite or far-off point is outside, never cast."""
+        with np.errstate(over="ignore"):     # an overflow to inf is outside
+            cell = np.floor((np.asarray(xyz, dtype=np.float64)
+                             - np.asarray(self.origin)) / np.asarray(self.cell))
+        inside = np.flatnonzero(((cell >= 0) & (cell < self.counts)).all(axis=1))
+        return inside, cell[inside].astype(np.int64)
 
     def cell_center_xy(self, ix: int, iy: int) -> tuple:
         return (self.origin[0] + (ix + 0.5) * self.cell[0],
@@ -109,23 +109,29 @@ def segment_max(rows: np.ndarray, offsets: np.ndarray, p: MlpParams) -> np.ndarr
     return out
 
 
-def _group(cell_ids: np.ndarray, limit: int):
-    """Group points by integer cell id, keeping per cell the first ``limit``
-    points in input order.
+def _group(points: np.ndarray, z: np.ndarray, spec: GridSpec, limit: int):
+    """Group the points, at heights ``z``, that lie inside ``spec`` by
+    ascending cell id ``(iy * nx + ix) * nz + iz``, keeping per cell the
+    first ``limit`` points in input order.
 
-    Returns (kept, offsets, ids, truncated): ``kept`` lists the kept
-    positions cell by cell in ascending id, cell k owning
-    kept[offsets[k]:offsets[k+1]]; ``ids`` are the G distinct cell ids and
-    ``truncated`` counts the points beyond the limit.
+    Returns (ids, offsets, members, dropped, truncated): cell k, of id
+    ids[k], owns the kept point indices members[offsets[k]:offsets[k+1]],
+    ordered by record content; ``dropped`` counts the points outside the
+    grid and ``truncated`` those beyond the limit.
     """
-    order = np.argsort(cell_ids, kind="stable")
-    ids, starts, counts = np.unique(cell_ids[order], return_index=True,
+    inside, idx = spec.cell_index(np.stack([points["x"], points["y"], z], axis=1))
+    ix, iy, iz = idx.T
+    lin = (iy * spec.nx + ix) * spec.nz + iz
+    order = np.argsort(lin, kind="stable")
+    ids, starts, counts = np.unique(lin[order], return_index=True,
                                     return_counts=True)
     rank = np.arange(len(order)) - np.repeat(starts, counts)
     keep = rank < limit
     offsets = np.zeros(len(ids) + 1, dtype=np.int64)
     np.cumsum(np.minimum(counts, limit), out=offsets[1:])
-    return order[keep], offsets, ids, int(len(order) - keep.sum())
+    members = _content_order(points, inside[order[keep]], offsets)
+    return (ids, offsets, members, int(len(points) - len(inside)),
+            int(len(order) - keep.sum()))
 
 
 def _content_order(points: np.ndarray, members: np.ndarray,
@@ -154,7 +160,8 @@ def _content_order(points: np.ndarray, members: np.ndarray,
 class VoxelSet:
     """Occupied voxels of one cloud as sorted segments.
 
-    ``occupied`` holds the V voxel keys (ix, iy, iz) in ascending order.
+    ``occupied`` holds the V voxel keys (ix, iy, iz) in ascending cell id
+    ``(iy * nx + ix) * nz + iz``: row-major column order, z fastest.
     Voxel v owns the kept point indices members[offsets[v]:offsets[v+1]],
     ordered by record content, and row v of ``features`` once encoded
     (``features`` has zero columns until then).
@@ -186,19 +193,12 @@ def voxelize(points: np.ndarray, spec: GridSpec,
     if max_points_per_voxel < 1:
         raise ValueError(f"max_points_per_voxel must be >= 1, got {max_points_per_voxel}")
     vs = VoxelSet(spec=spec, points=points)
-    if len(points) == 0:
-        return vs
     z = points["z"] if "z" in points.dtype.names else np.zeros(len(points))
-    idx = spec.cell_index(np.stack([points["x"], points["y"], z], axis=1))
-    inside = np.flatnonzero(spec.in_range(idx))
-    vs.dropped = int(len(points) - len(inside))
-    ix, iy, iz = idx[inside].T
-    # Linear ids ascend in (ix, iy, iz) key order.
-    lin = (ix * spec.ny + iy) * spec.nz + iz
-    kept, vs.offsets, ids, vs.truncated = _group(lin, max_points_per_voxel)
-    vs.members = _content_order(points, inside[kept], vs.offsets)
-    vs.occupied = np.stack([ids // (spec.ny * spec.nz), ids // spec.nz % spec.ny,
-                            ids % spec.nz], axis=1)
+    ids, vs.offsets, vs.members, vs.dropped, vs.truncated = _group(
+        points, z, spec, max_points_per_voxel)
+    column, iz = np.divmod(ids, spec.nz)
+    iy, ix = np.divmod(column, spec.nx)
+    vs.occupied = np.stack([ix, iy, iz], axis=1)
     vs.features = np.zeros((len(ids), 0))
     return vs
 
@@ -283,25 +283,20 @@ def zstack_collapse(vs: VoxelSet, p: MlpParams) -> BevColumns:
     if nvox and p.in_dim != fdim * spec.nz:
         raise ShapeError(f"z-stack MLP expects {p.in_dim} inputs, "
                          f"stack provides {fdim * spec.nz}")
-    # Keys ascend in (ix, iy, iz) order, so each BEV column is one run of
-    # voxels; the GEMM blocks follow that order, and their rows land at the
-    # columns' row-major ranks.
+    # Keys ascend in row-major column order, so each BEV column is one run
+    # of voxels and the GEMM blocks fill the columns in id order.
     ix, iy, iz = vs.occupied.T
-    _, starts, counts = np.unique(ix * spec.ny + iy, return_index=True,
-                                  return_counts=True)
-    ids = iy[starts] * spec.nx + ix[starts]
-    order = np.argsort(ids)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    features = np.empty((len(starts), p.out_dim))
-    column = np.repeat(np.arange(len(starts)), counts)
+    ids, starts, counts = np.unique(iy * spec.nx + ix, return_index=True,
+                                    return_counts=True)
+    features = np.empty((len(ids), p.out_dim))
+    column = np.repeat(np.arange(len(ids)), counts)
     bounds = np.append(starts, nvox)
-    for c0, c1 in _blocks(np.arange(len(starts) + 1)):
+    for c0, c1 in _blocks(np.arange(len(ids) + 1)):
         v0, v1 = bounds[c0], bounds[c1]
         stack = np.zeros((c1 - c0, spec.nz, fdim))
         stack[column[v0:v1] - c0, iz[v0:v1]] = vs.features[v0:v1]
-        features[rank[c0:c1]] = mlp_forward_batch(stack.reshape(c1 - c0, -1), p)
-    return BevColumns(ids=ids[order], features=features,
+        features[c0:c1] = mlp_forward_batch(stack.reshape(c1 - c0, -1), p)
+    return BevColumns(ids=ids, features=features,
                       shape=(p.out_dim, spec.ny, spec.nx))
 
 
@@ -334,18 +329,14 @@ def pillarize(points: np.ndarray, spec: GridSpec, p: MlpParams,
         raise ShapeError(f"pillar MLP expects {p.in_dim} inputs, "
                          f"records provide {nfeat}")
     # Every return sits on the grid floor: the one pillar layer spans all z.
-    z = np.full(len(points), spec.origin[2])
-    idx = spec.cell_index(np.stack([points["x"], points["y"], z], axis=1))
-    inside = np.flatnonzero(spec.in_range(idx))
-    kept, offsets, ids, truncated = _group(idx[inside, 1] * spec.nx + idx[inside, 0],
-                                           max_points_per_pillar)
-    members = _content_order(points, inside[kept], offsets)
+    ids, offsets, members, dropped, truncated = _group(
+        points, np.full(len(points), spec.origin[2]), spec, max_points_per_pillar)
     recs = points[members]
     rows = np.stack([recs[name] for name in points.dtype.names], axis=1)
     features = segment_max(rows, offsets, p)
     return PillarMap(map=BevColumns(ids, features, (p.out_dim, spec.ny, spec.nx)),
-                     offsets=offsets, members=members,
-                     dropped=int(len(points) - len(inside)), truncated=truncated)
+                     offsets=offsets, members=members, dropped=dropped,
+                     truncated=truncated)
 
 
 def collapse_to_bev_grids(vs: VoxelSet, coarse_cell: float) -> BevColumns:

@@ -207,9 +207,16 @@ def segment_balls(cells: np.ndarray, cfg: HeightFusionConfig, xyz: np.ndarray,
     center, and ``_first_k``'s offsets and counts. A point in a ball lies at
     most floor(radius / cell) + 1 columns (clamped into the grid) from the
     cell; points outside the ball's xy disc are dropped before the M
-    segments are paired with them."""
+    segments are paired with them. Points no ball can reach, more than the
+    radius outside the grid's xy extent or the segment centers' z range or
+    not finite, are dropped before any arithmetic on them."""
     m, radius = cfg.num_segments, cfg.ball_radius
     size, n = np.asarray(radar_grid.cell[:2]), np.asarray(radar_grid.counts[:2])
+    heights = segment_heights(cfg)
+    lo = np.append(radar_grid.origin[:2], heights[0]) - radius
+    hi = np.append(radar_grid.origin[:2] + n * size, heights[-1]) + radius
+    near = np.flatnonzero(((xyz >= lo) & (xyz <= hi)).all(axis=1))
+    xyz = xyz[near]
     reach = np.floor(radius / size).astype(np.int64) + 1
     block = np.indices(2 * reach + 1).reshape(2, -1).T - reach
     cover = _lookup(cells, np.indices(n).reshape(2, -1).T, block)
@@ -225,12 +232,12 @@ def segment_balls(cells: np.ndarray, cfg: HeightFusionConfig, xyz: np.ndarray,
     dy = xyz[idx, 1] - center[cell, 1]
     dxy2 = dx * dx + dy * dy
     disc = np.flatnonzero(dxy2 <= radius * radius)
-    dz = xyz[idx[disc], 2][:, None] - segment_heights(cfg)
+    dz = xyz[idx[disc], 2][:, None] - heights
     kept, offsets, counts = _rank_balls(
         (cell[disc][:, None] * m + np.arange(m)).ravel(), np.repeat(idx[disc], m),
         (dxy2[disc][:, None] + dz * dz).ravel(), len(cells) * m, radius, cfg.max_group)
     pair = disc[kept // m]
-    return (idx[pair], np.stack([dx[pair], dy[pair], dz.ravel()[kept]], axis=1),
+    return (near[idx[pair]], np.stack([dx[pair], dy[pair], dz.ravel()[kept]], axis=1),
             offsets, counts)
 
 

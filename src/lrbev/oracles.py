@@ -392,17 +392,15 @@ def voxelize_brute(points: np.ndarray, spec: GridSpec,
     if len(points) == 0:
         return occupied, 0, 0
     z = points["z"] if "z" in points.dtype.names else np.zeros(len(points))
-    idx = spec.cell_index(np.stack([points["x"], points["y"], z], axis=1))
-    ok = spec.in_range(idx)
+    inside, idx = spec.cell_index(np.stack([points["x"], points["y"], z], axis=1))
     truncated = 0
-    for i in np.nonzero(ok)[0]:
-        key = (int(idx[i, 0]), int(idx[i, 1]), int(idx[i, 2]))
-        members = occupied.setdefault(key, [])
+    for i, key in zip(inside.tolist(), idx.tolist()):
+        members = occupied.setdefault(tuple(key), [])
         if len(members) < max_points_per_voxel:
-            members.append(int(i))
+            members.append(i)
         else:
             truncated += 1
-    return occupied, int(len(points) - ok.sum()), truncated
+    return occupied, int(len(points) - len(inside)), truncated
 
 
 def voxel_encode_brute(points: np.ndarray, spec: GridSpec, occupied: dict,
@@ -501,7 +499,8 @@ def check_segment_oracle(seeds: int, fault=None) -> PropertyResult:
         vs = voxel_encode(voxelize(pts, spec, limit), vmlp)
         occupied, dropped, truncated = voxelize_brute(pts, spec, limit)
         groups = list(vs.voxel_members())
-        if [k for k, _ in groups] != sorted(occupied):
+        # voxelize order: row-major columns, z fastest
+        if [k for k, _ in groups] != sorted(occupied, key=lambda k: (k[1], k[0], k[2])):
             failures.append(f"seed {s}: voxel keys differ")
             continue
         if any(sorted(m.tolist()) != sorted(occupied[k]) for k, m in groups):

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import threading
-from collections.abc import Mapping
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -24,9 +23,7 @@ from .grids import (LIDAR_POINT_FEATURES, RADAR_CHANNELS, collapse_to_bev_grids,
                     pillarize, voxel_encode, voxelize, zstack_collapse)
 # fuse_bev_maps -> bev_encoder -> detect_forward is the whole-map twin of
 # r2l_forward, on the same conv kernels; run_pipeline itself never calls it.
-# The first two build the maps PipelineResult.maps computes on request, from
-# the dense LiDAR and enhanced radar maps it builds on request too; all three
-# stay names of this module for code that wraps them.
+# All three stay names of this module for code that wraps them.
 from .heads import (ENCODER_CHANNELS, DetectionBox, HeadParams, bev_encoder,
                     decode_detections, detect_forward, fuse_bev_maps,
                     r2l_forward)
@@ -194,34 +191,17 @@ def bev_fusion_config(cfg: PipelineConfig, w: PipelineWeights) -> BevFusionConfi
                            distance_mode=cfg.fusion.distance_mode)
 
 
-class LazyMaps(Mapping):
-    """Stage maps by name. An entry given as a callable is computed from the
-    mapping on its first read and kept, so maps nobody asks for are never
-    built. (Taking the mapping as an argument, rather than closing over it,
-    keeps a result free of reference cycles, so its maps are freed as soon
-    as it is dropped.)"""
-
-    def __init__(self, entries: dict):
-        self._entries = dict(entries)
-
-    def __getitem__(self, name):
-        value = self._entries[name]
-        if callable(value):
-            value = self._entries[name] = value(self)
-        return value
-
-    def __iter__(self):
-        return iter(self._entries)
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-
 @dataclass
 class PipelineResult:
+    """A run's detections, its ``stats``, and the maps it holds by name:
+    ``m_l``, ``m_r`` and ``enhanced`` as ``BevColumns`` (whose dense map is
+    built on each read of ``data``) and the ``heatmap`` ``FeatureMap``. The
+    fused and encoded maps are never built by a run;
+    ``heads.fuse_bev_maps`` and ``heads.bev_encoder`` make them from these."""
+
     detections: list
     stats: dict
-    maps: LazyMaps
+    maps: dict
 
 
 def _require(cond: bool, stage: str, message: str) -> None:
@@ -348,12 +328,8 @@ def run_pipeline(cfg: PipelineConfig, lidar: np.ndarray, radar: np.ndarray,
         "detections": len(detections),
         "gathered_columns": r2l_counts["gathered_columns"],
     }
-    maps = LazyMaps({
-        "m_l": lambda maps: m_l.dense(), "m_r": lambda maps: m_r.dense(),
-        "enhanced": lambda maps: enhanced.dense(),
-        "fused": lambda maps: fuse_bev_maps(maps["m_l"], maps["enhanced"]),
-        "encoded": lambda maps: bev_encoder(maps["fused"], weights.encoder),
-        "heatmap": FeatureMap(outputs.heatmap)})
+    maps = {"m_l": m_l, "m_r": m_r, "enhanced": enhanced,
+            "heatmap": FeatureMap(outputs.heatmap)}
     return PipelineResult(detections=detections, stats=stats, maps=maps)
 
 

@@ -13,8 +13,8 @@ import numpy as np
 from lrbev.config import desk_config, paper_config, tiny_config
 from lrbev.evalmetrics import eval_detections
 from lrbev.grids import GridSpec
-from lrbev.heads import DetectionBox, decode_detections, outputs_from_targets, \
-    render_targets
+from lrbev.heads import DetectionBox, bev_encoder, decode_detections, \
+    fuse_bev_maps, outputs_from_targets, render_targets
 from lrbev.l2r import (ball_query, ball_query_brute, bev_query,
                        bev_query_brute, BevFusionConfig, segment_query_points)
 from lrbev.nn import MlpParams, finite_diff_check
@@ -23,7 +23,7 @@ from lrbev.oracles import (_height_cfg, check_height_sensitivity,
                            unpack_head_maps)
 from lrbev.heads import compute_loss
 from lrbev.pipeline import (detections_to_jsonl, generate_clouds,
-                            probe_weights, run_pipeline)
+                            probe_weights, random_weights, run_pipeline)
 from lrbev.synth import (GroundTruthBox, Scene, SceneSpec, generate_scene,
                          lidar_sample, radar_sample)
 
@@ -133,16 +133,16 @@ def _contract_runs():
     for cfg_fn in (tiny_config, desk_config):
         cfg = cfg_fn()
         _, lidar, radar = generate_clouds(cfg, 11)
-        runs.append((cfg, run_pipeline(cfg, lidar, radar)))
-        runs.append((cfg, run_pipeline(cfg, lidar, radar,
-                                       weights=probe_weights(cfg))))
+        for weights in (random_weights(cfg, cfg.seeds.weights), probe_weights(cfg)):
+            runs.append((cfg, weights, run_pipeline(cfg, lidar, radar,
+                                                    weights=weights)))
     return runs
 
 
 def test_acceptance_04_channel_contract():
     """Radar map 32 channels, enhanced map exactly 96, encoder output exactly
     512, on every pipeline run."""
-    for cfg, result in _contract_runs():
+    for cfg, weights, result in _contract_runs():
         st = result.stats
         assert st["grid_encoding"]["mr_shape"][0] == 32
         assert st["l2r_fusion"]["enhanced_shape"][0] == 96
@@ -151,7 +151,10 @@ def test_acceptance_04_channel_contract():
         assert st["r2l_fusion_head"]["encoded_shape"][0] == 512
         assert result.maps["m_r"].channels == 32
         assert result.maps["enhanced"].channels == 96
-        assert result.maps["encoded"].channels == 512
+        maps = result.maps
+        encoded = bev_encoder(fuse_bev_maps(maps["m_l"].dense(), maps["enhanced"].dense()),
+                              weights.encoder)
+        assert encoded.channels == 512
     _report(4, "32 -> 96 -> C1+96 -> 512 held on tiny and desk runs, "
                "random and hand-set weights")
 

@@ -1,14 +1,19 @@
 """CLI subcommands, file outputs, exit codes."""
 
 import json
+import math
 import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from lrbev.cli import main
-from lrbev.cloudio import read_cloud, read_feature_map
+from lrbev.cloudio import read_cloud, read_feature_map, write_cloud
+from lrbev.config import tiny_config
+from lrbev.heads import bev_encoder, fuse_bev_maps
+from lrbev.pipeline import random_weights, run_pipeline
 
 
 @pytest.fixture(scope="module")
@@ -65,24 +70,74 @@ def test_run_deterministic_output_bytes(generated, tmp_path):
 
 
 @pytest.mark.parametrize("stage, channels, count", [
-    ("m_l", None, ("grid_encoding", "lidar_columns")),
-    ("m_r", 32, ("grid_encoding", "radar_pillars")),
-    ("enhanced", 96, ("l2r_fusion", "enhanced_nonzero_cells")),
-], ids=["m_l", "m_r", "enhanced"])
+    ("m_l", (1, 0), ("grid_encoding", "lidar_columns")),
+    ("m_r", (0, 32), ("grid_encoding", "radar_pillars")),
+    ("enhanced", (0, 96), ("l2r_fusion", "enhanced_nonzero_cells")),
+    ("fused", (1, 96), ("r2l_fusion_head", "gathered_columns")),
+], ids=["m_l", "m_r", "enhanced", "fused"])
 def test_dump_map(generated, tmp_path, stage, channels, count):
     """Each sparse stage dumps whole, with as many non-zero cells as the
-    run's stats count; the LiDAR map is as wide as the config says."""
+    run's stats count; ``channels`` gives the width as (multiple of the
+    configured LiDAR width, plus a constant)."""
     out = tmp_path / f"{stage}.blrm"
     assert main(["dump-map", "--scale", "tiny", "--in", str(generated),
                  "--stage", stage, "--out", str(out)]) == 0
     m = read_feature_map(out)
     cfg = json.loads((generated / "config.json").read_text())
-    assert m.channels == (channels or cfg["channels"]["lidar_channels"])
+    lidar, extra = channels
+    assert m.channels == lidar * cfg["channels"]["lidar_channels"] + extra
     assert main(["run", "--scale", "tiny", "--in", str(generated),
                  "--out", str(tmp_path / "run")]) == 0
     stats = json.loads((tmp_path / "run" / "stats.json").read_text())
     section, key = count
     assert int(m.data.any(axis=0).sum()) == stats[section][key] > 0
+
+
+def test_dump_map_encoded_and_heatmap_match_the_run(generated, tmp_path):
+    """The encoded map is the whole-map chain on the run's maps, and the
+    heatmap is the run's own, both as float32."""
+    cfg = tiny_config()
+    result = run_pipeline(cfg, read_cloud(generated / "lidar.blrf"),
+                          read_cloud(generated / "radar.blrf"))
+    maps = result.maps
+    encoded = bev_encoder(fuse_bev_maps(maps["m_l"].dense(), maps["enhanced"].dense()),
+                          random_weights(cfg, cfg.seeds.weights).encoder)
+    assert encoded.channels == 512
+    for stage, want in (("encoded", encoded), ("heatmap", maps["heatmap"])):
+        out = tmp_path / f"{stage}.blrm"
+        assert main(["dump-map", "--scale", "tiny", "--in", str(generated),
+                     "--stage", stage, "--out", str(out)]) == 0
+        m = read_feature_map(out)
+        assert m.shape == want.shape
+        assert np.array_equal(m.data, want.data.astype(np.float32)), stage
+
+
+def test_non_finite_and_far_json_points_dropped_without_warnings(generated, tmp_path):
+    """JSON points with a null, a huge or an infinite coordinate are
+    dropped and counted, and no numpy warning is raised on the way."""
+    base = tmp_path / "base"
+    assert main(["run", "--scale", "tiny", "--in", str(generated),
+                 "--out", str(base)]) == 0
+    want = json.loads((base / "stats.json").read_text())["grid_encoding"]
+    paths = {}
+    for kind, bad in (("lidar", [{"x": None}, {"y": 1e300}, {"z": math.inf}]),
+                      ("radar", [{"x": None}])):
+        paths[kind] = tmp_path / f"{kind}.json"
+        write_cloud(read_cloud(generated / f"{kind}.blrf"), paths[kind])
+        doc = json.loads(paths[kind].read_text())
+        for k, fields in enumerate(bad):
+            doc["points"].insert(5 * k + 3, dict(doc["points"][0], **fields))
+        paths[kind].write_text(json.dumps(doc))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "lrbev.cli", "run",
+         "--scale", "tiny", "--lidar", str(paths["lidar"]),
+         "--radar", str(paths["radar"]), "--out", str(tmp_path / "o")],
+        env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads((tmp_path / "o" / "stats.json").read_text())["grid_encoding"]
+    assert got["dropped_lidar_points"] == want["dropped_lidar_points"] + 3
+    assert got["dropped_radar_points"] == want["dropped_radar_points"] + 1
 
 
 def test_dump_map_in_dot_reads_working_directory(generated, tmp_path, monkeypatch):
@@ -144,7 +199,6 @@ def test_validation_error_exit_code(tmp_path):
 
 
 def _edited(edit):
-    from lrbev.config import tiny_config
     doc = tiny_config().to_dict()
     edit(doc)
     return json.dumps(doc)
@@ -215,7 +269,6 @@ def test_bad_json_input_exits_without_traceback(tmp_path, command, name, text, w
 
 
 def test_config_without_trunk_exit_code(tmp_path, capsys):
-    from lrbev.config import tiny_config
     doc = tiny_config().to_dict()
     doc["channels"]["trunk_channels"] = []
     cfgfile = tmp_path / "no-trunk.json"

@@ -1,6 +1,7 @@
 """Cloud/feature-map file formats: round trips and malformed payloads."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -148,6 +149,19 @@ class TestFeatureMapDump:
         back = read_feature_map(path)
         assert back.shape == (3, 4, 5)
         assert np.array_equal(back.data, m.data)
+
+    def test_writes_one_channel_plane_at_a_time(self, tmp_path):
+        """No float32 or bytes copy of the whole 4 MB map is made."""
+        m = FeatureMap(np.random.default_rng(1).normal(size=(64, 128, 128)))
+        path = tmp_path / "map.blrm"
+        tracemalloc.start()
+        try:
+            write_feature_map(m, path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert np.array_equal(read_feature_map(path).data, m.data.astype(np.float32))
 
     def test_magic_and_truncation(self, tmp_path):
         path = tmp_path / "map.blrm"

@@ -1,6 +1,7 @@
 """Voxelization, pillar encoding, z-stack collapse, coarse rebinning."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -41,6 +42,23 @@ class TestVoxelize:
     def test_point_one_cell_up_upper_exclusive(self):
         vs = voxelize(_lidar([[-1.5, -2.0, -2.0]]), _spec())
         assert vs.occupied.tolist() == [[1, 0, 0]]
+
+    def test_keys_in_row_major_column_order_z_fastest(self):
+        pts = [[-1.5, -2.0, -2.0], [-2.0, -1.5, -2.0], [-2.0, -2.0, -1.0],
+               [-1.5, -2.0, -1.0]]
+        vs = voxelize(_lidar(pts), _spec())
+        assert vs.occupied.tolist() == [[0, 0, 1], [1, 0, 0], [1, 0, 1], [0, 1, 0]]
+        assert vs.members.tolist() == [2, 0, 3, 1]
+
+    def test_non_finite_and_far_points_dropped_without_warning(self):
+        pts = [[np.nan, 0.0, 0.0], [0.0, np.inf, 0.0], [0.0, 0.0, -np.inf],
+               [1e300, 0.0, 0.0], [0.0, -1.7e308, 0.0], [0.1, 0.2, -0.3]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            vs = voxelize(_lidar(pts), _spec())
+            inside, idx = _spec().cell_index(np.array(pts))
+        assert vs.dropped == 5 and vs.members.tolist() == [5]
+        assert inside.tolist() == [5] and idx.tolist() == [[4, 4, 1]]
 
     def test_out_of_range_dropped_with_count(self):
         pts = [[-2.0, -2.0, -2.0], [100.0, 0.0, 0.0], [0.0, 0.0, 50.0]]
@@ -192,7 +210,8 @@ class TestBlocks:
         occupied, dropped, truncated = voxelize_brute(cloud, spec, 16)
         assert (vs.dropped, vs.truncated) == (dropped, truncated) and truncated > 0
         feats = voxel_encode_brute(cloud, spec, occupied, vmlp)
-        want = np.array([feats[k] for k in sorted(feats)])
+        keys = sorted(feats, key=lambda k: (k[1], k[0], k[2]))   # row-major, z fastest
+        want = np.array([feats[k] for k in keys])
         assert np.abs(vs.features - want).max() <= 1e-12 * np.abs(want).max()
         got = zstack_collapse(vs, zmlp)
         ids, want = zstack_collapse_brute(spec, feats, zmlp)

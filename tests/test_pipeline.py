@@ -11,7 +11,7 @@ from lrbev.cloud import make_cloud
 from lrbev.config import config_for_scale, desk_config, tiny_config
 from lrbev.errors import ConfigError, PipelineError
 from lrbev.grids import GridSpec, voxelize
-from lrbev.heads import _replication
+from lrbev.heads import _replication, fuse_bev_maps
 from lrbev.nn import MlpParams
 from lrbev.pipeline import (detections_to_jsonl, generate_clouds, probe_weights,
                             random_weights, run_pipeline)
@@ -91,8 +91,7 @@ def test_channel_contract_chain(tiny_run):
 
 def test_maps_exposed_for_dumping(tiny_run):
     _, _, _, _, result = tiny_run
-    assert set(result.maps) == {"m_l", "m_r", "enhanced", "fused", "encoded",
-                                "heatmap"}
+    assert set(result.maps) == {"m_l", "m_r", "enhanced", "heatmap"}
     assert result.maps["heatmap"].data.min() > 0.0
     assert result.maps["heatmap"].data.max() < 1.0
 
@@ -143,37 +142,6 @@ class TestProbeWeights:
         assert counts.max() <= cfg.lidar_grid.nz
         assert counts.min() >= 0.0
         assert np.all(counts == np.round(counts))
-
-
-def test_fused_and_encoded_maps_built_only_when_read(tiny_run, monkeypatch):
-    cfg, _, lidar, radar, reference = tiny_run
-    from lrbev import pipeline
-    from lrbev.heads import bev_encoder, fuse_bev_maps
-    calls = []
-
-    def counted(fn):
-        def wrapper(*args):
-            calls.append(fn.__name__)
-            return fn(*args)
-        return wrapper
-
-    monkeypatch.setattr(pipeline, "fuse_bev_maps", counted(fuse_bev_maps))
-    monkeypatch.setattr(pipeline, "bev_encoder", counted(bev_encoder))
-    result = run_pipeline(cfg, lidar, radar)
-    assert calls == []
-    assert detections_to_jsonl(result.detections) == \
-        detections_to_jsonl(reference.detections)
-    encoded = result.maps["encoded"]
-    assert calls == ["fuse_bev_maps", "bev_encoder"]
-    assert result.maps["encoded"] is encoded
-    assert calls == ["fuse_bev_maps", "bev_encoder"]
-    st = result.stats["r2l_fusion_head"]
-    assert list(result.maps["fused"].shape) == st["fused_shape"]
-    assert list(encoded.shape) == st["encoded_shape"]
-    weights = random_weights(cfg, cfg.seeds.weights)
-    want = bev_encoder(fuse_bev_maps(result.maps["m_l"], result.maps["enhanced"]),
-                       weights.encoder)
-    assert encoded == want
 
 
 def test_non_finite_r2l_preactivation_names_the_stage(tiny_run):
@@ -323,7 +291,7 @@ def test_non_square_lidar_cell_keeps_radar_points_at_desk():
 
 def test_run_builds_no_dense_lidar_map_and_no_fused_map(monkeypatch):
     """The LiDAR, radar and enhanced radar maps stay columns and the fused
-    map is never built: all are made only when ``maps`` is read."""
+    map is never built: a dense map is made only when ``data`` is read."""
     def refuse(*args, **kwargs):
         raise RuntimeError("dense map built")
 
@@ -336,8 +304,9 @@ def test_run_builds_no_dense_lidar_map_and_no_fused_map(monkeypatch):
     result = run_pipeline(cfg, lidar, radar)
     assert result.stats["grid_encoding"]["ml_shape"] == [64, 128, 128]
     for name in ("m_l", "m_r", "enhanced"):
+        m = result.maps[name]
         with pytest.raises(RuntimeError, match="dense map built"):
-            result.maps[name]
+            m.data
 
 
 def test_sparsity_counters(tiny_run):
@@ -345,7 +314,9 @@ def test_sparsity_counters(tiny_run):
     ge, r2l = result.stats["grid_encoding"], result.stats["r2l_fusion_head"]
     voxels = voxelize(lidar, cfg.lidar_grid, cfg.max_points_per_voxel)
     assert ge["lidar_columns"] == len({(ix, iy) for ix, iy, _ in voxels.occupied.tolist()})
-    m_l, fused = result.maps["m_l"].data, result.maps["fused"].data
+    maps = result.maps
+    m_l = maps["m_l"].data
+    fused = fuse_bev_maps(maps["m_l"].dense(), maps["enhanced"].dense()).data
     assert ge["lidar_columns"] == int(m_l.any(axis=0).sum())
     assert r2l["gathered_columns"] == int(fused.any(axis=0).sum())
     assert ge["lidar_columns"] < r2l["gathered_columns"] < fused[0].size

@@ -68,7 +68,7 @@ def test_seams_bit_identical_to_twins(h, kernel, workers):
     if kernel != 3:
         head.trunk[0] = Conv2dParams.init(512, 4, kernel, rng, padding=kernel // 2)
     got = r2l_forward(m_l, enhanced, encoder, head, workers=workers)
-    want = detect_forward(bev_encoder(fuse_bev_maps(m_l.dense(), enhanced), encoder),
+    want = detect_forward(bev_encoder(fuse_bev_maps(m_l.dense(), enhanced.dense()), encoder),
                           head)
     for name in HEAD_FIELDS:
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
@@ -222,9 +222,9 @@ def test_desk_r2l_equals_whole_map_twin():
     voxels = voxel_encode(voxelize(lidar, cfg.lidar_grid, cfg.max_points_per_voxel),
                           weights.voxel_mlp)
     m_l = zstack_collapse(voxels, weights.zstack_mlp)
-    enhanced = columns_of(result.maps["enhanced"])
+    enhanced = result.maps["enhanced"]
     got = r2l_forward(m_l, enhanced, weights.encoder, weights.head)
-    want = detect_forward(bev_encoder(fuse_bev_maps(m_l.dense(), enhanced),
+    want = detect_forward(bev_encoder(fuse_bev_maps(m_l.dense(), enhanced.dense()),
                                       weights.encoder), weights.head)
     for name in HEAD_FIELDS:
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
