@@ -26,6 +26,7 @@ import numpy as np
 
 from .cloud import DTYPE_BY_KIND, cloud_kind, make_cloud
 from .errors import FormatError, LrbevError
+from .grids import BevColumns
 from .nn import FeatureMap
 
 MAGIC = b"BLRF"
@@ -136,13 +137,25 @@ def read_raw_lidar(path) -> np.ndarray:
                                 "t": np.zeros(len(table))})
 
 
-def write_feature_map(m: FeatureMap, path) -> None:
-    """Write ``m`` one channel plane at a time, so no float32 copy of the
-    whole map is made."""
-    data = m.data
+def _planes(m):
+    """The channel planes of a ``FeatureMap``, or of a ``BevColumns`` map
+    built one at a time from its columns, never from its dense map."""
+    if not isinstance(m, BevColumns):
+        yield from m.data
+        return
+    plane = np.zeros((m.height, m.width))
+    for c in range(m.channels):
+        plane.reshape(-1)[m.ids] = m.features[:, c]
+        yield plane
+
+
+def write_feature_map(m, path) -> None:
+    """Write the ``FeatureMap`` or ``BevColumns`` map ``m`` one channel
+    plane at a time, so no float32 copy of the whole map is made, nor the
+    dense map of a ``BevColumns``."""
     with open(path, "wb") as fh:
         fh.write(_MAP_HEADER.pack(MAP_MAGIC, m.channels, m.height, m.width))
-        for plane in data:
+        for plane in _planes(m):
             fh.write(plane.astype("<f4", order="C"))
 
 

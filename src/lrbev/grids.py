@@ -14,7 +14,9 @@ Voxels and pillars are grouped alike, by one stable argsort of the cell ids
 ``(iy * nx + ix) * nz + iz`` into segments (sorted ids plus offsets), so
 voxel keys run in row-major column order, z fastest. Each MLP stage runs as
 a few batched forwards over blocks of whole segments, max-pooled per
-segment with ``np.maximum.reduceat``; no map is built dense.
+segment with ``np.maximum.reduceat``; no map is built dense. The blocks
+are cut from the offsets alone and write disjoint rows, so they run on up
+to ``workers`` threads (``parallel.each``) with the same bits.
 """
 from __future__ import annotations
 
@@ -22,6 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import parallel
 from .errors import ConfigError, ShapeError
 from .nn import FeatureMap, MlpParams, _finite, mlp_forward_batch
 
@@ -95,17 +98,23 @@ def _blocks(offsets: np.ndarray):
         s0 = s1
 
 
-def segment_max(rows: np.ndarray, offsets: np.ndarray, p: MlpParams) -> np.ndarray:
+def segment_max(rows: np.ndarray, offsets: np.ndarray, p: MlpParams,
+                workers: int = 1) -> np.ndarray:
     """(S, out) elementwise max of the MLP over each segment
     rows[offsets[k]:offsets[k+1]], one batched forward per block of the
-    non-empty segments; an empty segment yields the zero vector."""
+    non-empty segments, on up to ``workers`` threads; an empty segment
+    yields the zero vector."""
     out = np.zeros((len(offsets) - 1, p.out_dim))
     full = np.flatnonzero(np.diff(offsets))
     offsets = np.append(offsets[full], offsets[-1])
-    for s0, s1 in _blocks(offsets):
+
+    def block(span: tuple) -> None:
+        s0, s1 = span
         r0 = offsets[s0]
         y = mlp_forward_batch(rows[r0:offsets[s1]], p)
         out[full[s0:s1]] = np.maximum.reduceat(y, offsets[s0:s1] - r0, axis=0)
+
+    parallel.each(block, _blocks(offsets), workers)
     return out
 
 
@@ -212,8 +221,9 @@ def _lidar_point_features(vs: VoxelSet) -> np.ndarray:
                     axis=1)
 
 
-def voxel_encode(vs: VoxelSet, p: MlpParams) -> VoxelSet:
-    """Per-voxel feature: elementwise max over members of the point MLP.
+def voxel_encode(vs: VoxelSet, p: MlpParams, workers: int = 1) -> VoxelSet:
+    """Per-voxel feature: elementwise max over members of the point MLP,
+    its blocks on up to ``workers`` threads.
 
     Point inputs are (x, y, z, intensity, t) plus offsets to the voxel
     center, so the result is invariant under member order.
@@ -221,7 +231,7 @@ def voxel_encode(vs: VoxelSet, p: MlpParams) -> VoxelSet:
     if p.in_dim != LIDAR_POINT_FEATURES:
         raise ShapeError(f"voxel MLP expects {p.in_dim} inputs, "
                          f"points provide {LIDAR_POINT_FEATURES}")
-    vs.features = segment_max(_lidar_point_features(vs), vs.offsets, p)
+    vs.features = segment_max(_lidar_point_features(vs), vs.offsets, p, workers)
     return vs
 
 
@@ -274,9 +284,10 @@ class BevColumns:
         return FeatureMap._wrap(out)
 
 
-def zstack_collapse(vs: VoxelSet, p: MlpParams) -> BevColumns:
+def zstack_collapse(vs: VoxelSet, p: MlpParams, workers: int = 1) -> BevColumns:
     """Concatenate each occupied BEV column's voxel features bottom-to-top
-    (zeros for empty voxels) and project with an MLP; the unoccupied
+    (zeros for empty voxels) and project with an MLP, one batched forward
+    per block of columns on up to ``workers`` threads; the unoccupied
     columns are left out, as exact zeros."""
     spec = vs.spec
     nvox, fdim = vs.features.shape
@@ -291,11 +302,15 @@ def zstack_collapse(vs: VoxelSet, p: MlpParams) -> BevColumns:
     features = np.empty((len(ids), p.out_dim))
     column = np.repeat(np.arange(len(ids)), counts)
     bounds = np.append(starts, nvox)
-    for c0, c1 in _blocks(np.arange(len(ids) + 1)):
+
+    def block(span: tuple) -> None:
+        c0, c1 = span
         v0, v1 = bounds[c0], bounds[c1]
         stack = np.zeros((c1 - c0, spec.nz, fdim))
         stack[column[v0:v1] - c0, iz[v0:v1]] = vs.features[v0:v1]
         features[c0:c1] = mlp_forward_batch(stack.reshape(c1 - c0, -1), p)
+
+    parallel.each(block, _blocks(np.arange(len(ids) + 1)), workers)
     return BevColumns(ids=ids, features=features,
                       shape=(p.out_dim, spec.ny, spec.nx))
 

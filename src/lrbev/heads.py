@@ -12,12 +12,15 @@ centers and reports analytic gradients for the finite-difference checker.
 ``r2l_forward`` runs that chain without building its wide maps. It takes
 the LiDAR and the enhanced radar maps as their occupied columns
 (``grids.BevColumns``) and runs the first block on the occupied fused
-columns only; the last block and the first trunk conv run in row tiles, cut
-from the map shape alone, on a small pool of worker threads, and within a
-tile in row bands, so the 512-channel map exists one band at a time. The
-calling thread takes the tiles' results in tile order and sums the trunk
-rows next to each seam itself. Its output bits do not depend on the number
-of workers. It is the only R2L path: a head it cannot band raises
+columns only, one GEMM per chunk of them; the second block runs in row
+bands, and the last block and the first trunk conv in row tiles, cut from
+the map shape alone, and within a tile in row bands, so the 512-channel map
+exists one band at a time. Chunks, groups of bands and tiles are maps on
+the worker threads of ``lrbev.parallel``; a map one tile high runs every
+step inline. The calling thread adds the chunks' taps onto the map in chunk
+order, takes the tiles' results in tile order and sums the trunk rows next
+to each seam itself. Its output bits do not depend on the number of
+workers. It is the only R2L path: a head it cannot band raises
 ``ShapeError``. ``fuse_bev_maps``, ``bev_encoder`` and ``detect_forward``
 are the whole-map chain it is checked against; both run the tap-sum and
 im2col kernels of ``nn``.
@@ -25,17 +28,16 @@ im2col kernels of ``nn``.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import closing
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
+from . import parallel
 from .errors import ShapeError
 from .grids import BevColumns, GridSpec
-from .nn import (BLAS_PINNED, Conv2dParams, FeatureMap, _conv2d_raw, _finite,
+from .nn import (Conv2dParams, FeatureMap, _conv2d_raw, _finite,
                  _im2col_band, _im2col_rows, _sum_taps, _tap_rows, band_rows,
                  conv2d_forward, relu, sigmoid)
 from .synth import wrap_angle
@@ -136,10 +138,17 @@ def detect_forward(features: FeatureMap, params: HeadParams) -> HeadOutputs:
     return HeadOutputs(heatmap=sigmoid(logits), heatmap_logits=logits, **maps)
 
 
-# The tiles in flight at once hold at most this many floats of scratch
-# together, ~12 MB of float64, whatever the number of CPUs. Two tiles may
-# always run at once, even when one needs more than half of it.
+# The items of an R2L map (gather chunks, bands, tiles) in flight at once
+# hold at most this many floats of scratch together, ~12 MB of float64,
+# whatever the number of CPUs. Two items may always run at once, even when
+# one needs more than half of it.
 _SCRATCH_FLOATS = 3 << 19
+
+
+def _fit(workers: int, floats: int) -> int:
+    """``workers``, cut to as many items of ``floats`` floats of scratch
+    each as fit ``_SCRATCH_FLOATS``, but at least two."""
+    return min(workers, max(2, _SCRATCH_FLOATS // max(1, floats)))
 
 # Tiles are at least this many rows high. Maps of fewer than twice as many
 # rows are one tile and never use the pool.
@@ -151,52 +160,6 @@ def tiles(height: int, min_rows: int = TILE_ROWS) -> list:
     ``min_rows`` rows each, sized evenly."""
     n = max(1, height // min_rows)
     return [(height * k // n, height * (k + 1) // n) for k in range(n)]
-
-
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:   # no affinity API on this platform
-        return os.cpu_count() or 1
-
-
-# Worker threads for the tiles: one per usable CPU, or one when BLAS could
-# not be pinned to a thread per call (its own threads would then compete
-# with the workers for the cores).
-WORKERS = _usable_cpus() if BLAS_PINNED else 1
-_POOLS: dict = {}
-
-
-def _each_tile(fn, cut: list, workers: int):
-    """Yields ``fn(y0, y1)`` of every tile of ``cut`` in tile order: inline
-    when there is one tile or one worker, else from a pool of ``workers``
-    threads under the caller's floating-point error handling. Returns or
-    raises, with the first failing tile's error in tile order, only after
-    every submitted tile has finished."""
-    if workers < 2 or len(cut) < 2:
-        for y0, y1 in cut:
-            yield fn(y0, y1)
-        return
-    # Keyed by process too: a child forked after the pool started has none
-    # of its threads.
-    key = (os.getpid(), workers)
-    pool = _POOLS.get(key)
-    if pool is None:
-        pool = _POOLS.setdefault(key, ThreadPoolExecutor(
-            workers, thread_name_prefix="lrbev-r2l"))
-    err = np.geterr()   # thread-local: the workers would start at the defaults
-
-    def task(y0: int, y1: int):
-        with np.errstate(**err):
-            return fn(y0, y1)
-
-    futures = [pool.submit(task, y0, y1) for y0, y1 in cut]
-    try:
-        while futures:
-            # Popped, so a tile's result is freed once the caller drops it.
-            yield futures.pop(0).result()
-    finally:
-        wait(futures)
 
 
 def _tap_floats(conv: Conv2dParams, rows: int, width: int) -> int:
@@ -237,13 +200,15 @@ def _gather_plan(m_l: BevColumns, enhanced: BevColumns, fh: int, fw: int) -> tup
 
 
 def _sparse_block(conv: Conv2dParams, m_l: BevColumns, enhanced: BevColumns,
-                  fh: int, fw: int, border: int, counts: dict | None) -> np.ndarray:
+                  fh: int, fw: int, border: int, counts: dict | None,
+                  workers: int) -> np.ndarray:
     """The rectified size-keeping, stride-1 ``conv`` of the fused map of
     ``m_l`` and ``enhanced`` replicated ``fh`` x ``fw`` times, inside a zero
     border of ``border`` >= ``conv.padding`` cells: one GEMM per chunk of
-    the occupied columns in ascending id order, each tap's results added
-    onto the cells it feeds. Taps falling off the map land on the border,
-    zeroed again afterwards."""
+    the occupied columns in ascending id order, on up to ``workers``
+    threads, and the calling thread adds each tap's results onto the cells
+    it feeds, chunk by chunk in ascending order. Taps falling off the map
+    land on the border, zeroed again afterwards."""
     h, w = m_l.height, m_l.width
     cout, cin, kh, kw = conv.kernel.shape
     cl, p, wide = m_l.channels, conv.padding, w + 2 * border
@@ -262,22 +227,26 @@ def _sparse_block(conv: Conv2dParams, m_l: BevColumns, enhanced: BevColumns,
     edges = list(range(0, len(cols), span)) + [len(cols)]
     lcut = np.searchsorted(lpos, edges).tolist()
     rcut = np.searchsorted(rpos, edges).tolist()
-    widest = min(span, len(cols))
-    widest += -widest % _COLUMN_BLOCK
-    block, res = np.empty(cin * widest), np.empty(len(kmat) * widest)
-    for j, (c0, c1) in enumerate(zip(edges, edges[1:])):
-        n = c1 - c0
-        padded = n + -n % _COLUMN_BLOCK
-        b = block[:cin * padded].reshape(cin, padded)
-        b.fill(0.0)
+
+    def gemm(j: int) -> np.ndarray:
+        """The (cout, kh * kw, padded) tap results of chunk ``j``."""
+        c0, c1 = edges[j], edges[j + 1]
+        b = np.zeros((cin, c1 - c0 + -(c1 - c0) % _COLUMN_BLOCK))
         la, lb, ra, rb = lcut[j], lcut[j + 1], rcut[j], rcut[j + 1]
         b[:cl, lpos[la:lb] - c0] = m_l.features[la:lb].T
         b[cl:, rpos[ra:rb] - c0] = enhanced.features[rsrc[ra:rb]].T
-        o = res[:len(kmat) * padded].reshape(len(kmat), padded)
-        np.matmul(kmat, b, out=o)
-        o = o.reshape(cout, kh * kw, padded)
+        return np.matmul(kmat, b).reshape(cout, kh * kw, -1)
+
+    widest = min(span, len(cols))
+    widest += -widest % _COLUMN_BLOCK
+    # Per worker: a running chunk's block and taps, the taps of a second
+    # chunk waiting to be taken, and a share of the taps the calling thread
+    # is adding (see parallel.ordered).
+    workers = _fit(workers, (cin + 3 * len(kmat)) * widest)
+    for j, o in enumerate(parallel.ordered(gemm, range(len(edges) - 1), workers)):
+        c0, c1 = edges[j], edges[j + 1]
         for t, shift in enumerate(shifts):
-            flat[home[:, c0:c1] + shift] += o[:, t, :n]
+            flat[home[:, c0:c1] + shift] += o[:, t, :c1 - c0]
     out[:, :border] = out[:, h + border:] = 0.0
     out[:, :, :border] = out[:, :, w + border:] = 0.0
     inner = out[:, border:border + h, border:border + w]
@@ -303,10 +272,12 @@ def r2l_forward(m_l: BevColumns, enhanced: BevColumns, encoder,
     rows; the calling thread takes those in tile order and sums the rows
     either side of each seam from the taps of both its tiles, so no row
     goes through a GEMM twice and no two threads write the same row. The
-    rest of the head runs on the narrow trunk output. Tiles run on a pool of
-    ``WORKERS`` threads (``workers`` overrides it, for tests), at most as
-    many at once as fit their scratch in ``_SCRATCH_FLOATS``; a one-tile
-    map runs inline. Every conv output is checked for non-finite values
+    rest of the head runs on the narrow trunk output. The first block's
+    chunk GEMMs, the second block's groups of whole bands and the tiles are
+    ``parallel.ordered`` maps on ``parallel.WORKERS`` threads (``workers``
+    overrides it), each at most as many items at once as fit their scratch
+    in ``_SCRATCH_FLOATS``; a one-tile map runs every step inline and never
+    starts the pool. Every conv output is checked for non-finite values
     before its rectifier, as in the whole-map chain. A first trunk conv
     that does not read the 512-channel map at stride 1 and keep its size
     raises ``ShapeError``. ``counts``, when given, receives
@@ -352,22 +323,37 @@ def r2l_forward(m_l: BevColumns, enhanced: BevColumns, encoder,
                          f"keep its size")
     enc0, enc1, enc2 = encoder
     p1, p2 = enc1.padding, enc2.padding
+    p = trunk0.padding
+    cut = tiles(h, max(TILE_ROWS, 2 * p))
+    # A one-tile map runs every step inline.
+    if len(cut) < 2:
+        workers = 1
+    elif workers is None:
+        workers = parallel.WORKERS
     border = max(enc0.padding, p1)
-    a0 = _sparse_block(enc0, m_l, enhanced, fh, fw, border, counts)
-    # The rectified second block, carrying the zero padding the last reads.
+    a0 = _sparse_block(enc0, m_l, enhanced, fh, fw, border, counts, workers)
+    # The rectified second block, carrying the zero padding the last reads,
+    # in items of whole bands of the twin's height, at least TILE_ROWS rows
+    # each, so every band GEMM is the twin's.
     a1 = np.zeros((enc1.kernel.shape[0], h + 2 * p2, w + 2 * p2))
     b = border - p1
-    for ya, yb, pre in _im2col_rows(enc1, a0[:, b:b + h + 2 * p1, b:b + w + 2 * p1],
-                                    0, h):
-        np.maximum(_finite(pre), 0.0, out=a1[:, p2 + ya:p2 + yb, p2:p2 + w])
-    del a0
+    src = a0[:, b:b + h + 2 * p1, b:b + w + 2 * p1]
+    band = _im2col_band(enc1, w)
+    step = band * -(-TILE_ROWS // band)
+
+    def block1(y0: int) -> None:
+        for ya, yb, pre in _im2col_rows(enc1, src, y0, min(h, y0 + step)):
+            np.maximum(_finite(pre), 0.0, out=a1[:, p2 + ya:p2 + yb, p2:p2 + w])
+
+    parallel.each(block1, range(0, h, step), _fit(workers, _im2col_floats(enc1, w)))
+    del a0, src
 
     feat = np.empty((trunk0.kernel.shape[0], h, w))
-    p = trunk0.padding
 
-    def block2_trunk0(y0: int, y1: int) -> tuple:
+    def block2_trunk0(tile: tuple) -> tuple:
         """Stores the trunk rows that the taps of input rows ``y0`` to ``y1``
         alone feed; returns the taps of their first and last 2p rows."""
+        y0, y1 = tile
         bands = (np.maximum(_finite(pre), 0.0, out=pre)
                  for _, _, pre in _im2col_rows(enc2, a1, y0, y1))
         taps = _tap_rows(trunk0, bands, y1 - y0, w)
@@ -377,13 +363,11 @@ def r2l_forward(m_l: BevColumns, enhanced: BevColumns, encoder,
         # Not ``-2 * p:``, which would take every row when p = 0.
         return taps[:, :, :, :2 * p].copy(), taps[:, :, :, y1 - y0 - 2 * p:].copy()
 
-    cut = tiles(h, max(TILE_ROWS, 2 * p))
     rows = max(y1 - y0 for y0, y1 in cut)
     tile_floats = _im2col_floats(enc2, w) + _tap_floats(trunk0, rows, w)
-    workers = min(WORKERS if workers is None else workers,
-                  max(2, _SCRATCH_FLOATS // tile_floats))
     # The 2p rows either side of a seam need the taps of both its tiles.
-    with closing(_each_tile(block2_trunk0, cut, workers)) as results:
+    results = parallel.ordered(block2_trunk0, cut, _fit(workers, tile_floats))
+    with closing(results):
         for (y0, _), (top, bottom) in zip(cut, results):
             if y0 > 0:
                 both = np.concatenate([upper, top], axis=3)
@@ -468,21 +452,16 @@ def decode_detections(h: HeadOutputs, grid: GridSpec, score_thresh: float,
     x = (grid.origin[0] + (ix + 0.5) * grid.cell[0]) + h.offset[0, iy, ix]
     y = (grid.origin[1] + (iy + 0.5) * grid.cell[1]) + h.offset[1, iy, ix]
     keep = np.lexsort((x, y, cls, -score))[:max_detections]
-    rows = []
-    for k in keep.tolist():
-        c, i, j = int(cls[k]), int(iy[k]), int(ix[k])
-        rows.append(DetectionBox(
-            x=float(x[k]), y=float(y[k]),
-            z=float(h.z[0, i, j]),
-            length=float(np.exp(h.size[0, i, j])),
-            width=float(np.exp(h.size[1, i, j])),
-            height=float(np.exp(h.size[2, i, j])),
-            yaw=wrap_angle(math.atan2(float(h.rot[0, i, j]), float(h.rot[1, i, j]))),
-            vx=float(h.vel[0, i, j]),
-            vy=float(h.vel[1, i, j]),
-            class_id=c,
-            score=float(score[k])))
-    return rows
+    i, j = iy[keep], ix[keep]
+    rows = np.stack([x[keep], y[keep], h.z[0, i, j], np.exp(h.size[0, i, j]),
+                     np.exp(h.size[1, i, j]), np.exp(h.size[2, i, j]),
+                     h.rot[0, i, j], h.rot[1, i, j], h.vel[0, i, j],
+                     h.vel[1, i, j], score[keep]], axis=1).tolist()
+    return [DetectionBox(x=bx, y=by, z=bz, length=bl, width=bw, height=bh,
+                         yaw=wrap_angle(math.atan2(sin, cos)), vx=vx, vy=vy,
+                         class_id=c, score=sc)
+            for (bx, by, bz, bl, bw, bh, sin, cos, vx, vy, sc), c
+            in zip(rows, cls[keep].tolist())]
 
 
 @dataclass

@@ -70,7 +70,7 @@ def _pin_blas() -> bool:
     With one thread, a BLAS call's arithmetic cannot depend on how many
     threads the library would split it across, and BLAS's own threads do
     not compete for the cores with the worker threads of
-    ``heads.r2l_forward``. threadpoolctl is used when installed; otherwise
+    ``lrbev.parallel``. threadpoolctl is used when installed; otherwise
     the OpenBLAS that numpy loaded is pinned directly."""
     try:
         import threadpoolctl
@@ -81,8 +81,8 @@ def _pin_blas() -> bool:
     return bool(blas) and all(i["num_threads"] == 1 for i in blas)
 
 
-# Whether BLAS runs one thread per call; heads.r2l_forward uses a single
-# worker when it does not.
+# Whether BLAS runs one thread per call; every stage runs on a single
+# thread when it does not (parallel.WORKERS).
 BLAS_PINNED = _pin_blas()
 
 Array = np.ndarray
@@ -242,10 +242,15 @@ def mlp_forward_batch(xs: Array, p: MlpParams) -> Array:
     a = np.asarray(xs, dtype=np.float64)
     if a.ndim != 2 or a.shape[1] != p.in_dim:
         raise ShapeError(f"MLP batch input has shape {a.shape}, expected (n, {p.in_dim})")
-    for w, b in p.layers[:-1]:
-        a = relu(a @ w.T + b)
-    w, b = p.layers[-1]
-    return a @ w.T + b
+    # Each layer's GEMM, bias and rectifier write into one array: the
+    # operations of ``relu(a @ w.T + b)``, so the same bits.
+    last = len(p.layers) - 1
+    for k, (w, b) in enumerate(p.layers):
+        a = np.matmul(a, w.T)
+        a += b
+        if k < last:
+            np.maximum(a, 0.0, out=a)
+    return a
 
 
 def mlp_backward(x, p: MlpParams, grad_out: Array):

@@ -975,6 +975,27 @@ def check_worker_count(seeds: int, fault=None) -> PropertyResult:
     return PropertyResult("heads.worker-oracle", not failures, seeds, failures)
 
 
+def check_pipeline_workers(seeds: int, fault=None) -> PropertyResult:
+    """Whole desk ``run_pipeline`` frames on 1, 2 and 3 worker threads give
+    the same detections, stats, heatmap and LiDAR and enhanced columns,
+    byte for byte."""
+    failures = []
+    cfg = desk_config()
+    for s in range(min(seeds, 2)):
+        _, lidar, radar = generate_clouds(cfg, s)
+        outs = set()
+        for k in (1, 2, 3):
+            r = run_pipeline(cfg, lidar, radar, workers=k)
+            outs.add((detections_to_jsonl(r.detections), repr(r.stats),
+                      r.maps["heatmap"].data.tobytes(),
+                      r.maps["m_l"].features.tobytes(),
+                      r.maps["enhanced"].features.tobytes()))
+        if len(outs) != 1:
+            failures.append(f"seed {s}: a desk frame depends on the worker count")
+    return PropertyResult("pipeline.worker-oracle", not failures,
+                          min(seeds, 2), failures)
+
+
 def check_decode_roundtrip(seeds: int, fault=None) -> PropertyResult:
     failures = []
     grid = desk_config().lidar_grid
@@ -1187,6 +1208,7 @@ PROPERTIES = {
     "nn.grad-mlp": check_grad_mlp,
     "nn.max-permutation": check_max_permutation,
     "pipeline.determinism": check_pipeline_determinism,
+    "pipeline.worker-oracle": check_pipeline_workers,
     "scene.accumulate": check_accumulate,
     "scene.determinism": check_scene_determinism,
     "scene.doppler": check_doppler,

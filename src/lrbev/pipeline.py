@@ -3,12 +3,16 @@
 ``run_pipeline`` executes the fixed stage order (scene-io -> grid encoding ->
 LiDAR-to-Radar fusion -> Radar-to-LiDAR fusion and head) on a pair of clouds,
 asserting the channel contract and sparsity bookkeeping at every boundary.
+Its stages share the worker threads of ``lrbev.parallel``: the LiDAR
+z-stack collapse runs beside the radar stream through L2R fusion, and the
+GEMM blocks, gather chunks, bands and tiles of the stages are maps on the
+same threads; a frame one R2L tile high runs inline (see ``run_pipeline``).
 Weights are either drawn from a seeded generator or the hand-set occupancy
 probe used for smoke testing.
 """
 from __future__ import annotations
 
-import json
+import math
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -19,14 +23,16 @@ from .cloud import DTYPE_BY_KIND, accumulate_sweeps
 from .cloudio import parse_json
 from .config import PipelineConfig
 from .errors import PipelineError
-from .grids import (LIDAR_POINT_FEATURES, RADAR_CHANNELS, collapse_to_bev_grids,
-                    pillarize, voxel_encode, voxelize, zstack_collapse)
+from . import parallel
+from .grids import (LIDAR_POINT_FEATURES, RADAR_CHANNELS, BevColumns,
+                    collapse_to_bev_grids, pillarize, voxel_encode, voxelize,
+                    zstack_collapse)
 # fuse_bev_maps -> bev_encoder -> detect_forward is the whole-map twin of
 # r2l_forward, on the same conv kernels; run_pipeline itself never calls it.
 # All three stay names of this module for code that wraps them.
 from .heads import (ENCODER_CHANNELS, DetectionBox, HeadParams, bev_encoder,
                     decode_detections, detect_forward, fuse_bev_maps,
-                    r2l_forward)
+                    r2l_forward, tiles)
 from .l2r import (ENHANCED_CHANNELS, POINT_QUERY_FEATURES, BevFusionConfig,
                   HeightFusionConfig, compute_cell_features, enhance_radar_map,
                   num_height_segments)
@@ -242,13 +248,28 @@ def generate_clouds(cfg: PipelineConfig, seed: int):
 
 
 def run_pipeline(cfg: PipelineConfig, lidar: np.ndarray, radar: np.ndarray,
-                 weights: PipelineWeights | None = None) -> PipelineResult:
+                 weights: PipelineWeights | None = None, *,
+                 workers: int | None = None) -> PipelineResult:
     """Clouds in, detections plus per-stage statistics out.
 
-    Deterministic in (config, clouds, weights). Every config keeps the
-    channel contract, since its widths are constants: radar 32 -> enhanced
-    96 -> fused lidar_channels + 96 -> encoded 512. It and the sparsity
-    bookkeeping are asserted on every run.
+    Deterministic in (config, clouds, weights), whatever the number of
+    worker threads. Every config keeps the channel contract, since its
+    widths are constants: radar 32 -> enhanced 96 -> fused lidar_channels +
+    96 -> encoded 512. It and the sparsity bookkeeping are asserted on
+    every run.
+
+    Threads: the stages share the ``parallel.WORKERS`` threads
+    (``workers`` overrides it, for tests), the calling thread among them.
+    ``voxel_encode`` runs its GEMM blocks on them. Then the two sibling
+    streams run side by side: ``zstack_collapse``, its blocks a nested map,
+    as one task, and ``pillarize`` -> ``collapse_to_bev_grids`` ->
+    ``compute_cell_features`` -> ``enhance_radar_map`` as the other.
+    ``r2l_forward`` runs its gather chunks, second-block bands and row
+    tiles on them. A frame whose LiDAR map is one R2L tile high (all of
+    tiny) runs every stage inline and never starts the pool: handing so
+    small a frame's work to threads costs more than it saves. A failure
+    names its stage; when both streams fail, the LiDAR stream's error, the
+    first in program order, is raised, as a one-worker run raises it.
     """
     cfg.validate()
     radar_grid = cfg.radar_grid
@@ -256,19 +277,50 @@ def run_pipeline(cfg: PipelineConfig, lidar: np.ndarray, radar: np.ndarray,
         weights = random_weights(cfg, cfg.seeds.weights)
     stats: dict = {"scene_io": {"lidar_points": int(len(lidar)),
                                 "radar_points": int(len(radar))}}
-    stage = "grid-encoding"
-    with _stage(stage):
+    if len(tiles(cfg.lidar_grid.ny)) < 2:
+        workers = 1
+    elif workers is None:
+        workers = parallel.WORKERS
+    with _stage("grid-encoding"):
         voxels = voxelize(lidar, cfg.lidar_grid, cfg.max_points_per_voxel)
-        voxel_encode(voxels, weights.voxel_mlp)
-        m_l = zstack_collapse(voxels, weights.zstack_mlp)
-        pillars = pillarize(radar, radar_grid, weights.pillar_mlp)
-        m_r = pillars.map
-        lidar_grids = collapse_to_bev_grids(voxels, cfg.radar_cell)
-    _require(m_r.channels == RADAR_CHANNELS, stage, f"radar map has {m_r.channels} "
-             f"channels, the contract fixes {RADAR_CHANNELS}")
-    _require(m_l.shape == (cfg.channels.lidar_channels, cfg.lidar_grid.ny,
-                           cfg.lidar_grid.nx), stage,
-             f"LiDAR map shape {m_l.shape} violates the configured grid")
+        voxel_encode(voxels, weights.voxel_mlp, workers)
+
+    # The sibling streams: the z-stack collapse, which only R2L reads, runs
+    # beside the radar stream through L2R fusion.
+    def lidar_stream() -> BevColumns:
+        with _stage("grid-encoding"):
+            m_l = zstack_collapse(voxels, weights.zstack_mlp, workers)
+        _require(m_l.shape == (cfg.channels.lidar_channels, cfg.lidar_grid.ny,
+                               cfg.lidar_grid.nx), "grid-encoding",
+                 f"LiDAR map shape {m_l.shape} violates the configured grid")
+        return m_l
+
+    def radar_stream() -> tuple:
+        stage = "grid-encoding"
+        with _stage(stage):
+            pillars = pillarize(radar, radar_grid, weights.pillar_mlp)
+            lidar_grids = collapse_to_bev_grids(voxels, cfg.radar_cell)
+        _require(pillars.map.channels == RADAR_CHANNELS, stage,
+                 f"radar map has {pillars.map.channels} channels, the contract "
+                 f"fixes {RADAR_CHANNELS}")
+        stage = "l2r-fusion"
+        with _stage(stage):
+            cfg_h = height_fusion_config(cfg, weights)
+            cfg_b = bev_fusion_config(cfg, weights)
+            features, fstats = compute_cell_features(pillars.occupied, cfg_h, cfg_b,
+                                                     lidar, lidar_grids, radar_grid)
+            # Checks one feature row per pillar and the 96-channel contract.
+            enhanced = enhance_radar_map(pillars.map, pillars.occupied, features)
+        return pillars, lidar_grids, features, fstats, enhanced
+
+    m_l, (pillars, lidar_grids, features, fstats, enhanced) = parallel.each(
+        lambda stream: stream(), (lidar_stream, radar_stream), workers)
+    m_r = pillars.map
+    stage = "l2r-fusion"
+    nonzero_cells = int(np.count_nonzero(enhanced.features.any(axis=1)))
+    _require(nonzero_cells == len(pillars.occupied), stage,
+             f"{nonzero_cells} non-zero enhanced cells for "
+             f"{len(pillars.occupied)} non-empty pillars")
     stats["grid_encoding"] = {
         "occupied_voxels": len(voxels.occupied),
         "lidar_columns": len(m_l.ids),
@@ -281,19 +333,6 @@ def run_pipeline(cfg: PipelineConfig, lidar: np.ndarray, radar: np.ndarray,
         "mr_shape": list(m_r.shape),
         "coarse_lidar_cells": len(lidar_grids),
     }
-
-    stage = "l2r-fusion"
-    with _stage(stage):
-        cfg_h = height_fusion_config(cfg, weights)
-        cfg_b = bev_fusion_config(cfg, weights)
-        features, fstats = compute_cell_features(pillars.occupied, cfg_h, cfg_b,
-                                                 lidar, lidar_grids, radar_grid)
-        # Checks one feature row per pillar and the 96-channel contract.
-        enhanced = enhance_radar_map(m_r, pillars.occupied, features)
-    nonzero_cells = int(np.count_nonzero(enhanced.features.any(axis=1)))
-    _require(nonzero_cells == len(pillars.occupied), stage,
-             f"{nonzero_cells} non-zero enhanced cells for "
-             f"{len(pillars.occupied)} non-empty pillars")
     stats["l2r_fusion"] = {
         "pseudo_features": len(features),
         "enhanced_shape": list(enhanced.shape),
@@ -308,7 +347,7 @@ def run_pipeline(cfg: PipelineConfig, lidar: np.ndarray, radar: np.ndarray,
     with _stage(stage):
         r2l_counts: dict = {}
         outputs = r2l_forward(m_l, enhanced, weights.encoder, weights.head,
-                              counts=r2l_counts)
+                              workers=workers, counts=r2l_counts)
         detections = decode_detections(outputs, cfg.lidar_grid,
                                        cfg.head.score_thresh,
                                        cfg.head.max_detections)
@@ -339,9 +378,25 @@ def zstack_collapse_safe(voxels, zstack_mlp, cfg: PipelineConfig):
     return zstack_collapse(voxels, zstack_mlp)
 
 
+def _json_float(v: float) -> str:
+    """``v`` as ``json.dumps`` writes a float."""
+    if v != v:
+        return "NaN"
+    if v in (math.inf, -math.inf):
+        return "Infinity" if v > 0 else "-Infinity"
+    return float.__repr__(v)
+
+
 def detections_to_jsonl(detections) -> str:
-    return "".join(json.dumps(d.to_dict(), sort_keys=True) + "\n"
-                   for d in detections)
+    """One ``json.dumps(d.to_dict(), sort_keys=True)`` line per detection,
+    formatted directly."""
+    f = _json_float
+    return "".join(
+        f'{{"class_id": {d.class_id}, "height": {f(d.height)}, '
+        f'"length": {f(d.length)}, "score": {f(d.score)}, "vx": {f(d.vx)}, '
+        f'"vy": {f(d.vy)}, "width": {f(d.width)}, "x": {f(d.x)}, '
+        f'"y": {f(d.y)}, "yaw": {f(d.yaw)}, "z": {f(d.z)}}}\n'
+        for d in detections)
 
 
 def read_detections_jsonl(path) -> list:

@@ -10,6 +10,7 @@ from lrbev.cloud import make_cloud
 from lrbev.cloudio import (read_cloud, read_feature_map, read_raw_lidar,
                            write_cloud, write_feature_map)
 from lrbev.errors import FormatError
+from lrbev.grids import BevColumns
 from lrbev.nn import FeatureMap
 from lrbev.synth import SceneSpec, generate_scene, lidar_sample
 
@@ -162,6 +163,23 @@ class TestFeatureMapDump:
             tracemalloc.stop()
         assert peak < 1 << 20
         assert np.array_equal(read_feature_map(path).data, m.data.astype(np.float32))
+
+    def test_columns_written_plane_by_plane(self, tmp_path):
+        """A ``BevColumns`` map is written from its columns, one plane at a
+        time, never as its dense map; the bytes are the dense map's."""
+        rng = np.random.default_rng(2)
+        ids = np.sort(rng.choice(128 * 128, 700, replace=False))
+        m = BevColumns(ids, rng.normal(size=(700, 64)), (64, 128, 128))
+        path, dense = tmp_path / "columns.blrm", tmp_path / "dense.blrm"
+        tracemalloc.start()
+        try:
+            write_feature_map(m, path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20      # the dense map is 8 MB
+        write_feature_map(m.dense(), dense)
+        assert path.read_bytes() == dense.read_bytes()
 
     def test_magic_and_truncation(self, tmp_path):
         path = tmp_path / "map.blrm"

@@ -19,7 +19,7 @@ REQUIRED = [
     "l2r.segment-heights",
     "nn.conv-identity", "nn.conv-oracle", "nn.grad-conv", "nn.grad-max",
     "nn.grad-mlp", "nn.max-permutation",
-    "pipeline.determinism",
+    "pipeline.determinism", "pipeline.worker-oracle",
     "scene.accumulate", "scene.determinism", "scene.doppler",
 ]
 

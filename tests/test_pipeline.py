@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -61,6 +62,31 @@ def test_same_inputs_byte_identical_detections(tiny_run):
     assert detections_to_jsonl(result.detections) == \
         detections_to_jsonl(again.detections)
     assert result.stats == again.stats
+
+
+def test_jsonl_lines_are_the_json_dumps_lines():
+    """Each line is ``json.dumps(d.to_dict(), sort_keys=True)``, non-finite
+    values included: a size logit whose ``exp`` overflows decodes to an
+    infinite length, written ``Infinity``."""
+    grid = tiny_config().lidar_grid
+    h, w = grid.ny, grid.nx
+    logits = np.full((2, h, w), -8.0)
+    logits[0, 7, 5] = logits[1, 2, 3] = 8.0
+    maps = {name: np.zeros((c, h, w))
+            for name, c in (("offset", 2), ("z", 1), ("size", 3), ("rot", 2), ("vel", 2))}
+    maps["size"][:, 7, 5] = (1000.0, -1000.0, 0.5)
+    maps["rot"][:, 2, 3] = (-0.0, -1.0)
+    maps["vel"][:, 2, 3] = (1e-300, -123456789.125)
+    out = heads.HeadOutputs(heatmap=1.0 / (1.0 + np.exp(-logits)),
+                            heatmap_logits=logits, **maps)
+    with np.errstate(over="ignore"):
+        dets = heads.decode_detections(out, grid, 0.5, 10)
+    dets.append(dataclasses.replace(dets[0], x=float("nan"), y=-np.inf, z=-0.0,
+                                    score=np.float64(0.1)))
+    text = detections_to_jsonl(dets)
+    assert text == "".join(json.dumps(d.to_dict(), sort_keys=True) + "\n" for d in dets)
+    assert '"length": Infinity' in text and '"x": NaN' in text
+    assert detections_to_jsonl([]) == ""
 
 
 def test_generate_clouds_deterministic():

@@ -11,7 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
-from lrbev import heads, nn
+from lrbev import heads, nn, parallel
 from lrbev.config import desk_config
 from lrbev.errors import EvaluationError
 from lrbev.grids import voxel_encode, voxelize, zstack_collapse
@@ -102,12 +102,12 @@ def test_one_tile_never_touches_the_pool(monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("a one-tile map started a pool")
 
-    monkeypatch.setattr(heads, "_POOLS", {})
-    monkeypatch.setattr(heads, "ThreadPoolExecutor", no_pool)
+    monkeypatch.setattr(parallel, "_POOLS", {})
+    monkeypatch.setattr(parallel, "ThreadPoolExecutor", no_pool)
     rng = np.random.default_rng(50)
     m_l, enhanced = _inputs(rng, 2 * TILE_ROWS - 1, 16)
     r2l_forward(m_l, enhanced, *_weights(rng), workers=4)
-    assert heads._POOLS == {}
+    assert parallel._POOLS == {}
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
@@ -202,7 +202,7 @@ def test_desk_pipeline_same_bytes_on_one_worker(monkeypatch):
         _, lidar, radar = generate_clouds(cfg, scene)
         pooled = run_pipeline(cfg, lidar, radar)
         with monkeypatch.context() as m:
-            m.setattr(heads, "WORKERS", 1)
+            m.setattr(parallel, "WORKERS", 1)
             serial = run_pipeline(cfg, lidar, radar)
         assert json.dumps(pooled.stats, sort_keys=True) == \
             json.dumps(serial.stats, sort_keys=True)
