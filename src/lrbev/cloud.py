@@ -34,10 +34,6 @@ def cloud_kind(cloud: np.ndarray) -> str:
         raise ValueError(f"not a known cloud dtype: {cloud.dtype}") from None
 
 
-def empty_cloud(kind: str) -> np.ndarray:
-    return np.empty(0, dtype=DTYPE_BY_KIND[kind])
-
-
 def make_cloud(kind: str, columns: dict) -> np.ndarray:
     """Build a cloud from per-field sequences (missing fields are zero)."""
     dtype = DTYPE_BY_KIND[kind]

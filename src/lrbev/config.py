@@ -124,10 +124,6 @@ class PipelineConfig:
         return self.lidar_grid.cell[2] * self.lidar_grid.nz
 
     @property
-    def grid_ratio(self) -> int:
-        return round(self.radar_cell / self.lidar_grid.cell[0])
-
-    @property
     def extent(self) -> float:
         return -self.lidar_grid.origin[0]
 

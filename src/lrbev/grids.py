@@ -16,7 +16,10 @@ voxel keys run in row-major column order, z fastest. Each MLP stage runs as
 a few batched forwards over blocks of whole segments, max-pooled per
 segment with ``np.maximum.reduceat``; no map is built dense. The blocks
 are cut from the offsets alone and write disjoint rows, so they run on up
-to ``workers`` threads (``parallel.each``) with the same bits.
+to ``workers`` threads (``parallel.each``) with the same bits. A row's bits
+do not depend on its place in a batch (``nn.mlp_forward_batch`` pads to
+whole BLAS blocks), so members stay in input order and a shuffle that
+truncates nothing leaves every segment's max unchanged.
 """
 from __future__ import annotations
 
@@ -125,44 +128,22 @@ def _group(points: np.ndarray, z: np.ndarray, spec: GridSpec, limit: int):
 
     Returns (ids, offsets, members, dropped, truncated): cell k, of id
     ids[k], owns the kept point indices members[offsets[k]:offsets[k+1]],
-    ordered by record content; ``dropped`` counts the points outside the
-    grid and ``truncated`` those beyond the limit.
+    in input order; ``dropped`` counts the points outside the grid and
+    ``truncated`` those beyond the limit.
     """
     inside, idx = spec.cell_index(np.stack([points["x"], points["y"], z], axis=1))
     ix, iy, iz = idx.T
     lin = (iy * spec.nx + ix) * spec.nz + iz
     order = np.argsort(lin, kind="stable")
-    ids, starts, counts = np.unique(lin[order], return_index=True,
-                                    return_counts=True)
+    lin = lin[order]
+    starts = np.flatnonzero(np.diff(lin, prepend=-1))     # ids are >= 0
+    ids, counts = lin[starts], np.diff(starts, append=len(lin))
     rank = np.arange(len(order)) - np.repeat(starts, counts)
     keep = rank < limit
     offsets = np.zeros(len(ids) + 1, dtype=np.int64)
     np.cumsum(np.minimum(counts, limit), out=offsets[1:])
-    members = _content_order(points, inside[order[keep]], offsets)
-    return (ids, offsets, members, int(len(points) - len(inside)),
+    return (ids, offsets, inside[order[keep]], int(len(points) - len(inside)),
             int(len(order) - keep.sum()))
-
-
-def _content_order(points: np.ndarray, members: np.ndarray,
-                   offsets: np.ndarray) -> np.ndarray:
-    """``members`` reordered inside each segment by record content (fields
-    compared in declared order), so a segment's rows depend on the point
-    multiset alone."""
-    seg = np.repeat(np.arange(len(offsets) - 1), np.diff(offsets))
-    recs = points[members]
-    first = recs[points.dtype.names[0]]
-    order = np.lexsort((first, seg))
-    # Rows tied on (segment, first field) are rare: reorder just those runs
-    # by the whole record. Runs keep their places, since the sort below
-    # keeps (segment, first field) as its leading keys.
-    s, f = seg[order], first[order]
-    tied = np.flatnonzero((s[1:] == s[:-1]) & (f[1:] == f[:-1]))
-    if len(tied):
-        pos = np.union1d(tied, tied + 1)
-        sub = order[pos]
-        keys = [recs[name][sub] for name in reversed(points.dtype.names)]
-        order[pos] = sub[np.lexsort(keys + [seg[sub]])]
-    return members[order]
 
 
 @dataclass
@@ -172,7 +153,7 @@ class VoxelSet:
     ``occupied`` holds the V voxel keys (ix, iy, iz) in ascending cell id
     ``(iy * nx + ix) * nz + iz``: row-major column order, z fastest.
     Voxel v owns the kept point indices members[offsets[v]:offsets[v+1]],
-    ordered by record content, and row v of ``features`` once encoded
+    in input order, and row v of ``features`` once encoded
     (``features`` has zero columns until then).
     """
 
@@ -319,7 +300,7 @@ def zstack_collapse(vs: VoxelSet, p: MlpParams, workers: int = 1) -> BevColumns:
 class PillarMap:
     """Radar pillars as sorted segments, like ``VoxelSet``: pillar k, column
     ``map.ids[k]`` of the radar map, owns the kept return indices
-    members[offsets[k]:offsets[k+1]], ordered by record content."""
+    members[offsets[k]:offsets[k+1]], in input order."""
 
     map: BevColumns
     offsets: np.ndarray

@@ -37,9 +37,9 @@ import numpy as np
 from . import parallel
 from .errors import ShapeError
 from .grids import BevColumns, GridSpec
-from .nn import (Conv2dParams, FeatureMap, _conv2d_raw, _finite,
-                 _im2col_band, _im2col_rows, _sum_taps, _tap_rows, band_rows,
-                 conv2d_forward, relu, sigmoid)
+from .nn import (BLAS_BLOCK, Conv2dParams, FeatureMap, _conv2d_raw,
+                 _finite, _im2col_band, _im2col_rows, _sum_taps, _tap_rows,
+                 band_rows, conv2d_forward, relu, sigmoid)
 from .synth import wrap_angle
 
 ENCODER_CHANNELS = 512
@@ -175,12 +175,6 @@ def _im2col_floats(conv: Conv2dParams, width: int) -> int:
     return (cin * kh * kw + cout) * _im2col_band(conv, width) * width
 
 
-# BLAS computes a GEMM column alike wherever it sits, except in the last,
-# partial block of the GEMM's columns; gathered column blocks are padded
-# with zero columns to a multiple of this width.
-_COLUMN_BLOCK = 8
-
-
 def _gather_plan(m_l: BevColumns, enhanced: BevColumns, fh: int, fw: int) -> tuple:
     """The occupied fused columns, from ``m_l`` and the radar columns
     ``enhanced`` replicated ``fh`` x ``fw`` times: their ascending row-major
@@ -193,8 +187,9 @@ def _gather_plan(m_l: BevColumns, enhanced: BevColumns, fh: int, fw: int) -> tup
     order = np.argsort(rid)
     rid, rsrc = rid[order], order // (fh * fw)
     # The sorted union of the ids, spelled out: np.union1d imports numpy.ma
-    # (~1.5 MB of resident memory) on first use.
-    cols = np.sort(np.concatenate([m_l.ids, rid]))
+    # (~1.5 MB of resident memory) on first use. Both lists ascend, so the
+    # stable sort (timsort) merges two runs.
+    cols = np.sort(np.concatenate([m_l.ids, rid]), kind="stable")
     cols = cols[np.diff(cols, prepend=-1) != 0]     # ids are >= 0
     return cols, np.searchsorted(cols, m_l.ids), np.searchsorted(cols, rid), rsrc
 
@@ -223,7 +218,7 @@ def _sparse_block(conv: Conv2dParams, m_l: BevColumns, enhanced: BevColumns,
     home = np.arange(cout)[:, None] * out[0].size + (iy + border) * wide + ix + border
     shifts = [(p - ky) * wide + p - kx for ky in range(kh) for kx in range(kw)]
     kmat = conv.kernel.transpose(0, 2, 3, 1).reshape(-1, cin)
-    span = _COLUMN_BLOCK * band_rows(cin, _COLUMN_BLOCK)
+    span = BLAS_BLOCK * band_rows(cin, BLAS_BLOCK)
     edges = list(range(0, len(cols), span)) + [len(cols)]
     lcut = np.searchsorted(lpos, edges).tolist()
     rcut = np.searchsorted(rpos, edges).tolist()
@@ -231,14 +226,14 @@ def _sparse_block(conv: Conv2dParams, m_l: BevColumns, enhanced: BevColumns,
     def gemm(j: int) -> np.ndarray:
         """The (cout, kh * kw, padded) tap results of chunk ``j``."""
         c0, c1 = edges[j], edges[j + 1]
-        b = np.zeros((cin, c1 - c0 + -(c1 - c0) % _COLUMN_BLOCK))
+        b = np.zeros((cin, c1 - c0 + -(c1 - c0) % BLAS_BLOCK))
         la, lb, ra, rb = lcut[j], lcut[j + 1], rcut[j], rcut[j + 1]
         b[:cl, lpos[la:lb] - c0] = m_l.features[la:lb].T
         b[cl:, rpos[ra:rb] - c0] = enhanced.features[rsrc[ra:rb]].T
         return np.matmul(kmat, b).reshape(cout, kh * kw, -1)
 
     widest = min(span, len(cols))
-    widest += -widest % _COLUMN_BLOCK
+    widest += -widest % BLAS_BLOCK
     # Per worker: a running chunk's block and taps, the taps of a second
     # chunk waiting to be taken, and a share of the taps the calling thread
     # is adding (see parallel.ordered).
@@ -289,8 +284,9 @@ def r2l_forward(m_l: BevColumns, enhanced: BevColumns, encoder,
     whichever thread runs it, so the output does not depend on the worker
     count. The whole-map chain runs the same kernels. BLAS computes a GEMM
     column alike wherever it sits, except in the last, partial block of the
-    GEMM's columns (8 wide on OpenBLAS Haswell kernels), so gathered chunks
-    are padded with zero columns to a multiple of ``_COLUMN_BLOCK``;
+    GEMM's columns (8 wide under the OpenBLAS SkylakeX kernel, where it was
+    measured), so gathered chunks are padded with zero columns to a
+    multiple of ``BLAS_BLOCK``;
     without it, taps of a chunk's last 1 to 4 columns differ from the whole
     map's in the last bits (OpenBLAS 0.3.31, AVX-512 Xeon). For any output
     cell, the input column behind tap (ky, kx) has a row-major id that

@@ -231,17 +231,30 @@ def mlp_forward(x, p: MlpParams) -> Array:
     return w @ a + b
 
 
+# BLAS computes a GEMM row or column alike wherever it sits, except in the
+# last, partial block of the GEMM's rows or columns. GEMM operands padded
+# with zeros to a multiple of this many rows (MLP batches) or columns
+# (``heads._sparse_block``'s gathered columns) give each one the same bits
+# wherever it sits in the operand.
+BLAS_BLOCK = 8
+
+
 def mlp_forward_batch(xs: Array, p: MlpParams) -> Array:
     """Row-wise forward for an (n, in_dim) batch.
 
-    Not bit-identical to per-row ``mlp_forward``: BLAS may block and order a
-    GEMM's reductions differently from a matrix-vector product, and a row's
-    last bits may depend on its position in the batch. What holds is that
-    the result is a pure function of the input array (values and shape), so
-    identical batches give identical bits."""
+    A batch of more than one row runs padded with zero rows to a multiple
+    of ``BLAS_BLOCK``, so a row's bits do not depend on its place in the
+    batch: permuting the rows permutes the output rows, bit for bit (checked
+    under the OpenBLAS SkylakeX, Haswell, Sandybridge, Prescott and Nehalem
+    kernels by ``tests/test_blas_kernels.py``). Not bit-identical to per-row
+    ``mlp_forward``: BLAS may block and order a GEMM's reductions
+    differently from a matrix-vector product."""
     a = np.asarray(xs, dtype=np.float64)
     if a.ndim != 2 or a.shape[1] != p.in_dim:
         raise ShapeError(f"MLP batch input has shape {a.shape}, expected (n, {p.in_dim})")
+    n = len(a)
+    if n > 1 and n % BLAS_BLOCK:
+        a = np.concatenate([a, np.zeros((-n % BLAS_BLOCK, a.shape[1]))])
     # Each layer's GEMM, bias and rectifier write into one array: the
     # operations of ``relu(a @ w.T + b)``, so the same bits.
     last = len(p.layers) - 1
@@ -250,7 +263,7 @@ def mlp_forward_batch(xs: Array, p: MlpParams) -> Array:
         a += b
         if k < last:
             np.maximum(a, 0.0, out=a)
-    return a
+    return a[:n]
 
 
 def mlp_backward(x, p: MlpParams, grad_out: Array):

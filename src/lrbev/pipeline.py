@@ -343,8 +343,7 @@ def run_pipeline(cfg: PipelineConfig, lidar: np.ndarray, radar: np.ndarray,
         "capped_bev_groups": fstats["capped_bev_groups"],
     }
 
-    stage = "r2l-fusion-head"
-    with _stage(stage):
+    with _stage("r2l-fusion-head"):
         r2l_counts: dict = {}
         outputs = r2l_forward(m_l, enhanced, weights.encoder, weights.head,
                               workers=workers, counts=r2l_counts)
@@ -355,12 +354,6 @@ def run_pipeline(cfg: PipelineConfig, lidar: np.ndarray, radar: np.ndarray,
     # their shapes follow from the inputs and the encoder weights.
     fused_shape = [m_l.channels + enhanced.channels, m_l.height, m_l.width]
     encoded_shape = [weights.encoder[-1].kernel.shape[0], m_l.height, m_l.width]
-    fused_channels = cfg.channels.lidar_channels + ENHANCED_CHANNELS
-    _require(fused_shape[0] == fused_channels, stage,
-             f"fused map has {fused_shape[0]} channels, expected {fused_channels}")
-    _require(encoded_shape[0] == ENCODER_CHANNELS, stage,
-             f"encoder output has {encoded_shape[0]} channels, "
-             f"expected {ENCODER_CHANNELS}")
     stats["r2l_fusion_head"] = {
         "fused_shape": fused_shape,
         "encoded_shape": encoded_shape,

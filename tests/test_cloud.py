@@ -5,8 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from lrbev.cloud import (Pose, accumulate_sweeps, empty_cloud, make_cloud,
-                         radar_xyz)
+from lrbev.cloud import Pose, accumulate_sweeps, make_cloud, radar_xyz
 
 
 def _lidar(n, seed=0):
@@ -65,8 +64,3 @@ def test_radar_xyz_uses_sensor_height_exactly():
     xyz = radar_xyz(cloud, sensor_height=0.5)
     assert np.array_equal(xyz[:, 2], [0.5, 0.5])
     assert "z" not in cloud.dtype.names
-
-
-def test_empty_cloud_kinds():
-    for kind in ("lidar", "radar_a", "radar_b"):
-        assert len(empty_cloud(kind)) == 0

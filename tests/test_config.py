@@ -21,14 +21,14 @@ def test_full_scale_radar_grid_is_180x180():
     assert cfg.radar_grid.counts[:2] == (180, 180)
     assert cfg.radar_grid.cell == (0.6, 0.6, 8.0)
     assert cfg.lidar_grid.cell == (0.075, 0.075, 0.2)
-    assert cfg.grid_ratio == 8
+    assert cfg.lidar_grid.counts[:2] == tuple(8 * n for n in cfg.radar_grid.counts[:2])
     assert cfg.lidar_sweeps == 10 and cfg.radar_sweeps == 6
 
 
 def test_desk_scale_geometry():
     cfg = desk_config()
     assert cfg.extent == 16.0
-    assert cfg.grid_ratio == 4
+    assert cfg.lidar_grid.counts[:2] == tuple(4 * n for n in cfg.radar_grid.counts[:2])
     assert cfg.pillar_height == 8.0 and cfg.z_min == -5.0
 
 
@@ -171,7 +171,8 @@ def test_radar_grid_derived_from_radar_cell():
     cfg.validate()
     assert cfg.radar_grid == GridSpec(origin=g.origin, cell=(1.0, 1.0, 8.0),
                                       counts=(32, 32, 1))
-    assert cfg.radar_cell_size == 1.0 and cfg.grid_ratio == 4
+    assert cfg.radar_cell_size == 1.0
+    assert cfg.radar_grid.cell[0] == 4 * g.cell[0]
 
 
 @pytest.mark.parametrize("factory", [desk_config, paper_config, tiny_config])

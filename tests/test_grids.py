@@ -129,18 +129,6 @@ class TestVoxelEncode:
             assert np.array_equal(vs.occupied, base.occupied)
             assert np.array_equal(vs.features, base.features)
 
-    def test_members_ordered_by_record_content(self):
-        # Points in one voxel tie on x (and some on y) but differ elsewhere.
-        rng = np.random.default_rng(17)
-        pts = np.array([[0.1, 0.2, 0.3], [0.1, 0.2, 0.1], [0.1, 0.15, 0.3],
-                        [0.05, 0.2, 0.3], [0.1, 0.2, 0.3], [0.1, 0.15, 0.2]])
-        cloud = _lidar(pts, intensity=[0.5, 0.5, 0.5, 0.5, 0.2, 0.5])
-        want = sorted(cloud.tolist())
-        for _ in range(20):
-            shuffled = cloud[rng.permutation(len(cloud))]
-            vs = voxelize(shuffled, _spec())
-            assert shuffled[vs.members].tolist() == want
-
     def test_dim_mismatch(self):
         bad = MlpParams.init((5, 4), np.random.default_rng(0))
         with pytest.raises(ShapeError):

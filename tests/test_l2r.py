@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from lrbev.cloud import make_cloud
+from lrbev.config import desk_config, paper_config, tiny_config
 from lrbev.errors import ShapeError
 from lrbev.grids import GridSpec, segment_max
 from lrbev.l2r import (BevFusionConfig, HeightFusionConfig, ball_query,
@@ -14,6 +15,7 @@ from lrbev.l2r import (BevFusionConfig, HeightFusionConfig, ball_query,
                        query_balls_disjoint, segment_query_points)
 from lrbev.nn import MlpParams, mlp_forward
 from lrbev.oracles import GRID_RTOL, cell_features_brute, columns_at
+from lrbev.pipeline import _layer_dims
 
 
 def _mlp(dims, seed=0):
@@ -148,6 +150,20 @@ class TestAggregateSegment:
         for _ in range(100):
             assert np.array_equal(
                 segment_max(rows[rng.permutation(7)], np.array([0, 7]), psi), base)
+        # Every shipped MLP width, on segments that fill whole BLAS row
+        # blocks and segments that end in a partial one.
+        shapes = {dims for factory in (tiny_config, desk_config, paper_config)
+                  for name, dims in _layer_dims(factory()).items()
+                  if name.endswith("_mlp")}
+        for dims in sorted(shapes):
+            psi = _mlp(dims)
+            for n in range(2, 41):
+                rows = rng.normal(size=(n, dims[0]))
+                base = segment_max(rows, np.array([0, n]), psi)
+                for _ in range(3):
+                    perm = rng.permutation(n)
+                    assert np.array_equal(
+                        segment_max(rows[perm], np.array([0, n]), psi), base), (dims, n)
 
     def test_empty_groups_between_full_ones(self):
         psi = _mlp((5, 8, 32))
