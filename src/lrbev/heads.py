@@ -12,18 +12,17 @@ centers and reports analytic gradients for the finite-difference checker.
 ``r2l_forward`` runs that chain without building its wide maps. It takes
 the LiDAR and the enhanced radar maps as their occupied columns
 (``grids.BevColumns``) and runs the first block on the occupied fused
-columns only, one GEMM per chunk of them; the second block runs in row
-bands, and the last block and the first trunk conv in row tiles, cut from
-the map shape alone, and within a tile in row bands, so the 512-channel map
-exists one band at a time. Chunks, groups of bands and tiles are maps on
-the worker threads of ``lrbev.parallel``; a map one tile high runs every
-step inline. The calling thread adds the chunks' taps onto the map in chunk
-order, takes the tiles' results in tile order and sums the trunk rows next
-to each seam itself. Its output bits do not depend on the number of
-workers. It is the only R2L path: a head it cannot band raises
-``ShapeError``. ``fuse_bev_maps``, ``bev_encoder`` and ``detect_forward``
-are the whole-map chain it is checked against; both run the tap-sum and
-im2col kernels of ``nn``.
+columns only, one GEMM per chunk of them. The second and the last block
+run in items of the whole map's row bands, and the last block's feed the
+first trunk conv's per-tap GEMMs, so the 512-channel map exists one band
+at a time. Chunks and items are maps on the worker threads of
+``lrbev.parallel``, and the calling thread adds the chunks' and the last
+block's items' taps in order; a map under two items high runs every step
+inline. Its output bits do not depend on the number of workers. It is the
+only R2L path: a head it cannot band raises ``ShapeError``.
+``fuse_bev_maps``, ``bev_encoder`` and ``detect_forward`` are the whole-map
+chain it is checked against; both run the tap-sum and im2col kernels of
+``nn``.
 """
 from __future__ import annotations
 
@@ -37,8 +36,8 @@ import numpy as np
 from . import parallel
 from .errors import ShapeError
 from .grids import BevColumns, GridSpec
-from .nn import (BLAS_BLOCK, Conv2dParams, FeatureMap, _conv2d_raw,
-                 _finite, _im2col_band, _im2col_rows, _sum_taps, _tap_rows,
+from .nn import (BLAS_BLOCK, Conv2dParams, FeatureMap, _add_taps,
+                 _conv2d_raw, _finite, _im2col_band, _im2col_rows, _tap_rows,
                  band_rows, conv2d_forward, relu, sigmoid)
 from .synth import wrap_angle
 
@@ -138,7 +137,7 @@ def detect_forward(features: FeatureMap, params: HeadParams) -> HeadOutputs:
     return HeadOutputs(heatmap=sigmoid(logits), heatmap_logits=logits, **maps)
 
 
-# The items of an R2L map (gather chunks, bands, tiles) in flight at once
+# The items of an R2L map (gather chunks, groups of bands) in flight at once
 # hold at most this many floats of scratch together, ~12 MB of float64,
 # whatever the number of CPUs. Two items may always run at once, even when
 # one needs more than half of it.
@@ -150,23 +149,36 @@ def _fit(workers: int, floats: int) -> int:
     each as fit ``_SCRATCH_FLOATS``, but at least two."""
     return min(workers, max(2, _SCRATCH_FLOATS // max(1, floats)))
 
-# Tiles are at least this many rows high. Maps of fewer than twice as many
-# rows are one tile and never use the pool.
+# Items of whole bands are at least this many rows high. Maps of fewer than
+# twice as many rows run inline.
 TILE_ROWS = 16
 
 
-def tiles(height: int, min_rows: int = TILE_ROWS) -> list:
-    """Row tiles ``(y0, y1)`` of a map this many rows high: as many as fit
-    ``min_rows`` rows each, sized evenly."""
-    n = max(1, height // min_rows)
-    return [(height * k // n, height * (k + 1) // n) for k in range(n)]
+def workers_for(height: int, workers: int | None = None) -> int:
+    """The threads of R2L, and of a frame, on a map this many rows high:
+    ``workers``, or ``parallel.WORKERS`` when None; one, never starting the
+    pool, under two items high, where threads cost more than they save."""
+    if height < 2 * TILE_ROWS:
+        return 1
+    return parallel.WORKERS if workers is None else workers
 
 
-def _tap_floats(conv: Conv2dParams, rows: int, width: int) -> int:
-    """Scratch of a tile's first trunk conv on this many rows: the taps and
-    their sum."""
-    cout, _, kh, kw = conv.kernel.shape
-    return cout * (kh * kw + 1) * rows * width
+def _items(conv: Conv2dParams, height: int, width: int) -> list:
+    """Row spans ``(y0, y1)`` of ``conv``'s whole-map ``nn._im2col_rows``
+    bands, counted from row 0, at least ``TILE_ROWS`` rows each but the
+    last."""
+    band = _im2col_band(conv, width)
+    step = band * -(-TILE_ROWS // band)
+    return [(y0, min(height, y0 + step)) for y0 in range(0, height, step)]
+
+
+def _add_in_order(fn, items, workers: int, add) -> None:
+    """``add(item, fn(item))`` on the calling thread in item order, ``fn`` on
+    up to ``workers`` threads (``parallel.ordered``). Once ``add`` raises,
+    no item starts and the started ones finish before the error leaves."""
+    with closing(parallel.ordered(fn, items, workers)) as results:
+        for item, out in zip(items, results):
+            add(item, out)
 
 
 def _im2col_floats(conv: Conv2dParams, width: int) -> int:
@@ -232,16 +244,18 @@ def _sparse_block(conv: Conv2dParams, m_l: BevColumns, enhanced: BevColumns,
         b[cl:, rpos[ra:rb] - c0] = enhanced.features[rsrc[ra:rb]].T
         return np.matmul(kmat, b).reshape(cout, kh * kw, -1)
 
+    def add(j: int, o: np.ndarray) -> None:
+        c0, c1 = edges[j], edges[j + 1]
+        for t, shift in enumerate(shifts):
+            flat[home[:, c0:c1] + shift] += o[:, t, :c1 - c0]
+
     widest = min(span, len(cols))
     widest += -widest % BLAS_BLOCK
     # Per worker: a running chunk's block and taps, the taps of a second
     # chunk waiting to be taken, and a share of the taps the calling thread
     # is adding (see parallel.ordered).
     workers = _fit(workers, (cin + 3 * len(kmat)) * widest)
-    for j, o in enumerate(parallel.ordered(gemm, range(len(edges) - 1), workers)):
-        c0, c1 = edges[j], edges[j + 1]
-        for t, shift in enumerate(shifts):
-            flat[home[:, c0:c1] + shift] += o[:, t, :c1 - c0]
+    _add_in_order(gemm, range(len(edges) - 1), workers, add)
     out[:, :border] = out[:, h + border:] = 0.0
     out[:, :, :border] = out[:, :, w + border:] = 0.0
     inner = out[:, border:border + h, border:border + w]
@@ -258,29 +272,27 @@ def r2l_forward(m_l: BevColumns, enhanced: BevColumns, encoder,
     LiDAR, radar, fused or 512-channel map whole.
 
     The first block runs on the occupied fused columns alone
-    (``_sparse_block``), the second on the whole narrow map in the
-    im2col bands of ``nn._im2col_rows``. Then, in row tiles (``tiles``), the
-    last block and its rectifier run band by band into the first trunk
-    conv, so the 512-channel map exists one band at a time. A tile sums
-    the trunk conv's taps (``nn._sum_taps``) into the rows its input rows
-    alone feed and returns the taps of its first and last 2 x padding input
-    rows; the calling thread takes those in tile order and sums the rows
-    either side of each seam from the taps of both its tiles, so no row
-    goes through a GEMM twice and no two threads write the same row. The
-    rest of the head runs on the narrow trunk output. The first block's
-    chunk GEMMs, the second block's groups of whole bands and the tiles are
-    ``parallel.ordered`` maps on ``parallel.WORKERS`` threads (``workers``
-    overrides it), each at most as many items at once as fit their scratch
-    in ``_SCRATCH_FLOATS``; a one-tile map runs every step inline and never
-    starts the pool. Every conv output is checked for non-finite values
+    (``_sparse_block``). The second and the last block run in items of the
+    whole map's ``nn._im2col_rows`` bands (``_items``). An item of the last
+    block rectifies its bands one at a time and runs the first trunk conv's
+    per-tap GEMMs on each (``nn._tap_rows``), so the 512-channel map exists
+    one band at a time, and returns the taps. The calling thread adds them
+    in item order onto the trunk output inside a border of its padding
+    (``nn._add_taps``), then adds the bias and rectifies. The rest of the
+    head runs on the narrow trunk output. The first block's chunk GEMMs and
+    both blocks' items are ``parallel.ordered`` maps on
+    ``parallel.WORKERS`` threads (``workers`` overrides it), each at most
+    as many items at once as fit their scratch in ``_SCRATCH_FLOATS``; a
+    map under two items high (``workers_for``) runs every step inline and
+    never starts the pool. Every conv output is checked for non-finite values
     before its rectifier, as in the whole-map chain. A first trunk conv
     that does not read the 512-channel map at stride 1 and keep its size
     raises ``ShapeError``. ``counts``, when given, receives
     ``gathered_columns``: how many fused columns the first block ran its
     GEMM on.
 
-    Bits: tiles, bands and gather chunks depend on the shapes and on which
-    columns are occupied alone, and every tile does the same arithmetic on
+    Bits: items, bands and gather chunks depend on the shapes and on which
+    columns are occupied alone, and every item does the same arithmetic on
     whichever thread runs it, so the output does not depend on the worker
     count. The whole-map chain runs the same kernels. BLAS computes a GEMM
     column alike wherever it sits, except in the last, partial block of the
@@ -291,18 +303,19 @@ def r2l_forward(m_l: BevColumns, enhanced: BevColumns, encoder,
     map's in the last bits (OpenBLAS 0.3.31, AVX-512 Xeon). For any output
     cell, the input column behind tap (ky, kx) has a row-major id that
     strictly increases with (ky, kx), so adding ascending chunks tap by tap
-    sums each cell in ``nn._sum_taps`` order, from the same +0; a skipped
-    column's taps would be zeros of either sign, which change no sum. The
-    second block runs the twin's bands, so it matches at every width. The
-    last block's band GEMMs, and the trunk conv's GEMMs on them, have
-    ``rows x W`` columns where the whole map's have ``H x W``. A W that is a
-    multiple of the BLAS block keeps those columns out of a partial block,
-    but BLAS may also give a small GEMM's columns other bits than the same
-    columns of a large one (a 4 x 512 by 512 x 64 GEMM against a 4 x 512 by
-    512 x 3392 one). So a 1x1 first trunk conv on a 53 x 64 map, whose tiles
-    end in one-row bands, differs from the whole map in the last bits
-    (2e-16 of the largest output), on 1, 2 and 3 workers alike; the 36-row
-    GEMMs of a 3x3 trunk conv there match. Desk and tiny maps, with the
+    sums each cell in the whole map's (ky, kx) order, from the same +0; a
+    skipped column's taps would be zeros of either sign, which change no
+    sum. The same holds for the trunk conv's items, whose input rows rise
+    with ky. The second and last blocks run the twin's bands, so they match
+    at every width. But the trunk conv's GEMMs on the bands have
+    ``rows x W`` columns where the whole map's has ``H x W``, and BLAS may
+    give a small GEMM's columns other bits than the same columns of a large
+    one (a 4 x 512 by 512 x 64 GEMM against a 4 x 512 by 512 x 3392 one).
+    Of maps 32, 45, 53, 64 and 131 rows by 16, 24 and 64 columns, on 1 and
+    2 workers alike, a 1x1 first trunk conv differs from the whole map in
+    the last bits (up to 2e-15 of the largest output) on all but 32 x 16,
+    32 x 24, 32 x 64, 64 x 16 and 64 x 64; a 3x3 one on 64 x 24 and
+    131 x 16 (2e-16); a 5x5 one on none. Desk and tiny maps, with the
     shipped 3x3 trunk, match the whole-map chain bit for bit;
     ``heads.tiled-oracle`` bounds any difference at 1e-12 of the largest
     output.
@@ -318,59 +331,44 @@ def r2l_forward(m_l: BevColumns, enhanced: BevColumns, encoder,
                          f"{ENCODER_CHANNELS}-channel map at stride 1 and "
                          f"keep its size")
     enc0, enc1, enc2 = encoder
-    p1, p2 = enc1.padding, enc2.padding
-    p = trunk0.padding
-    cut = tiles(h, max(TILE_ROWS, 2 * p))
-    # A one-tile map runs every step inline.
-    if len(cut) < 2:
-        workers = 1
-    elif workers is None:
-        workers = parallel.WORKERS
+    p1, p2, p = enc1.padding, enc2.padding, trunk0.padding
+    workers = workers_for(h, workers)
     border = max(enc0.padding, p1)
     a0 = _sparse_block(enc0, m_l, enhanced, fh, fw, border, counts, workers)
-    # The rectified second block, carrying the zero padding the last reads,
-    # in items of whole bands of the twin's height, at least TILE_ROWS rows
-    # each, so every band GEMM is the twin's.
+    # The rectified second block, carrying the zero padding the last reads.
     a1 = np.zeros((enc1.kernel.shape[0], h + 2 * p2, w + 2 * p2))
     b = border - p1
     src = a0[:, b:b + h + 2 * p1, b:b + w + 2 * p1]
-    band = _im2col_band(enc1, w)
-    step = band * -(-TILE_ROWS // band)
 
-    def block1(y0: int) -> None:
-        for ya, yb, pre in _im2col_rows(enc1, src, y0, min(h, y0 + step)):
+    def block1(span: tuple) -> None:
+        for ya, yb, pre in _im2col_rows(enc1, src, *span):
             np.maximum(_finite(pre), 0.0, out=a1[:, p2 + ya:p2 + yb, p2:p2 + w])
 
-    parallel.each(block1, range(0, h, step), _fit(workers, _im2col_floats(enc1, w)))
+    parallel.each(block1, _items(enc1, h, w), _fit(workers, _im2col_floats(enc1, w)))
     del a0, src
 
-    feat = np.empty((trunk0.kernel.shape[0], h, w))
-
-    def block2_trunk0(tile: tuple) -> tuple:
-        """Stores the trunk rows that the taps of input rows ``y0`` to ``y1``
-        alone feed; returns the taps of their first and last 2p rows."""
-        y0, y1 = tile
+    def block2_trunk0(span: tuple) -> np.ndarray:
+        """The first trunk conv's taps of the rectified last block's rows
+        ``y0`` to ``y1``."""
+        y0, y1 = span
         bands = (np.maximum(_finite(pre), 0.0, out=pre)
                  for _, _, pre in _im2col_rows(enc2, a1, y0, y1))
-        taps = _tap_rows(trunk0, bands, y1 - y0, w)
-        ya, yb = (y0 + p if y0 > 0 else 0), (y1 - p if y1 < h else h)
-        pre = _sum_taps(trunk0, taps, y0, ya, yb, h)
-        np.maximum(_finite(pre), 0.0, out=feat[:, ya:yb])
-        # Not ``-2 * p:``, which would take every row when p = 0.
-        return taps[:, :, :, :2 * p].copy(), taps[:, :, :, y1 - y0 - 2 * p:].copy()
+        return _tap_rows(trunk0, bands, y1 - y0, w)
 
-    rows = max(y1 - y0 for y0, y1 in cut)
-    tile_floats = _im2col_floats(enc2, w) + _tap_floats(trunk0, rows, w)
-    # The 2p rows either side of a seam need the taps of both its tiles.
-    results = parallel.ordered(block2_trunk0, cut, _fit(workers, tile_floats))
-    with closing(results):
-        for (y0, _), (top, bottom) in zip(cut, results):
-            if y0 > 0:
-                both = np.concatenate([upper, top], axis=3)
-                pre = _sum_taps(trunk0, both, y0 - 2 * p, y0 - p, y0 + p, h)
-                np.maximum(_finite(pre), 0.0, out=feat[:, y0 - p:y0 + p])
-            upper = bottom
+    # The first trunk conv's output inside a border of its padding.
+    acc = np.zeros((trunk0.kernel.shape[0], h + 2 * p, w + 2 * p))
+    items = _items(enc2, h, w)
+    # Per worker: a running item's scratch and taps, the taps of a second
+    # item waiting to be taken, and a share of those being added.
+    taps = trunk0.kernel[:, 0].size * items[0][1] * w   # the tallest item's
+    _add_in_order(block2_trunk0, items,
+                  _fit(workers, _im2col_floats(enc2, w) + 3 * taps),
+                  lambda span, t: _add_taps(acc, t, span[0]))
     del a1   # the last block's input
+    feat = acc[:, p:p + h, p:p + w]
+    del acc  # freed with the trunk output, its only view
+    feat += trunk0.bias[:, None, None]
+    np.maximum(_finite(feat), 0.0, out=feat)
 
     for conv in head.trunk[1:]:
         feat = relu(_finite(_conv2d_raw(feat, conv)))

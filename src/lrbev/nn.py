@@ -372,27 +372,19 @@ def _tap_rows(p: Conv2dParams, chunks, rows: int, width: int) -> Array:
     return taps
 
 
-def _sum_taps(p: Conv2dParams, taps: Array, t0: int, y0: int, y1: int,
-              height: int) -> Array:
-    """Output rows ``y0`` to ``y1`` of a stride-1, size-keeping conv, from
-    ``taps`` (Cout, kh, kw, rows, W), the per-tap GEMM results of its input
-    rows from ``t0`` on: the shifted tap planes summed onto zeros in
-    (ky, kx) order, skipping the taps that land on the zero padding;
-    bias added."""
-    cout, _, kh, kw = p.kernel.shape
-    pad, width = p.padding, taps.shape[4]
-    out = np.zeros((cout, y1 - y0, width))
+def _add_taps(acc: Array, taps: Array, y0: int) -> None:
+    """Adds ``taps`` (Cout, kh, kw, rows, W), the per-tap GEMM results of a
+    stride-1, size-keeping conv on its input rows from ``y0`` on, in
+    (ky, kx) order onto ``acc``, its output inside a border of its padding,
+    which takes the taps that fall on the zero padding. The input row
+    behind tap (ky, kx) of an output cell rises with ky, so adding
+    ascending row spans sums every cell in (ky, kx) order."""
+    _, kh, kw, rows, width = taps.shape
     for ky in range(kh):
-        ya, yb = max(y0, pad - ky), min(y1, height + pad - ky)
-        if ya >= yb:
-            continue
+        ya = y0 + kh - 1 - ky
         for kx in range(kw):
-            xa, xb = max(0, pad - kx), min(width, width + pad - kx)
-            out[:, ya - y0:yb - y0, xa:xb] += taps[
-                :, ky, kx, ya + ky - pad - t0:yb + ky - pad - t0,
-                xa + kx - pad:xb + kx - pad]
-    out += p.bias[:, None, None]
-    return out
+            xa = kw - 1 - kx
+            acc[:, ya:ya + rows, xa:xa + width] += taps[:, ky, kx]
 
 
 def _tap_view(padded: Array, stride: int, ky: int, kx: int, y0: int, y1: int,
@@ -461,7 +453,11 @@ def _conv2d_raw(data: Array, p: Conv2dParams) -> Array:
         # Few output taps, fat input: one GEMM of every tap against the
         # unpadded map, then the shifted tap planes summed. Reads the input
         # exactly once.
-        return _sum_taps(p, _tap_rows(p, (data,), h, w), 0, 0, h, h)
+        pad = p.padding
+        acc = np.zeros((cout, h + 2 * pad, w + 2 * pad))
+        _add_taps(acc, _tap_rows(p, (data,), h, w), 0)
+        acc[:, pad:pad + h, pad:pad + w] += p.bias[:, None, None]
+        return acc[:, pad:pad + h, pad:pad + w]
     out = np.empty((cout, oh, ow))
     for ya, yb, rows in _im2col_rows(p, _pad(data, p.padding), 0, oh):
         out[:, ya:yb] = rows

@@ -929,7 +929,7 @@ def columns_of(m: FeatureMap) -> BevColumns:
 
 def _band_heights(w):
     """One row, under one band, one band plus a row, or past two bands of
-    the 512-channel stage; and the tallest one-tile map, whose fused
+    the 512-channel stage; and the tallest inline map, whose fused
     columns take more than one gather chunk at W = 64 when all occupied."""
     rows = band_rows(ENCODER_CHANNELS, w)
     return [1, max(1, rows - 1), rows + 1, 2 * rows + rows // 2 + 1,
@@ -953,8 +953,8 @@ def check_tiled_r2l(seeds: int, fault=None) -> PropertyResult:
     return PropertyResult("heads.tiled-oracle", not failures, seeds, failures)
 
 
-def _tile_heights(w):
-    """One tile, one tile plus a row, two tiles, and several uneven ones."""
+def _item_heights(w):
+    """Two inline heights, the shortest pooled one and a taller, uneven one."""
     return [TILE_ROWS, TILE_ROWS + 1, 2 * TILE_ROWS, 3 * TILE_ROWS + 5]
 
 
@@ -964,7 +964,7 @@ def check_worker_count(seeds: int, fault=None) -> PropertyResult:
     failures = []
     for s in range(seeds):
         rng = np.random.default_rng([32, s])
-        m_l, enhanced, encoder, head = _r2l_instance(rng, s, _tile_heights)
+        m_l, enhanced, encoder, head = _r2l_instance(rng, s, _item_heights)
         outs = [r2l_forward(m_l, enhanced, encoder, head, workers=k)
                 for k in (1, 2, 3)]
         for name in HEAD_FIELDS:

@@ -5,8 +5,9 @@ LiDAR-to-Radar fusion -> Radar-to-LiDAR fusion and head) on a pair of clouds,
 asserting the channel contract and sparsity bookkeeping at every boundary.
 Its stages share the worker threads of ``lrbev.parallel``: the LiDAR
 z-stack collapse runs beside the radar stream through L2R fusion, and the
-GEMM blocks, gather chunks, bands and tiles of the stages are maps on the
-same threads; a frame one R2L tile high runs inline (see ``run_pipeline``).
+GEMM blocks, gather chunks and band items of the stages are maps on the
+same threads; a frame under two R2L items high runs inline (see
+``run_pipeline``).
 Weights are either drawn from a seeded generator or the hand-set occupancy
 probe used for smoke testing.
 """
@@ -32,7 +33,7 @@ from .grids import (LIDAR_POINT_FEATURES, RADAR_CHANNELS, BevColumns,
 # All three stay names of this module for code that wraps them.
 from .heads import (ENCODER_CHANNELS, DetectionBox, HeadParams, bev_encoder,
                     decode_detections, detect_forward, fuse_bev_maps,
-                    r2l_forward, tiles)
+                    r2l_forward, workers_for)
 from .l2r import (ENHANCED_CHANNELS, POINT_QUERY_FEATURES, BevFusionConfig,
                   HeightFusionConfig, compute_cell_features, enhance_radar_map,
                   num_height_segments)
@@ -264,9 +265,9 @@ def run_pipeline(cfg: PipelineConfig, lidar: np.ndarray, radar: np.ndarray,
     streams run side by side: ``zstack_collapse``, its blocks a nested map,
     as one task, and ``pillarize`` -> ``collapse_to_bev_grids`` ->
     ``compute_cell_features`` -> ``enhance_radar_map`` as the other.
-    ``r2l_forward`` runs its gather chunks, second-block bands and row
-    tiles on them. A frame whose LiDAR map is one R2L tile high (all of
-    tiny) runs every stage inline and never starts the pool: handing so
+    ``r2l_forward`` runs its gather chunks and band items on them. A frame
+    whose LiDAR map is under two R2L items high (``heads.workers_for``; all
+    of tiny) runs every stage inline and never starts the pool: handing so
     small a frame's work to threads costs more than it saves. A failure
     names its stage; when both streams fail, the LiDAR stream's error, the
     first in program order, is raised, as a one-worker run raises it.
@@ -277,10 +278,7 @@ def run_pipeline(cfg: PipelineConfig, lidar: np.ndarray, radar: np.ndarray,
         weights = random_weights(cfg, cfg.seeds.weights)
     stats: dict = {"scene_io": {"lidar_points": int(len(lidar)),
                                 "radar_points": int(len(radar))}}
-    if len(tiles(cfg.lidar_grid.ny)) < 2:
-        workers = 1
-    elif workers is None:
-        workers = parallel.WORKERS
+    workers = workers_for(cfg.lidar_grid.ny, workers)
     with _stage("grid-encoding"):
         voxels = voxelize(lidar, cfg.lidar_grid, cfg.max_points_per_voxel)
         voxel_encode(voxels, weights.voxel_mlp, workers)

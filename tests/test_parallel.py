@@ -102,8 +102,8 @@ def test_items_follow_the_callers_error_handling():
 
 
 def test_tiny_frame_never_starts_the_pool(monkeypatch):
-    """A tiny map is one R2L tile high: every stage runs inline, even where
-    the pool has workers to spare."""
+    """A tiny map is under two R2L items high: every stage runs inline,
+    even where the pool has workers to spare."""
     monkeypatch.setattr(parallel, "WORKERS", 4)
     monkeypatch.setattr(parallel, "_POOLS", {})
     monkeypatch.setattr(parallel, "ThreadPoolExecutor", _no_pool)

@@ -1,5 +1,5 @@
-"""R2L row tiles on the worker pool: partition, seams, worker-count bits,
-memory."""
+"""R2L band items on the worker pool: bands, in-order tap sums,
+worker-count bits, memory."""
 
 import json
 import sys
@@ -16,7 +16,7 @@ from lrbev.config import desk_config
 from lrbev.errors import EvaluationError
 from lrbev.grids import voxel_encode, voxelize, zstack_collapse
 from lrbev.heads import (TILE_ROWS, HeadParams, bev_encoder, detect_forward,
-                         fuse_bev_maps, r2l_forward, tiles)
+                         fuse_bev_maps, r2l_forward)
 from lrbev.nn import Conv2dParams, FeatureMap
 from lrbev.oracles import HEAD_FIELDS, columns_of
 from lrbev.pipeline import (detections_to_jsonl, generate_clouds,
@@ -43,25 +43,15 @@ def _weights(rng):
                                z=one(1), size=one(3), rot=one(2), vel=one(2))
 
 
-def test_tiles_cover_the_map():
-    for h in (1, TILE_ROWS - 1, TILE_ROWS, 2 * TILE_ROWS - 1, 2 * TILE_ROWS,
-              3 * TILE_ROWS + 5, 1440):
-        cut = tiles(h)
-        assert cut[0][0] == 0 and cut[-1][1] == h
-        assert all(a[1] == b[0] for a, b in zip(cut, cut[1:]))
-        assert len(cut) == max(1, h // TILE_ROWS)
-        assert len(cut) == 1 or min(y1 - y0 for y0, y1 in cut) >= TILE_ROWS
-
-
 @pytest.mark.parametrize("h, kernel", [
     (2 * TILE_ROWS, 3), (3 * TILE_ROWS + 5, 3), (2 * TILE_ROWS, 5),
     (3 * TILE_ROWS + 5, 5),
 ], ids=["32", "53", "32-5x5", "53-5x5"])
 @pytest.mark.parametrize("workers", [1, 2])
 def test_seams_bit_identical_to_twins(h, kernel, workers):
-    """W = 64 keeps every GEMM column in a full block, so the rows next to
-    a seam, summed from the taps of both tiles, match the whole map. A 5x5
-    first trunk conv has two seam rows either side."""
+    """W = 64 keeps every GEMM column in a full block, so the trunk rows
+    fed by two items, summed from the taps of both in item order, match
+    the whole map. A 5x5 first trunk conv reads two rows of the next item."""
     rng = np.random.default_rng([49, h])
     m_l, enhanced = _inputs(rng, h, 64)
     encoder, head = _weights(rng)
@@ -75,11 +65,11 @@ def test_seams_bit_identical_to_twins(h, kernel, workers):
 
 
 def test_seam_hand_ins_under_fast_thread_switching():
-    """More workers than cores and a short switch interval: every seam's
-    rows are still summed exactly once, from both tiles' taps. A 1x1 first
-    trunk conv has no seam rows, and its edge taps are empty. Checked
-    against one worker, not the whole-map twin: a 1x1 trunk conv's small
-    GEMMs may take other bits than the whole map's."""
+    """More workers than cores and a short switch interval: every item's
+    taps are still added exactly once, in item order. A 1x1 first trunk
+    conv has no taps reaching another item's rows. Checked against one
+    worker, not the whole-map twin: a 1x1 trunk conv's small GEMMs may take
+    other bits than the whole map's."""
     rng = np.random.default_rng(52)
     m_l, enhanced = _inputs(rng, 8 * TILE_ROWS + 3, 16)
     encoder, head = _weights(rng)
@@ -100,7 +90,7 @@ def test_seam_hand_ins_under_fast_thread_switching():
 
 def test_one_tile_never_touches_the_pool(monkeypatch):
     def no_pool(*args, **kwargs):
-        raise AssertionError("a one-tile map started a pool")
+        raise AssertionError("a map under two items high started a pool")
 
     monkeypatch.setattr(parallel, "_POOLS", {})
     monkeypatch.setattr(parallel, "ThreadPoolExecutor", no_pool)
@@ -124,35 +114,112 @@ def test_non_finite_band_in_a_worker_raises():
 
 
 def test_first_failing_tile_raises_after_every_tile(monkeypatch):
-    """The middle tile fails at once while the later tiles are still
-    running: its error is raised only after they have all finished, and the
-    last tile's later failure does not replace it."""
-    cut = [(0, 16), (16, 33), (33, 51), (51, 70), (70, 90)]   # told apart by height
+    """The last block's item at row 32 fails at once while the later items
+    are still running: its error is raised only after they have all
+    finished, and the last item's later failure does not replace it."""
+    rng = np.random.default_rng(55)
+    m_l, enhanced = _inputs(rng, 90, 64)    # items from rows 0, 16, ..., 80
+    encoder, head = _weights(rng)
     running, lock = set(), threading.Lock()
-    real = heads._tap_rows
+    real = heads._im2col_rows
 
-    def tap_rows(conv, chunks, rows, width):
+    def im2col_rows(conv, padded, y0, y1):
+        if conv is not encoder[2]:
+            yield from real(conv, padded, y0, y1)
+            return
         with lock:
-            running.add(rows)
+            running.add(y0)
         try:
-            if rows == 18:
-                raise RuntimeError("tile 2")
-            if rows > 18:
+            if y0 == 32:
+                raise RuntimeError("item at row 32")
+            if y0 > 32:
                 time.sleep(0.2)
-                if rows == 20:
-                    raise RuntimeError("tile 4")
-            return real(conv, chunks, rows, width)
+                if y0 == 80:
+                    raise RuntimeError("item at row 80")
+            yield from real(conv, padded, y0, y1)
         finally:
             with lock:
-                running.discard(rows)
+                running.discard(y0)
 
-    monkeypatch.setattr(heads, "tiles", lambda h, min_rows: cut)
-    monkeypatch.setattr(heads, "_tap_rows", tap_rows)
-    rng = np.random.default_rng(55)
-    m_l, enhanced = _inputs(rng, 90, 16)
-    with pytest.raises(RuntimeError, match="tile 2"):
-        r2l_forward(m_l, enhanced, *_weights(rng), workers=3)
+    monkeypatch.setattr(heads, "_im2col_rows", im2col_rows)
+    with pytest.raises(RuntimeError, match="item at row 32"):
+        r2l_forward(m_l, enhanced, encoder, head, workers=3)
     assert not running
+
+
+@pytest.mark.parametrize("loop", [0, 1], ids=["chunks", "items"])
+def test_failing_add_waits_for_started_items(monkeypatch, loop):
+    """The calling thread's add raises on the second item of the first
+    block's chunk loop, or of the last block's item loop: by the time the
+    error arrives, no chunk GEMM or item started beside it still runs."""
+    monkeypatch.setattr(nn, "_BAND_FLOATS", 160 * 8 * 64)
+    rng = np.random.default_rng(58)
+    m_l, enhanced = _inputs(rng, 90, 64)    # 12 gather chunks, 6 items
+    running, lock = set(), threading.Lock()
+    real = heads._add_in_order
+    loops = []
+
+    def add_in_order(fn, items, workers, add):
+        loops.append(len(loops))
+        if loops[-1] != loop:
+            return real(fn, items, workers, add)
+        items, added = list(items), []
+
+        def slow(item):
+            with lock:
+                running.add(item)
+            try:
+                if items.index(item) >= 2:
+                    time.sleep(0.2)
+                return fn(item)
+            finally:
+                with lock:
+                    running.discard(item)
+
+        def failing(item, out):
+            added.append(item)
+            if len(added) == 2:
+                raise RuntimeError("add")
+            add(item, out)
+
+        return real(slow, items, workers, failing)
+
+    monkeypatch.setattr(heads, "_add_in_order", add_in_order)
+    # The error, and with it the frames of its traceback, kept alive as a
+    # caller handling it would: finishing the started items must not wait
+    # for the loop's generator to be dropped.
+    with pytest.raises(RuntimeError, match="add") as raised:
+        r2l_forward(m_l, enhanced, *_weights(rng), workers=2)
+    assert not running, raised
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("w", [64, 16])
+@pytest.mark.parametrize("h", [53, 64])
+def test_last_block_runs_the_whole_maps_bands(monkeypatch, h, w, workers):
+    """The last block's items run the whole-map chain's im2col bands, each
+    exactly once."""
+    rng = np.random.default_rng([57, h, w])
+    m_l, enhanced = _inputs(rng, h, w)
+    encoder, head = _weights(rng)
+    bands = {heads: [], nn: []}
+
+    def spy(module):
+        real = module._im2col_rows
+
+        def im2col_rows(conv, padded, y0, y1):
+            for ya, yb, rows in real(conv, padded, y0, y1):
+                if conv is encoder[2]:
+                    bands[module].append((ya, yb))
+                yield ya, yb, rows
+        return im2col_rows
+
+    for module in bands:
+        monkeypatch.setattr(module, "_im2col_rows", spy(module))
+    r2l_forward(m_l, enhanced, encoder, head, workers=workers)
+    bev_encoder(fuse_bev_maps(m_l.dense(), enhanced.dense()), encoder)
+    assert sorted(bands[heads]) == bands[nn]
+    assert bands[nn][-1][1] == h
 
 
 @pytest.mark.parametrize("workers", [2, 8, 32])
