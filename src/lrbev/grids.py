@@ -10,19 +10,21 @@ row-major column ids and one feature row per column.
 Cell assignment is floor((p - origin) / cell), lower-inclusive and
 upper-exclusive. Empty cells are exact zeros everywhere.
 
-Voxels and pillars are grouped alike, by one stable argsort of the cell ids
-``(iy * nx + ix) * nz + iz`` into segments (sorted ids plus offsets), so
-voxel keys run in row-major column order, z fastest. Each MLP stage runs as
-a few batched forwards over blocks of whole segments, max-pooled per
-segment with ``np.maximum.reduceat``; no map is built dense. The blocks
-are cut from the offsets alone and write disjoint rows, so they run on up
-to ``workers`` threads (``parallel.each``) with the same bits. A row's bits
-do not depend on its place in a batch (``nn.mlp_forward_batch`` pads to
-whole BLAS blocks), so members stay in input order and a shuffle that
-truncates nothing leaves every segment's max unchanged.
+Voxels and pillars are grouped alike, in the order of a stable argsort of
+the cell ids ``(iy * nx + ix) * nz + iz``, into segments (sorted ids plus
+offsets), so voxel keys run in row-major column order, z fastest. Each MLP
+stage runs as a few batched forwards over blocks of whole segments,
+max-pooled per segment with ``np.maximum.reduceat``; no map is built
+dense. The blocks are cut from the offsets alone and write disjoint rows,
+so they run on up to ``workers`` threads (``parallel.each``) with the same
+bits. A row's bits do not depend on its place in a batch
+(``nn.mlp_forward_batch`` pads to whole BLAS blocks), so members stay in
+input order and a shuffle that truncates nothing leaves every segment's
+max unchanged.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,6 +55,9 @@ class GridSpec:
             raise ConfigError(f"cell: all sizes must be positive, got {self.cell}")
         if any(n < 1 for n in self.counts):
             raise ConfigError(f"counts: all counts must be >= 1, got {self.counts}")
+        if self.num_cells > 2**63:
+            raise ConfigError(f"counts: {self.counts} has more cells than int64 "
+                              f"cell ids can number")
 
     @property
     def nx(self) -> int:
@@ -66,14 +71,31 @@ class GridSpec:
     def nz(self) -> int:
         return self.counts[2]
 
-    def cell_index(self, xyz: np.ndarray) -> tuple:
-        """The positions of the (n, 3) points inside the grid and their (k, 3)
-        cell indices; a non-finite or far-off point is outside, never cast."""
+    @property
+    def num_cells(self) -> int:
+        return math.prod(int(n) for n in self.counts)
+
+    def cell_index(self, xyz) -> tuple:
+        """The positions of the points inside the grid and their (k, 3) cell
+        indices; ``xyz`` holds the points' x, y and z columns. Each axis is
+        floored and range-checked on its own column. A non-finite or far-off
+        point is outside, never cast."""
+        cells, inside = [], None
         with np.errstate(over="ignore"):     # an overflow to inf is outside
-            cell = np.floor((np.asarray(xyz, dtype=np.float64)
-                             - np.asarray(self.origin)) / np.asarray(self.cell))
-        inside = np.flatnonzero(((cell >= 0) & (cell < self.counts)).all(axis=1))
-        return inside, cell[inside].astype(np.int64)
+            for col, origin, size, count in zip(xyz, self.origin, self.cell,
+                                                self.counts):
+                c = np.subtract(col, origin, dtype=np.float64)
+                c /= size
+                np.floor(c, out=c)
+                ok = c >= 0
+                ok &= c < count
+                inside = ok if inside is None else inside & ok
+                cells.append(c)
+        inside = np.flatnonzero(inside)
+        out = np.empty((len(inside), 3), dtype=np.int64)
+        for axis, c in enumerate(cells):
+            out[:, axis] = c[inside]
+        return inside, out
 
     def cell_center_xy(self, ix: int, iy: int) -> tuple:
         return (self.origin[0] + (ix + 0.5) * self.cell[0],
@@ -130,12 +152,23 @@ def _group(points: np.ndarray, z: np.ndarray, spec: GridSpec, limit: int):
     ids[k], owns the kept point indices members[offsets[k]:offsets[k+1]],
     in input order; ``dropped`` counts the points outside the grid and
     ``truncated`` those beyond the limit.
+
+    The order is that of a stable argsort of the ids, got by one plain sort
+    of the keys ``id * n + position`` of the n points inside, which are
+    distinct. Where such a key could pass the int64 range (more than 2**63
+    cells times points), the stable argsort runs instead.
     """
-    inside, idx = spec.cell_index(np.stack([points["x"], points["y"], z], axis=1))
-    ix, iy, iz = idx.T
-    lin = (iy * spec.nx + ix) * spec.nz + iz
-    order = np.argsort(lin, kind="stable")
-    lin = lin[order]
+    inside, idx = spec.cell_index((points["x"], points["y"], z))
+    lin = (idx[:, 1] * spec.nx + idx[:, 0]) * spec.nz + idx[:, 2]
+    n = len(lin)
+    if spec.num_cells * n <= 2**63:
+        lin *= n
+        lin += np.arange(n)
+        lin.sort()
+        lin, order = np.divmod(lin, n)
+    else:
+        order = np.argsort(lin, kind="stable")
+        lin = lin[order]
     starts = np.flatnonzero(np.diff(lin, prepend=-1))     # ids are >= 0
     ids, counts = lin[starts], np.diff(starts, append=len(lin))
     rank = np.arange(len(order)) - np.repeat(starts, counts)
@@ -194,12 +227,15 @@ def voxelize(points: np.ndarray, spec: GridSpec,
 
 
 def _lidar_point_features(vs: VoxelSet) -> np.ndarray:
-    pts = vs.points[vs.members]
+    """The (n, 8) MLP inputs of the members, voxel by voxel: each record
+    field gathered once, then the offsets to the voxel center."""
+    rows = np.empty((len(vs.members), LIDAR_POINT_FEATURES))
+    for k, name in enumerate(("x", "y", "z", "intensity", "t")):
+        rows[:, k] = vs.points[name][vs.members]
     centers = np.asarray(vs.spec.origin) + (vs.occupied + 0.5) * np.asarray(vs.spec.cell)
-    c = np.repeat(centers, np.diff(vs.offsets), axis=0)
-    return np.stack([pts["x"], pts["y"], pts["z"], pts["intensity"], pts["t"],
-                     pts["x"] - c[:, 0], pts["y"] - c[:, 1], pts["z"] - c[:, 2]],
-                    axis=1)
+    np.subtract(rows[:, :3], np.repeat(centers, np.diff(vs.offsets), axis=0),
+                out=rows[:, 5:])
+    return rows
 
 
 def voxel_encode(vs: VoxelSet, p: MlpParams, workers: int = 1) -> VoxelSet:

@@ -27,7 +27,6 @@ chain it is checked against; both run the tap-sum and im2col kernels of
 from __future__ import annotations
 
 import math
-from contextlib import closing
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -172,19 +171,11 @@ def _items(conv: Conv2dParams, height: int, width: int) -> list:
     return [(y0, min(height, y0 + step)) for y0 in range(0, height, step)]
 
 
-def _add_in_order(fn, items, workers: int, add) -> None:
-    """``add(item, fn(item))`` on the calling thread in item order, ``fn`` on
-    up to ``workers`` threads (``parallel.ordered``). Once ``add`` raises,
-    no item starts and the started ones finish before the error leaves."""
-    with closing(parallel.ordered(fn, items, workers)) as results:
-        for item, out in zip(items, results):
-            add(item, out)
-
-
 def _im2col_floats(conv: Conv2dParams, width: int) -> int:
-    """Scratch of ``_im2col_rows`` at this output width."""
+    """Scratch of ``_im2col_rows`` at this output width: a band's im2col
+    block with its ones row, and its output."""
     cout, cin, kh, kw = conv.kernel.shape
-    return (cin * kh * kw + cout) * _im2col_band(conv, width) * width
+    return (cin * kh * kw + 1 + cout) * _im2col_band(conv, width) * width
 
 
 def _gather_plan(m_l: BevColumns, enhanced: BevColumns, fh: int, fw: int) -> tuple:
@@ -253,9 +244,9 @@ def _sparse_block(conv: Conv2dParams, m_l: BevColumns, enhanced: BevColumns,
     widest += -widest % BLAS_BLOCK
     # Per worker: a running chunk's block and taps, the taps of a second
     # chunk waiting to be taken, and a share of the taps the calling thread
-    # is adding (see parallel.ordered).
+    # is adding (see parallel.each).
     workers = _fit(workers, (cin + 3 * len(kmat)) * widest)
-    _add_in_order(gemm, range(len(edges) - 1), workers, add)
+    parallel.each(gemm, range(len(edges) - 1), workers, add)
     out[:, :border] = out[:, h + border:] = 0.0
     out[:, :, :border] = out[:, :, w + border:] = 0.0
     inner = out[:, border:border + h, border:border + w]
@@ -280,7 +271,7 @@ def r2l_forward(m_l: BevColumns, enhanced: BevColumns, encoder,
     in item order onto the trunk output inside a border of its padding
     (``nn._add_taps``), then adds the bias and rectifies. The rest of the
     head runs on the narrow trunk output. The first block's chunk GEMMs and
-    both blocks' items are ``parallel.ordered`` maps on
+    both blocks' items are ``parallel.each`` maps on
     ``parallel.WORKERS`` threads (``workers`` overrides it), each at most
     as many items at once as fit their scratch in ``_SCRATCH_FLOATS``; a
     map under two items high (``workers_for``) runs every step inline and
@@ -306,8 +297,14 @@ def r2l_forward(m_l: BevColumns, enhanced: BevColumns, encoder,
     sums each cell in the whole map's (ky, kx) order, from the same +0; a
     skipped column's taps would be zeros of either sign, which change no
     sum. The same holds for the trunk conv's items, whose input rows rise
-    with ky. The second and last blocks run the twin's bands, so they match
-    at every width. But the trunk conv's GEMMs on the bands have
+    with ky. The second and last blocks run the twin's bands, whose GEMMs
+    add the bias themselves (``nn._im2col_rows``), so they match at every
+    width. That bias add gives the bits of adding it after the GEMM at the
+    shipped layer shapes and map widths, under each OpenBLAS kernel
+    ``tests/test_blas_kernels.py`` names, but not at every shape: a sweep
+    found last-bit differences for inputs of 400 or more im2col rows,
+    single-channel outputs, and bands whose column count is not a multiple
+    of 8. But the trunk conv's GEMMs on the bands have
     ``rows x W`` columns where the whole map's has ``H x W``, and BLAS may
     give a small GEMM's columns other bits than the same columns of a large
     one (a 4 x 512 by 512 x 64 GEMM against a 4 x 512 by 512 x 3392 one).
@@ -361,7 +358,7 @@ def r2l_forward(m_l: BevColumns, enhanced: BevColumns, encoder,
     # Per worker: a running item's scratch and taps, the taps of a second
     # item waiting to be taken, and a share of those being added.
     taps = trunk0.kernel[:, 0].size * items[0][1] * w   # the tallest item's
-    _add_in_order(block2_trunk0, items,
+    parallel.each(block2_trunk0, items,
                   _fit(workers, _im2col_floats(enc2, w) + 3 * taps),
                   lambda span, t: _add_taps(acc, t, span[0]))
     del a1   # the last block's input

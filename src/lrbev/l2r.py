@@ -314,6 +314,22 @@ def bev_fuse(cells: np.ndarray, lidar_grids: BevColumns, cfg: BevFusionConfig) -
     return segment_max(rows, offsets, cfg.grid_mlp), counts
 
 
+def fusion_stats(seg_counts: np.ndarray, bev_counts: np.ndarray,
+                 cfg_h: HeightFusionConfig, cfg_b: BevFusionConfig) -> dict:
+    """The query statistics of the cells whose segment balls and BEV groups
+    held ``seg_counts`` and ``bev_counts`` points and cells in range: the
+    hit rates and the counts of groups cut at their ``max_group``."""
+    n = len(bev_counts)
+    seg_hit, bev_hit = int(np.count_nonzero(seg_counts)), int(np.count_nonzero(bev_counts))
+    return {
+        "cells": n,
+        "ball_query_hit_rate": seg_hit / (n * cfg_h.num_segments) if n else 0.0,
+        "bev_query_hit_rate": bev_hit / n if n else 0.0,
+        "capped_height_groups": int(np.count_nonzero(seg_counts > cfg_h.max_group)),
+        "capped_bev_groups": int(np.count_nonzero(bev_counts > cfg_b.max_group)),
+    }
+
+
 def compute_cell_features(occupied_cells: BevColumns, cfg_h: HeightFusionConfig,
                           cfg_b: BevFusionConfig, lidar_points: np.ndarray,
                           lidar_grids: BevColumns, radar_grid: GridSpec):
@@ -321,22 +337,15 @@ def compute_cell_features(occupied_cells: BevColumns, cfg_h: HeightFusionConfig,
     ``occupied_cells``.
 
     Returns (features, stats): one [height | bev] row per cell in ascending
-    id order, and the query hit rates and the counts of ball and BEV groups
-    cut at their ``max_group``.
+    id order, and ``fusion_stats``. ``pipeline.run_pipeline`` runs the two
+    halves in different phases of a frame, and this composition for code
+    that wants both at once.
     """
     cells = occupied_cells.cells
     height, seg_counts = height_fuse(cells, cfg_h, lidar_points, radar_grid)
     bev, bev_counts = bev_fuse(cells, lidar_grids, cfg_b)
-    n = len(cells)
-    seg_hit, bev_hit = int(np.count_nonzero(seg_counts)), int(np.count_nonzero(bev_counts))
-    stats = {
-        "cells": n,
-        "ball_query_hit_rate": seg_hit / (n * cfg_h.num_segments) if n else 0.0,
-        "bev_query_hit_rate": bev_hit / n if n else 0.0,
-        "capped_height_groups": int(np.count_nonzero(seg_counts > cfg_h.max_group)),
-        "capped_bev_groups": int(np.count_nonzero(bev_counts > cfg_b.max_group)),
-    }
-    return np.concatenate([height, bev], axis=1), stats
+    return (np.concatenate([height, bev], axis=1),
+            fusion_stats(seg_counts, bev_counts, cfg_h, cfg_b))
 
 
 def enhance_radar_map(m_r: BevColumns, occupied_cells: BevColumns,

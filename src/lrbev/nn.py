@@ -418,17 +418,23 @@ def _im2col_band(p: Conv2dParams, width: int) -> int:
 def _im2col_rows(p: Conv2dParams, padded: Array, y0: int, y1: int):
     """Output rows ``y0`` to ``y1`` of ``p`` over ``padded`` by im2col: one
     GEMM per band of ``_im2col_band`` rows; yields ``(ya, yb, rows)`` per
-    band, bias added, in scratch that the next band reuses."""
-    cout, _, _, kw = p.kernel.shape
+    band, in scratch that the next band reuses. The GEMM adds the bias
+    itself: its weight is ``[kernel | bias]`` and each band's im2col block
+    ends in a row of ones, written after the band's columns, so a shorter
+    last band has it at another offset of the scratch."""
+    cout, cin, kh, kw = p.kernel.shape
+    k = cin * kh * kw
     width = (padded.shape[2] - kw) // p.stride + 1
     band = min(_im2col_band(p, width), y1 - y0)
-    wmat = p.kernel.reshape(cout, -1)
-    buf = np.empty(wmat.shape[1] * band * width)
+    wmat = np.concatenate([p.kernel.reshape(cout, k), p.bias[:, None]], axis=1)
+    buf = np.empty((k + 1) * band * width)
     out = np.empty(cout * band * width)
     for ya, yb in _spans(y0, y1, band):
-        o = out[:cout * (yb - ya) * width].reshape(cout, -1)
-        np.matmul(wmat, _im2col(p, padded, ya, yb, width, buf), out=o)
-        o += p.bias[:, None]
+        n = (yb - ya) * width
+        _im2col(p, padded, ya, yb, width, buf)
+        buf[k * n:(k + 1) * n] = 1.0
+        o = out[:cout * n].reshape(cout, n)
+        np.matmul(wmat, buf[:(k + 1) * n].reshape(k + 1, n), out=o)
         yield ya, yb, o.reshape(cout, yb - ya, width)
 
 

@@ -392,7 +392,7 @@ def voxelize_brute(points: np.ndarray, spec: GridSpec,
     if len(points) == 0:
         return occupied, 0, 0
     z = points["z"] if "z" in points.dtype.names else np.zeros(len(points))
-    inside, idx = spec.cell_index(np.stack([points["x"], points["y"], z], axis=1))
+    inside, idx = spec.cell_index((points["x"], points["y"], z))
     truncated = 0
     for i, key in zip(inside.tolist(), idx.tolist()):
         members = occupied.setdefault(tuple(key), [])

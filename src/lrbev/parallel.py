@@ -1,17 +1,18 @@
 """The worker threads that every stage of a frame shares.
 
-``ordered`` is the package's one parallel map. It yields ``fn(item)`` for
-each item, in item order. The calling thread works through the items
-itself, and up to ``workers - 1`` helper tasks on a shared thread pool claim
-items beside it, always the lowest unclaimed one. A map of one item, or on
-one worker, runs inline and never starts the pool.
+``each`` is the package's one parallel map. It runs ``fn(item)`` for each
+item and hands the results to the calling thread in item order, as a list
+or one by one to an ``add`` callback. The calling thread works through the
+items itself, and up to ``workers - 1`` helper tasks on a shared thread
+pool claim items beside it, always the lowest unclaimed one. A map of one
+item, or on one worker, runs inline and never starts the pool. ``each``
+closes its map before it returns or raises, so no helper outlives it.
 
-Nested maps: a map called from inside a pool task (``pipeline`` runs
-``zstack_collapse``, whose GEMM blocks are a map, as one) works the same
-way. Its caller runs its items itself whenever no helper has claimed them,
-so no map ever waits for a task that has not started, and nested maps
-cannot deadlock however busy the pool is; at worst the caller runs every
-item.
+Nested maps: a map called from inside a pool task (``pipeline`` runs each
+sibling stream, whose GEMM blocks are maps, as one) works the same way.
+Its caller runs its items itself whenever no helper has claimed them, so
+no map ever waits for a task that has not started, and nested maps cannot
+deadlock however busy the pool is; at worst the caller runs every item.
 
 Items run under the caller's floating-point error handling. Once an item
 fails, no further item starts; the map raises the first failure in item
@@ -57,7 +58,7 @@ def _pool(threads: int) -> ThreadPoolExecutor:
 
 
 class _Map:
-    """The state one ``ordered`` call shares with its helpers. Items are
+    """The state one ``each`` call shares with its helpers. Items are
     claimed in ascending order, fewer than ``window`` past the next item the
     caller takes, so at most ``window`` items are running or waiting to be
     taken at once."""
@@ -133,35 +134,35 @@ class _Map:
             self.cond.wait_for(lambda: self.finished == self.claimed)
 
 
-def ordered(fn, items, workers: int):
-    """Yields ``fn(item)`` of every item in item order, on up to ``workers``
-    threads: the caller and ``workers - 1`` pool helpers (see the module
-    docstring). At most ``workers`` items run at once, and at most
-    ``2 * workers`` are running or hold a result not yet taken: a helper
-    that finishes an item before the caller takes the one before it goes
-    on with the next instead of idling, and a map's memory stays bounded.
-    Inline for one item or one worker. Closing the generator early starts
-    no further item and waits for the started ones."""
+def each(fn, items, workers: int, add=None) -> list:
+    """``fn(item)`` of every item on up to ``workers`` threads: the caller
+    and ``workers - 1`` pool helpers (see the module docstring). Calls
+    ``add(item, result)`` on the calling thread in item order, or, without
+    ``add``, returns the results in item order. At most ``workers`` items
+    run at once, and at most ``2 * workers`` are running or hold a result
+    not yet added: a helper that finishes an item before the caller adds
+    the one before it goes on with the next instead of idling, and a map's
+    memory stays bounded. Inline for one item or one worker. Once ``fn`` or
+    ``add`` raises, no further item starts, and the error leaves once every
+    started item has finished."""
     items = list(items)
+    results: list = []
+    if add is None:
+        add = lambda _, result: results.append(result)   # noqa: E731
     if workers < 2 or len(items) < 2:
         for item in items:
-            yield fn(item)
-        return
+            add(item, fn(item))
+        return results
     run = _Map(fn, items, 2 * workers)
     pool = _pool(workers - 1)
     helpers = [pool.submit(run.help) for _ in range(min(workers, len(items)) - 1)]
     try:
-        for i in range(len(items)):
-            yield run.take(i)
+        for i, item in enumerate(items):
+            add(item, run.take(i))
     finally:
         run.close()
         # A helper that has not started would find nothing left: cancelled,
         # it is never waited for, however busy the pool is. (``wait`` would
         # count it done only once a pool thread dequeued it.)
         wait([helper for helper in helpers if not helper.cancel()])
-
-
-def each(fn, items, workers: int) -> list:
-    """``[fn(item) for item in items]`` on up to ``workers`` threads, as
-    ``ordered`` runs it."""
-    return list(ordered(fn, items, workers))
+    return results

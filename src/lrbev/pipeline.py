@@ -3,11 +3,12 @@
 ``run_pipeline`` executes the fixed stage order (scene-io -> grid encoding ->
 LiDAR-to-Radar fusion -> Radar-to-LiDAR fusion and head) on a pair of clouds,
 asserting the channel contract and sparsity bookkeeping at every boundary.
-Its stages share the worker threads of ``lrbev.parallel``: the LiDAR
-z-stack collapse runs beside the radar stream through L2R fusion, and the
-GEMM blocks, gather chunks and band items of the stages are maps on the
-same threads; a frame under two R2L items high runs inline (see
-``run_pipeline``).
+Its stages share the worker threads of ``lrbev.parallel``: the sibling
+LiDAR and radar streams run side by side in two phases cut at their data
+dependencies (voxel encoding beside height fusion, then the z-stack
+collapse beside BEV fusion), and the GEMM blocks, gather chunks and band
+items of the stages are maps on the same threads; a frame under two R2L
+items high runs inline (see ``run_pipeline``).
 Weights are either drawn from a seeded generator or the hand-set occupancy
 probe used for smoke testing.
 """
@@ -24,8 +25,8 @@ from .cloud import DTYPE_BY_KIND, accumulate_sweeps
 from .cloudio import parse_json
 from .config import PipelineConfig
 from .errors import PipelineError
-from . import parallel
-from .grids import (LIDAR_POINT_FEATURES, RADAR_CHANNELS, BevColumns,
+from . import l2r, parallel
+from .grids import (LIDAR_POINT_FEATURES, RADAR_CHANNELS, BevColumns, VoxelSet,
                     collapse_to_bev_grids, pillarize, voxel_encode, voxelize,
                     zstack_collapse)
 # fuse_bev_maps -> bev_encoder -> detect_forward is the whole-map twin of
@@ -34,9 +35,11 @@ from .grids import (LIDAR_POINT_FEATURES, RADAR_CHANNELS, BevColumns,
 from .heads import (ENCODER_CHANNELS, DetectionBox, HeadParams, bev_encoder,
                     decode_detections, detect_forward, fuse_bev_maps,
                     r2l_forward, workers_for)
+# compute_cell_features, both L2R halves at once, stays a name of this
+# module for code that runs the stages one by one.
 from .l2r import (ENHANCED_CHANNELS, POINT_QUERY_FEATURES, BevFusionConfig,
                   HeightFusionConfig, compute_cell_features, enhance_radar_map,
-                  num_height_segments)
+                  fusion_stats, num_height_segments)
 from .nn import Conv2dParams, FeatureMap, MlpParams
 from .synth import SceneSpec, generate_scene, lidar_sweeps, radar_sweeps
 
@@ -261,16 +264,21 @@ def run_pipeline(cfg: PipelineConfig, lidar: np.ndarray, radar: np.ndarray,
 
     Threads: the stages share the ``parallel.WORKERS`` threads
     (``workers`` overrides it, for tests), the calling thread among them.
-    ``voxel_encode`` runs its GEMM blocks on them. Then the two sibling
-    streams run side by side: ``zstack_collapse``, its blocks a nested map,
-    as one task, and ``pillarize`` -> ``collapse_to_bev_grids`` ->
-    ``compute_cell_features`` -> ``enhance_radar_map`` as the other.
-    ``r2l_forward`` runs its gather chunks and band items on them. A frame
-    whose LiDAR map is under two R2L items high (``heads.workers_for``; all
-    of tiny) runs every stage inline and never starts the pool: handing so
-    small a frame's work to threads costs more than it saves. A failure
-    names its stage; when both streams fail, the LiDAR stream's error, the
-    first in program order, is raised, as a one-worker run raises it.
+    The sibling LiDAR and radar streams run side by side in two phases, cut
+    where their data dependencies lie. Phase A runs ``voxelize`` ->
+    ``voxel_encode`` beside ``pillarize`` -> ``l2r.height_fuse``, which
+    reads only the raw cloud and the pillar cells. Phase B, which needs the
+    encoded voxels, runs ``zstack_collapse`` beside
+    ``collapse_to_bev_grids`` -> ``l2r.bev_fuse`` -> ``enhance_radar_map``.
+    The GEMM blocks of ``voxel_encode`` and ``zstack_collapse`` are maps
+    nested in their stream, and ``r2l_forward`` runs its gather chunks and
+    band items on the same threads. A frame whose LiDAR map is under two
+    R2L items high (``heads.workers_for``; all of tiny) runs every stage
+    inline and never starts the pool: handing so small a frame's work to
+    threads costs more than it saves. A failure names its stage. When
+    several fail, the first in program order is raised, as a one-worker run
+    raises it: phase A before phase B, and within a phase the LiDAR stream
+    before the radar stream.
     """
     cfg.validate()
     radar_grid = cfg.radar_grid
@@ -279,13 +287,27 @@ def run_pipeline(cfg: PipelineConfig, lidar: np.ndarray, radar: np.ndarray,
     stats: dict = {"scene_io": {"lidar_points": int(len(lidar)),
                                 "radar_points": int(len(radar))}}
     workers = workers_for(cfg.lidar_grid.ny, workers)
-    with _stage("grid-encoding"):
-        voxels = voxelize(lidar, cfg.lidar_grid, cfg.max_points_per_voxel)
-        voxel_encode(voxels, weights.voxel_mlp, workers)
 
-    # The sibling streams: the z-stack collapse, which only R2L reads, runs
-    # beside the radar stream through L2R fusion.
-    def lidar_stream() -> BevColumns:
+    def lidar_front() -> VoxelSet:
+        with _stage("grid-encoding"):
+            voxels = voxelize(lidar, cfg.lidar_grid, cfg.max_points_per_voxel)
+            return voxel_encode(voxels, weights.voxel_mlp, workers)
+
+    def radar_front() -> tuple:
+        stage = "grid-encoding"
+        with _stage(stage):
+            pillars = pillarize(radar, radar_grid, weights.pillar_mlp)
+        _require(pillars.map.channels == RADAR_CHANNELS, stage,
+                 f"radar map has {pillars.map.channels} channels, the contract "
+                 f"fixes {RADAR_CHANNELS}")
+        with _stage("l2r-fusion"):
+            cfg_h = height_fusion_config(cfg, weights)
+            # Through the module attribute, where wrappers can time it.
+            height, seg_counts = l2r.height_fuse(pillars.occupied.cells, cfg_h,
+                                                 lidar, radar_grid)
+        return pillars, cfg_h, height, seg_counts
+
+    def lidar_back() -> BevColumns:
         with _stage("grid-encoding"):
             m_l = zstack_collapse(voxels, weights.zstack_mlp, workers)
         _require(m_l.shape == (cfg.channels.lidar_channels, cfg.lidar_grid.ny,
@@ -293,26 +315,22 @@ def run_pipeline(cfg: PipelineConfig, lidar: np.ndarray, radar: np.ndarray,
                  f"LiDAR map shape {m_l.shape} violates the configured grid")
         return m_l
 
-    def radar_stream() -> tuple:
-        stage = "grid-encoding"
-        with _stage(stage):
-            pillars = pillarize(radar, radar_grid, weights.pillar_mlp)
+    def radar_back() -> tuple:
+        with _stage("grid-encoding"):
             lidar_grids = collapse_to_bev_grids(voxels, cfg.radar_cell)
-        _require(pillars.map.channels == RADAR_CHANNELS, stage,
-                 f"radar map has {pillars.map.channels} channels, the contract "
-                 f"fixes {RADAR_CHANNELS}")
-        stage = "l2r-fusion"
-        with _stage(stage):
-            cfg_h = height_fusion_config(cfg, weights)
+        with _stage("l2r-fusion"):
             cfg_b = bev_fusion_config(cfg, weights)
-            features, fstats = compute_cell_features(pillars.occupied, cfg_h, cfg_b,
-                                                     lidar, lidar_grids, radar_grid)
+            bev, bev_counts = l2r.bev_fuse(pillars.occupied.cells, lidar_grids, cfg_b)
+            features = np.concatenate([height, bev], axis=1)
             # Checks one feature row per pillar and the 96-channel contract.
             enhanced = enhance_radar_map(pillars.map, pillars.occupied, features)
-        return pillars, lidar_grids, features, fstats, enhanced
+        return (lidar_grids, features, enhanced,
+                fusion_stats(seg_counts, bev_counts, cfg_h, cfg_b))
 
-    m_l, (pillars, lidar_grids, features, fstats, enhanced) = parallel.each(
-        lambda stream: stream(), (lidar_stream, radar_stream), workers)
+    voxels, (pillars, cfg_h, height, seg_counts) = parallel.each(
+        lambda stream: stream(), (lidar_front, radar_front), workers)
+    m_l, (lidar_grids, features, enhanced, fstats) = parallel.each(
+        lambda stream: stream(), (lidar_back, radar_back), workers)
     m_r = pillars.map
     stage = "l2r-fusion"
     nonzero_cells = int(np.count_nonzero(enhanced.features.any(axis=1)))

@@ -56,7 +56,7 @@ class TestVoxelize:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             vs = voxelize(_lidar(pts), _spec())
-            inside, idx = _spec().cell_index(np.array(pts))
+            inside, idx = _spec().cell_index(np.array(pts).T)
         assert vs.dropped == 5 and vs.members.tolist() == [5]
         assert inside.tolist() == [5] and idx.tolist() == [[4, 4, 1]]
 
@@ -93,6 +93,78 @@ class TestVoxelize:
         assert [(k, m.tolist()) for k, m in vs.voxel_members()] == \
             [((0, 0, 0), [0, 1, 2, 3])]
         assert vs.truncated == 2
+
+
+def _stable_argsort_group(points, z, spec, limit):
+    """``grids._group`` spelled out with ``np.argsort(kind="stable")`` and
+    ``np.unique``."""
+    inside, idx = spec.cell_index((points["x"], points["y"], z))
+    lin = (idx[:, 1] * spec.nx + idx[:, 0]) * spec.nz + idx[:, 2]
+    order = np.argsort(lin, kind="stable")
+    ids, starts, counts = np.unique(lin[order], return_index=True,
+                                    return_counts=True)
+    kept = [order[a:a + min(c, limit)] for a, c in zip(starts, counts)]
+    members = inside[np.concatenate(kept)] if kept else np.zeros(0, np.int64)
+    offsets = np.append(0, np.cumsum(np.minimum(counts, limit)))
+    return ids, offsets, members, len(points) - len(inside), len(lin) - offsets[-1]
+
+
+def _assert_same_groups(points, spec, limit):
+    got = grids._group(points, points["z"], spec, limit)
+    want = _stable_argsort_group(points, points["z"], spec, limit)
+    for name, g, w in zip(("ids", "offsets", "members", "dropped", "truncated"),
+                          got, want):
+        assert np.array_equal(g, w), name
+
+
+class TestGroup:
+    """The one plain sort of ``id * n + position`` keys against a stable
+    argsort of the ids."""
+
+    @pytest.mark.parametrize("limit", [1, 2, 32])
+    def test_heavy_ties_match_stable_argsort(self, limit):
+        spec = _spec(n=4, nz=2)
+        for seed in range(20):
+            rng = np.random.default_rng([seed, limit])
+            n = int(rng.integers(1, 400))
+            # Points on a few cell centers, some outside the grid: most
+            # cells hold many points, tied on the id.
+            cells = rng.integers(-1, 5, size=(n, 3))
+            _assert_same_groups(_lidar((cells + 0.5) * (0.5, 0.5, 1.0) - 2.0),
+                                spec, limit)
+
+    @pytest.mark.parametrize("limit", [1, 2, 32])
+    def test_empty_and_all_outside_clouds(self, limit):
+        _assert_same_groups(_lidar(np.zeros((0, 3))), _spec(), limit)
+        outside = _lidar(np.full((7, 3), 50.0))
+        _assert_same_groups(outside, _spec(), limit)
+        ids, offsets, members, dropped, truncated = grids._group(
+            outside, outside["z"], _spec(), limit)
+        assert (len(ids), offsets.tolist(), len(members), dropped, truncated) \
+            == (0, [0], 0, 7, 0)
+
+    @pytest.mark.parametrize("n", [7, 8, 9, 64])
+    def test_keys_never_wrap_past_int64(self, n):
+        """2**60 cells: the keys of 8 points end at 2**63 - 1, and 9 or more
+        points would wrap, so the stable argsort runs instead. The points
+        sit in the highest and the lowest cells, with ties."""
+        spec = GridSpec(origin=(0.0, 0.0, 0.0), cell=(1.0, 1.0, 1.0),
+                        counts=(2**20, 2**20, 2**20))
+        top = 2.0**20 - 0.5
+        corners = [[top, top, top], [0.5, 0.5, 0.5], [top, top, 0.5],
+                   [top, top, top], [0.5, top, top]]
+        pts = _lidar([corners[k % len(corners)] for k in range(n)])
+        for limit in (1, 2, 32):
+            _assert_same_groups(pts, spec, limit)
+        ids, *_ = grids._group(pts, pts["z"], spec, 32)
+        assert ids[-1] == 2**60 - 1
+
+    def test_grid_beyond_int64_ids_rejected(self):
+        GridSpec(origin=(0.0, 0.0, 0.0), cell=(1.0, 1.0, 1.0),
+                 counts=(2**21, 2**21, 2**21))
+        with pytest.raises(ConfigError, match="counts"):
+            GridSpec(origin=(0.0, 0.0, 0.0), cell=(1.0, 1.0, 1.0),
+                     counts=(2**21, 2**21, 2**21 + 1))
 
 
 class TestVoxelEncode:

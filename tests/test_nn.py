@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from lrbev import nn
 from lrbev.errors import EmptyGroupError, EvaluationError, ShapeError
 from lrbev.nn import (Conv2dParams, FeatureMap, MlpParams, conv2d_backward,
                       conv2d_forward, finite_diff_check, max_reduce,
@@ -116,6 +117,65 @@ class TestConv2d:
     def test_output_dims_formula(self):
         p = Conv2dParams(np.zeros((4, 2, 3, 3)), np.zeros(4), stride=2, padding=1)
         assert p.out_hw(16, 16) == (8, 8)
+
+
+def _gemm_then_bias(p, padded, y0, y1):
+    """The rows of ``nn._im2col_rows`` on its bands, with the bias added
+    after each band's GEMM instead of inside it."""
+    cout, cin, kh, kw = p.kernel.shape
+    width = padded.shape[2] - kw + 1
+    band = min(nn._im2col_band(p, width), y1 - y0)
+    buf = np.empty(cin * kh * kw * band * width)
+    for ya, yb in nn._spans(y0, y1, band):
+        o = p.kernel.reshape(cout, -1) @ nn._im2col(p, padded, ya, yb, width, buf)
+        o += p.bias[:, None]
+        yield ya, yb, o.reshape(cout, yb - ya, width)
+
+
+class TestIm2colBands:
+    """The bias inside the im2col GEMM: a ones row ends each band's block,
+    at another offset of the scratch for a shorter last band."""
+
+    @pytest.mark.parametrize("h", [3, 12, 14], ids=["one", "several", "ragged"])
+    def test_bands_equal_the_whole_maps_rows(self, monkeypatch, h):
+        """4-row bands: a map of one band, of three, and of three and a
+        two-row band. The rows of every band, from a run over the whole map
+        or over the rows from any band start on, equal the whole-map conv's
+        bit for bit and the GEMM with the bias added after it."""
+        monkeypatch.setattr(nn, "_BAND_FLOATS", 72 * 4 * 16)
+        rng = np.random.default_rng(h)
+        p = Conv2dParams.init(8, 8, 3, rng, padding=1)
+        data = rng.normal(size=(8, h, 16))
+        padded = nn._pad(data, 1)
+        assert nn._im2col_band(p, 16) == 4
+        whole = nn._conv2d_raw(data, p)
+        for y0 in range(0, h, 4):
+            got = [(ya, yb, rows.copy()) for ya, yb, rows in nn._im2col_rows(p, padded, y0, h)]
+            want = list(_gemm_then_bias(p, padded, y0, h))
+            assert [(ya, yb) for ya, yb, _ in got] == [(ya, yb) for ya, yb, _ in want]
+            assert got[-1][1] == h
+            for (ya, yb, rows), (_, _, after) in zip(got, want):
+                assert np.array_equal(rows, whole[:, ya:yb])
+                assert np.array_equal(rows, after)
+
+    @pytest.mark.parametrize("width", [16, 128, 1440], ids=["tiny", "desk", "paper"])
+    def test_shipped_convs_keep_the_bits_of_the_bias_added_after(self, width):
+        """At the widths and im2col conv shapes of the shipped configs (the
+        second and last encoder blocks, the second trunk conv and the 1x1
+        heads), the bias inside the GEMM gives the bits of adding it after
+        the GEMM. Not every shape does: in a sweep, inputs of 400 or more
+        im2col rows, single-channel outputs and bands whose column count is
+        not a multiple of 8 differed in the last bit."""
+        rng = np.random.default_rng(width)
+        for cin, cout, k in ((2, 2, 3), (2, 512, 3), (8, 8, 3), (8, 512, 3),
+                             (2, 1, 1), (2, 2, 1), (2, 3, 1), (4, 4, 3), (4, 1, 1),
+                             (4, 2, 1), (4, 3, 1)):
+            p = Conv2dParams.init(cin, cout, k, rng, padding=k // 2)
+            h = 3 * min(nn._im2col_band(p, width), 8) + 1
+            padded = nn._pad(rng.normal(size=(cin, h, width)), k // 2)
+            for (_, _, rows), (_, _, after) in zip(nn._im2col_rows(p, padded, 0, h),
+                                                   _gemm_then_bias(p, padded, 0, h)):
+                assert np.array_equal(rows, after), (cin, cout, k)
 
 
 class TestMaxReduce:

@@ -7,7 +7,7 @@ import time
 import numpy as np
 import pytest
 
-from lrbev import cli, parallel, pipeline
+from lrbev import cli, l2r, parallel, pipeline
 from lrbev.config import tiny_config
 from lrbev.pipeline import generate_clouds, run_pipeline
 
@@ -37,6 +37,15 @@ def test_results_in_item_order(workers):
         return k * k
 
     assert parallel.each(item, range(12), workers) == [k * k for k in range(12)]
+    # With ``add``, the calling thread takes each result in item order.
+    caller, added = threading.get_ident(), []
+
+    def add(k, result):
+        assert threading.get_ident() == caller
+        added.append((k, result))
+
+    assert parallel.each(item, range(12), workers, add) == []
+    assert added == [(k, k * k) for k in range(12)]
 
 
 def test_one_item_or_one_worker_never_starts_the_pool(monkeypatch):
@@ -72,6 +81,26 @@ def test_first_failure_in_item_order_after_started_items_finish():
         parallel.each(item, range(40), 3)
     assert not running
     assert len(started) < 40
+
+
+def test_failing_add_leaves_the_helper_free():
+    """An ``add`` raises, and its traceback, with the frames of the map, is
+    kept alive: the map is closed all the same, so no helper stays parked
+    on it, and a later 2-worker map still runs items on the pool's helper
+    thread."""
+    def add(k, result):
+        if k == 1:
+            raise RuntimeError("add")
+
+    with pytest.raises(RuntimeError, match="add") as raised:
+        parallel.each(lambda k: time.sleep(0.005), range(40), 2, add)
+
+    def where(k):
+        time.sleep(0.02)
+        return threading.get_ident()
+
+    threads = _in_thread(lambda: parallel.each(where, range(8), 2))
+    assert len(set(threads)) == 2, raised
 
 
 @pytest.mark.parametrize("outer, inner", [(2, 2), (3, 3), (4, 2)])
@@ -121,15 +150,28 @@ def desk_scene(tmp_path_factory):
     return out
 
 
-@pytest.mark.parametrize("failing", [("zstack",), ("features",),
-                                     ("zstack", "features")],
-                         ids=["zstack", "features", "both"])
+# Where failures are injected, in program order: phase A's LiDAR and radar
+# streams, then phase B's, with the stage each one's error names.
+_INJECTED = {"voxel_encode": (pipeline, "voxel_encode", "grid-encoding"),
+             "height_fuse": (l2r, "height_fuse", "l2r-fusion"),
+             "zstack": (pipeline, "zstack_collapse", "grid-encoding"),
+             "bev_fuse": (l2r, "bev_fuse", "l2r-fusion")}
+
+
+@pytest.mark.parametrize("failing", [
+    ("voxel_encode",), ("height_fuse",), ("zstack",), ("bev_fuse",),
+    ("voxel_encode", "height_fuse"), ("zstack", "bev_fuse"),
+    ("voxel_encode", "zstack"), ("voxel_encode", "bev_fuse"),
+    ("height_fuse", "zstack"), ("height_fuse", "bev_fuse"),
+], ids="+".join)
 def test_stream_failures_match_one_worker(monkeypatch, capsys, tmp_path,
                                           desk_scene, failing):
-    """A failure injected into the z-stack collapse, into the L2R cell
-    features, or into both: the pooled run prints the stage and exits with
-    the code of a one-worker run, and leaves no stage running. The failing
-    calls sleep first, so the other stream is still busy when they fail."""
+    """Failures injected into the streams of either phase, singly, in pairs
+    within a phase and in pairs across the two: the pooled run prints the
+    stage and exits with the code of a one-worker run, and leaves no stage
+    running. The first failure in program order wins: phase A before phase
+    B, the LiDAR stream before the radar stream. The failing calls sleep
+    first, so the other stream is still busy when they fail."""
     running, lock = set(), threading.Lock()
 
     def injected(name, fn):
@@ -146,10 +188,8 @@ def test_stream_failures_match_one_worker(monkeypatch, capsys, tmp_path,
                     running.discard(name)
         return call
 
-    monkeypatch.setattr(pipeline, "zstack_collapse",
-                        injected("zstack", pipeline.zstack_collapse))
-    monkeypatch.setattr(pipeline, "compute_cell_features",
-                        injected("features", pipeline.compute_cell_features))
+    for name, (module, attr, _) in _INJECTED.items():
+        monkeypatch.setattr(module, attr, injected(name, getattr(module, attr)))
     argv = ["run", "--scale", "desk", "--in", str(desk_scene),
             "--out", str(tmp_path)]
     runs = []
@@ -161,5 +201,5 @@ def test_stream_failures_match_one_worker(monkeypatch, capsys, tmp_path,
     assert runs[0] == runs[1]
     code, err = runs[0]
     assert code == cli.EXIT_VALIDATION
-    stage = "grid-encoding: zstack" if "zstack" in failing else "l2r-fusion: features"
-    assert stage in err
+    first = next(name for name in _INJECTED if name in failing)
+    assert f"{_INJECTED[first][2]}: {first} injected" in err

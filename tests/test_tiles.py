@@ -156,10 +156,12 @@ def test_failing_add_waits_for_started_items(monkeypatch, loop):
     rng = np.random.default_rng(58)
     m_l, enhanced = _inputs(rng, 90, 64)    # 12 gather chunks, 6 items
     running, lock = set(), threading.Lock()
-    real = heads._add_in_order
+    real = parallel.each
     loops = []
 
-    def add_in_order(fn, items, workers, add):
+    def each(fn, items, workers, add=None):
+        if add is None:
+            return real(fn, items, workers)
         loops.append(len(loops))
         if loops[-1] != loop:
             return real(fn, items, workers, add)
@@ -184,10 +186,10 @@ def test_failing_add_waits_for_started_items(monkeypatch, loop):
 
         return real(slow, items, workers, failing)
 
-    monkeypatch.setattr(heads, "_add_in_order", add_in_order)
+    monkeypatch.setattr(parallel, "each", each)
     # The error, and with it the frames of its traceback, kept alive as a
     # caller handling it would: finishing the started items must not wait
-    # for the loop's generator to be dropped.
+    # for the map's frames to be dropped.
     with pytest.raises(RuntimeError, match="add") as raised:
         r2l_forward(m_l, enhanced, *_weights(rng), workers=2)
     assert not running, raised
