@@ -21,13 +21,15 @@ block's items' taps in order; a map under two items high runs every step
 inline. Its output bits do not depend on the number of workers. It is the
 only R2L path: a head it cannot band raises ``ShapeError``.
 ``fuse_bev_maps``, ``bev_encoder`` and ``detect_forward`` are the whole-map
-chain it is checked against; both run the tap-sum and im2col kernels of
-``nn``.
+chain it is checked against, byte for byte. They run the first block and
+the first trunk conv by per-tap GEMMs (``nn._tap_conv``) and every other
+conv by im2col, as ``r2l_forward`` does; this module alone decides which
+conv takes which.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -35,9 +37,11 @@ import numpy as np
 from . import parallel
 from .errors import ShapeError
 from .grids import BevColumns, GridSpec
-from .nn import (BLAS_BLOCK, Conv2dParams, FeatureMap, _add_taps,
-                 _conv2d_raw, _finite, _im2col_band, _im2col_rows, _tap_rows,
-                 band_rows, conv2d_forward, relu, sigmoid)
+# conv2d_forward is not called here, but stays a name of this module: the
+# per-layer tracer under perfbench/ wraps ``heads.conv2d_forward``.
+from .nn import (BLAS_BLOCK, Conv2dParams, FeatureMap, _add_taps,  # noqa: F401
+                 _conv2d_raw, _finite, _im2col_band, _im2col_rows, _tap_conv,
+                 _tap_rows, band_rows, conv2d_forward, relu, sigmoid)
 from .synth import wrap_angle
 
 ENCODER_CHANNELS = 512
@@ -87,15 +91,32 @@ def _check_encoder(blocks: list, shape: tuple) -> None:
         shape = (cout, oh, ow)
 
 
+def _check_trunk(trunk: list, shape: tuple) -> Conv2dParams:
+    """The first conv of a head trunk, once checked to read a 512-channel
+    map of this shape at stride 1 and keep its size (else ShapeError)."""
+    if (not trunk or trunk[0].stride != 1 or trunk[0].out_hw(*shape[1:]) != shape[1:]
+            or not trunk[0].kernel.shape[1] == shape[0] == ENCODER_CHANNELS):
+        raise ShapeError(f"head trunk: the first conv must read the {ENCODER_CHANNELS}"
+                         "-channel map at stride 1 and keep its size")
+    return trunk[0]
+
+
 def bev_encoder(fused: FeatureMap, blocks) -> FeatureMap:
     """Three conv+rectifier blocks adjusting the fused map to 512 channels,
-    spatial dimensions preserved."""
+    spatial dimensions preserved. The first block sums per-tap GEMMs
+    (``nn._tap_conv``), as ``r2l_forward``'s does; the others run im2col."""
     blocks = list(blocks)
     _check_encoder(blocks, fused.shape)
-    out = fused
-    for conv in blocks:
-        out = FeatureMap._wrap(relu(conv2d_forward(out, conv).data))
-    return out
+    return FeatureMap._wrap(_rectified(fused.data, blocks))
+
+
+def _rectified(data: np.ndarray, convs) -> np.ndarray:
+    """``data`` through ``convs``, each output checked for non-finite values
+    and rectified: the first conv by per-tap GEMMs (``nn._tap_conv``), as
+    ``r2l_forward`` runs it, the rest by im2col."""
+    for k, conv in enumerate(convs):
+        data = relu(_finite((_conv2d_raw if k else _tap_conv)(data, conv)))
+    return data
 
 
 @dataclass
@@ -125,14 +146,19 @@ class HeadOutputs:
 
 
 def detect_forward(features: FeatureMap, params: HeadParams) -> HeadOutputs:
-    """Run the trunk and every head; sigmoid on the heatmap only."""
-    out = features
-    for conv in params.trunk:
-        out = FeatureMap._wrap(relu(conv2d_forward(out, conv).data))
-    logits = conv2d_forward(out, params.heatmap).data
-    maps = {}
-    for name in _REGRESSIONS:
-        maps[name] = conv2d_forward(out, getattr(params, name)).data
+    """Run the trunk and every head; sigmoid on the heatmap only. The first
+    trunk conv sums per-tap GEMMs (``nn._tap_conv``), as ``r2l_forward``'s
+    does; the rest run im2col."""
+    _check_trunk(params.trunk, features.shape)
+    return _head_outputs(_rectified(features.data, params.trunk), params)
+
+
+def _head_outputs(feat: np.ndarray, head: HeadParams) -> HeadOutputs:
+    """The 1x1 heads on the trunk output ``feat``; sigmoid on the heatmap
+    only."""
+    logits = _finite(_conv2d_raw(feat, head.heatmap))
+    maps = {name: _finite(_conv2d_raw(feat, getattr(head, name)))
+            for name in _REGRESSIONS}
     return HeadOutputs(heatmap=sigmoid(logits), heatmap_logits=logits, **maps)
 
 
@@ -162,11 +188,10 @@ def workers_for(height: int, workers: int | None = None) -> int:
     return parallel.WORKERS if workers is None else workers
 
 
-def _items(conv: Conv2dParams, height: int, width: int) -> list:
-    """Row spans ``(y0, y1)`` of ``conv``'s whole-map ``nn._im2col_rows``
-    bands, counted from row 0, at least ``TILE_ROWS`` rows each but the
-    last."""
-    band = _im2col_band(conv, width)
+def _items(height: int, *bands: int) -> list:
+    """Row spans ``(y0, y1)`` made of whole bands of each of ``bands`` rows,
+    counted from row 0, at least ``TILE_ROWS`` rows each but the last."""
+    band = math.lcm(*bands)
     step = band * -(-TILE_ROWS // band)
     return [(y0, min(height, y0 + step)) for y0 in range(0, height, step)]
 
@@ -220,32 +245,30 @@ def _sparse_block(conv: Conv2dParams, m_l: BevColumns, enhanced: BevColumns,
     iy, ix = np.divmod(cols, w)
     home = np.arange(cout)[:, None] * out[0].size + (iy + border) * wide + ix + border
     shifts = [(p - ky) * wide + p - kx for ky in range(kh) for kx in range(kw)]
-    kmat = conv.kernel.transpose(0, 2, 3, 1).reshape(-1, cin)
     span = BLAS_BLOCK * band_rows(cin, BLAS_BLOCK)
     edges = list(range(0, len(cols), span)) + [len(cols)]
     lcut = np.searchsorted(lpos, edges).tolist()
     rcut = np.searchsorted(rpos, edges).tolist()
 
     def gemm(j: int) -> np.ndarray:
-        """The (cout, kh * kw, padded) tap results of chunk ``j``."""
+        """The (cout, kh * kw, padded) tap results of chunk ``j``, whose
+        block comes padded to whole ``BLAS_BLOCK`` columns."""
         c0, c1 = edges[j], edges[j + 1]
         b = np.zeros((cin, c1 - c0 + -(c1 - c0) % BLAS_BLOCK))
         la, lb, ra, rb = lcut[j], lcut[j + 1], rcut[j], rcut[j + 1]
         b[:cl, lpos[la:lb] - c0] = m_l.features[la:lb].T
         b[cl:, rpos[ra:rb] - c0] = enhanced.features[rsrc[ra:rb]].T
-        return np.matmul(kmat, b).reshape(cout, kh * kw, -1)
+        return _tap_rows(conv, (b[:, None],), 1, b.shape[1]).reshape(cout, kh * kw, -1)
 
     def add(j: int, o: np.ndarray) -> None:
         c0, c1 = edges[j], edges[j + 1]
         for t, shift in enumerate(shifts):
             flat[home[:, c0:c1] + shift] += o[:, t, :c1 - c0]
 
-    widest = min(span, len(cols))
-    widest += -widest % BLAS_BLOCK
     # Per worker: a running chunk's block and taps, the taps of a second
     # chunk waiting to be taken, and a share of the taps the calling thread
-    # is adding (see parallel.each).
-    workers = _fit(workers, (cin + 3 * len(kmat)) * widest)
+    # is adding (see parallel.each), for the widest chunk.
+    workers = _fit(workers, (cin + 3 * cout * kh * kw) * min(span, len(cols)))
     parallel.each(gemm, range(len(edges) - 1), workers, add)
     out[:, :border] = out[:, h + border:] = 0.0
     out[:, :, :border] = out[:, :, w + border:] = 0.0
@@ -266,13 +289,13 @@ def r2l_forward(m_l: BevColumns, enhanced: BevColumns, encoder,
     (``_sparse_block``). The second and the last block run in items of the
     whole map's ``nn._im2col_rows`` bands (``_items``). An item of the last
     block rectifies its bands one at a time and runs the first trunk conv's
-    per-tap GEMMs on each (``nn._tap_rows``), so the 512-channel map exists
-    one band at a time, and returns the taps. The calling thread adds them
-    in item order onto the trunk output inside a border of its padding
-    (``nn._add_taps``), then adds the bias and rectifies. The rest of the
-    head runs on the narrow trunk output. The first block's chunk GEMMs and
-    both blocks' items are ``parallel.each`` maps on
-    ``parallel.WORKERS`` threads (``workers`` overrides it), each at most
+    per-tap GEMMs on them, band by band of that conv (``nn._tap_rows``), so
+    the 512-channel map exists one band at a time, and returns the taps.
+    The calling thread adds them in item order onto the trunk output inside
+    a border of its padding (``nn._add_taps``), then adds the bias and
+    rectifies. The rest of the head runs on the narrow trunk output. The
+    first block's chunk GEMMs and both blocks' items are ``parallel.each``
+    maps on ``parallel.WORKERS`` threads (``workers`` overrides it), each at most
     as many items at once as fit their scratch in ``_SCRATCH_FLOATS``; a
     map under two items high (``workers_for``) runs every step inline and
     never starts the pool. Every conv output is checked for non-finite values
@@ -285,48 +308,38 @@ def r2l_forward(m_l: BevColumns, enhanced: BevColumns, encoder,
     Bits: items, bands and gather chunks depend on the shapes and on which
     columns are occupied alone, and every item does the same arithmetic on
     whichever thread runs it, so the output does not depend on the worker
-    count. The whole-map chain runs the same kernels. BLAS computes a GEMM
-    column alike wherever it sits, except in the last, partial block of the
-    GEMM's columns (8 wide under the OpenBLAS SkylakeX kernel, where it was
-    measured), so gathered chunks are padded with zero columns to a
-    multiple of ``BLAS_BLOCK``;
-    without it, taps of a chunk's last 1 to 4 columns differ from the whole
-    map's in the last bits (OpenBLAS 0.3.31, AVX-512 Xeon). For any output
-    cell, the input column behind tap (ky, kx) has a row-major id that
-    strictly increases with (ky, kx), so adding ascending chunks tap by tap
-    sums each cell in the whole map's (ky, kx) order, from the same +0; a
-    skipped column's taps would be zeros of either sign, which change no
-    sum. The same holds for the trunk conv's items, whose input rows rise
-    with ky. The second and last blocks run the twin's bands, whose GEMMs
-    add the bias themselves (``nn._im2col_rows``), so they match at every
-    width. That bias add gives the bits of adding it after the GEMM at the
-    shipped layer shapes and map widths, under each OpenBLAS kernel
-    ``tests/test_blas_kernels.py`` names, but not at every shape: a sweep
-    found last-bit differences for inputs of 400 or more im2col rows,
-    single-channel outputs, and bands whose column count is not a multiple
-    of 8. But the trunk conv's GEMMs on the bands have
-    ``rows x W`` columns where the whole map's has ``H x W``, and BLAS may
-    give a small GEMM's columns other bits than the same columns of a large
-    one (a 4 x 512 by 512 x 64 GEMM against a 4 x 512 by 512 x 3392 one).
-    Of maps 32, 45, 53, 64 and 131 rows by 16, 24 and 64 columns, on 1 and
-    2 workers alike, a 1x1 first trunk conv differs from the whole map in
-    the last bits (up to 2e-15 of the largest output) on all but 32 x 16,
-    32 x 24, 32 x 64, 64 x 16 and 64 x 64; a 3x3 one on 64 x 24 and
-    131 x 16 (2e-16); a 5x5 one on none. Desk and tiny maps, with the
-    shipped 3x3 trunk, match the whole-map chain bit for bit;
-    ``heads.tiled-oracle`` bounds any difference at 1e-12 of the largest
-    output.
+    count. It equals the whole-map chain byte for byte by construction:
+    both run the same GEMMs (for the first block, GEMMs whose columns BLAS
+    computes alike) and sum in the same order.
+    - The second and last blocks run the twin's im2col bands
+      (``nn._im2col_rows``).
+    - The first trunk conv runs ``nn._tap_rows`` on the bands of
+      ``band_rows(512, W)`` rows from row 0 that ``nn._tap_conv`` runs in
+      the twin: items start on a boundary of both these bands and the last
+      block's, and ``_tap_rows`` regroups the last block's bands into its
+      own where they differ.
+    - The first block runs ``nn._tap_rows`` on gathered chunks padded with
+      zero columns to a multiple of ``BLAS_BLOCK``, the twin on bands of
+      the whole map, which ``_tap_rows`` pads the same way. BLAS computes a
+      GEMM column alike wherever it sits except in the last, partial block
+      of the GEMM's columns. Without the padding, taps of a chunk's last 1 to 4 columns
+      differed from the whole map's in the last bits (OpenBLAS 0.3.31,
+      AVX-512 Xeon).
+    - Taps are added in ascending chunk, item or band order, and within
+      each tap by tap in (ky, kx) order. For any output cell, the input
+      column behind tap (ky, kx) has a row-major id that strictly rises
+      with (ky, kx), so it lies in no earlier chunk or band than the
+      column behind an earlier tap: every cell is summed in (ky, kx) order
+      from the same +0. A skipped column's taps would be zeros of either
+      sign, which change no sum.
+    ``heads.tiled-oracle`` checks every head output for equal bytes, under
+    five OpenBLAS kernels in ``tests/test_blas_kernels.py``.
     """
     encoder = list(encoder)
     fh, fw = _replication(m_l, enhanced)
     h, w = m_l.height, m_l.width
     _check_encoder(encoder, (m_l.channels + enhanced.channels, h, w))
-    trunk0 = head.trunk[0] if head.trunk else None
-    if (trunk0 is None or trunk0.stride != 1 or trunk0.out_hw(h, w) != (h, w)
-            or trunk0.kernel.shape[1] != ENCODER_CHANNELS):
-        raise ShapeError(f"head trunk: the first conv must read the "
-                         f"{ENCODER_CHANNELS}-channel map at stride 1 and "
-                         f"keep its size")
+    trunk0 = _check_trunk(head.trunk, (ENCODER_CHANNELS, h, w))
     enc0, enc1, enc2 = encoder
     p1, p2, p = enc1.padding, enc2.padding, trunk0.padding
     workers = workers_for(h, workers)
@@ -341,20 +354,21 @@ def r2l_forward(m_l: BevColumns, enhanced: BevColumns, encoder,
         for ya, yb, pre in _im2col_rows(enc1, src, *span):
             np.maximum(_finite(pre), 0.0, out=a1[:, p2 + ya:p2 + yb, p2:p2 + w])
 
-    parallel.each(block1, _items(enc1, h, w), _fit(workers, _im2col_floats(enc1, w)))
+    parallel.each(block1, _items(h, _im2col_band(enc1, w)),
+                  _fit(workers, _im2col_floats(enc1, w)))
     del a0, src
 
     def block2_trunk0(span: tuple) -> np.ndarray:
         """The first trunk conv's taps of the rectified last block's rows
-        ``y0`` to ``y1``."""
-        y0, y1 = span
+        ``span``."""
         bands = (np.maximum(_finite(pre), 0.0, out=pre)
-                 for _, _, pre in _im2col_rows(enc2, a1, y0, y1))
-        return _tap_rows(trunk0, bands, y1 - y0, w)
+                 for _, _, pre in _im2col_rows(enc2, a1, *span))
+        return _tap_rows(trunk0, bands, span[1] - span[0], w)
 
     # The first trunk conv's output inside a border of its padding.
     acc = np.zeros((trunk0.kernel.shape[0], h + 2 * p, w + 2 * p))
-    items = _items(enc2, h, w)
+    # Items of whole bands of both the last block and the trunk conv.
+    items = _items(h, _im2col_band(enc2, w), band_rows(ENCODER_CHANNELS, w))
     # Per worker: a running item's scratch and taps, the taps of a second
     # item waiting to be taken, and a share of those being added.
     taps = trunk0.kernel[:, 0].size * items[0][1] * w   # the tallest item's
@@ -369,10 +383,7 @@ def r2l_forward(m_l: BevColumns, enhanced: BevColumns, encoder,
 
     for conv in head.trunk[1:]:
         feat = relu(_finite(_conv2d_raw(feat, conv)))
-    logits = _finite(_conv2d_raw(feat, head.heatmap))
-    maps = {name: _finite(_conv2d_raw(feat, getattr(head, name)))
-            for name in _REGRESSIONS}
-    return HeadOutputs(heatmap=sigmoid(logits), heatmap_logits=logits, **maps)
+    return _head_outputs(feat, head)
 
 
 @dataclass(frozen=True)
@@ -390,10 +401,7 @@ class DetectionBox:
     score: float
 
     def to_dict(self) -> dict:
-        return {"x": self.x, "y": self.y, "z": self.z,
-                "length": self.length, "width": self.width, "height": self.height,
-                "yaw": self.yaw, "vx": self.vx, "vy": self.vy,
-                "class_id": self.class_id, "score": self.score}
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "DetectionBox":
@@ -529,8 +537,7 @@ def outputs_from_targets(t: TargetMaps, eps: float = 1e-7) -> HeadOutputs:
     p = np.clip(t.heatmap, eps, 1.0 - eps)
     logits = np.log(p / (1.0 - p))
     return HeadOutputs(heatmap=sigmoid(logits), heatmap_logits=logits,
-                       offset=t.offset.copy(), z=t.z.copy(), size=t.size.copy(),
-                       rot=t.rot.copy(), vel=t.vel.copy())
+                       **{name: getattr(t, name).copy() for name in _REGRESSIONS})
 
 
 @dataclass
@@ -543,8 +550,7 @@ class LossWeights:
     vel: float = 1.0
 
     def to_dict(self) -> dict:
-        return {"heatmap": self.heatmap, "offset": self.offset, "z": self.z,
-                "size": self.size, "rot": self.rot, "vel": self.vel}
+        return asdict(self)
 
 
 @dataclass

@@ -234,8 +234,8 @@ def mlp_forward(x, p: MlpParams) -> Array:
 # BLAS computes a GEMM row or column alike wherever it sits, except in the
 # last, partial block of the GEMM's rows or columns. GEMM operands padded
 # with zeros to a multiple of this many rows (MLP batches) or columns
-# (``heads._sparse_block``'s gathered columns) give each one the same bits
-# wherever it sits in the operand.
+# (the per-tap GEMMs of ``_tap_rows``) give each one the same bits wherever
+# it sits in the operand.
 BLAS_BLOCK = 8
 
 
@@ -355,19 +355,41 @@ def _spans(start: int, stop: int, rows: int):
         yield y, min(stop, y + rows)
 
 
+def _rebanded(chunks, rows: int, total: int):
+    """Consecutive (C, n, W) ``chunks`` of ``total`` rows in all, each valid
+    until the next is taken, as consecutive bands of ``rows`` rows but the
+    last. The bands that lie within one chunk are views of it; the others
+    are copied together."""
+    held, seen = [], 0
+    for c in chunks:
+        seen += c.shape[1]
+        c = np.concatenate(held + [c], axis=1) if held else c
+        n = c.shape[1] if seen == total else c.shape[1] - c.shape[1] % rows
+        for y in range(0, n, rows):
+            yield c[:, y:y + rows]
+        held = [c[:, n:].copy()] if n < c.shape[1] else []
+
+
 def _tap_rows(p: Conv2dParams, chunks, rows: int, width: int) -> Array:
     """Per-tap GEMM results (Cout, kh, kw, rows, W) of a stride-1 conv on
     ``rows`` input rows arriving as consecutive (Cin, n, W) chunks: one GEMM
-    of every kernel tap against each chunk."""
+    of every kernel tap against each band of ``band_rows(Cin, W)`` rows,
+    counted from the first row, however the chunks cut them. A band whose
+    rows x W is not a multiple of ``BLAS_BLOCK`` runs padded with zero
+    columns to one. So the GEMMs, and with them the taps' bits, depend on
+    the rows and the conv alone, not on the chunks."""
     cout, cin, kh, kw = p.kernel.shape
     kmat = p.kernel.transpose(0, 2, 3, 1).reshape(cout * kh * kw, cin)
     taps = np.empty((cout, kh, kw, rows, width))
     flat = taps.reshape(cout * kh * kw, -1)
     done = 0
-    for chunk in chunks:
-        n = chunk.shape[1]
-        np.matmul(kmat, chunk.reshape(cin, n * width),
-                  out=flat[:, done * width:(done + n) * width])
+    for chunk in _rebanded(chunks, band_rows(cin, width), rows):
+        n = chunk.shape[1] * width
+        b, out = chunk.reshape(cin, n), flat[:, done:done + n]
+        if n % BLAS_BLOCK:
+            out[:] = np.matmul(kmat, np.pad(b, ((0, 0), (0, -n % BLAS_BLOCK))))[:, :n]
+        else:
+            np.matmul(kmat, b, out=out)
         done += n
     return taps
 
@@ -443,27 +465,29 @@ def _pad(data: Array, padding: int) -> Array:
     return np.pad(data, widths) if padding else data
 
 
+def _tap_conv(data: Array, p: Conv2dParams) -> Array:
+    """The stride-1, size-keeping conv ``p`` of ``data`` by per-tap GEMMs:
+    the ``_tap_rows`` taps of the whole map, one GEMM per band of
+    ``band_rows(Cin, W)`` rows from row 0, added in (ky, kx) order
+    (``_add_taps``), then the bias. These are the GEMMs and the sums of
+    ``heads.r2l_forward``'s first block and first trunk conv."""
+    _, h, w = data.shape
+    pad = p.padding
+    acc = np.zeros((p.kernel.shape[0], h + 2 * pad, w + 2 * pad))
+    _add_taps(acc, _tap_rows(p, (data,), h, w), 0)
+    return acc[:, pad:pad + h, pad:pad + w] + p.bias[:, None, None]
+
+
 def _conv2d_raw(data: Array, p: Conv2dParams) -> Array:
+    """The conv ``p`` of the (Cin, H, W) array ``data`` by im2col, in the
+    bands of ``_im2col_rows``; the one conv path of ``conv2d_forward``."""
     cin, h, w = data.shape
-    cout, kin, kh, kw = p.kernel.shape
+    cout, kin = p.kernel.shape[:2]
     if cin != kin:
         raise ShapeError(f"conv input has {cin} channels, kernel expects {kin}")
     oh, ow = p.out_hw(h, w)
     if oh < 1 or ow < 1:
         raise ShapeError(f"degenerate conv output {oh}x{ow} for input {h}x{w}")
-    # Strategy is a pure function of the shapes, so identical inputs always
-    # take the same arithmetic path; both run the kernels that
-    # heads.r2l_forward runs on its bands.
-    if (p.stride == 1 and (oh, ow) == (h, w) and cout * kh * kw <= 256
-            and cin >= 16 and cout * kh * kw * h * w <= 6 * 10**7):
-        # Few output taps, fat input: one GEMM of every tap against the
-        # unpadded map, then the shifted tap planes summed. Reads the input
-        # exactly once.
-        pad = p.padding
-        acc = np.zeros((cout, h + 2 * pad, w + 2 * pad))
-        _add_taps(acc, _tap_rows(p, (data,), h, w), 0)
-        acc[:, pad:pad + h, pad:pad + w] += p.bias[:, None, None]
-        return acc[:, pad:pad + h, pad:pad + w]
     out = np.empty((cout, oh, ow))
     for ya, yb, rows in _im2col_rows(p, _pad(data, p.padding), 0, oh):
         out[:, ya:yb] = rows
@@ -501,8 +525,7 @@ def conv2d_backward(m: FeatureMap, p: Conv2dParams, grad_out: Array):
         gcols = (wmat.T @ gband).reshape(cin, kh, kw, y1 - y0, ow)
         for ky in range(kh):
             for kx in range(kw):
-                gp = _tap_view(grad_padded, p.stride, ky, kx, y0, y1, ow)
-                gp += gcols[:, ky, kx]
+                _tap_view(grad_padded, p.stride, ky, kx, y0, y1, ow)[:] += gcols[:, ky, kx]
     grad_in = grad_padded[:, p.padding:p.padding + h, p.padding:p.padding + w]
     return grad_in, grad_kernel.reshape(p.kernel.shape), gflat.sum(axis=1)
 

@@ -43,17 +43,19 @@ def _weights(rng):
                                z=one(1), size=one(3), rot=one(2), vel=one(2))
 
 
-@pytest.mark.parametrize("h, kernel", [
-    (2 * TILE_ROWS, 3), (3 * TILE_ROWS + 5, 3), (2 * TILE_ROWS, 5),
-    (3 * TILE_ROWS + 5, 5),
-], ids=["32", "53", "32-5x5", "53-5x5"])
+@pytest.mark.parametrize("h, kernel, w", [
+    (2 * TILE_ROWS, 3, 64), (3 * TILE_ROWS + 5, 3, 64), (2 * TILE_ROWS, 5, 64),
+    (3 * TILE_ROWS + 5, 5, 64), (3 * TILE_ROWS + 5, 1, 64), (3 * TILE_ROWS + 5, 3, 33),
+], ids=["32", "53", "32-5x5", "53-5x5", "53-1x1", "53-w33"])
 @pytest.mark.parametrize("workers", [1, 2])
-def test_seams_bit_identical_to_twins(h, kernel, workers):
-    """W = 64 keeps every GEMM column in a full block, so the trunk rows
-    fed by two items, summed from the taps of both in item order, match
-    the whole map. A 5x5 first trunk conv reads two rows of the next item."""
+def test_seams_bit_identical_to_twins(h, kernel, w, workers):
+    """The trunk rows fed by two items, summed from the taps of both in
+    item order, match the whole map, whose first trunk conv runs the same
+    per-band tap GEMMs. A 5x5 first trunk conv reads two rows of the next
+    item. At W = 33 most bands' rows x W are not a multiple of 8, so their
+    tap GEMMs run padded with zero columns."""
     rng = np.random.default_rng([49, h])
-    m_l, enhanced = _inputs(rng, h, 64)
+    m_l, enhanced = _inputs(rng, h, w)
     encoder, head = _weights(rng)
     if kernel != 3:
         head.trunk[0] = Conv2dParams.init(512, 4, kernel, rng, padding=kernel // 2)
@@ -64,12 +66,31 @@ def test_seams_bit_identical_to_twins(h, kernel, workers):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_wide_last_block_bands_regrouped_for_the_trunk(workers):
+    """A last block of 64 input channels has 576-row im2col blocks, so its
+    bands (18 rows at W = 24) are shorter than the first trunk conv's (21
+    rows): the items regroup them into the trunk's bands, whose tap GEMMs
+    the whole map runs too."""
+    rng = np.random.default_rng(59)
+    h, w = 4 * TILE_ROWS, 24
+    m_l, enhanced = _inputs(rng, h, w)
+    encoder, head = _weights(rng)
+    encoder[1] = Conv2dParams.init(8, 64, 3, rng, padding=1)
+    encoder[2] = Conv2dParams.init(64, 512, 3, rng, padding=1)
+    assert nn._im2col_band(encoder[2], w) < nn.band_rows(512, w)
+    got = r2l_forward(m_l, enhanced, encoder, head, workers=workers)
+    want = detect_forward(bev_encoder(fuse_bev_maps(m_l.dense(), enhanced.dense()), encoder),
+                          head)
+    for name in HEAD_FIELDS:
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
 def test_seam_hand_ins_under_fast_thread_switching():
     """More workers than cores and a short switch interval: every item's
-    taps are still added exactly once, in item order. A 1x1 first trunk
-    conv has no taps reaching another item's rows. Checked against one
-    worker, not the whole-map twin: a 1x1 trunk conv's small GEMMs may take
-    other bits than the whole map's."""
+    taps are still added exactly once, in item order, and give the bytes of
+    one worker and of the whole-map twin. A 1x1 first trunk conv has no
+    taps reaching another item's rows."""
     rng = np.random.default_rng(52)
     m_l, enhanced = _inputs(rng, 8 * TILE_ROWS + 3, 16)
     encoder, head = _weights(rng)
@@ -80,6 +101,10 @@ def test_seam_hand_ins_under_fast_thread_switching():
     try:
         for trunk_head in (head, pointwise):
             want = r2l_forward(m_l, enhanced, encoder, trunk_head, workers=1)
+            twin = detect_forward(bev_encoder(fuse_bev_maps(m_l.dense(), enhanced.dense()),
+                                              encoder), trunk_head)
+            for name in HEAD_FIELDS:
+                assert getattr(twin, name).tobytes() == getattr(want, name).tobytes()
             for _ in range(3):
                 got = r2l_forward(m_l, enhanced, encoder, trunk_head, workers=6)
                 for name in HEAD_FIELDS:
