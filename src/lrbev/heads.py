@@ -13,18 +13,20 @@ centers and reports analytic gradients for the finite-difference checker.
 the LiDAR and the enhanced radar maps as their occupied columns
 (``grids.BevColumns``) and runs the first block on the occupied fused
 columns only, one GEMM per chunk of them. The second and the last block
-run in items of the whole map's row bands, and the last block's feed the
-first trunk conv's per-tap GEMMs, so the 512-channel map exists one band
-at a time. Chunks and items are maps on the worker threads of
-``lrbev.parallel``, and the calling thread adds the chunks' and the last
-block's items' taps in order; a map under two items high runs every step
-inline. Its output bits do not depend on the number of workers. It is the
-only R2L path: a head it cannot band raises ``ShapeError``.
+run in items of the whole map's im2col row bands, and the last block's
+bands feed the first trunk conv's per-tap GEMMs, so the 512-channel map
+exists one band at a time. Chunks and items are maps on the worker
+threads of ``lrbev.parallel``, and the calling thread adds the chunks' and
+the last block's items' taps in order; a map under two items high runs
+every step inline. Its output bits do not depend on the number of
+workers. It is the only R2L path: a head it cannot band raises
+``ShapeError``.
 ``fuse_bev_maps``, ``bev_encoder`` and ``detect_forward`` are the whole-map
 chain it is checked against, byte for byte. They run the first block and
 the first trunk conv by per-tap GEMMs (``nn._tap_conv``) and every other
 conv by im2col, as ``r2l_forward`` does; this module alone decides which
-conv takes which.
+conv takes which, and ``nn`` alone how many columns a tap GEMM has
+(``nn.tap_columns``).
 """
 from __future__ import annotations
 
@@ -37,11 +39,12 @@ import numpy as np
 from . import parallel
 from .errors import ShapeError
 from .grids import BevColumns, GridSpec
-# conv2d_forward is not called here, but stays a name of this module: the
-# per-layer tracer under perfbench/ wraps ``heads.conv2d_forward``.
-from .nn import (BLAS_BLOCK, Conv2dParams, FeatureMap, _add_taps,  # noqa: F401
-                 _conv2d_raw, _finite, _im2col_band, _im2col_rows, _tap_conv,
-                 _tap_rows, band_rows, conv2d_forward, relu, sigmoid)
+# band_rows and conv2d_forward are not called here, but stay names of this
+# module: the oracles and tests read ``heads.band_rows``, and the tracer
+# under perfbench/ wraps ``heads.conv2d_forward``.
+from .nn import (Conv2dParams, FeatureMap, _add_taps, _conv2d_raw,  # noqa: F401
+                 _finite, _im2col_band, _im2col_rows, _tap_conv, _tap_rows,
+                 band_rows, conv2d_forward, relu, sigmoid, tap_columns)
 from .synth import wrap_angle
 
 ENCODER_CHANNELS = 512
@@ -188,10 +191,9 @@ def workers_for(height: int, workers: int | None = None) -> int:
     return parallel.WORKERS if workers is None else workers
 
 
-def _items(height: int, *bands: int) -> list:
-    """Row spans ``(y0, y1)`` made of whole bands of each of ``bands`` rows,
-    counted from row 0, at least ``TILE_ROWS`` rows each but the last."""
-    band = math.lcm(*bands)
+def _items(height: int, band: int) -> list:
+    """Row spans ``(y0, y1)`` of whole bands of ``band`` rows, counted from
+    row 0, at least ``TILE_ROWS`` rows each but the last."""
     step = band * -(-TILE_ROWS // band)
     return [(y0, min(height, y0 + step)) for y0 in range(0, height, step)]
 
@@ -228,10 +230,10 @@ def _sparse_block(conv: Conv2dParams, m_l: BevColumns, enhanced: BevColumns,
     """The rectified size-keeping, stride-1 ``conv`` of the fused map of
     ``m_l`` and ``enhanced`` replicated ``fh`` x ``fw`` times, inside a zero
     border of ``border`` >= ``conv.padding`` cells: one GEMM per chunk of
-    the occupied columns in ascending id order, on up to ``workers``
-    threads, and the calling thread adds each tap's results onto the cells
-    it feeds, chunk by chunk in ascending order. Taps falling off the map
-    land on the border, zeroed again afterwards."""
+    ``nn.tap_columns`` occupied columns in ascending id order, on up to
+    ``workers`` threads, and the calling thread adds each tap's results
+    onto the cells it feeds, chunk by chunk in ascending order. Taps
+    falling off the map land on the border, zeroed again afterwards."""
     h, w = m_l.height, m_l.width
     cout, cin, kh, kw = conv.kernel.shape
     cl, p, wide = m_l.channels, conv.padding, w + 2 * border
@@ -245,30 +247,29 @@ def _sparse_block(conv: Conv2dParams, m_l: BevColumns, enhanced: BevColumns,
     iy, ix = np.divmod(cols, w)
     home = np.arange(cout)[:, None] * out[0].size + (iy + border) * wide + ix + border
     shifts = [(p - ky) * wide + p - kx for ky in range(kh) for kx in range(kw)]
-    span = BLAS_BLOCK * band_rows(cin, BLAS_BLOCK)
+    span = tap_columns(cin, h, w)
     edges = list(range(0, len(cols), span)) + [len(cols)]
     lcut = np.searchsorted(lpos, edges).tolist()
     rcut = np.searchsorted(rpos, edges).tolist()
 
     def gemm(j: int) -> np.ndarray:
-        """The (cout, kh * kw, padded) tap results of chunk ``j``, whose
-        block comes padded to whole ``BLAS_BLOCK`` columns."""
+        """The (cout, kh * kw, columns) tap results of chunk ``j``."""
         c0, c1 = edges[j], edges[j + 1]
-        b = np.zeros((cin, c1 - c0 + -(c1 - c0) % BLAS_BLOCK))
+        b = np.zeros((cin, c1 - c0))
         la, lb, ra, rb = lcut[j], lcut[j + 1], rcut[j], rcut[j + 1]
         b[:cl, lpos[la:lb] - c0] = m_l.features[la:lb].T
         b[cl:, rpos[ra:rb] - c0] = enhanced.features[rsrc[ra:rb]].T
-        return _tap_rows(conv, (b[:, None],), 1, b.shape[1]).reshape(cout, kh * kw, -1)
+        return _tap_rows(conv, (b[:, None],), 1, c1 - c0, span).reshape(cout, kh * kw, -1)
 
     def add(j: int, o: np.ndarray) -> None:
         c0, c1 = edges[j], edges[j + 1]
         for t, shift in enumerate(shifts):
-            flat[home[:, c0:c1] + shift] += o[:, t, :c1 - c0]
+            flat[home[:, c0:c1] + shift] += o[:, t]
 
     # Per worker: a running chunk's block and taps, the taps of a second
     # chunk waiting to be taken, and a share of the taps the calling thread
-    # is adding (see parallel.each), for the widest chunk.
-    workers = _fit(workers, (cin + 3 * cout * kh * kw) * min(span, len(cols)))
+    # is adding (see parallel.each), each ``span`` columns wide.
+    workers = _fit(workers, (cin + 3 * cout * kh * kw) * span)
     parallel.each(gemm, range(len(edges) - 1), workers, add)
     out[:, :border] = out[:, h + border:] = 0.0
     out[:, :, :border] = out[:, :, w + border:] = 0.0
@@ -289,8 +290,8 @@ def r2l_forward(m_l: BevColumns, enhanced: BevColumns, encoder,
     (``_sparse_block``). The second and the last block run in items of the
     whole map's ``nn._im2col_rows`` bands (``_items``). An item of the last
     block rectifies its bands one at a time and runs the first trunk conv's
-    per-tap GEMMs on them, band by band of that conv (``nn._tap_rows``), so
-    the 512-channel map exists one band at a time, and returns the taps.
+    per-tap GEMMs on each (``nn._tap_rows``), so the 512-channel map exists
+    one band at a time, and returns the taps.
     The calling thread adds them in item order onto the trunk output inside
     a border of its padding (``nn._add_taps``), then adds the bias and
     rectifies. The rest of the head runs on the narrow trunk output. The
@@ -309,22 +310,17 @@ def r2l_forward(m_l: BevColumns, enhanced: BevColumns, encoder,
     columns are occupied alone, and every item does the same arithmetic on
     whichever thread runs it, so the output does not depend on the worker
     count. It equals the whole-map chain byte for byte by construction:
-    both run the same GEMMs (for the first block, GEMMs whose columns BLAS
-    computes alike) and sum in the same order.
+    both run GEMMs of the same shapes and sum in the same order.
     - The second and last blocks run the twin's im2col bands
       (``nn._im2col_rows``).
-    - The first trunk conv runs ``nn._tap_rows`` on the bands of
-      ``band_rows(512, W)`` rows from row 0 that ``nn._tap_conv`` runs in
-      the twin: items start on a boundary of both these bands and the last
-      block's, and ``_tap_rows`` regroups the last block's bands into its
-      own where they differ.
-    - The first block runs ``nn._tap_rows`` on gathered chunks padded with
-      zero columns to a multiple of ``BLAS_BLOCK``, the twin on bands of
-      the whole map, which ``_tap_rows`` pads the same way. BLAS computes a
-      GEMM column alike wherever it sits except in the last, partial block
-      of the GEMM's columns. Without the padding, taps of a chunk's last 1 to 4 columns
-      differed from the whole map's in the last bits (OpenBLAS 0.3.31,
-      AVX-512 Xeon).
+    - The first block and the first trunk conv run ``nn._tap_rows`` with
+      the conv's ``nn.tap_columns`` of the whole map, as ``nn._tap_conv``
+      does in the twin, so every tap GEMM of the conv has one shape, on a
+      gather chunk, a last-block band or a band of the whole map. Within
+      one GEMM shape, BLAS gives a column the same bits wherever it sits
+      (``nn.BLAS_BLOCK``); across shapes it need not: at 448 or more
+      input channels, a GEMM of 24 or fewer columns gave its columns other
+      bits than a wider one (OpenBLAS 0.3.31, SkylakeX kernel).
     - Taps are added in ascending chunk, item or band order, and within
       each tap by tap in (ky, kx) order. For any output cell, the input
       column behind tap (ky, kx) has a row-major id that strictly rises
@@ -358,17 +354,18 @@ def r2l_forward(m_l: BevColumns, enhanced: BevColumns, encoder,
                   _fit(workers, _im2col_floats(enc1, w)))
     del a0, src
 
+    columns = tap_columns(ENCODER_CHANNELS, h, w)
+
     def block2_trunk0(span: tuple) -> np.ndarray:
         """The first trunk conv's taps of the rectified last block's rows
         ``span``."""
         bands = (np.maximum(_finite(pre), 0.0, out=pre)
                  for _, _, pre in _im2col_rows(enc2, a1, *span))
-        return _tap_rows(trunk0, bands, span[1] - span[0], w)
+        return _tap_rows(trunk0, bands, span[1] - span[0], w, columns)
 
     # The first trunk conv's output inside a border of its padding.
     acc = np.zeros((trunk0.kernel.shape[0], h + 2 * p, w + 2 * p))
-    # Items of whole bands of both the last block and the trunk conv.
-    items = _items(h, _im2col_band(enc2, w), band_rows(ENCODER_CHANNELS, w))
+    items = _items(h, _im2col_band(enc2, w))
     # Per worker: a running item's scratch and taps, the taps of a second
     # item waiting to be taken, and a share of those being added.
     taps = trunk0.kernel[:, 0].size * items[0][1] * w   # the tallest item's

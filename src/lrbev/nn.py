@@ -231,11 +231,13 @@ def mlp_forward(x, p: MlpParams) -> Array:
     return w @ a + b
 
 
-# BLAS computes a GEMM row or column alike wherever it sits, except in the
-# last, partial block of the GEMM's rows or columns. GEMM operands padded
-# with zeros to a multiple of this many rows (MLP batches) or columns
-# (the per-tap GEMMs of ``_tap_rows``) give each one the same bits wherever
-# it sits in the operand.
+# Within one GEMM shape, BLAS computes a row or column alike wherever it
+# sits, except in the last, partial block of the GEMM's rows or columns,
+# as long as the operands keep contiguous rows (F-ordered copies of the
+# same values took other bits in GEMMs of up to 64 columns). GEMM operands
+# padded with zeros to a multiple of this many rows (MLP batches) or
+# columns (the per-tap GEMMs of ``_tap_rows``, all ``tap_columns`` wide)
+# give each one the same bits wherever it sits in the operand.
 BLAS_BLOCK = 8
 
 
@@ -355,41 +357,37 @@ def _spans(start: int, stop: int, rows: int):
         yield y, min(stop, y + rows)
 
 
-def _rebanded(chunks, rows: int, total: int):
-    """Consecutive (C, n, W) ``chunks`` of ``total`` rows in all, each valid
-    until the next is taken, as consecutive bands of ``rows`` rows but the
-    last. The bands that lie within one chunk are views of it; the others
-    are copied together."""
-    held, seen = [], 0
-    for c in chunks:
-        seen += c.shape[1]
-        c = np.concatenate(held + [c], axis=1) if held else c
-        n = c.shape[1] if seen == total else c.shape[1] - c.shape[1] % rows
-        for y in range(0, n, rows):
-            yield c[:, y:y + rows]
-        held = [c[:, n:].copy()] if n < c.shape[1] else []
+def tap_columns(channels: int, height: int, width: int) -> int:
+    """Columns of every per-tap GEMM of a conv reading ``channels`` channels
+    of a ``height`` x ``width`` map: a band of ``band_rows`` rows, or the
+    whole map when it is lower, rounded up to whole ``BLAS_BLOCK``s."""
+    n = min(band_rows(channels, width), height) * width
+    return n + -n % BLAS_BLOCK
 
 
-def _tap_rows(p: Conv2dParams, chunks, rows: int, width: int) -> Array:
+def _tap_rows(p: Conv2dParams, chunks, rows: int, width: int, span: int) -> Array:
     """Per-tap GEMM results (Cout, kh, kw, rows, W) of a stride-1 conv on
     ``rows`` input rows arriving as consecutive (Cin, n, W) chunks: one GEMM
-    of every kernel tap against each band of ``band_rows(Cin, W)`` rows,
-    counted from the first row, however the chunks cut them. A band whose
-    rows x W is not a multiple of ``BLAS_BLOCK`` runs padded with zero
-    columns to one. So the GEMMs, and with them the taps' bits, depend on
-    the rows and the conv alone, not on the chunks."""
+    of every kernel tap against each run of ``span`` columns of a chunk,
+    counted from its first, a shorter last run padded with zero columns to
+    ``span``. Callers pass the conv's ``tap_columns`` of the whole map, so
+    every tap GEMM of a conv has one shape, and a column's taps do not
+    depend on how the chunks cut the map (see ``BLAS_BLOCK``)."""
     cout, cin, kh, kw = p.kernel.shape
     kmat = p.kernel.transpose(0, 2, 3, 1).reshape(cout * kh * kw, cin)
     taps = np.empty((cout, kh, kw, rows, width))
     flat = taps.reshape(cout * kh * kw, -1)
     done = 0
-    for chunk in _rebanded(chunks, band_rows(cin, width), rows):
-        n = chunk.shape[1] * width
-        b, out = chunk.reshape(cin, n), flat[:, done:done + n]
-        if n % BLAS_BLOCK:
-            out[:] = np.matmul(kmat, np.pad(b, ((0, 0), (0, -n % BLAS_BLOCK))))[:, :n]
-        else:
-            np.matmul(kmat, b, out=out)
+    for chunk in chunks:
+        b = chunk.reshape(cin, -1)
+        n = b.shape[1]
+        for c in range(0, n, span):
+            m = min(span, n - c)
+            out = flat[:, done + c:done + c + m]
+            if m < span:
+                out[:] = np.matmul(kmat, np.pad(b[:, c:], ((0, 0), (0, span - m))))[:, :m]
+            else:
+                np.matmul(kmat, b[:, c:c + span], out=out)
         done += n
     return taps
 
@@ -467,14 +465,14 @@ def _pad(data: Array, padding: int) -> Array:
 
 def _tap_conv(data: Array, p: Conv2dParams) -> Array:
     """The stride-1, size-keeping conv ``p`` of ``data`` by per-tap GEMMs:
-    the ``_tap_rows`` taps of the whole map, one GEMM per band of
-    ``band_rows(Cin, W)`` rows from row 0, added in (ky, kx) order
-    (``_add_taps``), then the bias. These are the GEMMs and the sums of
-    ``heads.r2l_forward``'s first block and first trunk conv."""
-    _, h, w = data.shape
+    the ``_tap_rows`` taps of the whole map, one GEMM per run of
+    ``tap_columns(Cin, H, W)`` columns from the first, added in (ky, kx)
+    order (``_add_taps``), then the bias. These are the GEMM shape and the
+    sums of ``heads.r2l_forward``'s first block and first trunk conv."""
+    cin, h, w = data.shape
     pad = p.padding
     acc = np.zeros((p.kernel.shape[0], h + 2 * pad, w + 2 * pad))
-    _add_taps(acc, _tap_rows(p, (data,), h, w), 0)
+    _add_taps(acc, _tap_rows(p, (data,), h, w, tap_columns(cin, h, w)), 0)
     return acc[:, pad:pad + h, pad:pad + w] + p.bias[:, None, None]
 
 

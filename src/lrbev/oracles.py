@@ -870,10 +870,11 @@ def check_channel_contract(seeds: int, fault=None) -> PropertyResult:
 
 
 # (LiDAR channels, encoder hidden widths, trunk widths): the desk and tiny
-# widths, and odd ones, whose first block and first trunk conv run tap
-# GEMMs of other shapes than the shipped ones.
+# widths, odd ones, whose first block and first trunk conv run tap GEMMs of
+# other shapes than the shipped ones, and a 496-channel fused map, whose
+# first block's GEMMs give a column other bits when they are narrow.
 TILED_PROFILES = ((64, (8, 8), (4, 4)), (16, (2, 2), (2, 2)),
-                  (33, (33, 7), (33, 3)))
+                  (33, (33, 7), (33, 3)), (400, (8, 8), (4, 4)))
 # Share of LiDAR-occupied columns: some, none, all.
 LIDAR_OCCUPANCY = (0.35, 0.0, 1.0)
 HEAD_FIELDS = ("heatmap", "heatmap_logits", "offset", "z", "size", "rot", "vel")

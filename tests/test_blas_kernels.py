@@ -75,13 +75,22 @@ def _check(kernel: str) -> int:
     if name != _REPORTED.get(kernel, kernel):
         print(f"OpenBLAS reports kernel {name}")
         return _SKIP
-    from lrbev.oracles import PROPERTIES
+    from lrbev.oracles import PROPERTIES, TILED_PROFILES
     from test_l2r import TestAggregateSegment
+    from test_nn import TAP_SHAPES, test_tap_gemm_columns_keep_their_bits_in_any_block
+    from test_tiles import WIDE_LIDAR, test_wide_lidar_first_block_equals_twin
 
     TestAggregateSegment().test_permutation_invariant()
     _shuffled_scenes()
-    for prop in ("heads.worker-oracle", "heads.tiled-oracle", "pipeline.determinism"):
-        result = PROPERTIES[prop](3)
+    for shape in TAP_SHAPES:
+        test_tap_gemm_columns_keep_their_bits_in_any_block(*shape)
+    for instance in WIDE_LIDAR:
+        for workers in (1, 2):
+            test_wide_lidar_first_block_equals_twin(*instance, workers)
+    for prop, seeds in (("heads.worker-oracle", len(TILED_PROFILES)),
+                        ("heads.tiled-oracle", len(TILED_PROFILES)),
+                        ("pipeline.determinism", 3)):
+        result = PROPERTIES[prop](seeds)
         assert result.passed, result.line()
     print(f"{name}: all checks passed")
     return 0

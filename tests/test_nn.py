@@ -178,6 +178,30 @@ class TestIm2colBands:
                 assert np.array_equal(rows, after), (cin, cout, k)
 
 
+# (rows, inner dimension) of tap GEMMs: the desk and tiny first blocks, the
+# first trunk conv and a first block on 400 LiDAR channels.
+TAP_SHAPES = [(72, 160), (18, 112), (36, 512), (72, 496)]
+
+
+@pytest.mark.parametrize("m, k", TAP_SHAPES)
+def test_tap_gemm_columns_keep_their_bits_in_any_block(m, k):
+    """The one BLAS assumption of ``nn._tap_rows``: in GEMMs of one shape,
+    ``tap_columns`` wide, on C-ordered operands, permuting whole
+    ``BLAS_BLOCK``s of columns permutes the output columns bit for bit.
+    Widths from one block to a band of a 64-column map."""
+    rng = np.random.default_rng([67, m, k])
+    a = rng.uniform(-1.0, 1.0, size=(m, k))
+    for h, w in ((1, 8), (3, 8), (4, 8), (23, 24), (4, 64), (48, 64)):
+        n = nn.tap_columns(k, h, w)
+        b = rng.normal(size=(k, n))
+        want = a @ b
+        for _ in range(3):
+            blocks = rng.permutation(n // nn.BLAS_BLOCK)[:, None] * nn.BLAS_BLOCK
+            cols = (blocks + np.arange(nn.BLAS_BLOCK)).ravel()
+            got = a @ np.ascontiguousarray(b[:, cols])
+            assert np.array_equal(got, want[:, cols]), (h, w, n)
+
+
 class TestMaxReduce:
     def test_hand_value(self):
         assert np.array_equal(max_reduce([[1.0, 5.0], [3.0, 2.0]]), [3.0, 5.0])

@@ -14,7 +14,7 @@ import pytest
 from lrbev import heads, nn, parallel
 from lrbev.config import desk_config
 from lrbev.errors import EvaluationError
-from lrbev.grids import voxel_encode, voxelize, zstack_collapse
+from lrbev.grids import BevColumns, voxel_encode, voxelize, zstack_collapse
 from lrbev.heads import (TILE_ROWS, HeadParams, bev_encoder, detect_forward,
                          fuse_bev_maps, r2l_forward)
 from lrbev.nn import Conv2dParams, FeatureMap
@@ -33,9 +33,9 @@ def _inputs(rng, h, w, factor=1):
     return columns_of(m_l), columns_of(enhanced)
 
 
-def _weights(rng):
+def _weights(rng, lidar=64):
     encoder = [Conv2dParams.init(cin, cout, 3, rng, padding=1)
-               for cin, cout in ((160, 8), (8, 8), (8, 512))]
+               for cin, cout in ((lidar + 96, 8), (8, 8), (8, 512))]
     trunk = [Conv2dParams.init(512, 4, 3, rng, padding=1),
              Conv2dParams.init(4, 4, 3, rng, padding=1)]
     one = lambda out: Conv2dParams.init(4, out, 1, rng)
@@ -50,10 +50,10 @@ def _weights(rng):
 @pytest.mark.parametrize("workers", [1, 2])
 def test_seams_bit_identical_to_twins(h, kernel, w, workers):
     """The trunk rows fed by two items, summed from the taps of both in
-    item order, match the whole map, whose first trunk conv runs the same
-    per-band tap GEMMs. A 5x5 first trunk conv reads two rows of the next
-    item. At W = 33 most bands' rows x W are not a multiple of 8, so their
-    tap GEMMs run padded with zero columns."""
+    item order, match the whole map, whose first trunk conv runs tap GEMMs
+    of the same shape. A 5x5 first trunk conv reads two rows of the next
+    item. At W = 33 a band of 15 rows holds 495 columns, so every tap GEMM
+    runs padded with a zero column to 496."""
     rng = np.random.default_rng([49, h])
     m_l, enhanced = _inputs(rng, h, w)
     encoder, head = _weights(rng)
@@ -69,9 +69,10 @@ def test_seams_bit_identical_to_twins(h, kernel, w, workers):
 @pytest.mark.parametrize("workers", [1, 2])
 def test_wide_last_block_bands_regrouped_for_the_trunk(workers):
     """A last block of 64 input channels has 576-row im2col blocks, so its
-    bands (18 rows at W = 24) are shorter than the first trunk conv's (21
-    rows): the items regroup them into the trunk's bands, whose tap GEMMs
-    the whole map runs too."""
+    bands (18 rows at W = 24) are shorter than the first trunk conv's tap
+    GEMMs (21 rows, 504 columns): each band runs as one such GEMM, padded
+    with zero columns, and its columns get the bits of the whole map's
+    GEMMs of that shape."""
     rng = np.random.default_rng(59)
     h, w = 4 * TILE_ROWS, 24
     m_l, enhanced = _inputs(rng, h, w)
@@ -84,6 +85,38 @@ def test_wide_last_block_bands_regrouped_for_the_trunk(workers):
                           head)
     for name in HEAD_FIELDS:
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+# (LiDAR channels, H, W, occupied columns) of first blocks reading 496 and
+# 544 channels.
+WIDE_LIDAR = [(400, 23, 24, 509), (448, 4, 8, 16)]
+
+
+@pytest.mark.parametrize("lidar, h, w, occupied", WIDE_LIDAR,
+                         ids=["400-23x24", "448-4x8"])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_wide_lidar_first_block_equals_twin(lidar, h, w, occupied, workers):
+    """First blocks of so many input channels that BLAS gives a column
+    other bits in a GEMM of 24 or fewer columns than in a wider one: 509
+    gathered columns of a 23 x 24 map, whose last row is a band of its own
+    24 columns at 22 rows a band, and 16 gathered columns of a 4 x 8 map.
+    Every tap GEMM of the conv, gathered or whole-map, is ``tap_columns``
+    wide, so the taps agree."""
+    rng = np.random.default_rng([60, lidar])
+    ids = np.sort(rng.choice(h * w, occupied, replace=False))
+    m_l = BevColumns(ids, np.maximum(rng.normal(size=(occupied, lidar)), 0.0),
+                     (lidar, h, w))
+    radar = np.zeros((96, h * w))
+    radar[:, ids[::3]] = rng.normal(size=(96, len(ids[::3])))   # over LiDAR
+    enhanced = columns_of(FeatureMap(radar.reshape(96, h, w)))
+    encoder, head = _weights(rng, lidar)
+    counts = {}
+    got = r2l_forward(m_l, enhanced, encoder, head, workers=workers, counts=counts)
+    want = detect_forward(bev_encoder(fuse_bev_maps(m_l.dense(), enhanced.dense()), encoder),
+                          head)
+    for name in HEAD_FIELDS:
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    assert counts["gathered_columns"] == occupied
 
 
 def test_seam_hand_ins_under_fast_thread_switching():
@@ -327,8 +360,9 @@ def test_desk_r2l_equals_whole_map_twin():
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_small_gather_chunks_match_twins(monkeypatch, workers):
-    """Gather chunks of 16 columns, padded ones among them, over sparse
-    LiDAR, radar-only columns and an empty band."""
+    """Gather chunks of 64 columns, one map row at one row a band, the
+    last one padded, over sparse LiDAR, radar-only columns and an empty
+    band."""
     monkeypatch.setattr(nn, "_BAND_FLOATS", 160 * 16)
     rng = np.random.default_rng(54)
     h, w = 3 * TILE_ROWS, 64
@@ -352,7 +386,7 @@ def test_small_gather_chunks_match_twins(monkeypatch, workers):
 @pytest.mark.parametrize("workers", [1, 2])
 def test_edge_columns_in_small_chunks_match_twins(monkeypatch, workers, kernel):
     """Occupied columns on every edge and corner, LiDAR and radar-only,
-    spread over gather chunks of 16 columns: the taps falling off the map
+    spread over gather chunks of 64 columns: the taps falling off the map
     land on the border and none of them reaches the output. A 5x5 first
     block pads by 2, more than the second block's 1, so its border is wider
     than the padding the second block reads."""
