@@ -2,8 +2,18 @@
 modules declare, runnable as one report.
 
 Each property draws its own seeded instances; ``oracle_suite`` runs all of
-them (sorted by name) and reports pass/fail with counts. Fault names inject
-deliberate defects so the negative controls stay honest:
+them (sorted by name) and reports pass/fail with counts.
+
+To add a property, write its check for one seed and decorate it with
+``per_seed(name, stream, cap)``: the check takes the seed ``s``, a fresh
+``np.random.default_rng([stream, s])`` (None without a stream) and the
+fault, and returns None, one failure message or a list of them. A property
+that does not count seeds decorates a whole ``check(seeds, fault=None)``
+returning a ``PropertyResult`` with ``registered(name)``. Either way it
+lands in ``PROPERTIES`` where it is defined, and a name registered twice
+fails at import.
+
+Fault names inject deliberate defects so the negative controls stay honest:
 
 * ``ball-radius-r``  - height queries use the full cell size as ball radius,
   breaking the non-overlap guarantee;
@@ -18,21 +28,22 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .cloud import Pose, accumulate_sweeps
 from .config import desk_config, tiny_config
 from .errors import ConfigError
 from .evalmetrics import eval_detections
 from .faults import FAULTS
 from .grids import (BevColumns, GridSpec, collapse_to_bev_grids,
                     pillarize, voxel_encode, voxelize, zstack_collapse)
-from .heads import (ENCODER_CHANNELS, TILE_ROWS, HeadOutputs, HeadParams,
-                    band_rows, bev_encoder, compute_loss, decode_detections,
+from .heads import (ENCODER_CHANNELS, TILE_ROWS, DetectionBox, HeadOutputs,
+                    HeadParams, bev_encoder, compute_loss, decode_detections,
                     detect_forward, fuse_bev_maps, outputs_from_targets,
                     r2l_forward, render_targets)
 from .l2r import (BevFusionConfig, HeightFusionConfig, ball_query,
                   ball_query_brute, bev_query, bev_query_brute,
                   compute_cell_features, height_fuse, num_height_segments,
                   query_balls_disjoint, segment_heights, segment_query_points)
-from .nn import (Conv2dParams, FeatureMap, MlpParams, _tap_conv,
+from .nn import (Conv2dParams, FeatureMap, MlpParams, _tap_conv, band_rows,
                  conv2d_backward, conv2d_forward, finite_diff_check,
                  max_reduce, max_reduce_backward, mlp_backward, mlp_forward,
                  mlp_forward_batch, sigmoid)
@@ -56,6 +67,41 @@ class PropertyResult:
         return msg
 
 
+# Property name -> check(seeds, fault=None) -> PropertyResult.
+PROPERTIES: dict = {}
+
+
+def registered(name: str):
+    """Registers the decorated check in ``PROPERTIES`` under ``name``."""
+    def register(check):
+        if name in PROPERTIES:
+            raise ValueError(f"property {name!r} is registered twice")
+        PROPERTIES[name] = check
+        return check
+    return register
+
+
+def per_seed(name: str, stream: int | None = None, cap: float = math.inf):
+    """Registers a property from its check of one seed, ``body(s, rng,
+    fault)``, run for seeds 0 to ``min(seeds, cap) - 1`` in order, each
+    with a fresh ``default_rng([stream, s])`` (None without a stream). It
+    returns None, one failure message or a list of them; each is reported
+    as ``seed {s}: {message}``, and ``checked`` counts the seeds run."""
+    def wrap(body):
+        @functools.wraps(body)
+        def check(seeds: int, fault=None) -> PropertyResult:
+            n = min(seeds, cap)
+            failures = []
+            for s in range(n):
+                rng = None if stream is None else np.random.default_rng([stream, s])
+                found = body(s, rng, fault) or []
+                found = [found] if isinstance(found, str) else found
+                failures += [f"seed {s}: {message}" for message in found]
+            return PropertyResult(name, not failures, n, failures)
+        return registered(name)(check)
+    return wrap
+
+
 def _mlps(rng, dims):
     return MlpParams.init(dims, rng)
 
@@ -74,32 +120,25 @@ def _height_cfg(rng, cell_size=1.0, pillar_height=8.0, z_min=-5.0,
 # tensor-core properties
 # --------------------------------------------------------------------------
 
-def check_max_permutation(seeds: int, fault=None) -> PropertyResult:
-    failures = []
-    for s in range(seeds):
-        rng = np.random.default_rng([3, s])
-        rows = rng.normal(size=(int(rng.integers(1, 12)), int(rng.integers(1, 9))))
-        base = max_reduce(rows)
-        for _ in range(5):
-            perm = rng.permutation(len(rows))
-            if not np.array_equal(max_reduce(rows[perm]), base):
-                failures.append(f"seed {s}: permutation changed the max")
-                break
-    return PropertyResult("nn.max-permutation", not failures, seeds, failures)
+@per_seed("nn.max-permutation", stream=3)
+def check_max_permutation(s, rng, fault):
+    rows = rng.normal(size=(int(rng.integers(1, 12)), int(rng.integers(1, 9))))
+    base = max_reduce(rows)
+    for _ in range(5):
+        perm = rng.permutation(len(rows))
+        if not np.array_equal(max_reduce(rows[perm]), base):
+            return "permutation changed the max"
 
 
-def check_conv_identity(seeds: int, fault=None) -> PropertyResult:
-    failures = []
-    for s in range(seeds):
-        rng = np.random.default_rng([4, s])
-        c, h, w = int(rng.integers(1, 5)), int(rng.integers(2, 9)), int(rng.integers(2, 9))
-        m = FeatureMap(rng.normal(size=(c, h, w)))
-        kernel = np.zeros((c, c, 1, 1))
-        kernel[np.arange(c), np.arange(c), 0, 0] = 1.0
-        out = conv2d_forward(m, Conv2dParams(kernel, np.zeros(c)))
-        if not np.array_equal(out.data, m.data):
-            failures.append(f"seed {s}: identity conv changed the map")
-    return PropertyResult("nn.conv-identity", not failures, seeds, failures)
+@per_seed("nn.conv-identity", stream=4)
+def check_conv_identity(s, rng, fault):
+    c, h, w = int(rng.integers(1, 5)), int(rng.integers(2, 9)), int(rng.integers(2, 9))
+    m = FeatureMap(rng.normal(size=(c, h, w)))
+    kernel = np.zeros((c, c, 1, 1))
+    kernel[np.arange(c), np.arange(c), 0, 0] = 1.0
+    out = conv2d_forward(m, Conv2dParams(kernel, np.zeros(c)))
+    if not np.array_equal(out.data, m.data):
+        return "identity conv changed the map"
 
 
 def conv2d_brute(data: np.ndarray, p: Conv2dParams) -> np.ndarray:
@@ -117,32 +156,29 @@ def conv2d_brute(data: np.ndarray, p: Conv2dParams) -> np.ndarray:
     return out
 
 
-def check_conv_oracle(seeds: int, fault=None) -> PropertyResult:
+@per_seed("nn.conv-oracle", stream=33)
+def check_conv_oracle(s, rng, fault):
     """The two conv kernels against ``conv2d_brute``. Even seeds draw a
     stride-1, size-keeping conv with few output taps and at least 16 input
     channels and run ``nn._tap_conv``, which sums per-tap GEMMs; odd seeds
     draw any kernel, padding and stride and run ``conv2d_forward``, which
     is im2col. Widths are never a multiple of 8, so most tap GEMMs run
     padded with zero columns."""
-    failures = []
-    for s in range(seeds):
-        rng = np.random.default_rng([33, s])
-        k = int(rng.choice([1, 3, 5]))
-        if s % 2 == 0:
-            cin, stride, pad = int(rng.integers(16, 40)), 1, (k - 1) // 2
-            cout = int(rng.integers(1, 256 // (k * k) + 1))
-        else:
-            cin, stride = int(rng.integers(1, 24)), int(rng.choice([1, 2]))
-            pad, cout = int(rng.integers(0, 3)), int(rng.integers(1, 9))
-        h = int(rng.integers(k, 14))
-        w = int(rng.choice([n for n in range(k, 20) if n % 8]))
-        m = FeatureMap(rng.normal(size=(cin, h, w)))
-        p = Conv2dParams.init(cin, cout, k, rng, stride=stride, padding=pad)
-        got = _tap_conv(m.data, p) if s % 2 == 0 else conv2d_forward(m, p).data
-        if not _rel_close(got, conv2d_brute(m.data, p)):
-            failures.append(f"seed {s}: {cout}x{cin}x{k}x{k} conv, stride "
-                            f"{stride}, padding {pad}, on {h}x{w} differs")
-    return PropertyResult("nn.conv-oracle", not failures, seeds, failures)
+    k = int(rng.choice([1, 3, 5]))
+    if s % 2 == 0:
+        cin, stride, pad = int(rng.integers(16, 40)), 1, (k - 1) // 2
+        cout = int(rng.integers(1, 256 // (k * k) + 1))
+    else:
+        cin, stride = int(rng.integers(1, 24)), int(rng.choice([1, 2]))
+        pad, cout = int(rng.integers(0, 3)), int(rng.integers(1, 9))
+    h = int(rng.integers(k, 14))
+    w = int(rng.choice([n for n in range(k, 20) if n % 8]))
+    m = FeatureMap(rng.normal(size=(cin, h, w)))
+    p = Conv2dParams.init(cin, cout, k, rng, stride=stride, padding=pad)
+    got = _tap_conv(m.data, p) if s % 2 == 0 else conv2d_forward(m, p).data
+    if not _rel_close(got, conv2d_brute(m.data, p)):
+        return (f"{cout}x{cin}x{k}x{k} conv, stride {stride}, padding {pad}, "
+                f"on {h}x{w} differs")
 
 
 def _mlp_instance_away_from_kinks(rng, margin=1e-2):
@@ -165,133 +201,111 @@ def _mlp_instance_away_from_kinks(rng, margin=1e-2):
     raise RuntimeError("could not sample an MLP instance away from kinks")
 
 
-def check_grad_mlp(seeds: int, fault=None) -> PropertyResult:
-    failures = []
-    for s in range(seeds):
-        rng = np.random.default_rng([5, s])
-        p, x = _mlp_instance_away_from_kinks(rng)
-        c = rng.normal(size=p.out_dim)
-        theta = p.to_vector()
+@per_seed("nn.grad-mlp", stream=5)
+def check_grad_mlp(s, rng, fault):
+    p, x = _mlp_instance_away_from_kinks(rng)
+    c = rng.normal(size=p.out_dim)
+    theta = p.to_vector()
 
-        def f(v):
-            return float(c @ mlp_forward(x, p.from_vector(v)))
+    def f(v):
+        return float(c @ mlp_forward(x, p.from_vector(v)))
 
-        def grad(v):
-            _, gl = mlp_backward(x, p.from_vector(v), c)
-            return np.concatenate([np.concatenate([gw.ravel(), gb]) for gw, gb in gl])
+    def grad(v):
+        _, gl = mlp_backward(x, p.from_vector(v), c)
+        return np.concatenate([np.concatenate([gw.ravel(), gb]) for gw, gb in gl])
 
-        rep = finite_diff_check(f, grad, theta)
-        if not rep.passed:
-            failures.append(f"seed {s}: rel diff {rep.max_rel_diff:.2e}")
-    return PropertyResult("nn.grad-mlp", not failures, seeds, failures)
+    rep = finite_diff_check(f, grad, theta)
+    if not rep.passed:
+        return f"rel diff {rep.max_rel_diff:.2e}"
 
 
-def check_grad_conv(seeds: int, fault=None) -> PropertyResult:
-    failures = []
-    for s in range(seeds):
-        rng = np.random.default_rng([6, s])
-        cin, cout = int(rng.integers(1, 4)), int(rng.integers(1, 4))
-        m = FeatureMap(rng.normal(size=(cin, 5, 6)))
-        p = Conv2dParams.init(cin, cout, 3, rng, padding=1)
-        c = rng.normal(size=(cout, 5, 6))
-        theta = p.to_vector()
+@per_seed("nn.grad-conv", stream=6)
+def check_grad_conv(s, rng, fault):
+    cin, cout = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+    m = FeatureMap(rng.normal(size=(cin, 5, 6)))
+    p = Conv2dParams.init(cin, cout, 3, rng, padding=1)
+    c = rng.normal(size=(cout, 5, 6))
+    theta = p.to_vector()
 
-        def f(v):
-            return float((c * conv2d_forward(m, p.from_vector(v)).data).sum())
+    def f(v):
+        return float((c * conv2d_forward(m, p.from_vector(v)).data).sum())
 
-        def grad(v):
-            _, gk, gb = conv2d_backward(m, p.from_vector(v), c)
-            return np.concatenate([gk.ravel(), gb])
+    def grad(v):
+        _, gk, gb = conv2d_backward(m, p.from_vector(v), c)
+        return np.concatenate([gk.ravel(), gb])
 
-        rep = finite_diff_check(f, grad, theta)
-        if not rep.passed:
-            failures.append(f"seed {s}: rel diff {rep.max_rel_diff:.2e}")
-    return PropertyResult("nn.grad-conv", not failures, seeds, failures)
+    rep = finite_diff_check(f, grad, theta)
+    if not rep.passed:
+        return f"rel diff {rep.max_rel_diff:.2e}"
 
 
-def check_grad_max(seeds: int, fault=None) -> PropertyResult:
-    failures = []
-    for s in range(seeds):
-        rng = np.random.default_rng([7, s])
-        n, d = int(rng.integers(2, 8)), int(rng.integers(1, 6))
-        rows = rng.normal(size=(n, d))
-        gaps = np.sort(rows, axis=0)
-        if n > 1 and (gaps[-1] - gaps[-2]).min() < 1e-2:
-            continue   # kink-adjacent sample, skip per the check contract
-        c = rng.normal(size=d)
-        theta = rows.ravel()
+@per_seed("nn.grad-max", stream=7)
+def check_grad_max(s, rng, fault):
+    n, d = int(rng.integers(2, 8)), int(rng.integers(1, 6))
+    rows = rng.normal(size=(n, d))
+    gaps = np.sort(rows, axis=0)
+    if n > 1 and (gaps[-1] - gaps[-2]).min() < 1e-2:
+        return   # kink-adjacent sample, skip per the check contract
+    c = rng.normal(size=d)
+    theta = rows.ravel()
 
-        def f(v):
-            return float(c @ max_reduce(v.reshape(n, d)))
+    def f(v):
+        return float(c @ max_reduce(v.reshape(n, d)))
 
-        def grad(v):
-            return max_reduce_backward(v.reshape(n, d), c).ravel()
+    def grad(v):
+        return max_reduce_backward(v.reshape(n, d), c).ravel()
 
-        rep = finite_diff_check(f, grad, theta)
-        if not rep.passed:
-            failures.append(f"seed {s}: rel diff {rep.max_rel_diff:.2e}")
-    return PropertyResult("nn.grad-max", not failures, seeds, failures)
+    rep = finite_diff_check(f, grad, theta)
+    if not rep.passed:
+        return f"rel diff {rep.max_rel_diff:.2e}"
 
 
 # --------------------------------------------------------------------------
 # scene-io properties
 # --------------------------------------------------------------------------
 
-def check_scene_determinism(seeds: int, fault=None) -> PropertyResult:
-    failures = []
+@per_seed("scene.determinism")
+def check_scene_determinism(s, rng, fault):
     spec = SceneSpec(extent=12.0, num_objects=4)
-    for s in range(seeds):
-        a = generate_scene(spec, s)
-        b = generate_scene(spec, s)
-        if a != b:
-            failures.append(f"seed {s}: scenes differ")
-            continue
-        la = lidar_sample(a, 20.0, 0.02, s, ground_density=0.5)
-        lb = lidar_sample(b, 20.0, 0.02, s, ground_density=0.5)
-        ra = radar_sample(a, (1, 3), s)
-        rb = radar_sample(b, (1, 3), s)
-        if not (np.array_equal(la, lb) and np.array_equal(ra, rb)):
-            failures.append(f"seed {s}: clouds differ")
-    return PropertyResult("scene.determinism", not failures, seeds, failures)
+    a = generate_scene(spec, s)
+    b = generate_scene(spec, s)
+    if a != b:
+        return "scenes differ"
+    la = lidar_sample(a, 20.0, 0.02, s, ground_density=0.5)
+    lb = lidar_sample(b, 20.0, 0.02, s, ground_density=0.5)
+    ra = radar_sample(a, (1, 3), s)
+    rb = radar_sample(b, (1, 3), s)
+    if not (np.array_equal(la, lb) and np.array_equal(ra, rb)):
+        return "clouds differ"
 
 
-def check_doppler(seeds: int, fault=None) -> PropertyResult:
-    failures = []
-    spec = SceneSpec(extent=12.0, num_objects=5, stationary_fraction=0.2)
-    for s in range(seeds):
-        scene = generate_scene(spec, s)
-        cloud = radar_sample(scene, (1, 3), s)
-        for rec in cloud:
-            norm = math.hypot(rec["x"], rec["y"])
-            ux, uy = rec["x"] / norm, rec["y"] / norm
-            cross = rec["vx"] * uy - rec["vy"] * ux
-            if abs(cross) >= 1e-9:
-                failures.append(f"seed {s}: |cross| = {abs(cross):.2e}")
-                break
-    return PropertyResult("scene.doppler", not failures, seeds, failures)
+@per_seed("scene.doppler")
+def check_doppler(s, rng, fault):
+    scene = generate_scene(SceneSpec(extent=12.0, num_objects=5,
+                                     stationary_fraction=0.2), s)
+    for rec in radar_sample(scene, (1, 3), s):
+        norm = math.hypot(rec["x"], rec["y"])
+        ux, uy = rec["x"] / norm, rec["y"] / norm
+        cross = rec["vx"] * uy - rec["vy"] * ux
+        if abs(cross) >= 1e-9:
+            return f"|cross| = {abs(cross):.2e}"
 
 
-def check_accumulate(seeds: int, fault=None) -> PropertyResult:
-    from .cloud import Pose, accumulate_sweeps
-    failures = []
-    spec = SceneSpec(extent=12.0, num_objects=3)
-    for s in range(seeds):
-        scene = generate_scene(spec, s)
-        sweeps = [lidar_sample(scene, 5.0, 0.0, [s, k], ground_density=0.0)
-                  for k in range(3)]
-        poses = [Pose(), Pose(tx=1.0), Pose(tx=0.0, ty=-2.0)]
-        merged = accumulate_sweeps(sweeps, poses)
-        if len(merged) != sum(len(c) for c in sweeps):
-            failures.append(f"seed {s}: count not conserved")
-            continue
-        n0 = len(sweeps[0])
-        n1 = len(sweeps[1])
-        if not np.array_equal(merged[:n0], sweeps[0]):
-            failures.append(f"seed {s}: identity pose modified points")
-            continue
-        if n1 and not np.array_equal(merged[n0:n0 + n1]["x"], sweeps[1]["x"] + 1.0):
-            failures.append(f"seed {s}: translation not exact")
-    return PropertyResult("scene.accumulate", not failures, seeds, failures)
+@per_seed("scene.accumulate")
+def check_accumulate(s, rng, fault):
+    scene = generate_scene(SceneSpec(extent=12.0, num_objects=3), s)
+    sweeps = [lidar_sample(scene, 5.0, 0.0, [s, k], ground_density=0.0)
+              for k in range(3)]
+    poses = [Pose(), Pose(tx=1.0), Pose(tx=0.0, ty=-2.0)]
+    merged = accumulate_sweeps(sweeps, poses)
+    if len(merged) != sum(len(c) for c in sweeps):
+        return "count not conserved"
+    n0 = len(sweeps[0])
+    n1 = len(sweeps[1])
+    if not np.array_equal(merged[:n0], sweeps[0]):
+        return "identity pose modified points"
+    if n1 and not np.array_equal(merged[n0:n0 + n1]["x"], sweeps[1]["x"] + 1.0):
+        return "translation not exact"
 
 
 # --------------------------------------------------------------------------
@@ -306,6 +320,7 @@ def _random_grid(rng) -> GridSpec:
                     cell=(cell, cell, 1.0), counts=(n, n, nz))
 
 
+@registered("grids.index-oracle")
 def check_index_oracle(seeds: int, fault=None) -> PropertyResult:
     failures = []
     checked = 0
@@ -351,36 +366,31 @@ def check_index_oracle(seeds: int, fault=None) -> PropertyResult:
     return PropertyResult("grids.index-oracle", not failures, checked, failures)
 
 
-def check_grid_permutation(seeds: int, fault=None) -> PropertyResult:
-    failures = []
+@per_seed("grids.permutation", stream=9)
+def check_grid_permutation(s, rng, fault):
     spec = SceneSpec(extent=8.0, num_objects=2, min_range=1.5,
                      classes=DEFAULT_CLASSES)
     grid = GridSpec(origin=(-8.0, -8.0, -5.0), cell=(0.5, 0.5, 2.0),
                     counts=(32, 32, 4))
     pillar_grid = GridSpec(origin=(-8.0, -8.0, -5.0), cell=(2.0, 2.0, 8.0),
                            counts=(8, 8, 1))
-    for s in range(seeds):
-        rng = np.random.default_rng([9, s])
-        scene = generate_scene(spec, s)
-        cloud = lidar_sample(scene, 8.0, 0.02, s, ground_density=0.2)
-        radar = radar_sample(scene, (1, 3), s)
-        mlp = _mlps(rng, (8, 8, 6))
-        pmlp = _mlps(rng, (9, 8, 6))
-        base = voxel_encode(voxelize(cloud, grid, 10**9), mlp)
-        base_pillars = pillarize(radar, pillar_grid, pmlp).map
-        for _ in range(3):
-            sh = rng.permutation(len(cloud))
-            vs = voxel_encode(voxelize(cloud[sh], grid, 10**9), mlp)
-            if not (np.array_equal(vs.occupied, base.occupied)
-                    and np.array_equal(vs.features, base.features)):
-                failures.append(f"seed {s}: voxel features changed under shuffle")
-                break
-            shr = rng.permutation(len(radar))
-            pm = pillarize(radar[shr], pillar_grid, pmlp).map
-            if not np.array_equal(pm.data, base_pillars.data):
-                failures.append(f"seed {s}: pillar map changed under shuffle")
-                break
-    return PropertyResult("grids.permutation", not failures, seeds, failures)
+    scene = generate_scene(spec, s)
+    cloud = lidar_sample(scene, 8.0, 0.02, s, ground_density=0.2)
+    radar = radar_sample(scene, (1, 3), s)
+    mlp = _mlps(rng, (8, 8, 6))
+    pmlp = _mlps(rng, (9, 8, 6))
+    base = voxel_encode(voxelize(cloud, grid, 10**9), mlp)
+    base_pillars = pillarize(radar, pillar_grid, pmlp).map
+    for _ in range(3):
+        sh = rng.permutation(len(cloud))
+        vs = voxel_encode(voxelize(cloud[sh], grid, 10**9), mlp)
+        if not (np.array_equal(vs.occupied, base.occupied)
+                and np.array_equal(vs.features, base.features)):
+            return "voxel features changed under shuffle"
+        shr = rng.permutation(len(radar))
+        pm = pillarize(radar[shr], pillar_grid, pmlp).map
+        if not np.array_equal(pm.data, base_pillars.data):
+            return "pillar map changed under shuffle"
 
 
 # --------------------------------------------------------------------------
@@ -483,82 +493,68 @@ def _segment_cloud(rng, spec: GridSpec) -> np.ndarray:
     return pts[rng.permutation(len(pts))]
 
 
-def check_segment_oracle(seeds: int, fault=None) -> PropertyResult:
+@per_seed("grids.segment-oracle", stream=20)
+def check_segment_oracle(s, rng, fault):
     """Array grid core against the per-key twins: voxel keys, member sets,
     drop and truncation counts, z-stack column ids and coarse keys agree
     exactly; features agree within GRID_RTOL of their largest magnitude."""
-    failures = []
-    for s in range(seeds):
-        rng = np.random.default_rng([20, s])
-        spec = _random_grid(rng)
-        pts = _segment_cloud(rng, spec)
-        limit = int(rng.integers(1, 6)) if s % 2 == 0 else 10**9
-        fdim = int(rng.integers(1, 7))
-        vmlp = _mlps(rng, (8, int(rng.integers(1, 10)), fdim))
-        zmlp = _mlps(rng, (fdim * spec.nz, int(rng.integers(1, 10)),
-                           int(rng.integers(1, 6))))
-        coarse_cell = spec.cell[0] * int(rng.integers(1, 4))
+    spec = _random_grid(rng)
+    pts = _segment_cloud(rng, spec)
+    limit = int(rng.integers(1, 6)) if s % 2 == 0 else 10**9
+    fdim = int(rng.integers(1, 7))
+    vmlp = _mlps(rng, (8, int(rng.integers(1, 10)), fdim))
+    zmlp = _mlps(rng, (fdim * spec.nz, int(rng.integers(1, 10)),
+                       int(rng.integers(1, 6))))
+    coarse_cell = spec.cell[0] * int(rng.integers(1, 4))
 
-        vs = voxel_encode(voxelize(pts, spec, limit), vmlp)
-        occupied, dropped, truncated = voxelize_brute(pts, spec, limit)
-        groups = list(vs.voxel_members())
-        # voxelize order: row-major columns, z fastest
-        if [k for k, _ in groups] != sorted(occupied, key=lambda k: (k[1], k[0], k[2])):
-            failures.append(f"seed {s}: voxel keys differ")
-            continue
-        if any(sorted(m.tolist()) != sorted(occupied[k]) for k, m in groups):
-            failures.append(f"seed {s}: voxel member sets differ")
-            continue
-        if (vs.dropped, vs.truncated) != (dropped, truncated):
-            failures.append(f"seed {s}: dropped/truncated {vs.dropped}/{vs.truncated} "
-                            f"!= {dropped}/{truncated}")
-            continue
-        feats = voxel_encode_brute(pts, spec, occupied, vmlp)
-        want = np.array([feats[k] for k, _ in groups]).reshape(len(groups), fdim)
-        if not _rel_close(vs.features, want):
-            failures.append(f"seed {s}: voxel features differ")
-            continue
-        columns = zstack_collapse(vs, zmlp)
-        ids, block = zstack_collapse_brute(spec, feats, zmlp)
-        if not np.array_equal(columns.ids, ids):
-            failures.append(f"seed {s}: z-stack column ids differ")
-            continue
-        if not _rel_close(columns.features, block):
-            failures.append(f"seed {s}: z-stack column features differ")
-            continue
-        coarse = collapse_to_bev_grids(vs, coarse_cell)
-        coarse_brute = collapse_to_bev_grids_brute(spec, feats, coarse_cell)
-        keys = sorted(coarse_brute, key=lambda k: (k[1], k[0]))   # row-major
-        if list(coarse) != keys:
-            failures.append(f"seed {s}: coarse keys differ")
-            continue
-        if keys and not _rel_close(coarse.features,
-                                   [coarse_brute[k] for k in keys]):
-            failures.append(f"seed {s}: coarse features differ")
-    return PropertyResult("grids.segment-oracle", not failures, seeds, failures)
+    vs = voxel_encode(voxelize(pts, spec, limit), vmlp)
+    occupied, dropped, truncated = voxelize_brute(pts, spec, limit)
+    groups = list(vs.voxel_members())
+    # voxelize order: row-major columns, z fastest
+    if [k for k, _ in groups] != sorted(occupied, key=lambda k: (k[1], k[0], k[2])):
+        return "voxel keys differ"
+    if any(sorted(m.tolist()) != sorted(occupied[k]) for k, m in groups):
+        return "voxel member sets differ"
+    if (vs.dropped, vs.truncated) != (dropped, truncated):
+        return (f"dropped/truncated {vs.dropped}/{vs.truncated} "
+                f"!= {dropped}/{truncated}")
+    feats = voxel_encode_brute(pts, spec, occupied, vmlp)
+    want = np.array([feats[k] for k, _ in groups]).reshape(len(groups), fdim)
+    if not _rel_close(vs.features, want):
+        return "voxel features differ"
+    columns = zstack_collapse(vs, zmlp)
+    ids, block = zstack_collapse_brute(spec, feats, zmlp)
+    if not np.array_equal(columns.ids, ids):
+        return "z-stack column ids differ"
+    if not _rel_close(columns.features, block):
+        return "z-stack column features differ"
+    coarse = collapse_to_bev_grids(vs, coarse_cell)
+    coarse_brute = collapse_to_bev_grids_brute(spec, feats, coarse_cell)
+    keys = sorted(coarse_brute, key=lambda k: (k[1], k[0]))   # row-major
+    if list(coarse) != keys:
+        return "coarse keys differ"
+    if keys and not _rel_close(coarse.features,
+                               [coarse_brute[k] for k in keys]):
+        return "coarse features differ"
 
 
-def check_grid_sparsity(seeds: int, fault=None) -> PropertyResult:
-    failures = []
-    spec = SceneSpec(extent=8.0, num_objects=3, min_range=1.5)
+@per_seed("grids.sparsity", stream=10)
+def check_grid_sparsity(s, rng, fault):
     pillar_grid = GridSpec(origin=(-8.0, -8.0, -5.0), cell=(1.0, 1.0, 8.0),
                            counts=(16, 16, 1))
-    for s in range(seeds):
-        rng = np.random.default_rng([10, s])
-        scene = generate_scene(spec, s)
-        radar = radar_sample(scene, (1, 3), s)
-        pm = pillarize(radar, pillar_grid, _mlps(rng, (9, 8, 6)))
-        nonzero = int((np.abs(pm.map.data) > 0).any(axis=0).sum())
-        if nonzero != len(pm.occupied):
-            failures.append(f"seed {s}: {nonzero} non-zero cells for "
-                            f"{len(pm.occupied)} pillars")
-    return PropertyResult("grids.sparsity", not failures, seeds, failures)
+    scene = generate_scene(SceneSpec(extent=8.0, num_objects=3, min_range=1.5), s)
+    radar = radar_sample(scene, (1, 3), s)
+    pm = pillarize(radar, pillar_grid, _mlps(rng, (9, 8, 6)))
+    nonzero = int((np.abs(pm.map.data) > 0).any(axis=0).sum())
+    if nonzero != len(pm.occupied):
+        return f"{nonzero} non-zero cells for {len(pm.occupied)} pillars"
 
 
 # --------------------------------------------------------------------------
 # l2r-fusion properties
 # --------------------------------------------------------------------------
 
+@registered("l2r.segment-heights")
 def check_segment_heights(seeds: int, fault=None) -> PropertyResult:
     failures = []
     checked = 0
@@ -582,51 +578,44 @@ def _query_scene(rng, n_points):
     return pts
 
 
-def check_ball_query_oracle(seeds: int, fault=None) -> PropertyResult:
-    failures = []
-    for s in range(seeds):
-        rng = np.random.default_rng([12, s])
-        pts = _query_scene(rng, int(rng.integers(10, 600)))
-        for _ in range(3):
-            q = rng.uniform(-2.0, 2.0, size=3)
-            radius = float(rng.uniform(0.1, 1.0))
-            k = int(rng.integers(1, 20))
-            fast = ball_query(q, pts, radius, k)
-            brute = ball_query_brute(q, pts, radius, k)
-            if not (np.array_equal(fast.indices, brute.indices)
-                    and np.array_equal(fast.distances, brute.distances)
-                    and fast.capped == brute.capped):
-                failures.append(f"seed {s}: ball query mismatch")
-                break
-    return PropertyResult("l2r.ball-query-oracle", not failures, seeds, failures)
+@per_seed("l2r.ball-query-oracle", stream=12)
+def check_ball_query_oracle(s, rng, fault):
+    pts = _query_scene(rng, int(rng.integers(10, 600)))
+    for _ in range(3):
+        q = rng.uniform(-2.0, 2.0, size=3)
+        radius = float(rng.uniform(0.1, 1.0))
+        k = int(rng.integers(1, 20))
+        fast = ball_query(q, pts, radius, k)
+        brute = ball_query_brute(q, pts, radius, k)
+        if not (np.array_equal(fast.indices, brute.indices)
+                and np.array_equal(fast.distances, brute.distances)
+                and fast.capped == brute.capped):
+            return "ball query mismatch"
 
 
-def check_bev_query_oracle(seeds: int, fault=None) -> PropertyResult:
-    failures = []
-    for s in range(seeds):
-        rng = np.random.default_rng([13, s])
-        n = int(rng.integers(8, 40))
-        occupancy = {}
-        for _ in range(int(rng.integers(1, n * 2))):
-            occupancy[(int(rng.integers(0, n)), int(rng.integers(0, n)))] = \
-                rng.normal(size=4)
-        mode = "window" if rng.uniform() < 0.5 else "scalar"
-        cfg = BevFusionConfig(grid_mlp=_mlps(rng, (6, 8, 4)),
-                              window=(int(rng.integers(0, 4)), int(rng.integers(0, 4))),
-                              max_group=int(rng.integers(1, 10)),
-                              distance_mode=mode)
-        for _ in range(3):
-            cell = (int(rng.integers(0, n)), int(rng.integers(0, n)))
-            fast = bev_query(cell, occupancy, cfg)
-            brute = bev_query_brute(cell, occupancy, cfg)
-            if not (np.array_equal(fast.indices, brute.indices)
-                    and np.array_equal(fast.distances, brute.distances)
-                    and fast.capped == brute.capped):
-                failures.append(f"seed {s}: bev query mismatch at {cell}")
-                break
-    return PropertyResult("l2r.bev-query-oracle", not failures, seeds, failures)
+@per_seed("l2r.bev-query-oracle", stream=13)
+def check_bev_query_oracle(s, rng, fault):
+    n = int(rng.integers(8, 40))
+    occupancy = {}
+    for _ in range(int(rng.integers(1, n * 2))):
+        occupancy[(int(rng.integers(0, n)), int(rng.integers(0, n)))] = \
+            rng.normal(size=4)
+    mode = "window" if rng.uniform() < 0.5 else "scalar"
+    cfg = BevFusionConfig(grid_mlp=_mlps(rng, (6, 8, 4)),
+                          window=(int(rng.integers(0, 4)), int(rng.integers(0, 4))),
+                          max_group=int(rng.integers(1, 10)),
+                          distance_mode=mode)
+    for _ in range(3):
+        cell = (int(rng.integers(0, n)), int(rng.integers(0, n)))
+        fast = bev_query(cell, occupancy, cfg)
+        brute = bev_query_brute(cell, occupancy, cfg)
+        if not (np.array_equal(fast.indices, brute.indices)
+                and np.array_equal(fast.distances, brute.distances)
+                and fast.capped == brute.capped):
+            return f"bev query mismatch at {cell}"
 
 
+@registered("l2r.non-overlap")
 def check_non_overlap(seeds: int, fault=None) -> PropertyResult:
     """Consecutive query balls must be pairwise disjoint for every configured
     geometry when the radius is half the cell size."""
@@ -648,41 +637,39 @@ def check_non_overlap(seeds: int, fault=None) -> PropertyResult:
     return PropertyResult("l2r.non-overlap", not failures, checked, failures)
 
 
-def check_query_locality(seeds: int, fault=None) -> PropertyResult:
+@per_seed("l2r.query-locality", stream=16)
+def check_query_locality(s, rng, fault):
     """Perturbing a point that stays outside every query ball leaves the
     height feature bit-identical."""
-    failures = []
     grid = GridSpec(origin=(-6.0, -6.0, -5.0), cell=(1.0, 1.0, 8.0), counts=(12, 12, 1))
-    for s in range(seeds):
-        rng = np.random.default_rng([16, s])
-        cfg = _height_cfg(rng, cell_size=1.0)
-        n = 60
-        cloud = np.zeros(n, dtype=[("x", "<f8"), ("y", "<f8"), ("z", "<f8"),
-                                   ("intensity", "<f8"), ("t", "<f8")])
-        cloud["x"] = rng.uniform(-5.0, 5.0, n)
-        cloud["y"] = rng.uniform(-5.0, 5.0, n)
-        cloud["z"] = rng.uniform(-5.0, 3.0, n)
-        cloud["intensity"] = rng.uniform(0, 1, n)
-        cell = (7, 7)
-        qpts = segment_query_points(cell, cfg, grid)
-        base = height_fuse(np.array([cell]), cfg, cloud, grid)[0]
-        xyz = np.stack([cloud["x"], cloud["y"], cloud["z"]], axis=1)
-        margin = 0.2
-        far = [i for i in range(n)
-               if all(np.linalg.norm(xyz[i] - np.array([q.x, q.y, q.z]))
-                      > cfg.ball_radius + margin for q in qpts)]
-        if not far:
-            continue
-        i = far[int(rng.integers(0, len(far)))]
-        moved = cloud.copy()
-        moved["x"][i] += float(rng.uniform(-margin / 2, margin / 2))
-        moved["z"][i] += float(rng.uniform(-margin / 2, margin / 2))
-        after = height_fuse(np.array([cell]), cfg, moved, grid)[0]
-        if not np.array_equal(base, after):
-            failures.append(f"seed {s}: far point changed the height feature")
-    return PropertyResult("l2r.query-locality", not failures, seeds, failures)
+    cfg = _height_cfg(rng, cell_size=1.0)
+    n = 60
+    cloud = np.zeros(n, dtype=[("x", "<f8"), ("y", "<f8"), ("z", "<f8"),
+                               ("intensity", "<f8"), ("t", "<f8")])
+    cloud["x"] = rng.uniform(-5.0, 5.0, n)
+    cloud["y"] = rng.uniform(-5.0, 5.0, n)
+    cloud["z"] = rng.uniform(-5.0, 3.0, n)
+    cloud["intensity"] = rng.uniform(0, 1, n)
+    cell = (7, 7)
+    qpts = segment_query_points(cell, cfg, grid)
+    base = height_fuse(np.array([cell]), cfg, cloud, grid)[0]
+    xyz = np.stack([cloud["x"], cloud["y"], cloud["z"]], axis=1)
+    margin = 0.2
+    far = [i for i in range(n)
+           if all(np.linalg.norm(xyz[i] - np.array([q.x, q.y, q.z]))
+                  > cfg.ball_radius + margin for q in qpts)]
+    if not far:
+        return
+    i = far[int(rng.integers(0, len(far)))]
+    moved = cloud.copy()
+    moved["x"][i] += float(rng.uniform(-margin / 2, margin / 2))
+    moved["z"][i] += float(rng.uniform(-margin / 2, margin / 2))
+    after = height_fuse(np.array([cell]), cfg, moved, grid)[0]
+    if not np.array_equal(base, after):
+        return "far point changed the height feature"
 
 
+@registered("l2r.height-sensitivity")
 def check_height_sensitivity(seeds: int, fault=None) -> PropertyResult:
     """Moving in-pillar LiDAR mass to a different height segment must change
     the height feature under generic weights."""
@@ -782,91 +769,82 @@ def _fusion_cloud(rng, grid: GridSpec, zs) -> np.ndarray:
     return pts[rng.permutation(len(pts))]
 
 
-def check_cell_features(seeds: int, fault=None) -> PropertyResult:
+@per_seed("l2r.cell-features-oracle", stream=21)
+def check_cell_features(s, rng, fault):
     """``compute_cell_features`` against its per-cell brute-force twin on
     random clouds: stats (hit rates, capped counts) exact, features within
     GRID_RTOL of the largest reference value. Instances cycle the ball
     radius through r/2, r and 3r/2, and cover both BEV distance modes, group
     caps from 1 to 20, empty clouds, grids and cell sets."""
-    failures = []
-    for s in range(seeds):
-        rng = np.random.default_rng([21, s])
-        r = float(rng.choice([0.5, 0.6, 1.0]))
-        grid = GridSpec(origin=(-3.0, -2.0, -5.0), cell=(r, r, 8.0),
-                        counts=(int(rng.integers(2, 9)), int(rng.integers(2, 9)), 1))
-        fdim = int(rng.integers(1, 7))
-        m = num_height_segments(8.0, r)
-        cfg_h = HeightFusionConfig(
-            cell_size=r, pillar_height=8.0, z_min=-5.0,
-            point_mlp=_mlps(rng, (5, 8, fdim)), merge_mlp=_mlps(rng, (m * fdim, 8, fdim)),
-            ball_radius=r * (0.5, 1.0, 1.5)[s % 3], max_group=int(rng.integers(1, 21)))
-        gdim = int(rng.integers(1, 5))
-        cfg_b = BevFusionConfig(
-            grid_mlp=_mlps(rng, (gdim + 2, 8, fdim)),
-            window=(int(rng.integers(0, 4)), int(rng.integers(0, 4))),
-            max_group=int(rng.integers(1, 21)),
-            distance_mode=("window", "scalar")[s % 2])
-        cloud = _fusion_cloud(rng, grid, segment_heights(cfg_h))
-        if s % 7 == 3:
-            cloud = cloud[:0]
-        nx, ny = grid.nx, grid.ny
-        key_ids = np.unique(rng.integers(0, (nx + 4) * (ny + 4), int(rng.integers(0, 30))))
-        features = rng.normal(size=(len(key_ids), gdim))
-        # Keys are drawn from two cells around the grid; coarse cells lie on
-        # it, so a key off the grid moves onto the nearest border cell (the
-        # first one there keeps its place).
-        i = np.clip(key_ids // (ny + 4) - 2, 0, nx - 1)
-        j = np.clip(key_ids % (ny + 4) - 2, 0, ny - 1)
-        ids, first = np.unique(j * nx + i, return_index=True)
-        grids = BevColumns(ids, features[first], (gdim, ny, nx))
-        cells = {(int(i), int(j)) for i, j in zip(rng.integers(0, nx, 12),
-                                                  rng.integers(0, ny, 12))}
-        cells = set() if s % 9 == 5 else cells | {(0, 0), (nx - 1, ny - 1)}
-        cells = columns_at(cells, np.zeros((len(cells), 0)), (0, ny, nx))
-        got, got_stats = compute_cell_features(cells, cfg_h, cfg_b, cloud, grids, grid)
-        want, want_stats = cell_features_brute(cells, cfg_h, cfg_b, cloud, grids, grid)
-        if got_stats != want_stats:
-            failures.append(f"seed {s}: stats {got_stats} != {want_stats}")
-        elif not _rel_close(got, want):
-            failures.append(f"seed {s}: cell features differ")
-    return PropertyResult("l2r.cell-features-oracle", not failures, seeds, failures)
+    r = float(rng.choice([0.5, 0.6, 1.0]))
+    grid = GridSpec(origin=(-3.0, -2.0, -5.0), cell=(r, r, 8.0),
+                    counts=(int(rng.integers(2, 9)), int(rng.integers(2, 9)), 1))
+    fdim = int(rng.integers(1, 7))
+    m = num_height_segments(8.0, r)
+    cfg_h = HeightFusionConfig(
+        cell_size=r, pillar_height=8.0, z_min=-5.0,
+        point_mlp=_mlps(rng, (5, 8, fdim)), merge_mlp=_mlps(rng, (m * fdim, 8, fdim)),
+        ball_radius=r * (0.5, 1.0, 1.5)[s % 3], max_group=int(rng.integers(1, 21)))
+    gdim = int(rng.integers(1, 5))
+    cfg_b = BevFusionConfig(
+        grid_mlp=_mlps(rng, (gdim + 2, 8, fdim)),
+        window=(int(rng.integers(0, 4)), int(rng.integers(0, 4))),
+        max_group=int(rng.integers(1, 21)),
+        distance_mode=("window", "scalar")[s % 2])
+    cloud = _fusion_cloud(rng, grid, segment_heights(cfg_h))
+    if s % 7 == 3:
+        cloud = cloud[:0]
+    nx, ny = grid.nx, grid.ny
+    key_ids = np.unique(rng.integers(0, (nx + 4) * (ny + 4), int(rng.integers(0, 30))))
+    features = rng.normal(size=(len(key_ids), gdim))
+    # Keys are drawn from two cells around the grid; coarse cells lie on
+    # it, so a key off the grid moves onto the nearest border cell (the
+    # first one there keeps its place).
+    i = np.clip(key_ids // (ny + 4) - 2, 0, nx - 1)
+    j = np.clip(key_ids % (ny + 4) - 2, 0, ny - 1)
+    ids, first = np.unique(j * nx + i, return_index=True)
+    grids = BevColumns(ids, features[first], (gdim, ny, nx))
+    cells = {(int(i), int(j)) for i, j in zip(rng.integers(0, nx, 12),
+                                              rng.integers(0, ny, 12))}
+    cells = set() if s % 9 == 5 else cells | {(0, 0), (nx - 1, ny - 1)}
+    cells = columns_at(cells, np.zeros((len(cells), 0)), (0, ny, nx))
+    got, got_stats = compute_cell_features(cells, cfg_h, cfg_b, cloud, grids, grid)
+    want, want_stats = cell_features_brute(cells, cfg_h, cfg_b, cloud, grids, grid)
+    if got_stats != want_stats:
+        return f"stats {got_stats} != {want_stats}"
+    if not _rel_close(got, want):
+        return "cell features differ"
 
 
-def check_pseudo_count(seeds: int, fault=None) -> PropertyResult:
-    failures = []
+@per_seed("l2r.pseudo-count", cap=5)
+def check_pseudo_count(s, rng, fault):
     cfg = tiny_config()
-    for s in range(min(seeds, 5)):
-        _, lidar, radar = generate_clouds(cfg, s)
-        result = run_pipeline(cfg, lidar, radar)
-        st = result.stats
-        if (st["l2r_fusion"]["pseudo_features"]
-                != st["grid_encoding"]["radar_pillars"]):
-            failures.append(f"seed {s}: pseudo feature count mismatch")
-        if (st["l2r_fusion"]["enhanced_nonzero_cells"]
-                != st["grid_encoding"]["radar_pillars"]):
-            failures.append(f"seed {s}: enhanced sparsity mismatch")
-    return PropertyResult("l2r.pseudo-count", not failures, min(seeds, 5), failures)
+    _, lidar, radar = generate_clouds(cfg, s)
+    st = run_pipeline(cfg, lidar, radar).stats
+    found = []
+    if st["l2r_fusion"]["pseudo_features"] != st["grid_encoding"]["radar_pillars"]:
+        found.append("pseudo feature count mismatch")
+    if st["l2r_fusion"]["enhanced_nonzero_cells"] != st["grid_encoding"]["radar_pillars"]:
+        found.append("enhanced sparsity mismatch")
+    return found
 
 
 # --------------------------------------------------------------------------
 # r2l-fusion-head properties
 # --------------------------------------------------------------------------
 
-def check_channel_contract(seeds: int, fault=None) -> PropertyResult:
-    failures = []
+@per_seed("heads.channel-contract", cap=3)
+def check_channel_contract(s, rng, fault):
     cfg = tiny_config()
-    for s in range(min(seeds, 3)):
-        _, lidar, radar = generate_clouds(cfg, s)
-        st = run_pipeline(cfg, lidar, radar).stats
-        chain = (st["grid_encoding"]["mr_shape"][0],
-                 st["l2r_fusion"]["enhanced_shape"][0],
-                 st["r2l_fusion_head"]["fused_shape"][0],
-                 st["r2l_fusion_head"]["encoded_shape"][0])
-        want = (32, 96, cfg.channels.lidar_channels + 96, 512)
-        if chain != want:
-            failures.append(f"seed {s}: channel chain {chain} != {want}")
-    return PropertyResult("heads.channel-contract", not failures,
-                          min(seeds, 3), failures)
+    _, lidar, radar = generate_clouds(cfg, s)
+    st = run_pipeline(cfg, lidar, radar).stats
+    chain = (st["grid_encoding"]["mr_shape"][0],
+             st["l2r_fusion"]["enhanced_shape"][0],
+             st["r2l_fusion_head"]["fused_shape"][0],
+             st["r2l_fusion_head"]["encoded_shape"][0])
+    want = (32, 96, cfg.channels.lidar_channels + 96, 512)
+    if chain != want:
+        return f"channel chain {chain} != {want}"
 
 
 # (LiDAR channels, encoder hidden widths, trunk widths): the desk and tiny
@@ -940,22 +918,18 @@ def _band_heights(w):
             2 * TILE_ROWS - 1]
 
 
-def check_tiled_r2l(seeds: int, fault=None) -> PropertyResult:
+@per_seed("heads.tiled-oracle", stream=31)
+def check_tiled_r2l(s, rng, fault):
     """Row-banded R2L stage against the whole-map chain it replaces: every
     head output byte for byte. Both run the same GEMMs, and sum their taps
     in the same order (see ``heads.r2l_forward``)."""
-    failures = []
-    for s in range(seeds):
-        rng = np.random.default_rng([31, s])
-        m_l, enhanced, encoder, head = _r2l_instance(rng, s, _band_heights)
-        ref = detect_forward(bev_encoder(fuse_bev_maps(m_l.dense(), enhanced.dense()),
-                                         encoder), head)
-        got = r2l_forward(m_l, enhanced, encoder, head)
-        for name in HEAD_FIELDS:
-            if not np.array_equal(getattr(got, name), getattr(ref, name)):
-                failures.append(f"seed {s}: {name} of a {m_l.shape} map differs")
-                break
-    return PropertyResult("heads.tiled-oracle", not failures, seeds, failures)
+    m_l, enhanced, encoder, head = _r2l_instance(rng, s, _band_heights)
+    ref = detect_forward(bev_encoder(fuse_bev_maps(m_l.dense(), enhanced.dense()),
+                                     encoder), head)
+    got = r2l_forward(m_l, enhanced, encoder, head)
+    for name in HEAD_FIELDS:
+        if not np.array_equal(getattr(got, name), getattr(ref, name)):
+            return f"{name} of a {m_l.shape} map differs"
 
 
 def _item_heights(w):
@@ -963,76 +937,63 @@ def _item_heights(w):
     return [TILE_ROWS, TILE_ROWS + 1, 2 * TILE_ROWS, 3 * TILE_ROWS + 5]
 
 
-def check_worker_count(seeds: int, fault=None) -> PropertyResult:
+@per_seed("heads.worker-oracle", stream=32)
+def check_worker_count(s, rng, fault):
     """``r2l_forward`` on 1, 2 and 3 worker threads gives the same bytes
     for every head output."""
-    failures = []
-    for s in range(seeds):
-        rng = np.random.default_rng([32, s])
-        m_l, enhanced, encoder, head = _r2l_instance(rng, s, _item_heights)
-        outs = [r2l_forward(m_l, enhanced, encoder, head, workers=k)
-                for k in (1, 2, 3)]
-        for name in HEAD_FIELDS:
-            if len({getattr(o, name).tobytes() for o in outs}) != 1:
-                failures.append(f"seed {s}: {name} of a {m_l.shape} map "
-                                "depends on the worker count")
-                break
-    return PropertyResult("heads.worker-oracle", not failures, seeds, failures)
+    m_l, enhanced, encoder, head = _r2l_instance(rng, s, _item_heights)
+    outs = [r2l_forward(m_l, enhanced, encoder, head, workers=k)
+            for k in (1, 2, 3)]
+    for name in HEAD_FIELDS:
+        if len({getattr(o, name).tobytes() for o in outs}) != 1:
+            return f"{name} of a {m_l.shape} map depends on the worker count"
 
 
-def check_pipeline_workers(seeds: int, fault=None) -> PropertyResult:
+@per_seed("pipeline.worker-oracle", cap=2)
+def check_pipeline_workers(s, rng, fault):
     """Whole desk ``run_pipeline`` frames on 1, 2 and 3 worker threads give
     the same detections, stats, heatmap and LiDAR and enhanced columns,
     byte for byte."""
-    failures = []
     cfg = desk_config()
-    for s in range(min(seeds, 2)):
-        _, lidar, radar = generate_clouds(cfg, s)
-        outs = set()
-        for k in (1, 2, 3):
-            r = run_pipeline(cfg, lidar, radar, workers=k)
-            outs.add((detections_to_jsonl(r.detections), repr(r.stats),
-                      r.maps["heatmap"].data.tobytes(),
-                      r.maps["m_l"].features.tobytes(),
-                      r.maps["enhanced"].features.tobytes()))
-        if len(outs) != 1:
-            failures.append(f"seed {s}: a desk frame depends on the worker count")
-    return PropertyResult("pipeline.worker-oracle", not failures,
-                          min(seeds, 2), failures)
+    _, lidar, radar = generate_clouds(cfg, s)
+    outs = set()
+    for k in (1, 2, 3):
+        r = run_pipeline(cfg, lidar, radar, workers=k)
+        outs.add((detections_to_jsonl(r.detections), repr(r.stats),
+                  r.maps["heatmap"].data.tobytes(),
+                  r.maps["m_l"].features.tobytes(),
+                  r.maps["enhanced"].features.tobytes()))
+    if len(outs) != 1:
+        return "a desk frame depends on the worker count"
 
 
-def check_decode_roundtrip(seeds: int, fault=None) -> PropertyResult:
-    failures = []
+@per_seed("heads.decode-roundtrip")
+def check_decode_roundtrip(s, rng, fault):
     grid = desk_config().lidar_grid
-    spec = SceneSpec(extent=16.0, num_objects=6)
-    for s in range(seeds):
-        scene = generate_scene(spec, s)
-        targets = render_targets(scene.objects, grid, num_classes=3)
-        outputs = outputs_from_targets(targets)
-        if fault == "offset-bias":
-            outputs = HeadOutputs(heatmap=outputs.heatmap,
-                                  heatmap_logits=outputs.heatmap_logits,
-                                  offset=outputs.offset + 1.0, z=outputs.z,
-                                  size=outputs.size, rot=outputs.rot,
-                                  vel=outputs.vel)
-        dets = decode_detections(outputs, grid, 0.5, 64)
-        half_cell = 0.5 * grid.cell[0]
-        for box in scene.objects:
-            near = [d for d in dets
-                    if d.class_id == box.class_id
-                    and abs(d.x - box.cx) <= half_cell
-                    and abs(d.y - box.cy) <= half_cell]
-            if not near:
-                failures.append(f"seed {s}: box at ({box.cx:.2f},{box.cy:.2f}) lost")
-                break
-            d = near[0]
-            if (abs(d.length - box.length) > 1e-9
-                    or abs(d.width - box.width) > 1e-9
-                    or abs(d.height - box.height) > 1e-9
-                    or abs(wrap_angle(d.yaw - box.yaw)) > 1e-9):
-                failures.append(f"seed {s}: size/yaw drifted")
-                break
-    return PropertyResult("heads.decode-roundtrip", not failures, seeds, failures)
+    scene = generate_scene(SceneSpec(extent=16.0, num_objects=6), s)
+    targets = render_targets(scene.objects, grid, num_classes=3)
+    outputs = outputs_from_targets(targets)
+    if fault == "offset-bias":
+        outputs = HeadOutputs(heatmap=outputs.heatmap,
+                              heatmap_logits=outputs.heatmap_logits,
+                              offset=outputs.offset + 1.0, z=outputs.z,
+                              size=outputs.size, rot=outputs.rot,
+                              vel=outputs.vel)
+    dets = decode_detections(outputs, grid, 0.5, 64)
+    half_cell = 0.5 * grid.cell[0]
+    for box in scene.objects:
+        near = [d for d in dets
+                if d.class_id == box.class_id
+                and abs(d.x - box.cx) <= half_cell
+                and abs(d.y - box.cy) <= half_cell]
+        if not near:
+            return f"box at ({box.cx:.2f},{box.cy:.2f}) lost"
+        d = near[0]
+        if (abs(d.length - box.length) > 1e-9
+                or abs(d.width - box.width) > 1e-9
+                or abs(d.height - box.height) > 1e-9
+                or abs(wrap_angle(d.yaw - box.yaw)) > 1e-9):
+            return "size/yaw drifted"
 
 
 def loss_gradcheck_instance(seed, height=8, width=8, num_classes=2,
@@ -1095,129 +1056,82 @@ def unpack_head_maps(vec: np.ndarray, template: HeadOutputs) -> HeadOutputs:
     return HeadOutputs(sigmoid(logits), logits, *maps)
 
 
-def check_grad_loss(seeds: int, fault=None) -> PropertyResult:
-    failures = []
-    for s in range(seeds):
-        outputs, targets = loss_gradcheck_instance([18, s])
-        theta = pack_head_maps(outputs)
+@per_seed("heads.grad-loss")
+def check_grad_loss(s, rng, fault):
+    outputs, targets = loss_gradcheck_instance([18, s])
+    theta = pack_head_maps(outputs)
 
-        def f(v):
-            breakdown, _ = compute_loss(unpack_head_maps(v, outputs), targets)
-            return breakdown.total
+    def f(v):
+        breakdown, _ = compute_loss(unpack_head_maps(v, outputs), targets)
+        return breakdown.total
 
-        def grad(v):
-            _, grads = compute_loss(unpack_head_maps(v, outputs), targets)
-            return np.concatenate([grads[n].ravel() for n in _HEAD_ORDER])
+    def grad(v):
+        _, grads = compute_loss(unpack_head_maps(v, outputs), targets)
+        return np.concatenate([grads[n].ravel() for n in _HEAD_ORDER])
 
-        rep = finite_diff_check(f, grad, theta)
-        if not rep.passed:
-            failures.append(f"seed {s}: rel diff {rep.max_rel_diff:.2e}")
-    return PropertyResult("heads.grad-loss", not failures, seeds, failures)
+    rep = finite_diff_check(f, grad, theta)
+    if not rep.passed:
+        return f"rel diff {rep.max_rel_diff:.2e}"
 
 
-def check_focal_monotonicity(seeds: int, fault=None) -> PropertyResult:
-    failures = []
-    for s in range(seeds):
-        rng = np.random.default_rng([19, s])
-        outputs, targets = loss_gradcheck_instance([19, s])
-        base, _ = compute_loss(outputs, targets)
-        centers = {(c, iy, ix) for c, iy, ix in targets.centers}
-        for _ in range(20):
-            c = int(rng.integers(0, outputs.heatmap.shape[0]))
-            iy = int(rng.integers(0, outputs.heatmap.shape[1]))
-            ix = int(rng.integers(0, outputs.heatmap.shape[2]))
-            if (c, iy, ix) not in centers:
-                break
-        logits = outputs.heatmap_logits.copy()
-        logits[c, iy, ix] += 0.25
-        bumped = HeadOutputs(heatmap=sigmoid(logits), heatmap_logits=logits,
-                             offset=outputs.offset, z=outputs.z,
-                             size=outputs.size, rot=outputs.rot, vel=outputs.vel)
-        after, _ = compute_loss(bumped, targets)
-        if not after.heatmap_loss > base.heatmap_loss:
-            failures.append(f"seed {s}: heatmap loss did not increase")
-    return PropertyResult("heads.focal-monotonicity", not failures, seeds, failures)
+@per_seed("heads.focal-monotonicity", stream=19)
+def check_focal_monotonicity(s, rng, fault):
+    outputs, targets = loss_gradcheck_instance([19, s])
+    base, _ = compute_loss(outputs, targets)
+    centers = {(c, iy, ix) for c, iy, ix in targets.centers}
+    for _ in range(20):
+        c = int(rng.integers(0, outputs.heatmap.shape[0]))
+        iy = int(rng.integers(0, outputs.heatmap.shape[1]))
+        ix = int(rng.integers(0, outputs.heatmap.shape[2]))
+        if (c, iy, ix) not in centers:
+            break
+    logits = outputs.heatmap_logits.copy()
+    logits[c, iy, ix] += 0.25
+    bumped = HeadOutputs(heatmap=sigmoid(logits), heatmap_logits=logits,
+                         offset=outputs.offset, z=outputs.z,
+                         size=outputs.size, rot=outputs.rot, vel=outputs.vel)
+    after, _ = compute_loss(bumped, targets)
+    if not after.heatmap_loss > base.heatmap_loss:
+        return "heatmap loss did not increase"
 
 
 # --------------------------------------------------------------------------
 # harness properties
 # --------------------------------------------------------------------------
 
-def check_pipeline_determinism(seeds: int, fault=None) -> PropertyResult:
-    failures = []
+@per_seed("pipeline.determinism", cap=3)
+def check_pipeline_determinism(s, rng, fault):
     cfg = tiny_config()
-    for s in range(min(seeds, 3)):
-        _, lidar, radar = generate_clouds(cfg, s)
-        a = run_pipeline(cfg, lidar, radar)
-        b = run_pipeline(cfg, lidar, radar)
-        if detections_to_jsonl(a.detections) != detections_to_jsonl(b.detections):
-            failures.append(f"seed {s}: detections differ between runs")
-        if a.stats != b.stats:
-            failures.append(f"seed {s}: stats differ between runs")
-    return PropertyResult("pipeline.determinism", not failures,
-                          min(seeds, 3), failures)
+    _, lidar, radar = generate_clouds(cfg, s)
+    a = run_pipeline(cfg, lidar, radar)
+    b = run_pipeline(cfg, lidar, radar)
+    found = []
+    if detections_to_jsonl(a.detections) != detections_to_jsonl(b.detections):
+        found.append("detections differ between runs")
+    if a.stats != b.stats:
+        found.append("stats differ between runs")
+    return found
 
 
-def check_eval_sanity(seeds: int, fault=None) -> PropertyResult:
-    from .heads import DetectionBox
-    failures = []
-    spec = SceneSpec(extent=40.0, num_objects=4, min_range=6.0, clearance=12.0,
-                     max_attempts=20000)
-    for s in range(min(seeds, 10)):
-        scene = generate_scene(spec, s)
-        perfect = [DetectionBox(x=b.cx, y=b.cy, z=b.cz, length=b.length,
-                                width=b.width, height=b.height, yaw=b.yaw,
-                                vx=b.vx, vy=b.vy, class_id=b.class_id, score=1.0)
-                   for b in scene.objects]
-        res = eval_detections(perfect, scene.objects)
-        if any(abs(ap - 1.0) > 1e-12 for th in res.ap_by_class.values()
-               for ap in th.values()):
-            failures.append(f"seed {s}: perfect detections did not score AP 1")
-            continue
-        if res.mean_velocity_error != 0.0:
-            failures.append(f"seed {s}: perfect detections have velocity error")
-            continue
-        shifted = [replace(d, x=d.x + 3.0) for d in perfect]
-        res = eval_detections(shifted, scene.objects)
-        for cid, th in res.ap_by_class.items():
-            if any(th[t] != 0.0 for t in (0.5, 1.0, 2.0)) or th[4.0] != 1.0:
-                failures.append(f"seed {s}: shifted AP profile wrong for class {cid}")
-                break
-    return PropertyResult("eval.sanity", not failures, min(seeds, 10), failures)
-
-
-PROPERTIES = {
-    "eval.sanity": check_eval_sanity,
-    "grids.index-oracle": check_index_oracle,
-    "grids.permutation": check_grid_permutation,
-    "grids.segment-oracle": check_segment_oracle,
-    "grids.sparsity": check_grid_sparsity,
-    "heads.channel-contract": check_channel_contract,
-    "heads.decode-roundtrip": check_decode_roundtrip,
-    "heads.focal-monotonicity": check_focal_monotonicity,
-    "heads.grad-loss": check_grad_loss,
-    "heads.tiled-oracle": check_tiled_r2l,
-    "heads.worker-oracle": check_worker_count,
-    "l2r.ball-query-oracle": check_ball_query_oracle,
-    "l2r.bev-query-oracle": check_bev_query_oracle,
-    "l2r.cell-features-oracle": check_cell_features,
-    "l2r.height-sensitivity": check_height_sensitivity,
-    "l2r.non-overlap": check_non_overlap,
-    "l2r.pseudo-count": check_pseudo_count,
-    "l2r.query-locality": check_query_locality,
-    "l2r.segment-heights": check_segment_heights,
-    "nn.conv-identity": check_conv_identity,
-    "nn.conv-oracle": check_conv_oracle,
-    "nn.grad-conv": check_grad_conv,
-    "nn.grad-max": check_grad_max,
-    "nn.grad-mlp": check_grad_mlp,
-    "nn.max-permutation": check_max_permutation,
-    "pipeline.determinism": check_pipeline_determinism,
-    "pipeline.worker-oracle": check_pipeline_workers,
-    "scene.accumulate": check_accumulate,
-    "scene.determinism": check_scene_determinism,
-    "scene.doppler": check_doppler,
-}
+@per_seed("eval.sanity", cap=10)
+def check_eval_sanity(s, rng, fault):
+    scene = generate_scene(SceneSpec(extent=40.0, num_objects=4, min_range=6.0,
+                                     clearance=12.0, max_attempts=20000), s)
+    perfect = [DetectionBox(x=b.cx, y=b.cy, z=b.cz, length=b.length,
+                            width=b.width, height=b.height, yaw=b.yaw,
+                            vx=b.vx, vy=b.vy, class_id=b.class_id, score=1.0)
+               for b in scene.objects]
+    res = eval_detections(perfect, scene.objects)
+    if any(abs(ap - 1.0) > 1e-12 for th in res.ap_by_class.values()
+           for ap in th.values()):
+        return "perfect detections did not score AP 1"
+    if res.mean_velocity_error != 0.0:
+        return "perfect detections have velocity error"
+    shifted = [replace(d, x=d.x + 3.0) for d in perfect]
+    res = eval_detections(shifted, scene.objects)
+    for cid, th in res.ap_by_class.items():
+        if any(th[t] != 0.0 for t in (0.5, 1.0, 2.0)) or th[4.0] != 1.0:
+            return f"shifted AP profile wrong for class {cid}"
 
 
 def oracle_suite(seeds: int = 25, fault: str | None = None) -> list:
