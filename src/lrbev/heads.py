@@ -39,12 +39,11 @@ import numpy as np
 from . import parallel
 from .errors import ShapeError
 from .grids import BevColumns, GridSpec
-# band_rows and conv2d_forward are not called here, but stay names of this
-# module: the oracles and tests read ``heads.band_rows``, and the tracer
-# under perfbench/ wraps ``heads.conv2d_forward``.
+# conv2d_forward is not called here, but stays a name of this module: the
+# per-layer tracer under perfbench/ wraps ``heads.conv2d_forward``.
 from .nn import (Conv2dParams, FeatureMap, _add_taps, _conv2d_raw,  # noqa: F401
                  _finite, _im2col_band, _im2col_rows, _tap_conv, _tap_rows,
-                 band_rows, conv2d_forward, relu, sigmoid, tap_columns)
+                 conv2d_forward, relu, sigmoid, tap_columns)
 from .synth import wrap_angle
 
 ENCODER_CHANNELS = 512

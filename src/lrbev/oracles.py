@@ -910,11 +910,15 @@ def columns_of(m: FeatureMap) -> BevColumns:
 
 
 def _band_heights(w):
-    """One row, under one band, one band plus a row, or past two bands of
-    the 512-channel stage; and the tallest inline map, whose fused
-    columns take more than one gather chunk at W = 64 when all occupied."""
+    """The fewest rows of more than 24 cells, under one band, one band plus
+    a row, or past two bands of the 512-channel stage; and the tallest
+    inline map, whose fused columns take more than one gather chunk at W =
+    64 when all occupied. At 448 or more fused channels, BLAS gave a GEMM
+    of 24 or fewer columns other bits than a wider one, so the first height
+    makes the whole map's first-block tap GEMMs wider than that while a
+    sparse gather chunk is narrower (seed 3 draws it)."""
     rows = band_rows(ENCODER_CHANNELS, w)
-    return [1, max(1, rows - 1), rows + 1, 2 * rows + rows // 2 + 1,
+    return [24 // w + 1, max(1, rows - 1), rows + 1, 2 * rows + rows // 2 + 1,
             2 * TILE_ROWS - 1]
 
 

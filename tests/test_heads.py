@@ -10,11 +10,12 @@ from lrbev.config import desk_config
 from lrbev.errors import EvaluationError, ShapeError
 from lrbev.grids import GridSpec
 from lrbev.heads import (ENCODER_CHANNELS, DetectionBox, HeadOutputs, HeadParams,
-                         LossWeights, band_rows, bev_encoder, compute_loss,
+                         LossWeights, bev_encoder, compute_loss,
                          decode_detections, detect_forward, find_peaks,
                          fuse_bev_maps, outputs_from_targets, r2l_forward,
                          render_targets, upsample_nearest)
-from lrbev.nn import Conv2dParams, FeatureMap, finite_diff_check, sigmoid
+from lrbev.nn import (Conv2dParams, FeatureMap, band_rows, finite_diff_check,
+                      sigmoid)
 from lrbev.oracles import (HEAD_FIELDS, columns_of, loss_gradcheck_instance,
                            pack_head_maps, unpack_head_maps)
 from lrbev.pipeline import random_weights

@@ -1,6 +1,7 @@
 """The advertised paper scale end to end: ``lrbev generate`` and ``lrbev run
 --scale paper`` on seed 0 in child processes, checked for their exit code,
-the bytes of what the run writes and the run's peak memory.
+the bytes of what the run writes, the bytes of its float64 heatmap and the
+run's peak memory.
 
 The output digests differ from one OpenBLAS kernel to another, so they are
 keyed by the name the library reports for the kernel it runs. A change that
@@ -28,6 +29,15 @@ DIGESTS = {
     "Katmai": "277666e735fc45bfe2f8297c7e39a8042d0f72b74035ddbdba1cea567140e213",
     "Nehalem": "bc0ce8b3a9b5d6f83562f4cb1386a70cd4ca26478be8e8a13755e546cc209653",
 }
+# sha256 of the bytes of the run's float64 heatmap, per kernel. A weight
+# change too small to move a detection can move these.
+HEATMAPS = {
+    "SkylakeX": "eb5e2ceabf4b815cd174be7540bae82ab56c290e9ac27d4717e6444019b88156",
+    "Haswell": "d683677eebb17cab80078bb83bd075a4e96d1b57afd7c12625d1f216bd984ab1",
+    "Sandybridge": "c33d2d04f8f3765d6d867d06b4612d01d20e360cd0d6f664fbda3dba0bce12b8",
+    "Katmai": "df414c1e68ce31cef16ec3c4bc3e25be996c9ca7f90b761736553c8744556b1a",
+    "Nehalem": "c33d2d04f8f3765d6d867d06b4612d01d20e360cd0d6f664fbda3dba0bce12b8",
+}
 # Peak resident memory of the run child, in MiB. It read 659-677 MiB under
 # the five kernels of tests/test_blas_kernels.py (2-CPU x86-64 host, numpy
 # with its bundled OpenBLAS); the bound leaves a 4% margin over the highest
@@ -36,18 +46,35 @@ DIGESTS = {
 MAX_RSS_MIB = 705
 
 
-# Runs the lrbev CLI on argv and prints the process's peak resident memory
-# (KiB on Linux) on its last line of output.
-_CLI = ("import resource, sys; from lrbev.cli import main; code = main(sys.argv[1:]); "
-        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss); sys.exit(code)")
+# Runs the lrbev CLI on argv. Each pipeline run prints ``heatmap`` and the
+# sha256 of its heatmap's float64 bytes, hashed in place, and the process
+# prints its peak resident memory (KiB on Linux) on its last line of output.
+_CLI = """
+import hashlib, resource, sys
+import lrbev.cli
+run_pipeline = lrbev.cli.run_pipeline
+
+def run_and_digest(*args, **kwargs):
+    result = run_pipeline(*args, **kwargs)
+    print("heatmap", hashlib.sha256(result.maps["heatmap"].data).hexdigest())
+    return result
+
+lrbev.cli.run_pipeline = run_and_digest
+code = lrbev.cli.main(sys.argv[1:])
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+sys.exit(code)
+"""
 
 
 def _child(argv: list, env: dict):
-    """Exit code and peak resident memory (MiB) of ``lrbev`` run with
-    ``argv`` in a child process."""
+    """Exit code, peak resident memory (MiB) and heatmap digest (None
+    without a pipeline run) of ``lrbev`` run with ``argv`` in a child
+    process."""
     proc = subprocess.run([sys.executable, "-c", _CLI, *argv], env=env,
                           capture_output=True, text=True, timeout=600)
-    return proc.returncode, int(proc.stdout.split()[-1]) / 1024
+    out = proc.stdout.split()
+    heatmap = out[out.index("heatmap") + 1] if "heatmap" in out else None
+    return proc.returncode, int(out[-1]) / 1024, heatmap
 
 
 def test_paper_seed_0_bytes_and_memory(tmp_path):
@@ -57,13 +84,14 @@ def test_paper_seed_0_bytes_and_memory(tmp_path):
     src = str(Path(lrbev.__file__).resolve().parents[1])
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code, _ = _child(["generate", "--scale", "paper", "--seed", "0", "--out", str(tmp_path)],
-                     env)
+    code, _, _ = _child(["generate", "--scale", "paper", "--seed", "0",
+                         "--out", str(tmp_path)], env)
     assert code == 0
-    code, rss = _child(["run", "--scale", "paper", "--seed", "0", "--in", str(tmp_path),
-                        "--out", str(tmp_path)], env)
+    code, rss, heatmap = _child(["run", "--scale", "paper", "--seed", "0",
+                                 "--in", str(tmp_path), "--out", str(tmp_path)], env)
     assert code == 0
     digest = lambda name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
     assert digest("detections.jsonl") == DIGESTS[kernel]
     assert digest("stats.json") == STATS
+    assert heatmap == HEATMAPS[kernel]
     assert rss <= MAX_RSS_MIB
