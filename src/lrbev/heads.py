@@ -73,33 +73,26 @@ def fuse_bev_maps(m_l: FeatureMap, enhanced: FeatureMap) -> FeatureMap:
     return FeatureMap._wrap(np.concatenate([m_l.data, enhanced.data], axis=0))
 
 
-def _check_encoder(blocks: list, shape: tuple) -> None:
-    """The ShapeErrors of the encoder on an input of this shape."""
+def _check_encoder(blocks: list, channels: int) -> None:
+    """The ShapeErrors of the encoder on an input of this many channels."""
     if len(blocks) != 3:
         raise ShapeError(f"encoder needs exactly 3 blocks, got {len(blocks)}")
     if blocks[-1].kernel.shape[0] != ENCODER_CHANNELS:
         raise ShapeError(f"encoder must end at {ENCODER_CHANNELS} channels, "
                          f"last block has {blocks[-1].kernel.shape[0]}")
-    for k, conv in enumerate(blocks):
-        if conv.stride != 1:
-            raise ShapeError(f"encoder block {k}: stride must be 1")
+    for conv in blocks:
         cout, cin = conv.kernel.shape[:2]
-        if cin != shape[0]:
-            raise ShapeError(f"conv input has {shape[0]} channels, kernel expects {cin}")
-        oh, ow = conv.out_hw(*shape[1:])
-        if (oh, ow) != shape[1:]:
-            raise ShapeError(f"encoder block {k}: spatial dims changed "
-                             f"{shape} -> {(cout, oh, ow)}")
-        shape = (cout, oh, ow)
+        if cin != channels:
+            raise ShapeError(f"conv input has {channels} channels, kernel expects {cin}")
+        channels = cout
 
 
-def _check_trunk(trunk: list, shape: tuple) -> Conv2dParams:
-    """The first conv of a head trunk, once checked to read a 512-channel
-    map of this shape at stride 1 and keep its size (else ShapeError)."""
-    if (not trunk or trunk[0].stride != 1 or trunk[0].out_hw(*shape[1:]) != shape[1:]
-            or not trunk[0].kernel.shape[1] == shape[0] == ENCODER_CHANNELS):
+def _check_trunk(trunk: list, channels: int) -> Conv2dParams:
+    """The first conv of a head trunk, once checked to read the 512-channel
+    map, here one of ``channels`` channels (else ShapeError)."""
+    if not trunk or not trunk[0].kernel.shape[1] == channels == ENCODER_CHANNELS:
         raise ShapeError(f"head trunk: the first conv must read the {ENCODER_CHANNELS}"
-                         "-channel map at stride 1 and keep its size")
+                         "-channel map")
     return trunk[0]
 
 
@@ -108,7 +101,7 @@ def bev_encoder(fused: FeatureMap, blocks) -> FeatureMap:
     spatial dimensions preserved. The first block sums per-tap GEMMs
     (``nn._tap_conv``), as ``r2l_forward``'s does; the others run im2col."""
     blocks = list(blocks)
-    _check_encoder(blocks, fused.shape)
+    _check_encoder(blocks, fused.channels)
     return FeatureMap._wrap(_rectified(fused.data, blocks))
 
 
@@ -151,7 +144,7 @@ def detect_forward(features: FeatureMap, params: HeadParams) -> HeadOutputs:
     """Run the trunk and every head; sigmoid on the heatmap only. The first
     trunk conv sums per-tap GEMMs (``nn._tap_conv``), as ``r2l_forward``'s
     does; the rest run im2col."""
-    _check_trunk(params.trunk, features.shape)
+    _check_trunk(params.trunk, features.channels)
     return _head_outputs(_rectified(features.data, params.trunk), params)
 
 
@@ -226,13 +219,13 @@ def _gather_plan(m_l: BevColumns, enhanced: BevColumns, fh: int, fw: int) -> tup
 def _sparse_block(conv: Conv2dParams, m_l: BevColumns, enhanced: BevColumns,
                   fh: int, fw: int, border: int, counts: dict | None,
                   workers: int) -> np.ndarray:
-    """The rectified size-keeping, stride-1 ``conv`` of the fused map of
-    ``m_l`` and ``enhanced`` replicated ``fh`` x ``fw`` times, inside a zero
-    border of ``border`` >= ``conv.padding`` cells: one GEMM per chunk of
-    ``nn.tap_columns`` occupied columns in ascending id order, on up to
-    ``workers`` threads, and the calling thread adds each tap's results
-    onto the cells it feeds, chunk by chunk in ascending order. Taps
-    falling off the map land on the border, zeroed again afterwards."""
+    """The rectified ``conv`` of the fused map of ``m_l`` and ``enhanced``
+    replicated ``fh`` x ``fw`` times, inside a zero border of ``border`` >=
+    ``conv.padding`` cells: one GEMM per chunk of ``nn.tap_columns``
+    occupied columns in ascending id order, on up to ``workers`` threads,
+    and the calling thread adds each tap's results onto the cells it feeds,
+    chunk by chunk in ascending order. Taps falling off the map land on the
+    border, zeroed again afterwards."""
     h, w = m_l.height, m_l.width
     cout, cin, kh, kw = conv.kernel.shape
     cl, p, wide = m_l.channels, conv.padding, w + 2 * border
@@ -299,11 +292,10 @@ def r2l_forward(m_l: BevColumns, enhanced: BevColumns, encoder,
     as many items at once as fit their scratch in ``_SCRATCH_FLOATS``; a
     map under two items high (``workers_for``) runs every step inline and
     never starts the pool. Every conv output is checked for non-finite values
-    before its rectifier, as in the whole-map chain. A first trunk conv
-    that does not read the 512-channel map at stride 1 and keep its size
-    raises ``ShapeError``. ``counts``, when given, receives
-    ``gathered_columns``: how many fused columns the first block ran its
-    GEMM on.
+    before its rectifier, as in the whole-map chain. A head without a
+    trunk conv reading the 512-channel map raises ``ShapeError``.
+    ``counts``, when given, receives ``gathered_columns``: how many fused
+    columns the first block ran its GEMM on.
 
     Bits: items, bands and gather chunks depend on the shapes and on which
     columns are occupied alone, and every item does the same arithmetic on
@@ -333,8 +325,8 @@ def r2l_forward(m_l: BevColumns, enhanced: BevColumns, encoder,
     encoder = list(encoder)
     fh, fw = _replication(m_l, enhanced)
     h, w = m_l.height, m_l.width
-    _check_encoder(encoder, (m_l.channels + enhanced.channels, h, w))
-    trunk0 = _check_trunk(head.trunk, (ENCODER_CHANNELS, h, w))
+    _check_encoder(encoder, m_l.channels + enhanced.channels)
+    trunk0 = _check_trunk(head.trunk, ENCODER_CHANNELS)
     enc0, enc1, enc2 = encoder
     p1, p2, p = enc1.padding, enc2.padding, trunk0.padding
     workers = workers_for(h, workers)

@@ -1,6 +1,8 @@
 """Dense numeric substrate: BEV feature maps, small MLPs, 2D convolution and
 symmetric max aggregation, each with analytic gradients, plus a central
-finite-difference gradient checker.
+finite-difference gradient checker. Every conv is stride-1 and keeps its
+input's height and width: ``Conv2dParams`` holds an odd square kernel and
+derives its zero padding from it.
 
 Everything runs in float64. All operations are pure: inputs are never
 mutated, identical inputs produce bit-identical outputs, and values can be
@@ -294,40 +296,36 @@ def mlp_backward(x, p: MlpParams, grad_out: Array):
 
 @dataclass
 class Conv2dParams:
-    """Plain 2D cross-correlation layer: out x in x kH x kW kernel, zero
-    padding, symmetric stride."""
+    """Plain 2D cross-correlation layer: an out x in x k x k kernel, k odd,
+    at stride 1 with ``padding`` = k // 2 zero cells on every side, so the
+    output keeps the input's height and width."""
 
     kernel: Array
     bias: Array
-    stride: int = 1
-    padding: int = 0
 
     def __post_init__(self):
         self.kernel = np.asarray(self.kernel, dtype=np.float64)
         self.bias = np.asarray(self.bias, dtype=np.float64)
-        if self.kernel.ndim != 4:
-            raise ShapeError(f"conv kernel must be 4-d, got {self.kernel.shape}")
-        if self.bias.shape != (self.kernel.shape[0],):
-            raise ShapeError(
-                f"conv bias shape {self.bias.shape} != ({self.kernel.shape[0]},)")
-        if self.stride < 1 or self.padding < 0:
-            raise ShapeError(f"stride {self.stride} / padding {self.padding} invalid")
+        shape = self.kernel.shape
+        if len(shape) != 4 or shape[2] != shape[3] or shape[2] % 2 == 0:
+            raise ShapeError(f"conv kernel must be out x in x k x k with k odd, "
+                             f"got {shape}")
+        if self.bias.shape != (shape[0],):
+            raise ShapeError(f"conv bias shape {self.bias.shape} != ({shape[0]},)")
+
+    @property
+    def padding(self) -> int:
+        return self.kernel.shape[2] // 2
 
     @classmethod
     def init(cls, in_channels: int, out_channels: int, kernel_size: int,
-             rng: np.random.Generator, stride: int = 1, padding: int = 0) -> "Conv2dParams":
+             rng: np.random.Generator) -> "Conv2dParams":
         fan_in = in_channels * kernel_size * kernel_size
         bound = 1.0 / np.sqrt(fan_in)
         kernel = rng.uniform(-bound, bound,
                              size=(out_channels, in_channels, kernel_size, kernel_size))
         bias = rng.uniform(-bound, bound, size=out_channels)
-        return cls(kernel, bias, stride=stride, padding=padding)
-
-    def out_hw(self, height: int, width: int) -> tuple:
-        kh, kw = self.kernel.shape[2], self.kernel.shape[3]
-        oh = (height + 2 * self.padding - kh) // self.stride + 1
-        ow = (width + 2 * self.padding - kw) // self.stride + 1
-        return oh, ow
+        return cls(kernel, bias)
 
     def to_vector(self) -> Array:
         return np.concatenate([self.kernel.ravel(), self.bias])
@@ -337,8 +335,7 @@ class Conv2dParams:
         if vec.size != nk + self.bias.size:
             raise ShapeError(f"parameter vector has {vec.size} entries, "
                              f"expected {nk + self.bias.size}")
-        return Conv2dParams(vec[:nk].reshape(self.kernel.shape), vec[nk:].copy(),
-                            stride=self.stride, padding=self.padding)
+        return Conv2dParams(vec[:nk].reshape(self.kernel.shape), vec[nk:].copy())
 
 
 # A band holds at most this many floats of its widest activation (an input
@@ -353,7 +350,7 @@ def band_rows(channels: int, width: int) -> int:
 
 
 def _spans(start: int, stop: int, rows: int):
-    for y in range(start, stop, rows):
+    for y in range(start, stop, max(1, rows)):
         yield y, min(stop, y + rows)
 
 
@@ -366,7 +363,7 @@ def tap_columns(channels: int, height: int, width: int) -> int:
 
 
 def _tap_rows(p: Conv2dParams, chunks, rows: int, width: int, span: int) -> Array:
-    """Per-tap GEMM results (Cout, kh, kw, rows, W) of a stride-1 conv on
+    """Per-tap GEMM results (Cout, kh, kw, rows, W) of the conv ``p`` on
     ``rows`` input rows arriving as consecutive (Cin, n, W) chunks: one GEMM
     of every kernel tap against each run of ``span`` columns of a chunk,
     counted from its first, a shorter last run padded with zero columns to
@@ -394,11 +391,11 @@ def _tap_rows(p: Conv2dParams, chunks, rows: int, width: int, span: int) -> Arra
 
 def _add_taps(acc: Array, taps: Array, y0: int) -> None:
     """Adds ``taps`` (Cout, kh, kw, rows, W), the per-tap GEMM results of a
-    stride-1, size-keeping conv on its input rows from ``y0`` on, in
-    (ky, kx) order onto ``acc``, its output inside a border of its padding,
-    which takes the taps that fall on the zero padding. The input row
-    behind tap (ky, kx) of an output cell rises with ky, so adding
-    ascending row spans sums every cell in (ky, kx) order."""
+    conv on its input rows from ``y0`` on, in (ky, kx) order onto ``acc``,
+    its output inside a border of its padding, which takes the taps that
+    fall on the zero padding. The input row behind tap (ky, kx) of an
+    output cell rises with ky, so adding ascending row spans sums every
+    cell in (ky, kx) order."""
     _, kh, kw, rows, width = taps.shape
     for ky in range(kh):
         ya = y0 + kh - 1 - ky
@@ -407,12 +404,10 @@ def _add_taps(acc: Array, taps: Array, y0: int) -> None:
             acc[:, ya:ya + rows, xa:xa + width] += taps[:, ky, kx]
 
 
-def _tap_view(padded: Array, stride: int, ky: int, kx: int, y0: int, y1: int,
-              width: int) -> Array:
+def _tap_view(padded: Array, ky: int, kx: int, y0: int, y1: int, width: int) -> Array:
     """View of the cells of ``padded`` that kernel tap (ky, kx) meets for
     output rows ``y0`` to ``y1`` and ``width`` output columns."""
-    return padded[:, y0 * stride + ky:(y1 - 1) * stride + ky + 1:stride,
-                  kx:kx + (width - 1) * stride + 1:stride]
+    return padded[:, y0 + ky:y1 + ky, kx:kx + width]
 
 
 def _im2col(p: Conv2dParams, padded: Array, y0: int, y1: int, width: int,
@@ -425,7 +420,7 @@ def _im2col(p: Conv2dParams, padded: Array, y0: int, y1: int, width: int,
     cols = buf[:cin * kh * kw * n * width].reshape(cin, kh, kw, n, width)
     for ky in range(kh):
         for kx in range(kw):
-            cols[:, ky, kx] = _tap_view(padded, p.stride, ky, kx, y0, y1, width)
+            cols[:, ky, kx] = _tap_view(padded, ky, kx, y0, y1, width)
     return cols.reshape(cin * kh * kw, n * width)
 
 
@@ -444,7 +439,7 @@ def _im2col_rows(p: Conv2dParams, padded: Array, y0: int, y1: int):
     last band has it at another offset of the scratch."""
     cout, cin, kh, kw = p.kernel.shape
     k = cin * kh * kw
-    width = (padded.shape[2] - kw) // p.stride + 1
+    width = padded.shape[2] - kw + 1
     band = min(_im2col_band(p, width), y1 - y0)
     wmat = np.concatenate([p.kernel.reshape(cout, k), p.bias[:, None]], axis=1)
     buf = np.empty((k + 1) * band * width)
@@ -464,11 +459,11 @@ def _pad(data: Array, padding: int) -> Array:
 
 
 def _tap_conv(data: Array, p: Conv2dParams) -> Array:
-    """The stride-1, size-keeping conv ``p`` of ``data`` by per-tap GEMMs:
-    the ``_tap_rows`` taps of the whole map, one GEMM per run of
-    ``tap_columns(Cin, H, W)`` columns from the first, added in (ky, kx)
-    order (``_add_taps``), then the bias. These are the GEMM shape and the
-    sums of ``heads.r2l_forward``'s first block and first trunk conv."""
+    """The conv ``p`` of ``data`` by per-tap GEMMs: the ``_tap_rows`` taps
+    of the whole map, one GEMM per run of ``tap_columns(Cin, H, W)``
+    columns from the first, added in (ky, kx) order (``_add_taps``), then
+    the bias. These are the GEMM shape and the sums of
+    ``heads.r2l_forward``'s first block and first trunk conv."""
     cin, h, w = data.shape
     pad = p.padding
     acc = np.zeros((p.kernel.shape[0], h + 2 * pad, w + 2 * pad))
@@ -483,17 +478,15 @@ def _conv2d_raw(data: Array, p: Conv2dParams) -> Array:
     cout, kin = p.kernel.shape[:2]
     if cin != kin:
         raise ShapeError(f"conv input has {cin} channels, kernel expects {kin}")
-    oh, ow = p.out_hw(h, w)
-    if oh < 1 or ow < 1:
-        raise ShapeError(f"degenerate conv output {oh}x{ow} for input {h}x{w}")
-    out = np.empty((cout, oh, ow))
-    for ya, yb, rows in _im2col_rows(p, _pad(data, p.padding), 0, oh):
+    out = np.empty((cout, h, w))
+    for ya, yb, rows in _im2col_rows(p, _pad(data, p.padding), 0, h):
         out[:, ya:yb] = rows
     return out
 
 
 def conv2d_forward(m: FeatureMap, p: Conv2dParams) -> FeatureMap:
-    """Cross-correlation with zero padding (the usual 'conv' layer)."""
+    """Cross-correlation with zero padding (the usual 'conv' layer), the
+    output as high and wide as ``m``."""
     return FeatureMap._wrap(_conv2d_raw(m.data, p))
 
 
@@ -506,25 +499,25 @@ def conv2d_backward(m: FeatureMap, p: Conv2dParams, grad_out: Array):
     data = m.data
     cin, h, w = data.shape
     cout, _, kh, kw = p.kernel.shape
-    oh, ow = p.out_hw(h, w)
     g = np.asarray(grad_out, dtype=np.float64)
-    if g.shape != (cout, oh, ow):
-        raise ShapeError(f"grad_out shape {g.shape} != {(cout, oh, ow)}")
-    padded = _pad(data, p.padding)
+    if g.shape != (cout, h, w):
+        raise ShapeError(f"grad_out shape {g.shape} != {(cout, h, w)}")
+    pad = p.padding
+    padded = _pad(data, pad)
     wmat = p.kernel.reshape(cout, -1)
-    gflat = g.reshape(cout, oh * ow)
-    band = min(_im2col_band(p, ow), oh)
-    buf = np.empty(wmat.shape[1] * band * ow)
+    gflat = g.reshape(cout, h * w)
+    band = min(_im2col_band(p, w), h)
+    buf = np.empty(wmat.shape[1] * band * w)
     grad_kernel = np.zeros(wmat.shape)
     grad_padded = np.zeros_like(padded)
-    for y0, y1 in _spans(0, oh, band):
-        gband = gflat[:, y0 * ow:y1 * ow]
-        grad_kernel += gband @ _im2col(p, padded, y0, y1, ow, buf).T
-        gcols = (wmat.T @ gband).reshape(cin, kh, kw, y1 - y0, ow)
+    for y0, y1 in _spans(0, h, band):
+        gband = gflat[:, y0 * w:y1 * w]
+        grad_kernel += gband @ _im2col(p, padded, y0, y1, w, buf).T
+        gcols = (wmat.T @ gband).reshape(cin, kh, kw, y1 - y0, w)
         for ky in range(kh):
             for kx in range(kw):
-                _tap_view(grad_padded, p.stride, ky, kx, y0, y1, ow)[:] += gcols[:, ky, kx]
-    grad_in = grad_padded[:, p.padding:p.padding + h, p.padding:p.padding + w]
+                _tap_view(grad_padded, ky, kx, y0, y1, w)[:] += gcols[:, ky, kx]
+    grad_in = grad_padded[:, pad:pad + h, pad:pad + w]
     return grad_in, grad_kernel.reshape(p.kernel.shape), gflat.sum(axis=1)
 
 

@@ -144,41 +144,38 @@ def check_conv_identity(s, rng, fault):
 def conv2d_brute(data: np.ndarray, p: Conv2dParams) -> np.ndarray:
     """Direct cross-correlation: each output pixel is the sum of its
     kernel-weighted receptive field in the zero-padded input, plus bias."""
-    kh, kw = p.kernel.shape[2:]
-    s = p.stride
-    padded = np.pad(data, ((0, 0), (p.padding, p.padding), (p.padding, p.padding)))
-    oh, ow = p.out_hw(*data.shape[1:])
-    out = np.empty((p.kernel.shape[0], oh, ow))
-    for y in range(oh):
-        for x in range(ow):
-            field = padded[:, y * s:y * s + kh, x * s:x * s + kw]
+    k, pad = p.kernel.shape[2], p.padding
+    _, h, w = data.shape
+    padded = np.pad(data, ((0, 0), (pad, pad), (pad, pad)))
+    out = np.empty((p.kernel.shape[0], h, w))
+    for y in range(h):
+        for x in range(w):
+            field = padded[:, y:y + k, x:x + k]
             out[:, y, x] = (p.kernel * field).sum(axis=(1, 2, 3)) + p.bias
     return out
 
 
 @per_seed("nn.conv-oracle", stream=33)
 def check_conv_oracle(s, rng, fault):
-    """The two conv kernels against ``conv2d_brute``. Even seeds draw a
-    stride-1, size-keeping conv with few output taps and at least 16 input
+    """The two conv kernels against ``conv2d_brute`` on a 1x1, 3x3 or 5x5
+    conv. Even seeds draw one with few output taps and at least 16 input
     channels and run ``nn._tap_conv``, which sums per-tap GEMMs; odd seeds
-    draw any kernel, padding and stride and run ``conv2d_forward``, which
-    is im2col. Widths are never a multiple of 8, so most tap GEMMs run
+    draw one of 1 to 23 input channels and run ``conv2d_forward``, which
+    is im2col. Map widths are never a multiple of 8, so most tap GEMMs run
     padded with zero columns."""
     k = int(rng.choice([1, 3, 5]))
     if s % 2 == 0:
-        cin, stride, pad = int(rng.integers(16, 40)), 1, (k - 1) // 2
+        cin = int(rng.integers(16, 40))
         cout = int(rng.integers(1, 256 // (k * k) + 1))
     else:
-        cin, stride = int(rng.integers(1, 24)), int(rng.choice([1, 2]))
-        pad, cout = int(rng.integers(0, 3)), int(rng.integers(1, 9))
+        cin, cout = int(rng.integers(1, 24)), int(rng.integers(1, 9))
     h = int(rng.integers(k, 14))
     w = int(rng.choice([n for n in range(k, 20) if n % 8]))
     m = FeatureMap(rng.normal(size=(cin, h, w)))
-    p = Conv2dParams.init(cin, cout, k, rng, stride=stride, padding=pad)
+    p = Conv2dParams.init(cin, cout, k, rng)
     got = _tap_conv(m.data, p) if s % 2 == 0 else conv2d_forward(m, p).data
     if not _rel_close(got, conv2d_brute(m.data, p)):
-        return (f"{cout}x{cin}x{k}x{k} conv, stride {stride}, padding {pad}, "
-                f"on {h}x{w} differs")
+        return f"{cout}x{cin}x{k}x{k} conv on {h}x{w} differs"
 
 
 def _mlp_instance_away_from_kinks(rng, margin=1e-2):
@@ -223,7 +220,7 @@ def check_grad_mlp(s, rng, fault):
 def check_grad_conv(s, rng, fault):
     cin, cout = int(rng.integers(1, 4)), int(rng.integers(1, 4))
     m = FeatureMap(rng.normal(size=(cin, 5, 6)))
-    p = Conv2dParams.init(cin, cout, 3, rng, padding=1)
+    p = Conv2dParams.init(cin, cout, 3, rng)
     c = rng.normal(size=(cout, 5, 6))
     theta = p.to_vector()
 
@@ -879,11 +876,11 @@ def _r2l_instance(rng, s, heights):
     enhanced = columns_of(FeatureMap(rng.normal(size=(96, h // fh, w // fw))
                                      * (rng.uniform(size=(1, h // fh, w // fw)) < 0.3)))
     widths = [cin, *hidden, ENCODER_CHANNELS]
-    encoder = [Conv2dParams.init(widths[k], widths[k + 1], 3, rng, padding=1)
+    encoder = [Conv2dParams.init(widths[k], widths[k + 1], 3, rng)
                for k in range(3)]
     blocks, prev = [], ENCODER_CHANNELS
     for width in trunk:
-        blocks.append(Conv2dParams.init(prev, width, 3, rng, padding=1))
+        blocks.append(Conv2dParams.init(prev, width, 3, rng))
         prev = width
     one = lambda out: Conv2dParams.init(prev, out, 1, rng)
     head = HeadParams(trunk=blocks, heatmap=one(3), offset=one(2), z=one(1),

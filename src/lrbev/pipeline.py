@@ -112,7 +112,7 @@ def _draw_weights(dims: dict, seed: int) -> PipelineWeights:
                if name.endswith("_mlp")}
 
     def convs(widths):
-        return tuple(Conv2dParams.init(cin, cout, 3, rng, padding=1)
+        return tuple(Conv2dParams.init(cin, cout, 3, rng)
                      for cin, cout in zip(widths, widths[1:]))
 
     weights["encoder"] = convs(dims["encoder"])
@@ -176,7 +176,7 @@ def probe_weights(cfg: PipelineConfig) -> PipelineWeights:
                 kernel[0, 0, :, :] = 1.0     # 3x3 box blur of the occupancy channel
             else:
                 kernel[0, 0, 1, 1] = 1.0
-            out.append(Conv2dParams(kernel, np.zeros(cout), padding=1))
+            out.append(Conv2dParams(kernel, np.zeros(cout)))
         return out
 
     weights["encoder"] = convs(dims["encoder"], blur_first=True)
@@ -377,7 +377,7 @@ def run_pipeline(cfg: PipelineConfig, lidar: np.ndarray, radar: np.ndarray,
         "gathered_columns": r2l_counts["gathered_columns"],
     }
     maps = {"m_l": m_l, "m_r": m_r, "enhanced": enhanced,
-            "heatmap": FeatureMap(outputs.heatmap)}
+            "heatmap": FeatureMap._wrap(outputs.heatmap)}
     return PipelineResult(detections=detections, stats=stats, maps=maps)
 
 

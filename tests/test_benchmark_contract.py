@@ -3,7 +3,8 @@ and stage functions; this runs its ``paper-l2r`` frame, output digest and
 spot check on a tiny scene with the per-layer tracer installed, so a change
 that breaks a name the benchmark reads fails here rather than only in the
 benchmark's own smoke run. It also checks pool scenes against the
-benchmark's reference outputs."""
+benchmark's reference outputs, and the metric names and units that
+BENCHMARK.json declares against those the benchmark reports."""
 
 import json
 import sys
@@ -12,6 +13,7 @@ from pathlib import Path
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 sys.path.insert(0, str(PERFBENCH))
 
+import run  # noqa: E402
 import tracing  # noqa: E402
 import workloads  # noqa: E402
 from lrbev.config import tiny_config  # noqa: E402
@@ -51,3 +53,13 @@ def test_pool_scene_outputs_match_the_benchmark_reference(tmp_path):
             got = wl.collect(state, wl.frame(state, sid)).value
             assert workloads.output_matches(got, reference[name][str(sid)]), \
                 f"{name} scene {sid}"
+
+
+def test_benchmark_json_metrics_match_the_benchmark():
+    """The static half of ``perfbench/run.py --smoke``: the end-to-end and
+    per-layer metric names and units in BENCHMARK.json are the ones
+    ``run.END_TO_END`` and ``tracing.layer_metric_units()`` report."""
+    bench = json.loads((PERFBENCH.parent / "BENCHMARK.json").read_text())
+    assert {m["name"]: m["unit"] for m in bench["end_to_end"]} == run.END_TO_END
+    assert ({m["name"]: m["unit"] for m in bench["per_layer"]}
+            == tracing.layer_metric_units())

@@ -68,7 +68,7 @@ class TestFuseBevMaps:
 
 def _encoder(rng, cin=160, hidden=(8, 8)):
     widths = [cin, *hidden, 512]
-    return [Conv2dParams.init(widths[k], widths[k + 1], 3, rng, padding=1)
+    return [Conv2dParams.init(widths[k], widths[k + 1], 3, rng)
             for k in range(3)]
 
 
@@ -76,7 +76,7 @@ class TestBevEncoder:
     def test_zero_input_zero_biases_zero_output(self):
         rng = np.random.default_rng(3)
         blocks = _encoder(rng)
-        blocks = [Conv2dParams(b.kernel, np.zeros_like(b.bias), b.stride, b.padding)
+        blocks = [Conv2dParams(b.kernel, np.zeros_like(b.bias))
                   for b in blocks]
         out = bev_encoder(FeatureMap.zeros(160, 6, 6), blocks)
         assert not np.any(out.data)
@@ -94,7 +94,7 @@ class TestBevEncoder:
     def test_wrong_final_width_rejected(self):
         rng = np.random.default_rng(6)
         widths = [160, 8, 8, 256]
-        blocks = [Conv2dParams.init(widths[k], widths[k + 1], 3, rng, padding=1)
+        blocks = [Conv2dParams.init(widths[k], widths[k + 1], 3, rng)
                   for k in range(3)]
         with pytest.raises(ShapeError):
             bev_encoder(FeatureMap.zeros(160, 4, 4), blocks)
@@ -109,7 +109,7 @@ def _head_params(rng, cin=512, trunk=(4, 4), num_classes=3, zero_bias=False):
     blocks = []
     prev = cin
     for width in trunk:
-        blocks.append(Conv2dParams.init(prev, width, 3, rng, padding=1))
+        blocks.append(Conv2dParams.init(prev, width, 3, rng))
         prev = width
 
     def head(out):
@@ -127,7 +127,7 @@ class TestDetectForward:
         rng = np.random.default_rng(8)
         params = _head_params(rng, zero_bias=True)
         params = HeadParams(
-            trunk=[Conv2dParams(b.kernel, np.zeros_like(b.bias), b.stride, b.padding)
+            trunk=[Conv2dParams(b.kernel, np.zeros_like(b.bias))
                    for b in params.trunk],
             heatmap=Conv2dParams(params.heatmap.kernel, np.zeros(3)),
             offset=params.offset, z=params.z, size=params.size,
@@ -205,14 +205,13 @@ class TestR2lForward:
 
     @pytest.mark.parametrize("trunk", [(), (4,)])
     def test_trunk_that_cannot_take_bands_raises(self, trunk):
-        """No trunk conv, or one that shrinks the map: the heads would read
-        the 512-channel map whole, which the bands never build."""
+        """No trunk conv, where the heads would read the 512-channel map
+        whole, which the bands never build; or a first trunk conv that reads
+        256 channels, which cannot take the bands."""
         rng = np.random.default_rng(48)
         m_l, enhanced = _r2l_inputs(rng, 9, 8)
-        encoder, head = _encoder(rng), _head_params(rng, trunk=trunk)
-        if trunk:
-            t = head.trunk[0]
-            head.trunk[0] = Conv2dParams(t.kernel, t.bias, padding=0)
+        encoder = _encoder(rng)
+        head = _head_params(rng, cin=256 if trunk else 512, trunk=trunk)
         with pytest.raises(ShapeError, match="head trunk"):
             r2l_forward(m_l, enhanced, encoder, head)
 
@@ -225,8 +224,7 @@ class TestR2lForward:
         for name in HEAD_FIELDS:
             assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
 
-    @pytest.mark.parametrize("case", ["two-blocks", "final-width", "stride",
-                                      "spatial", "channels"])
+    @pytest.mark.parametrize("case", ["two-blocks", "final-width", "channels"])
     def test_encoder_shape_errors_match_twin(self, case):
         rng = np.random.default_rng(44)
         m_l, enhanced = _r2l_inputs(rng, 6, 6)
@@ -234,14 +232,9 @@ class TestR2lForward:
         if case == "two-blocks":
             encoder = encoder[:2]
         elif case == "final-width":
-            encoder[2] = Conv2dParams.init(8, 256, 3, rng, padding=1)
-        elif case == "stride":
-            encoder[1] = Conv2dParams(encoder[1].kernel, encoder[1].bias, stride=2,
-                                      padding=1)
-        elif case == "spatial":
-            encoder[1] = Conv2dParams(encoder[1].kernel, encoder[1].bias, padding=0)
+            encoder[2] = Conv2dParams.init(8, 256, 3, rng)
         else:
-            encoder[0] = Conv2dParams.init(150, 8, 3, rng, padding=1)
+            encoder[0] = Conv2dParams.init(150, 8, 3, rng)
         with pytest.raises(ShapeError) as twin:
             _twin_chain(m_l, enhanced, encoder, head)
         with pytest.raises(ShapeError) as banded:
@@ -267,10 +260,8 @@ class TestR2lForward:
         rng = np.random.default_rng(46)
         m_l, enhanced = _r2l_inputs(rng, 20, 16)
         encoder, head = _encoder(rng), _head_params(rng)
-        encoder[2] = Conv2dParams(np.full_like(encoder[2].kernel, scale),
-                                  encoder[2].bias, padding=1)
-        encoder[1] = Conv2dParams(encoder[1].kernel, np.abs(encoder[1].bias) + 1.0,
-                                  padding=1)
+        encoder[2] = Conv2dParams(np.full_like(encoder[2].kernel, scale), encoder[2].bias)
+        encoder[1] = Conv2dParams(encoder[1].kernel, np.abs(encoder[1].bias) + 1.0)
         with pytest.raises(EvaluationError):
             _twin_chain(m_l, enhanced, encoder, head)
         with pytest.raises(EvaluationError, match="non-finite"):

@@ -81,17 +81,10 @@ class TestConv2d:
         assert np.array_equal(conv2d_forward(m, p).data, np.full((1, 3, 3), 2.0))
 
     def test_hand_sum(self):
+        # every 3x3 window of the zero-padded 2x2 map holds all four cells
         m = FeatureMap([[[1.0, 2.0], [3.0, 4.0]]])
-        p = Conv2dParams(np.ones((1, 1, 2, 2)), np.zeros(1))
-        assert np.array_equal(conv2d_forward(m, p).data, [[[10.0]]])
-
-    def test_identity_stride_two_subsamples(self):
-        rng = np.random.default_rng(3)
-        m = FeatureMap(rng.normal(size=(2, 6, 8)))
-        kernel = np.zeros((2, 2, 1, 1))
-        kernel[[0, 1], [0, 1], 0, 0] = 1.0
-        p = Conv2dParams(kernel, np.zeros(2), stride=2)
-        assert np.array_equal(conv2d_forward(m, p).data, m.data[:, ::2, ::2])
+        p = Conv2dParams(np.ones((1, 1, 3, 3)), np.zeros(1))
+        assert np.array_equal(conv2d_forward(m, p).data, np.full((1, 2, 2), 10.0))
 
     def test_identity_kernel_exact(self):
         rng = np.random.default_rng(4)
@@ -108,15 +101,22 @@ class TestConv2d:
         with pytest.raises(ShapeError):
             conv2d_forward(m, p)
 
-    def test_degenerate_output(self):
-        m = FeatureMap(np.zeros((1, 2, 2)))
-        p = Conv2dParams(np.zeros((1, 1, 3, 3)), np.zeros(1))
-        with pytest.raises(ShapeError):
-            conv2d_forward(m, p)
+    @pytest.mark.parametrize("shape", [(1, 1, 2, 2), (1, 1, 4, 4), (1, 1, 3, 1),
+                                       (1, 1, 1, 3), (1, 1, 3), (1, 3, 3, 3, 1)])
+    def test_even_non_square_or_not_4d_kernel_rejected(self, shape):
+        with pytest.raises(ShapeError, match="k odd"):
+            Conv2dParams(np.zeros(shape), np.zeros(1))
 
-    def test_output_dims_formula(self):
-        p = Conv2dParams(np.zeros((4, 2, 3, 3)), np.zeros(4), stride=2, padding=1)
-        assert p.out_hw(16, 16) == (8, 8)
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_size_kept_at_every_kernel_size(self, k):
+        """A k x k conv pads k // 2 cells and keeps the map's size, also on
+        a map narrower than the kernel and on an empty one."""
+        rng = np.random.default_rng(k)
+        p = Conv2dParams.init(2, 3, k, rng)
+        assert p.padding == k // 2
+        for h, w in ((6, 7), (1, 2), (0, 4)):
+            out = conv2d_forward(FeatureMap(rng.normal(size=(2, h, w))), p)
+            assert out.shape == (3, h, w)
 
 
 def _gemm_then_bias(p, padded, y0, y1):
@@ -144,7 +144,7 @@ class TestIm2colBands:
         bit for bit and the GEMM with the bias added after it."""
         monkeypatch.setattr(nn, "_BAND_FLOATS", 72 * 4 * 16)
         rng = np.random.default_rng(h)
-        p = Conv2dParams.init(8, 8, 3, rng, padding=1)
+        p = Conv2dParams.init(8, 8, 3, rng)
         data = rng.normal(size=(8, h, 16))
         padded = nn._pad(data, 1)
         assert nn._im2col_band(p, 16) == 4
@@ -170,7 +170,7 @@ class TestIm2colBands:
         for cin, cout, k in ((2, 2, 3), (2, 512, 3), (8, 8, 3), (8, 512, 3),
                              (2, 1, 1), (2, 2, 1), (2, 3, 1), (4, 4, 3), (4, 1, 1),
                              (4, 2, 1), (4, 3, 1)):
-            p = Conv2dParams.init(cin, cout, k, rng, padding=k // 2)
+            p = Conv2dParams.init(cin, cout, k, rng)
             h = 3 * min(nn._im2col_band(p, width), 8) + 1
             padded = nn._pad(rng.normal(size=(cin, h, width)), k // 2)
             for (_, _, rows), (_, _, after) in zip(nn._im2col_rows(p, padded, 0, h),
@@ -295,8 +295,8 @@ class TestGradients:
         for s in range(100):
             rng = np.random.default_rng([101, s])
             m = FeatureMap(rng.normal(size=(2, 4, 5)))
-            p = Conv2dParams.init(2, 3, 2, rng, padding=1)
-            c = rng.normal(size=(3, *p.out_hw(4, 5)))
+            p = Conv2dParams.init(2, 3, (1, 3, 5)[s % 3], rng)
+            c = rng.normal(size=(3, 4, 5))
             theta = p.to_vector()
 
             def f(v):
@@ -312,7 +312,7 @@ class TestGradients:
     def test_conv_input_gradient(self):
         rng = np.random.default_rng(102)
         m = FeatureMap(rng.normal(size=(2, 4, 4)))
-        p = Conv2dParams.init(2, 2, 3, rng, padding=1)
+        p = Conv2dParams.init(2, 2, 3, rng)
         c = rng.normal(size=(2, 4, 4))
         gin, _, _ = conv2d_backward(m, p, c)
         theta = m.data.ravel().copy()
@@ -341,7 +341,7 @@ class TestDeterminism:
             "import numpy as np; from lrbev.nn import FeatureMap, "
             "Conv2dParams, conv2d_forward; rng = np.random.default_rng(77); "
             "m = FeatureMap(rng.normal(size=(70, 20, 20))); "
-            "p = Conv2dParams.init(70, 8, 3, rng, padding=1); "
+            "p = Conv2dParams.init(70, 8, 3, rng); "
             "import hashlib; "
             "print(hashlib.sha256(conv2d_forward(m, p).data.tobytes()).hexdigest())"
         )
@@ -350,14 +350,14 @@ class TestDeterminism:
         import hashlib
         rng = np.random.default_rng(77)
         m = FeatureMap(rng.normal(size=(70, 20, 20)))
-        p = Conv2dParams.init(70, 8, 3, rng, padding=1)
+        p = Conv2dParams.init(70, 8, 3, rng)
         here = hashlib.sha256(conv2d_forward(m, p).data.tobytes()).hexdigest()
         assert child.stdout.strip() == here
 
     def test_forward_bit_identical_across_runs(self):
         rng = np.random.default_rng(6)
         m = FeatureMap(rng.normal(size=(70, 10, 10)))
-        p = Conv2dParams.init(70, 4, 3, rng, padding=1)
+        p = Conv2dParams.init(70, 4, 3, rng)
         mlp = MlpParams.init((5, 8, 3), rng)
         x = rng.normal(size=5)
         assert np.array_equal(conv2d_forward(m, p).data, conv2d_forward(m, p).data)

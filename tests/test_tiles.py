@@ -34,10 +34,10 @@ def _inputs(rng, h, w, factor=1):
 
 
 def _weights(rng, lidar=64):
-    encoder = [Conv2dParams.init(cin, cout, 3, rng, padding=1)
+    encoder = [Conv2dParams.init(cin, cout, 3, rng)
                for cin, cout in ((lidar + 96, 8), (8, 8), (8, 512))]
-    trunk = [Conv2dParams.init(512, 4, 3, rng, padding=1),
-             Conv2dParams.init(4, 4, 3, rng, padding=1)]
+    trunk = [Conv2dParams.init(512, 4, 3, rng),
+             Conv2dParams.init(4, 4, 3, rng)]
     one = lambda out: Conv2dParams.init(4, out, 1, rng)
     return encoder, HeadParams(trunk=trunk, heatmap=one(3), offset=one(2),
                                z=one(1), size=one(3), rot=one(2), vel=one(2))
@@ -58,7 +58,7 @@ def test_seams_bit_identical_to_twins(h, kernel, w, workers):
     m_l, enhanced = _inputs(rng, h, w)
     encoder, head = _weights(rng)
     if kernel != 3:
-        head.trunk[0] = Conv2dParams.init(512, 4, kernel, rng, padding=kernel // 2)
+        head.trunk[0] = Conv2dParams.init(512, 4, kernel, rng)
     got = r2l_forward(m_l, enhanced, encoder, head, workers=workers)
     want = detect_forward(bev_encoder(fuse_bev_maps(m_l.dense(), enhanced.dense()), encoder),
                           head)
@@ -77,8 +77,8 @@ def test_wide_last_block_bands_regrouped_for_the_trunk(workers):
     h, w = 4 * TILE_ROWS, 24
     m_l, enhanced = _inputs(rng, h, w)
     encoder, head = _weights(rng)
-    encoder[1] = Conv2dParams.init(8, 64, 3, rng, padding=1)
-    encoder[2] = Conv2dParams.init(64, 512, 3, rng, padding=1)
+    encoder[1] = Conv2dParams.init(8, 64, 3, rng)
+    encoder[2] = Conv2dParams.init(64, 512, 3, rng)
     assert nn._im2col_band(encoder[2], w) < nn.band_rows(512, w)
     got = r2l_forward(m_l, enhanced, encoder, head, workers=workers)
     want = detect_forward(bev_encoder(fuse_bev_maps(m_l.dense(), enhanced.dense()), encoder),
@@ -163,10 +163,8 @@ def test_non_finite_band_in_a_worker_raises():
     rng = np.random.default_rng(51)
     m_l, enhanced = _inputs(rng, 3 * TILE_ROWS, 16)
     encoder, head = _weights(rng)
-    encoder[2] = Conv2dParams(np.full_like(encoder[2].kernel, -1e308),
-                              encoder[2].bias, padding=1)
-    encoder[1] = Conv2dParams(encoder[1].kernel, np.abs(encoder[1].bias) + 1.0,
-                              padding=1)
+    encoder[2] = Conv2dParams(np.full_like(encoder[2].kernel, -1e308), encoder[2].bias)
+    encoder[1] = Conv2dParams(encoder[1].kernel, np.abs(encoder[1].bias) + 1.0)
     with pytest.raises(EvaluationError, match="non-finite"):
         r2l_forward(m_l, enhanced, encoder, head, workers=2)
 
@@ -308,10 +306,8 @@ def test_workers_follow_the_callers_error_handling(workers):
     rng = np.random.default_rng(53)
     m_l, enhanced = _inputs(rng, 128, 16)
     encoder, head = _weights(rng)
-    encoder[2] = Conv2dParams(np.full_like(encoder[2].kernel, 1e308),
-                              encoder[2].bias, padding=1)
-    encoder[1] = Conv2dParams(encoder[1].kernel, np.abs(encoder[1].bias) + 1.0,
-                              padding=1)
+    encoder[2] = Conv2dParams(np.full_like(encoder[2].kernel, 1e308), encoder[2].bias)
+    encoder[1] = Conv2dParams(encoder[1].kernel, np.abs(encoder[1].bias) + 1.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with np.errstate(over="ignore"), \
@@ -403,7 +399,7 @@ def test_edge_columns_in_small_chunks_match_twins(monkeypatch, workers, kernel):
     radar[:, [0, -1, -1], [0, 0, -1]] = rng.normal(size=(96, 3))
     m_l, enhanced = columns_of(FeatureMap(data)), columns_of(FeatureMap(radar))
     encoder, head = _weights(rng)
-    encoder[0] = Conv2dParams.init(160, 8, kernel, rng, padding=kernel // 2)
+    encoder[0] = Conv2dParams.init(160, 8, kernel, rng)
     counts = {}
     got = r2l_forward(m_l, enhanced, encoder, head, workers=workers, counts=counts)
     fused = fuse_bev_maps(m_l.dense(), enhanced)
